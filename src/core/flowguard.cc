@@ -161,7 +161,7 @@ FlowGuard::run(const std::vector<uint8_t> &input, uint64_t max_insts)
     std::unique_ptr<runtime::PmiGuard> pmi;
     if (_config.pmiChecking) {
         pmi = std::make_unique<runtime::PmiGuard>(
-            monitor, encoder, topa, &outcome.cycles);
+            _program.cr3(), monitor, encoder, topa, &outcome.cycles);
         kernel.attachPmi(*pmi);
     }
 
@@ -185,27 +185,20 @@ FlowGuard::run(const std::vector<uint8_t> &input, uint64_t max_insts)
         encoder.setTelemetry(hub, _program.cr3());
         kernel.attachTelemetry(hub);
         if (pmi)
-            pmi->setTelemetry(hub, _program.cr3());
+            pmi->setTelemetry(hub);
     }
 
     outcome.stop = cpu.run(max_insts);
     outcome.exitCode = cpu.exitCode();
     outcome.attackDetected = kernel.kills() > 0;
     outcome.violations = kernel.violations();
-    if (pmi && pmi->violationPending()) {
+    runtime::ViolationReport pending;
+    if (pmi && pmi->consumePendingKill(_program.cr3(), pending)) {
         // The process stopped before the kernel could deliver the
         // PMI-triggered kill; still a positive detection.
         outcome.attackDetected = true;
-        runtime::ViolationReport report;
-        if (pmi->violationWasLoss()) {
-            report.kind = runtime::ViolationReport::Kind::TraceLoss;
-            report.reason =
-                "PMI window: trace loss (fail-closed, post-mortem)";
-        } else {
-            report.reason =
-                "PMI window: ITC-CFG violation (post-mortem)";
-        }
-        outcome.violations.push_back(std::move(report));
+        pending.reason += " (post-mortem)";
+        outcome.violations.push_back(std::move(pending));
     }
     outcome.monitor = monitor.stats();
     outcome.instructions = cpu.instCount();

@@ -8,23 +8,6 @@ namespace flowguard::runtime {
 
 using isa::Syscall;
 
-const char *
-violationKindName(ViolationReport::Kind kind)
-{
-    switch (kind) {
-      case ViolationReport::Kind::CfiViolation: return "cfi-violation";
-      case ViolationReport::Kind::TraceLoss: return "trace-loss";
-      case ViolationReport::Kind::CheckTimeout: return "check-timeout";
-      case ViolationReport::Kind::AttachFailure:
-        return "attach-failure";
-      case ViolationReport::Kind::Quarantined: return "quarantined";
-      case ViolationReport::Kind::UnknownCode: return "unknown-code";
-      case ViolationReport::Kind::ProtectionGap:
-        return "protection-gap";
-    }
-    return "?";
-}
-
 std::set<int64_t>
 FlowGuardKernel::defaultEndpoints()
 {
@@ -101,41 +84,17 @@ FlowGuardKernel::onSyscall(cpu::Cpu &cpu, int64_t number)
 {
     const uint64_t cr3 = cpu.program().cr3();
 
-    if (_config.enabled && _pmi && _pmi->violationPending() &&
-        _config.protectedCr3s.count(cr3)) {
-        ViolationReport report;
-        report.cr3 = cr3;
-        report.syscall = number;
-        auto it = _endpoints.find(cr3);
-        if (it != _endpoints.end())
-            report.seq = it->second.seq;
-        switch (_pmi->violationSource()) {
-          case Monitor::VerdictSource::LossPolicy:
-            report.kind = ViolationReport::Kind::TraceLoss;
-            report.reason = "PMI window: trace loss (fail-closed)";
-            break;
-          case Monitor::VerdictSource::FastPath:
-            report.reason = "PMI window: ITC-CFG violation";
-            report.from = _pmi->violationFrom();
-            report.to = _pmi->violationTo();
-            break;
-          case Monitor::VerdictSource::SlowPath:
-            report.reason = "PMI window: slow-path violation";
-            report.from = _pmi->violationFrom();
-            report.to = _pmi->violationTo();
-            break;
-        }
-        _pmi->acknowledge();
-        return killWith(std::move(report));
-    }
+    // Verdicts reached outside this syscall — a failed PMI window, a
+    // deferred slow-path conviction, a quarantine kill — land at the
+    // process's next syscall, whatever its number: the earliest
+    // moment the kernel regains control.
+    ViolationReport pending;
+    if ((_pmi && _pmi->consumePendingKill(cr3, pending)) ||
+        (_service && _service->consumePendingKill(cr3, pending)))
+        return killWith(std::move(pending));
 
-    if (_config.enabled && _service) {
-        // Service mode: deferred verdicts and quarantine kills land
-        // at the next controllable boundary — any syscall, not just
-        // endpoints — and endpoint checks go through the scheduler.
-        ViolationReport pending;
-        if (_service->consumePendingKill(cr3, pending))
-            return killWith(std::move(pending));
+    if (_service) {
+        // Service mode: endpoint checks go through the scheduler.
         if (retiresCode(number) &&
             (_service->isProtected(cr3) ||
              _service->recoveryGatePending(cr3))) {
@@ -174,8 +133,7 @@ FlowGuardKernel::onSyscall(cpu::Cpu &cpu, int64_t number)
 
     // Inline mode: the original single-kernel path, generalized over
     // the CR3 registry. Checks run synchronously with no deadline.
-    const bool guarded = _config.enabled &&
-        _config.protectedCr3s.count(cr3);
+    const bool guarded = _config.protectedCr3s.count(cr3) != 0;
     const bool barrier = guarded && retiresCode(number);
     const bool intercept = guarded &&
         (barrier || _config.endpoints.count(number));
@@ -211,32 +169,8 @@ FlowGuardKernel::onSyscall(cpu::Cpu &cpu, int64_t number)
             : endpoint.monitor->check(window);
         trap.setVerdict(static_cast<uint8_t>(verdict));
         if (verdict == CheckVerdict::Violation) {
-            ViolationReport report;
-            report.cr3 = cr3;
-            report.seq = endpoint.seq;
-            report.syscall = number;
-            const auto &fast = endpoint.monitor->lastFast();
-            const auto &slow = endpoint.monitor->lastSlow();
-            switch (endpoint.monitor->lastVerdictSource()) {
-              case Monitor::VerdictSource::LossPolicy:
-                report.kind = ViolationReport::Kind::TraceLoss;
-                report.reason = "trace loss (fail-closed policy)";
-                break;
-              case Monitor::VerdictSource::FastPath:
-                report.from = fast.violatingFrom;
-                report.to = fast.violatingTo;
-                report.reason = fast.staleHit
-                    ? "fast path: transition into unloaded module's "
-                      "stale range"
-                    : "fast path: ITC-CFG edge mismatch";
-                break;
-              case Monitor::VerdictSource::SlowPath:
-                report.from = slow.violatingSource;
-                report.to = slow.violatingTarget;
-                report.reason = "slow path: " + slow.reason;
-                break;
-            }
-            return killWith(std::move(report));
+            return killWith(endpoint.monitor->violationReport(
+                cr3, endpoint.seq, number));
         }
         fileAuditReport(*endpoint.monitor, cr3, endpoint.seq, number);
         if (barrier) {

@@ -29,64 +29,13 @@
 #include "cpu/basic_kernel.hh"
 #include "runtime/monitor.hh"
 #include "runtime/pmi.hh"
+#include "runtime/report.hh"
 #include "telemetry/telemetry.hh"
 #include "trace/ipt.hh"
 
 namespace flowguard::runtime {
 
 class ProtectionService;
-
-/** One logged detection, the report "to administrators or users". */
-struct ViolationReport
-{
-    /**
-     * What the report actually claims: a CfiViolation is evidence of
-     * a hijacked control flow; a TraceLoss conviction only says the
-     * fail-closed policy refused to pass an unverifiable window; a
-     * CheckTimeout conviction says the overload policy refused to
-     * wait for the verdict; AttachFailure and Quarantined are
-     * control-plane outcomes (a process the service could not
-     * protect, a process the circuit breaker isolated). An
-     * administrator triages each very differently.
-     */
-    enum class Kind : uint8_t {
-        CfiViolation,
-        TraceLoss,
-        CheckTimeout,
-        AttachFailure,
-        Quarantined,
-        /** AuditOnly observation: transitions through unknown code
-         *  were waived, not enforced. Never a kill — these live in
-         *  auditReports(), not violations(). */
-        UnknownCode,
-        /** The checker was dead or restarting for a window of this
-         *  process's execution. Never a kill under ResyncAndAudit —
-         *  the report bounds the unchecked window (fromCycle in
-         *  `from`, toCycle in `to`) so an auditor knows exactly which
-         *  cycles ran without enforcement. */
-        ProtectionGap,
-    };
-
-    Kind kind = Kind::CfiViolation;
-    /** Process identity: multi-process reports must be attributable. */
-    uint64_t cr3 = 0;
-    /** Endpoint sequence number within that process (1-based). */
-    uint64_t seq = 0;
-    int64_t syscall = 0;
-    uint64_t from = 0;
-    uint64_t to = 0;
-    std::string reason;
-    /**
-     * Flight-recorder snapshot taken when the report was built: the
-     * last-N telemetry events (spans, decoder loss, credit commits,
-     * the conviction itself) for this process — the forensic story
-     * of how the verdict came about. Empty when no telemetry hub was
-     * attached.
-     */
-    std::vector<telemetry::FlightEvent> flight;
-};
-
-const char *violationKindName(ViolationReport::Kind kind);
 
 class FlowGuardKernel : public cpu::BasicKernel
 {
@@ -96,7 +45,6 @@ class FlowGuardKernel : public cpu::BasicKernel
         std::set<int64_t> endpoints = defaultEndpoints();
         /** The protection registry: CR3s of all guarded processes. */
         std::set<uint64_t> protectedCr3s;
-        bool enabled = true;
     };
 
     /**

@@ -162,6 +162,37 @@ Monitor::consumeUnknownAudit()
     return pending;
 }
 
+ViolationReport
+Monitor::violationReport(uint64_t cr3, uint64_t seq,
+                         int64_t syscall) const
+{
+    ViolationReport report;
+    report.cr3 = cr3;
+    report.seq = seq;
+    report.syscall = syscall;
+    switch (_lastSource) {
+      case VerdictSource::LossPolicy:
+        // A trace gap, not flow evidence: there is no edge to blame.
+        report.kind = ViolationReport::Kind::TraceLoss;
+        report.reason = "trace loss (fail-closed policy)";
+        break;
+      case VerdictSource::FastPath:
+        report.from = _lastFast.violatingFrom;
+        report.to = _lastFast.violatingTo;
+        report.reason = _lastFast.staleHit
+            ? "fast path: transition into unloaded module's stale "
+              "range"
+            : "fast path: ITC-CFG edge mismatch";
+        break;
+      case VerdictSource::SlowPath:
+        report.from = _lastSlow.violatingSource;
+        report.to = _lastSlow.violatingTarget;
+        report.reason = "slow path: " + _lastSlow.reason;
+        break;
+    }
+    return report;
+}
+
 CheckVerdict
 Monitor::check(const std::vector<uint8_t> &packets)
 {

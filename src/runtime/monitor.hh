@@ -18,6 +18,7 @@
 #include "analysis/typearmor.hh"
 #include "dynamic/dynamic_guard.hh"
 #include "runtime/fast_path.hh"
+#include "runtime/report.hh"
 #include "runtime/slow_path.hh"
 
 namespace flowguard::runtime {
@@ -128,8 +129,8 @@ struct MonitorStats
      *   highCreditEdges <= edgesChecked
      *
      * Returns false and describes the first broken identity in
-     * `why` (when given). Called from tests and, debug-only, from
-     * the service drain loop.
+     * `why` (when given). Called from tests and from the service
+     * drain loop.
      */
     bool checkInvariants(std::string *why = nullptr) const;
 };
@@ -244,25 +245,24 @@ class Monitor
     const FastPathResult &lastFast() const { return _lastFast; }
     const SlowPathResult &lastSlow() const { return _lastSlow; }
 
-    /** Which engine produced the most recent verdict. */
-    enum class VerdictSource : uint8_t {
-        FastPath,
-        SlowPath,
-        LossPolicy,     ///< fail-closed conviction, no flow evidence
-    };
-
-    VerdictSource lastVerdictSource() const { return _lastSource; }
-
     /**
-     * True when the most recent Violation verdict came from the
-     * fail-closed loss policy rather than a flow mismatch — reports
-     * must not blame the program's control flow for a trace gap.
+     * The report for the most recent Violation verdict — the one
+     * place a verdict becomes (kind, from, to, reason):
+     *
+     *  - fail-closed loss conviction: TraceLoss, no edge,
+     *    "trace loss (fail-closed policy)";
+     *  - fast-path conviction: the offending edge and "fast path:
+     *    ITC-CFG edge mismatch", or the stale-range reason when the
+     *    edge entered an unloaded module;
+     *  - slow-path conviction: the offending branch and "slow path: "
+     *    followed by the slow checker's reason.
+     *
+     * Callers append their context suffix (" [deferred N cycles]",
+     * " [post-mortem: drain]", ...) and the flight snapshot.
+     * Meaningless unless the last verdict was a Violation.
      */
-    bool
-    lastViolationWasLoss() const
-    {
-        return _lastSource == VerdictSource::LossPolicy;
-    }
+    ViolationReport violationReport(uint64_t cr3, uint64_t seq,
+                                    int64_t syscall) const;
 
     LossPolicy lossPolicy() const { return _config.lossPolicy; }
 
@@ -312,6 +312,13 @@ class Monitor
                              const std::vector<uint8_t> &packets);
     FastPhaseOutcome resolveFast(FastPathResult fast);
     void stageCache(const std::vector<uint8_t> &packets);
+
+    /** Which engine produced the most recent verdict. */
+    enum class VerdictSource : uint8_t {
+        FastPath,
+        SlowPath,
+        LossPolicy,     ///< fail-closed conviction, no flow evidence
+    };
 
     const isa::Program &_program;
     analysis::ItcCfg &_itc;

@@ -2,12 +2,23 @@
 
 namespace flowguard::runtime {
 
-PmiGuard::PmiGuard(Monitor &monitor, trace::IptEncoder &encoder,
-                   trace::Topa &topa, cpu::CycleAccount *account)
-    : _monitor(monitor), _encoder(encoder), _topa(topa),
+PmiGuard::PmiGuard(uint64_t cr3, Monitor &monitor,
+                   trace::IptEncoder &encoder, trace::Topa &topa,
+                   cpu::CycleAccount *account)
+    : _cr3(cr3), _monitor(monitor), _encoder(encoder), _topa(topa),
       _account(account)
 {
     _topa.setPmiCallback([this] { onPmi(); });
+}
+
+bool
+PmiGuard::consumePendingKill(uint64_t cr3, ViolationReport &out)
+{
+    if (!_pending || cr3 != _cr3)
+        return false;
+    out = std::move(*_pending);
+    _pending.reset();
+    return true;
 }
 
 void
@@ -15,8 +26,8 @@ PmiGuard::onPmi()
 {
     ++_pmis;
     telemetry::ScopedSpan span(_telemetry,
-                               telemetry::SpanKind::PmiCheck,
-                               _telemetryCr3, _pmis);
+                               telemetry::SpanKind::PmiCheck, _cr3,
+                               _pmis);
     if (_account)
         _account->other += cpu::cost::intercept_per_syscall;
     // The PMI fires from inside the encoder's own ToPA write, so the
@@ -27,22 +38,10 @@ PmiGuard::onPmi()
     const CheckVerdict verdict = _monitor.checkFull(_topa.snapshot());
     span.setVerdict(static_cast<uint8_t>(verdict));
     if (verdict == CheckVerdict::Violation) {
-        _violation = true;
-        _violationWasLoss = _monitor.lastViolationWasLoss();
-        _violationSource = _monitor.lastVerdictSource();
-        switch (_violationSource) {
-          case Monitor::VerdictSource::FastPath:
-            _violationFrom = _monitor.lastFast().violatingFrom;
-            _violationTo = _monitor.lastFast().violatingTo;
-            break;
-          case Monitor::VerdictSource::SlowPath:
-            _violationFrom = _monitor.lastSlow().violatingSource;
-            _violationTo = _monitor.lastSlow().violatingTarget;
-            break;
-          case Monitor::VerdictSource::LossPolicy:
-            break;      // no flow evidence to report
-        }
-        span.setPayload(_violationFrom, _violationTo);
+        _pending = _monitor.violationReport(_cr3, _pmis,
+                                            /*syscall=*/-1);
+        _pending->reason = "PMI window: " + _pending->reason;
+        span.setPayload(_pending->from, _pending->to);
     }
 }
 

@@ -20,8 +20,10 @@
 #define FLOWGUARD_RUNTIME_PMI_HH
 
 #include <cstdint>
+#include <optional>
 
 #include "runtime/monitor.hh"
+#include "runtime/report.hh"
 #include "trace/ipt.hh"
 
 namespace flowguard::runtime {
@@ -30,49 +32,32 @@ class PmiGuard
 {
   public:
     /**
-     * Arms the PMI: `topa`'s buffer-full callback now triggers a
-     * monitor check over the full buffer. The encoder is needed to
-     * flush buffered TNT bits before decoding.
+     * Arms the PMI of process `cr3`: `topa`'s buffer-full callback
+     * now triggers a monitor check over the full buffer. The encoder
+     * is needed to flush buffered TNT bits before decoding.
      */
-    PmiGuard(Monitor &monitor, trace::IptEncoder &encoder,
+    PmiGuard(uint64_t cr3, Monitor &monitor, trace::IptEncoder &encoder,
              trace::Topa &topa, cpu::CycleAccount *account = nullptr);
 
-    /** True once any PMI window failed the check. */
-    bool violationPending() const { return _violation; }
+    /** True while a failed PMI window's kill awaits delivery. */
+    bool violationPending() const { return _pending.has_value(); }
 
-    /** True when the pending violation was a fail-closed loss
-     *  conviction rather than flow evidence (report triage). */
-    bool violationWasLoss() const { return _violationWasLoss; }
-
-    /** Which engine convicted, captured when the PMI fired — later
-     *  (passing) windows must not repaint the pending report. */
-    Monitor::VerdictSource violationSource() const
-    {
-        return _violationSource;
-    }
-
-    /** Offending transition, when the conviction carries one. */
-    uint64_t violationFrom() const { return _violationFrom; }
-    uint64_t violationTo() const { return _violationTo; }
+    /**
+     * Pops the pending kill when it belongs to `cr3`. The report is
+     * the monitor's, captured when the PMI fired (later passing
+     * windows must not repaint it), with a "PMI window: " prefix,
+     * seq = the PMI count and syscall = -1. The kernel calls this at
+     * every syscall; FlowGuard::run takes a kill the process never
+     * reached post-mortem.
+     */
+    bool consumePendingKill(uint64_t cr3, ViolationReport &out);
 
     /** Wires the observability layer: every PMI window check is a
-     *  PmiCheck span attributed to `cr3`. Optional. */
+     *  PmiCheck span attributed to the guarded process. Optional. */
     void
-    setTelemetry(telemetry::Telemetry *telemetry, uint64_t cr3)
+    setTelemetry(telemetry::Telemetry *telemetry)
     {
         _telemetry = telemetry;
-        _telemetryCr3 = cr3;
-    }
-
-    /** Clears the pending flag (after the kill was delivered). */
-    void
-    acknowledge()
-    {
-        _violation = false;
-        _violationWasLoss = false;
-        _violationSource = Monitor::VerdictSource::FastPath;
-        _violationFrom = 0;
-        _violationTo = 0;
     }
 
     uint64_t pmiCount() const { return _pmis; }
@@ -80,19 +65,14 @@ class PmiGuard
   private:
     void onPmi();
 
+    uint64_t _cr3;
     Monitor &_monitor;
     trace::IptEncoder &_encoder;
     trace::Topa &_topa;
     cpu::CycleAccount *_account;
-    bool _violation = false;
-    bool _violationWasLoss = false;
-    Monitor::VerdictSource _violationSource =
-        Monitor::VerdictSource::FastPath;
-    uint64_t _violationFrom = 0;
-    uint64_t _violationTo = 0;
+    std::optional<ViolationReport> _pending;
     uint64_t _pmis = 0;
     telemetry::Telemetry *_telemetry = nullptr;
-    uint64_t _telemetryCr3 = 0;
 };
 
 } // namespace flowguard::runtime

@@ -84,10 +84,10 @@ struct CheckExecution
     bool ran = false;           ///< false: abandoned before execution
     CheckVerdict verdict = CheckVerdict::Suspicious;
     uint64_t costCycles = 0;
-    uint64_t violatingFrom = 0;
-    uint64_t violatingTo = 0;
-    std::string reason;
-    Monitor::VerdictSource source = Monitor::VerdictSource::SlowPath;
+    /** Monitor::violationReport of the run; filled only when the
+     *  verdict is Violation (no flight snapshot — the service stamps
+     *  that when it files the report). */
+    ViolationReport report;
 };
 
 /** How a submitted check left the scheduler. */

@@ -194,17 +194,15 @@ ProtectionService::execute(const CheckRequest &request)
     CheckExecution exec;
     auto it = _processes.find(request.cr3);
     if (it == _processes.end()) {
-        exec.verdict = CheckVerdict::Pass;
-        exec.reason = "process no longer registered";
+        exec.verdict = CheckVerdict::Pass;    // process unregistered
         return exec;
     }
     Monitor &monitor = *it->second.monitor;
     exec.verdict = monitor.slowPhase(request.packets, request.loss);
+    if (exec.verdict == CheckVerdict::Violation)
+        exec.report = monitor.violationReport(request.cr3, request.seq,
+                                              request.syscall);
     const SlowPathResult &slow = monitor.lastSlow();
-    exec.violatingFrom = slow.violatingSource;
-    exec.violatingTo = slow.violatingTarget;
-    exec.reason = slow.reason;
-    exec.source = monitor.lastVerdictSource();
     exec.costCycles = static_cast<uint64_t>(
         static_cast<double>(slow.instructionsWalked) *
             cpu::cost::sw_full_decode_per_inst +
@@ -245,16 +243,14 @@ ProtectionService::deliver(const CheckRequest &request,
         _telemetry->completeSpan(
             telemetry::SpanKind::SlowEscalate, proc.cr3, request.seq,
             request.enqueuedAt, request.enqueuedAt + age,
-            static_cast<uint8_t>(exec.verdict), exec.violatingFrom,
-            exec.violatingTo);
+            static_cast<uint8_t>(exec.verdict), exec.report.from,
+            exec.report.to);
         if (_histDeferralAge)
             _histDeferralAge->record(age);
     }
     if (exec.verdict != CheckVerdict::Violation)
         return;
-    ViolationReport report = violationReportFrom(proc, request.syscall,
-                                                 exec);
-    report.seq = request.seq;
+    ViolationReport report = withFlight(exec.report);
     report.reason +=
         " [deferred " + std::to_string(age) + " cycles]";
     if (request.audit) {
@@ -400,7 +396,8 @@ ProtectionService::onEndpoint(cpu::Cpu &cpu, int64_t syscall)
         if (fast.verdict == CheckVerdict::Violation) {
             ++_stats.inlineFastViolations;
             decision.kill = true;
-            decision.report = reportFromMonitor(proc, syscall);
+            decision.report = withFlight(
+                proc.monitor->violationReport(cr3, proc.seq, syscall));
             return decision;
         }
         ++_stats.inlineFastPass;
@@ -464,7 +461,8 @@ ProtectionService::codeBarrier(cpu::Cpu &cpu, int64_t syscall)
                          ? ProtectionWindowClass::Lossy
                          : ProtectionWindowClass::Checked);
     if (verdict == CheckVerdict::Violation) {
-        ViolationReport report = reportFromMonitor(proc, syscall);
+        ViolationReport report = withFlight(
+            proc.monitor->violationReport(cr3, proc.seq, syscall));
         const bool audit_class = proc.quarantined &&
             _config.quarantineAction == QuarantineAction::Audit;
         if (audit_class) {
@@ -515,8 +513,8 @@ ProtectionService::resolve(ProcessRecord &proc, int64_t syscall,
             end = now + _config.scheduler.deadlineCycles;
         _telemetry->completeSpan(
             telemetry::SpanKind::SlowEscalate, proc.cr3, proc.seq,
-            now, end, verdict, out.exec.violatingFrom,
-            out.exec.violatingTo);
+            now, end, verdict, out.exec.report.from,
+            out.exec.report.to);
     }
 
     // Attribute this window's cycles: a shed check is a gap (nothing
@@ -538,8 +536,7 @@ ProtectionService::resolve(ProcessRecord &proc, int64_t syscall,
         break;
       case CheckResolution::InlineViolation: {
         proc.consecutiveMisses = 0;
-        ViolationReport report =
-            violationReportFrom(proc, syscall, out.exec);
+        ViolationReport report = withFlight(out.exec.report);
         if (audit_class) {
             ++_stats.auditViolations;
             report.reason += " [audit-class, enforcement waived]";
@@ -569,8 +566,7 @@ ProtectionService::resolve(ProcessRecord &proc, int64_t syscall,
         if (out.exec.ran &&
             out.exec.verdict == CheckVerdict::Violation) {
             ++_stats.auditViolations;
-            ViolationReport report =
-                violationReportFrom(proc, syscall, out.exec);
+            ViolationReport report = withFlight(out.exec.report);
             report.reason +=
                 " [enforcement waived: audit-only overload policy]";
             _reports.push_back(std::move(report));
@@ -636,55 +632,10 @@ ProtectionService::noteDeadlineMiss(ProcessRecord &proc,
 }
 
 ViolationReport
-ProtectionService::violationReportFrom(const ProcessRecord &proc,
-                                       int64_t syscall,
-                                       const CheckExecution &exec)
-    const
+ProtectionService::withFlight(ViolationReport report) const
 {
-    ViolationReport report;
-    report.kind =
-        exec.source == Monitor::VerdictSource::LossPolicy
-        ? ViolationReport::Kind::TraceLoss
-        : ViolationReport::Kind::CfiViolation;
-    report.cr3 = proc.cr3;
-    report.seq = proc.seq;
-    report.syscall = syscall;
-    report.from = exec.violatingFrom;
-    report.to = exec.violatingTo;
-    report.reason =
-        exec.reason.empty() ? "slow path violation" : exec.reason;
     if (_telemetry)
-        report.flight = _telemetry->snapshotFlight(proc.cr3);
-    return report;
-}
-
-ViolationReport
-ProtectionService::reportFromMonitor(const ProcessRecord &proc,
-                                     int64_t syscall) const
-{
-    const Monitor &monitor = *proc.monitor;
-    ViolationReport report;
-    report.cr3 = proc.cr3;
-    report.seq = proc.seq;
-    report.syscall = syscall;
-    switch (monitor.lastVerdictSource()) {
-      case Monitor::VerdictSource::LossPolicy:
-        report.kind = ViolationReport::Kind::TraceLoss;
-        report.reason = "trace loss (fail-closed policy)";
-        break;
-      case Monitor::VerdictSource::FastPath:
-        report.from = monitor.lastFast().violatingFrom;
-        report.to = monitor.lastFast().violatingTo;
-        report.reason = "fast path: ITC-CFG edge mismatch";
-        break;
-      case Monitor::VerdictSource::SlowPath:
-        report.from = monitor.lastSlow().violatingSource;
-        report.to = monitor.lastSlow().violatingTarget;
-        report.reason = "slow path: " + monitor.lastSlow().reason;
-        break;
-    }
-    if (_telemetry)
-        report.flight = _telemetry->snapshotFlight(proc.cr3);
+        report.flight = _telemetry->snapshotFlight(report.cr3);
     return report;
 }
 
@@ -729,8 +680,9 @@ ProtectionService::drain()
         noteWindow(proc, fast.loss ? ProtectionWindowClass::Lossy
                                    : ProtectionWindowClass::Checked);
         if (verdict == CheckVerdict::Violation) {
-            ViolationReport report =
-                reportFromMonitor(proc, /*syscall=*/-1);
+            ViolationReport report = withFlight(
+                proc.monitor->violationReport(proc.cr3, proc.seq,
+                                              /*syscall=*/-1));
             report.reason += " [post-mortem: drain]";
             _reports.push_back(std::move(report));
         }
@@ -757,10 +709,9 @@ ProtectionService::drain()
         }
     }
 
-#ifndef NDEBUG
-    // Debug builds prove the accounting identities on every drained
-    // run: a broken identity is a lost or double-counted check, not a
-    // tolerable skew.
+    // Every drained run proves the accounting identities, in every
+    // build type: a broken identity is a lost or double-counted check,
+    // not a tolerable skew.
     std::string why;
     if (!_stats.checkInvariants(&why))
         fg_panic("service stats identity broken: ", why);
@@ -771,7 +722,6 @@ ProtectionService::drain()
             fg_panic("monitor stats identity broken (cr3=",
                      entry.first, "): ", why);
     }
-#endif
 }
 
 size_t
@@ -830,7 +780,8 @@ ProtectionService::resyncCheck(uint64_t cr3)
         proc.monitor->checkFull(proc.topa->snapshot());
     if (verdict == CheckVerdict::Violation) {
         outcome.violation = true;
-        outcome.report = reportFromMonitor(proc, /*syscall=*/-1);
+        outcome.report = withFlight(proc.monitor->violationReport(
+            cr3, proc.seq, /*syscall=*/-1));
         outcome.report.reason += " [post-gap catch-up, audit-only]";
     }
     // Never bank credit from a window that spans the gap, and start

@@ -119,7 +119,7 @@ struct ServiceStats
      * into a later window, resolved by the inline fast phase (pass or
      * violation), or escalated to the scheduler — there is no fifth
      * bucket. Returns false and describes the first broken identity
-     * in `why` (when given). Called from tests and, debug-only, from
+     * in `why` (when given). Called from tests and from every
      * ProtectionService::drain().
      */
     bool checkInvariants(std::string *why = nullptr) const;
@@ -406,12 +406,9 @@ class ProtectionService
                     ProtectionWindowClass cls);
     void noteDeadlineMiss(ProcessRecord &proc, int64_t syscall,
                           EndpointDecision &decision);
-    ViolationReport violationReportFrom(const ProcessRecord &proc,
-                                        int64_t syscall,
-                                        const CheckExecution &exec)
-        const;
-    ViolationReport reportFromMonitor(const ProcessRecord &proc,
-                                      int64_t syscall) const;
+    /** Stamps `report` with its process's flight-recorder snapshot
+     *  (unchanged when no telemetry hub is attached). */
+    ViolationReport withFlight(ViolationReport report) const;
 
     ServiceConfig _config;
     CheckScheduler _scheduler;

@@ -30,6 +30,15 @@ struct AluCase
     uint64_t a, b, expected;
 };
 
+/** Names the test after its case ("sub_5_7"). Without it the test ID
+ *  is a byte dump that includes the struct's uninitialised padding,
+ *  so it changes from one test discovery to the next. */
+void
+PrintTo(const AluCase &c, std::ostream *os)
+{
+    *os << aluOpName(c.op) << "_" << c.a << "_" << c.b;
+}
+
 class AluSemantics : public ::testing::TestWithParam<AluCase>
 {};
 
@@ -83,6 +92,16 @@ struct CondCase
     int64_t a, b;
     bool taken;
 };
+
+/** Names the test after its case ("lt_4_5_taken"). Without it the
+ *  test ID is a byte dump that includes the struct's uninitialised
+ *  padding, so it changes from one test discovery to the next. */
+void
+PrintTo(const CondCase &c, std::ostream *os)
+{
+    *os << condName(c.cond) << "_" << c.a << "_" << c.b
+        << (c.taken ? "_taken" : "_not_taken");
+}
 
 class CondSemantics : public ::testing::TestWithParam<CondCase>
 {};

@@ -2,13 +2,22 @@
  * @file
  * Unit tests for the packet-layer (fast) decoder: flow-step
  * extraction, TNT attribution, windowed decoding from PSB sync
- * points, and TIP-transition folding.
+ * points, and TIP-transition folding — plus the ground-truth
+ * property: over random programs and PSB periods, the TIP targets
+ * the decoder recovers are exactly the indirect-branch targets the
+ * CPU retired.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "cpu/basic_kernel.hh"
+#include "cpu/cpu.hh"
 #include "decode/fast_decoder.hh"
+#include "trace/ipt.hh"
 #include "trace/ipt_packets.hh"
+#include "workloads/apps.hh"
 
 namespace {
 
@@ -270,5 +279,141 @@ TEST(FastDecoder, SuppressedTipsAreNotTransitions)
     EXPECT_EQ(transitions[1].from, 0x400100u);
     EXPECT_EQ(transitions[1].to, 0x400200u);
 }
+
+// --- ground truth: decoded TIPs vs the CPU's retired branches -------------
+
+struct Recorder : cpu::TraceSink
+{
+    std::vector<cpu::BranchEvent> events;
+    void
+    onBranch(const cpu::BranchEvent &event) override
+    {
+        events.push_back(event);
+    }
+};
+
+/**
+ * The TIP targets Table 3 says the encoder emits for `events`: one per
+ * indirect jump, indirect call and near return while tracing is on.
+ * The first event after entering the traced context (trace start, the
+ * return from a syscall) is a TIP.PGE instead, not a TIP.
+ */
+std::vector<uint64_t>
+retiredTipTargets(const std::vector<cpu::BranchEvent> &events)
+{
+    std::vector<uint64_t> targets;
+    bool context_on = false;
+    for (const auto &event : events) {
+        if (!context_on) {
+            context_on = event.kind != cpu::BranchKind::SyscallEntry;
+            continue;
+        }
+        switch (event.kind) {
+          case cpu::BranchKind::IndirectJump:
+          case cpu::BranchKind::IndirectCall:
+          case cpu::BranchKind::Return:
+            targets.push_back(event.target);
+            break;
+          case cpu::BranchKind::SyscallEntry:
+            context_on = false;
+            break;
+          default:
+            break;
+        }
+    }
+    return targets;
+}
+
+std::vector<uint64_t>
+decodedTipTargets(const FastDecodeResult &result)
+{
+    std::vector<uint64_t> targets;
+    for (const auto &step : result.steps)
+        if (step.kind == StepKind::Tip)
+            targets.push_back(step.ip);
+    return targets;
+}
+
+/** True when `tail` is a suffix of `all`. */
+bool
+isSuffix(const std::vector<uint64_t> &tail,
+         const std::vector<uint64_t> &all)
+{
+    return tail.size() <= all.size() &&
+        std::equal(tail.begin(), tail.end(), all.end() - tail.size());
+}
+
+class FastDecodeGroundTruth : public ::testing::TestWithParam<uint64_t>
+{};
+
+TEST_P(FastDecodeGroundTruth, TipTargetsMatchRetiredIndirectBranches)
+{
+    workloads::ServerSpec spec;
+    spec.name = "prop";
+    spec.seed = GetParam();
+    spec.numHandlers = 4;
+    spec.numParserStates = 3;
+    spec.numFillerFuncs = 20;
+    spec.fillerTableSlots = 6;
+    spec.workPerRequest = 40;
+    const auto app = workloads::buildServerApp(spec);
+
+    for (uint64_t psb_period : {32, 96, 256}) {
+        SCOPED_TRACE("psb period " + std::to_string(psb_period));
+        // A ring big enough for the whole run, and one that wraps many
+        // times (without loss: the PMI is serviced instantly) but
+        // still holds PSBs to sync at.
+        for (size_t ring : {size_t{1} << 22, size_t{512}}) {
+            SCOPED_TRACE("ring " + std::to_string(ring));
+            Recorder recorder;
+            trace::Topa topa({ring});
+            trace::IptConfig config;
+            config.psbPeriodBytes = psb_period;
+            trace::IptEncoder encoder(config, topa);
+            cpu::Cpu cpu(app.program);
+            cpu::BasicKernel kernel;
+            kernel.setInput(workloads::makeBenignStream(
+                16, GetParam() + 100, spec.numHandlers,
+                spec.numParserStates));
+            cpu.setSyscallHandler(&kernel);
+            cpu.addTraceSink(&recorder);
+            cpu.addTraceSink(&encoder);
+            ASSERT_EQ(cpu.run(5'000'000), cpu::Cpu::Stop::Halted);
+            encoder.flushTnt();
+            const bool wraps = ring < (size_t{1} << 22);
+            ASSERT_EQ(topa.wrapped(), wraps);
+
+            const auto retired = retiredTipTargets(recorder.events);
+            const auto packets = topa.snapshot();
+            // Everything from the oldest PSB in the ring: the whole
+            // run when nothing wrapped, otherwise its newest part.
+            const auto synced = decodeRecentTips(packets, SIZE_MAX);
+            EXPECT_FALSE(synced.lossDetected());
+            const auto decoded = decodedTipTargets(synced);
+            if (!wraps) {
+                EXPECT_EQ(decoded, retired);
+                EXPECT_EQ(decodedTipTargets(decodePacketLayer(packets)),
+                          retired);
+            } else {
+                ASSERT_FALSE(decoded.empty());
+                EXPECT_TRUE(isSuffix(decoded, retired));
+            }
+
+            // The hot path decodes only the newest TIPs it needs.
+            for (size_t min_tips : {1, 30, 400}) {
+                const auto recent = decodedTipTargets(
+                    decodeRecentTips(packets, min_tips));
+                EXPECT_GE(recent.size(),
+                          std::min(min_tips, decoded.size()))
+                    << "min_tips " << min_tips;
+                EXPECT_TRUE(isSuffix(recent, decoded))
+                    << "min_tips " << min_tips;
+            }
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FastDecodeGroundTruth,
+                         ::testing::Values(3, 17, 23, 51, 77));
 
 } // namespace

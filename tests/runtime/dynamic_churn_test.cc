@@ -29,6 +29,7 @@
 #include "runtime/service.hh"
 #include "trace/ipt.hh"
 #include "workloads/apps.hh"
+#include "stale_rop.hh"
 
 namespace {
 
@@ -87,71 +88,10 @@ class DynamicChurn : public ::testing::Test
         return guard;
     }
 
-    static bool
-    inPluginRange(uint64_t addr)
-    {
-        for (uint32_t m : app->dynamicModules) {
-            const auto &mod = app->program.modules()[m];
-            if (addr >= mod.codeBase && addr < mod.codeEnd)
-                return true;
-        }
-        return false;
-    }
-
-    /**
-     * The planted attack: overflow the vuln handler, pivot through a
-     * ret gadget *inside plugin 0's code range* (the plugin is never
-     * dlopen'd in this request, so the range is stale), then
-     * write()/exit() via live libc gadgets.
-     */
     static std::vector<uint8_t>
     staleRopRequest()
     {
-        const auto &mod =
-            app->program.modules()[app->dynamicModules[0]];
-        uint64_t stale_ret = 0;
-        for (uint64_t r : catalog->retGadgets)
-            if (r >= mod.codeBase && r < mod.codeEnd) {
-                stale_ret = r;
-                break;
-            }
-        EXPECT_NE(stale_ret, 0u)
-            << "no ret gadget inside the plugin";
-
-        const attacks::PopGadget *pop = catalog->findPop({0, 1, 2});
-        const uint64_t write_gadget = catalog->findSyscall(
-            static_cast<int64_t>(isa::Syscall::Write));
-        const uint64_t exit_gadget = catalog->findSyscall(
-            static_cast<int64_t>(isa::Syscall::Exit));
-        EXPECT_TRUE(pop && write_gadget && exit_gadget);
-        // The rest of the chain must be live code, so the only stale
-        // transition is the planted pivot.
-        EXPECT_FALSE(inPluginRange(pop->addr));
-        EXPECT_FALSE(inPluginRange(write_gadget));
-        EXPECT_FALSE(inPluginRange(exit_gadget));
-
-        const uint64_t buf = app->program.stackTop() - 512;
-        std::vector<uint64_t> payload;
-        for (size_t i = 0; i < workloads::vuln_buffer_words; ++i)
-            payload.push_back(0x4141414141414141ULL);
-        // First pivot: straight into the unloaded plugin's ret
-        // gadget, so the stale transition is the first anomaly the
-        // checker meets.
-        payload.push_back(stale_ret);
-        payload.push_back(pop->addr);
-        for (uint8_t reg : pop->regs) {
-            switch (reg) {
-              case 0: payload.push_back(1); break;      // fd
-              case 1: payload.push_back(buf); break;    // src
-              case 2: payload.push_back(16); break;     // bytes
-              default: payload.push_back(0x42); break;
-            }
-        }
-        payload.push_back(write_gadget);
-        payload.push_back(exit_gadget);
-        payload.push_back(0);                           // terminator
-        return workloads::makePluginRequest(
-            workloads::plugin_cmd_vuln, 0, payload);
+        return test::staleRopRequest(*app, *catalog);
     }
 
     /**

@@ -116,37 +116,6 @@ TEST(Kernel, CustomEndpointSetRespected)
     EXPECT_EQ(outcome.monitor.checks, 0u);
 }
 
-TEST(Kernel, DisabledProtectionForwardsEverything)
-{
-    auto spec = smallSpec();
-    auto app = workloads::buildServerApp(spec);
-
-    analysis::TypeArmorInfo ta =
-        analysis::analyzeTypeArmor(app.program);
-    analysis::Cfg cfg = analysis::buildCfg(app.program, &ta);
-    analysis::ItcCfg itc = analysis::ItcCfg::build(cfg);
-    Monitor monitor(app.program, itc, cfg, ta);
-
-    trace::Topa topa({8192});
-    trace::IptConfig ipt_config;
-    trace::IptEncoder encoder(ipt_config, topa);
-
-    FlowGuardKernel::Config kconfig;
-    kconfig.protectedCr3s = {app.program.cr3()};
-    kconfig.enabled = false;
-    FlowGuardKernel kernel(kconfig);
-    kernel.attachProcess(app.program.cr3(), monitor, encoder, topa);
-    kernel.setInput(workloads::makeBenignStream(
-        3, 3, spec.numHandlers, spec.numParserStates));
-
-    cpu::Cpu cpu(app.program);
-    cpu.setSyscallHandler(&kernel);
-    cpu.addTraceSink(&encoder);
-    EXPECT_EQ(cpu.run(10'000'000), cpu::Cpu::Stop::Halted);
-    EXPECT_EQ(kernel.endpointHits(), 0u);
-    EXPECT_EQ(monitor.stats().checks, 0u);
-}
-
 TEST(Kernel, DefaultEndpointsMatchPaper)
 {
     auto endpoints = FlowGuardKernel::defaultEndpoints();

@@ -71,7 +71,7 @@ struct PmiHarness
                   }()),
           topa(std::move(regions)),
           encoder(trace::IptConfig{}, topa),
-          guard(monitor, encoder, topa)
+          guard(app.program.cr3(), monitor, encoder, topa)
     {
         topa.setPmiServiceLatency(latency_bytes);
     }
@@ -109,9 +109,12 @@ TEST(PmiOverflow, FailClosedConvictsLossyWindow)
     harness.runBenign(21);
     ASSERT_GE(harness.topa.overflowEpisodes(), 2u);
     EXPECT_TRUE(harness.guard.violationPending());
-    EXPECT_TRUE(harness.guard.violationWasLoss());
-    EXPECT_EQ(harness.guard.violationSource(),
-              Monitor::VerdictSource::LossPolicy);
+    ViolationReport report;
+    ASSERT_TRUE(harness.guard.consumePendingKill(
+        harness.app.program.cr3(), report));
+    EXPECT_EQ(report.kind, ViolationReport::Kind::TraceLoss);
+    EXPECT_EQ(report.reason, "PMI window: trace loss (fail-closed policy)");
+    EXPECT_FALSE(harness.guard.violationPending());
     const auto &stats = harness.monitor.stats();
     EXPECT_GE(stats.lossWindows, 1u);
     EXPECT_GE(stats.lossViolations, 1u);

@@ -27,6 +27,16 @@ struct Table3Row
     uint64_t expectFup;     // FUP packets
 };
 
+/** Names the test after its row ("near_ret"). Without it the test ID
+ *  is a byte dump of the row, whose first field is a pointer, so it
+ *  changes from one test discovery to the next. */
+void
+PrintTo(const Table3Row &row, std::ostream *os)
+{
+    for (const char *c = row.name; *c; ++c)
+        *os << (*c == ' ' || *c == '-' ? '_' : *c);
+}
+
 class Table3Semantics : public ::testing::TestWithParam<Table3Row>
 {};
 
