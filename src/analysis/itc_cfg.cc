@@ -482,12 +482,15 @@ ItcCfg::hasTntInfo(int64_t edge) const
 }
 
 bool
-ItcCfg::tntCompatible(int64_t edge, const TntSequence &observed) const
+ItcCfg::tntCompatible(int64_t edge,
+                      std::span<const uint8_t> observed) const
 {
     if (!hasTntInfo(edge))
         return true;
-    const auto &seqs = _tntSeqs[static_cast<size_t>(edge)];
-    return std::find(seqs.begin(), seqs.end(), observed) != seqs.end();
+    for (const auto &seq : _tntSeqs[static_cast<size_t>(edge)])
+        if (std::ranges::equal(seq, observed))
+            return true;
+    return false;
 }
 
 double

@@ -20,6 +20,7 @@
 #define FLOWGUARD_ANALYSIS_ITC_CFG_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "analysis/cfg.hh"
@@ -162,7 +163,8 @@ class ItcCfg
      * data: vacuously true when nothing was recorded or the edge is
      * TNT-varied, else exact-set membership.
      */
-    bool tntCompatible(int64_t edge, const TntSequence &observed) const;
+    bool tntCompatible(int64_t edge,
+                       std::span<const uint8_t> observed) const;
 
     /** True if any TNT info is recorded and active for the edge. */
     bool hasTntInfo(int64_t edge) const;

@@ -41,16 +41,96 @@ report(telemetry::Telemetry *tel, uint64_t cr3, uint64_t begin,
     }
 }
 
-FastDecodeResult
-decodeFrom(const uint8_t *data, size_t size, size_t start,
-           size_t end = SIZE_MAX)
+using trace::detail::psb_len;
+
+bool
+psbPairAt(const uint8_t *data, size_t pos)
 {
-    FastDecodeResult result;
-    const size_t limit = std::min(size, end);
-    PacketParser parser(data, limit);
+    return data[pos] == trace::detail::psb_byte0 &&
+           data[pos + 1] == trace::detail::psb_byte1;
+}
+
+/**
+ * The latest sync point whose PSB run lies below `limit`, or SIZE_MAX
+ * when there is none; `limit` then moves to the start of that run, so
+ * repeated calls walk the sync points from the tail to the head.
+ *
+ * A forward scan (trace::findPsbOffsets) accepts the last 16 bytes of
+ * each maximal run of 0x02 0x82 pairs that is at least 16 bytes long.
+ * Such runs never overlap or touch, so the first one met walking down
+ * is the latest, and its bounds are found by extending the pair met
+ * both ways: the same sync points, found from the other end. A run of
+ * 16 bytes covers every residue mod 16, so probing one byte in 16 is
+ * enough to meet it.
+ */
+size_t
+previousPsb(const uint8_t *data, size_t size, size_t &limit)
+{
+    using trace::detail::psb_byte0;
+    using trace::detail::psb_byte1;
+    // `probe` is one past the byte probed next.
+    size_t probe = limit;
+    while (probe > 0) {
+        --probe;
+        const size_t next_probe =
+            probe >= psb_len - 1 ? probe - (psb_len - 1) : 0;
+        // The PSB pair, if any, that holds the probed byte.
+        size_t pair = SIZE_MAX;
+        if (data[probe] == psb_byte0 && probe + 1 < size &&
+            data[probe + 1] == psb_byte1)
+            pair = probe;
+        else if (data[probe] == psb_byte1 && probe >= 1 &&
+                 data[probe - 1] == psb_byte0)
+            pair = probe - 1;
+        if (pair == SIZE_MAX) {
+            probe = next_probe;
+            continue;
+        }
+        size_t start = pair;
+        while (start >= 2 && psbPairAt(data, start - 2))
+            start -= 2;
+        size_t end = pair + 2;
+        while (end + 2 <= size && psbPairAt(data, end))
+            end += 2;
+        if (end - start >= psb_len) {
+            limit = start;
+            return end - psb_len;
+        }
+        // A short run: no sync point can overlap it, so resume below
+        // whichever is lower, its start or the next probe.
+        probe = std::min(next_probe, start);
+    }
+    limit = 0;
+    return SIZE_MAX;
+}
+
+/** What a counting pass saw: TIPs, plus the step and outcome totals
+ *  an emit pass over the same bytes reserves room for. */
+struct Counts
+{
+    size_t tips = 0;
+    size_t steps = 0;
+    size_t bits = 0;
+};
+
+/**
+ * Parses data[start, min(end, size)), resynchronizing at the next
+ * validated PSB after malformed bytes. With `Emit` the steps, outcomes
+ * and loss counters are appended to `result`; without, the pass builds
+ * nothing and only adds to `counts`. Both modes follow the same
+ * packets, so they scan the same bytes. Returns the bytes scanned.
+ */
+template <bool Emit>
+uint64_t
+parse(std::span<const uint8_t> data, size_t start, size_t end,
+      FastDecodeResult &result, Counts &counts)
+{
+    const size_t limit = std::min(data.size(), end);
+    PacketParser parser(data.data(), limit);
     parser.seek(start);
 
-    std::vector<uint8_t> pending_tnt;
+    // Outcomes since the last step start here in the bit pool.
+    size_t pending = result.tntBits.size();
     bool loss_pending = false;
     Packet pkt;
     while (true) {
@@ -60,20 +140,33 @@ decodeFrom(const uint8_t *data, size_t size, size_t start,
             // Malformed bytes: resynchronize at the next validated
             // PSB. Anything in between is unrecoverable — account it
             // and break TIP adjacency across the gap.
-            result.malformed = true;
             const size_t bad_at = static_cast<size_t>(parser.offset());
             const size_t psb =
-                trace::findNextPsb(data, limit, bad_at + 1);
+                trace::findNextPsb(data.data(), limit, bad_at + 1);
+            if constexpr (Emit)
+                result.malformed = true;
             if (psb == SIZE_MAX) {
-                result.bytesSkipped += limit - bad_at;
+                if constexpr (Emit)
+                    result.bytesSkipped += limit - bad_at;
                 parser.seek(limit);
                 break;
             }
-            result.bytesSkipped += psb - bad_at;
-            ++result.resyncs;
+            if constexpr (Emit) {
+                result.bytesSkipped += psb - bad_at;
+                ++result.resyncs;
+                result.tntBits.resize(pending);
+                loss_pending = true;
+            }
             parser.seek(psb);
-            pending_tnt.clear();
-            loss_pending = true;
+            continue;
+        }
+        if constexpr (!Emit) {
+            counts.tips += pkt.kind == PacketKind::Tip ? 1 : 0;
+            counts.bits += pkt.kind == PacketKind::Tnt ? pkt.tntCount : 0;
+            counts.steps += pkt.kind == PacketKind::Tip ||
+                pkt.kind == PacketKind::TipPge ||
+                pkt.kind == PacketKind::TipPgd ||
+                pkt.kind == PacketKind::Fup;
             continue;
         }
         ++result.packetCount;
@@ -88,12 +181,12 @@ decodeFrom(const uint8_t *data, size_t size, size_t start,
             // The hardware dropped packets here; TNT bits buffered
             // before the gap no longer pair with what follows.
             ++result.overflows;
-            pending_tnt.clear();
+            result.tntBits.resize(pending);
             loss_pending = true;
             break;
           case PacketKind::Tnt:
             for (int i = 0; i < pkt.tntCount; ++i)
-                pending_tnt.push_back((pkt.tntBits >> i) & 1);
+                result.tntBits.push_back((pkt.tntBits >> i) & 1);
             break;
           case PacketKind::Tip:
           case PacketKind::TipPge:
@@ -106,144 +199,179 @@ decodeFrom(const uint8_t *data, size_t size, size_t start,
                 : StepKind::Fup;
             step.ipSuppressed = pkt.ipSuppressed;
             step.ip = pkt.ip;
-            step.tntBefore = std::move(pending_tnt);
-            pending_tnt.clear();
+            step.tntOffset = static_cast<uint32_t>(pending);
+            step.tntLength =
+                static_cast<uint32_t>(result.tntBits.size() - pending);
+            pending = result.tntBits.size();
             step.lossBefore = loss_pending;
             loss_pending = false;
-            result.steps.push_back(std::move(step));
+            result.steps.push_back(step);
             break;
           }
         }
     }
-    result.trailingTnt = std::move(pending_tnt);
-    result.bytesScanned = parser.offset() - start;
+    return parser.offset() - start;
+}
+
+/** Decodes data[start, size) into the emptied `result`. */
+void
+decodeFrom(FastDecodeResult &result, std::span<const uint8_t> data,
+           size_t start)
+{
+    result.clear();
+    Counts unused;
+    result.bytesScanned = parse<true>(data, start, SIZE_MAX, result,
+                                      unused);
     result.startOffset = start;
-    return result;
+}
+
+void
+decodeAll(FastDecodeResult &result, std::span<const uint8_t> data,
+          cpu::CycleAccount *account, telemetry::Telemetry *telemetry,
+          uint64_t cr3)
+{
+    const uint64_t begin = telemetry ? telemetry->now() : 0;
+    decodeFrom(result, data, 0);
+    charge(account, result.bytesScanned);
+    report(telemetry, cr3, begin, result);
 }
 
 } // namespace
 
+void
+FastDecodeResult::clear()
+{
+    steps.clear();
+    tntBits.clear();
+    bytesScanned = 0;
+    packetCount = 0;
+    malformed = false;
+    psbCount = 0;
+    startOffset = 0;
+    overflows = 0;
+    resyncs = 0;
+    bytesSkipped = 0;
+}
+
 FastDecodeResult
-decodePacketLayer(const uint8_t *data, size_t size,
+decodePacketLayer(std::span<const uint8_t> data,
                   cpu::CycleAccount *account,
                   telemetry::Telemetry *telemetry, uint64_t cr3)
 {
-    const uint64_t begin = telemetry ? telemetry->now() : 0;
-    FastDecodeResult result = decodeFrom(data, size, 0);
-    charge(account, result.bytesScanned);
-    report(telemetry, cr3, begin, result);
+    FastDecodeResult result;
+    decodeAll(result, data, account, telemetry, cr3);
     return result;
 }
 
 FastDecodeResult
-decodePacketLayer(const std::vector<uint8_t> &data,
-                  cpu::CycleAccount *account,
-                  telemetry::Telemetry *telemetry, uint64_t cr3)
-{
-    return decodePacketLayer(data.data(), data.size(), account,
-                             telemetry, cr3);
-}
-
-FastDecodeResult
-decodeRecentTips(const uint8_t *data, size_t size, size_t min_tips,
+decodeRecentTips(std::span<const uint8_t> data, size_t min_tips,
                  cpu::CycleAccount *account,
                  telemetry::Telemetry *telemetry, uint64_t cr3)
 {
+    FastDecodeResult result;
+    decodeRecentTipsInto(result, data, min_tips, account, telemetry,
+                         cr3);
+    return result;
+}
+
+void
+decodeRecentTipsInto(FastDecodeResult &out,
+                     std::span<const uint8_t> data, size_t min_tips,
+                     cpu::CycleAccount *account,
+                     telemetry::Telemetry *telemetry, uint64_t cr3)
+{
     const uint64_t begin = telemetry ? telemetry->now() : 0;
     // PSB sync points let us begin decoding anywhere; walk backwards
-    // segment by segment until the suffix holds enough TIP packets,
-    // then emit the suffix in one chronological pass. Each byte is
-    // touched at most twice (count pass + emit pass).
-    std::vector<uint64_t> syncs = trace::findPsbOffsets(data, size);
-    if (syncs.empty())
-        return decodePacketLayer(data, size, account, telemetry, cr3);
-
+    // segment by segment, only counting TIPs, until the suffix holds
+    // enough of them, then emit the suffix in one chronological pass.
+    // Each byte of the suffix is touched at most twice (count pass +
+    // emit pass); nothing in front of it is read past the PSB search.
+    out.clear();
     uint64_t scanned = 0;
-    size_t cutoff = syncs.size() - 1;
-    size_t tips = 0;
-    for (size_t i = syncs.size(); i-- > 0;) {
-        const size_t seg_end = i + 1 < syncs.size()
-            ? static_cast<size_t>(syncs[i + 1]) : size;
-        FastDecodeResult segment = decodeFrom(
-            data, size, static_cast<size_t>(syncs[i]), seg_end);
-        scanned += segment.bytesScanned;
-        for (const auto &step : segment.steps)
-            tips += step.kind == StepKind::Tip ? 1 : 0;
-        cutoff = i;
-        if (tips >= min_tips)
+    Counts counts;
+    size_t anchor = SIZE_MAX;
+    size_t limit = data.size();
+    size_t seg_end = data.size();
+    while (true) {
+        const size_t sync = previousPsb(data.data(), data.size(), limit);
+        if (sync == SIZE_MAX)
+            break;
+        scanned += parse<false>(data, sync, seg_end, out, counts);
+        anchor = sync;
+        seg_end = sync;
+        if (counts.tips >= min_tips)
             break;
     }
+    if (anchor == SIZE_MAX) {
+        decodeAll(out, data, account, telemetry, cr3);
+        return;
+    }
 
-    FastDecodeResult result =
-        decodeFrom(data, size, static_cast<size_t>(syncs[cutoff]));
-    scanned += result.bytesScanned;
-    result.bytesScanned = scanned;
+    out.steps.reserve(counts.steps);
+    out.tntBits.reserve(counts.bits);
+    decodeFrom(out, data, anchor);
+    scanned += out.bytesScanned;
+    out.bytesScanned = scanned;
 
     // The encoder's overflow resync emits OVF immediately followed by
     // the PSB we just anchored at. The gap the OVF marks lies inside
     // the history this window is supposed to cover ("everything since
     // the last check"), so it must stay visible to the loss policy
     // even though decoding starts at the PSB.
-    const size_t anchor = static_cast<size_t>(syncs[cutoff]);
     if (anchor >= 2 && data[anchor - 2] == 0x02 &&
         data[anchor - 1] == 0xF3) {
-        ++result.overflows;
-        if (!result.steps.empty())
-            result.steps.front().lossBefore = true;
+        ++out.overflows;
+        if (!out.steps.empty())
+            out.steps.front().lossBefore = true;
     }
     charge(account, scanned);
-    report(telemetry, cr3, begin, result);
-    return result;
-}
-
-FastDecodeResult
-decodeRecentTips(const std::vector<uint8_t> &data, size_t min_tips,
-                 cpu::CycleAccount *account,
-                 telemetry::Telemetry *telemetry, uint64_t cr3)
-{
-    return decodeRecentTips(data.data(), data.size(), min_tips, account,
-                            telemetry, cr3);
+    report(telemetry, cr3, begin, out);
 }
 
 size_t
-resyncOffset(const uint8_t *data, size_t size, size_t offset)
+resyncOffset(std::span<const uint8_t> data, size_t offset)
 {
-    if (offset >= size)
+    if (offset >= data.size())
         return SIZE_MAX;
-    return trace::findNextPsb(data, size, offset);
+    return trace::findNextPsb(data.data(), data.size(), offset);
 }
 
-size_t
-resyncOffset(const std::vector<uint8_t> &data, size_t offset)
+void
+extractTransitionViews(const FastDecodeResult &flow,
+                       std::vector<TransitionView> &out)
 {
-    return resyncOffset(data.data(), data.size(), offset);
-}
-
-std::vector<TipTransition>
-extractTipTransitions(const FastDecodeResult &flow)
-{
-    std::vector<TipTransition> out;
+    out.clear();
+    const std::span<const uint8_t> pool(flow.tntBits);
     uint64_t prev = 0;
-    std::vector<uint8_t> tnt;
+    // Steps slice the pool back to back, so the outcomes of one
+    // transition are the contiguous run from `from` to its TIP.
+    size_t from = 0;
     for (const auto &step : flow.steps) {
         if (step.lossBefore) {
             // Trace gap: the previous TIP is not this step's true
             // predecessor. Restart the window as if at its head.
             prev = 0;
-            tnt.clear();
+            from = step.tntOffset;
         }
-        tnt.insert(tnt.end(), step.tntBefore.begin(),
-                   step.tntBefore.end());
         if (step.kind != StepKind::Tip || step.ipSuppressed)
             continue;   // context markers are transparent
-        TipTransition transition;
-        transition.from = prev;
-        transition.to = step.ip;
-        transition.tnt = std::move(tnt);
-        tnt.clear();
-        out.push_back(std::move(transition));
+        const size_t end = step.tntOffset + step.tntLength;
+        out.push_back({prev, step.ip, pool.subspan(from, end - from)});
+        from = end;
         prev = step.ip;
     }
+}
+
+std::vector<TipTransition>
+extractTipTransitions(const FastDecodeResult &flow)
+{
+    std::vector<TransitionView> views;
+    extractTransitionViews(flow, views);
+    std::vector<TipTransition> out;
+    out.reserve(views.size());
+    for (const auto &view : views)
+        out.push_back({view.from, view.to,
+                       {view.tnt.begin(), view.tnt.end()}});
     return out;
 }
 

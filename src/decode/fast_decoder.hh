@@ -8,6 +8,14 @@
  * decoding can start at any PSB and independent segments can be
  * processed in parallel.
  *
+ * The runtime fast path decodes only the tail of the buffer: the PSB
+ * search runs backward from the end, one segment at a time, and stops
+ * once the suffix holds enough TIPs, so a check never touches the
+ * bytes in front of its window. Conditional outcomes live in one bit
+ * pool per result that steps and transitions slice into, and the
+ * in-place forms (decodeRecentTipsInto, extractTransitionViews) reuse
+ * a caller's scratch, so a repeated check allocates nothing.
+ *
  * The decoder never trusts its input: malformed bytes and hardware
  * OVF markers both trigger a resynchronization to the next validated
  * PSB, with the skipped span accounted in the result's loss counters
@@ -20,6 +28,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "cpu/cost_model.hh"
@@ -37,24 +46,34 @@ enum class StepKind : uint8_t { Tip, Pge, Pgd, Fup };
 /**
  * One flow step: a TIP-class packet plus the TNT outcomes observed
  * since the previous step (the paper's per-edge TNT association).
+ * The outcomes are a slice of the owning result's bit pool; read them
+ * through FastDecodeResult::tntBefore().
  */
 struct FlowStep
 {
     StepKind kind = StepKind::Tip;
     bool ipSuppressed = false;
-    uint64_t ip = 0;
-    /** Conditional outcomes since the previous step, oldest first. */
-    std::vector<uint8_t> tntBefore;
     /** True when trace was lost (OVF or resync) since the previous
      *  step: this step does not form an edge with its predecessor. */
     bool lossBefore = false;
+    uint64_t ip = 0;
+    /** Conditional outcomes since the previous step, oldest first:
+     *  tntBits[tntOffset, tntOffset + tntLength). */
+    uint32_t tntOffset = 0;
+    uint32_t tntLength = 0;
 };
 
 /** Result of a packet-layer decode. */
 struct FastDecodeResult
 {
     std::vector<FlowStep> steps;        ///< chronological
-    std::vector<uint8_t> trailingTnt;   ///< TNT after the last step
+    /**
+     * Every surviving conditional outcome in stream order, one byte
+     * per bit (1 = taken). Each step's slice starts where the previous
+     * one ends; the outcomes after the last step are the trailing
+     * TNT. Outcomes cut off by a loss are not kept.
+     */
+    std::vector<uint8_t> tntBits;
     uint64_t bytesScanned = 0;
     uint64_t packetCount = 0;
     bool malformed = false;
@@ -71,12 +90,31 @@ struct FastDecodeResult
     /** Undecodable bytes skipped during those recoveries. */
     uint64_t bytesSkipped = 0;
 
+    /** The conditional outcomes `step` carries, oldest first. */
+    std::span<const uint8_t>
+    tntBefore(const FlowStep &step) const
+    {
+        return {tntBits.data() + step.tntOffset, step.tntLength};
+    }
+
+    /** TNT after the last step. */
+    std::span<const uint8_t>
+    trailingTnt() const
+    {
+        const size_t from = steps.empty()
+            ? 0 : steps.back().tntOffset + steps.back().tntLength;
+        return std::span<const uint8_t>(tntBits).subspan(from);
+    }
+
     /** True when any part of the window was lost or undecodable. */
     bool
     lossDetected() const
     {
         return overflows > 0 || resyncs > 0 || malformed;
     }
+
+    /** Empties the result, keeping its capacity for the next decode. */
+    void clear();
 };
 
 /**
@@ -87,12 +125,7 @@ struct FastDecodeResult
  * plus Overflow/Resync instants for any loss the window carried —
  * attributed to process `cr3`.
  */
-FastDecodeResult decodePacketLayer(const uint8_t *data, size_t size,
-                                   cpu::CycleAccount *account = nullptr,
-                                   telemetry::Telemetry *telemetry = nullptr,
-                                   uint64_t cr3 = 0);
-
-FastDecodeResult decodePacketLayer(const std::vector<uint8_t> &data,
+FastDecodeResult decodePacketLayer(std::span<const uint8_t> data,
                                    cpu::CycleAccount *account = nullptr,
                                    telemetry::Telemetry *telemetry = nullptr,
                                    uint64_t cr3 = 0);
@@ -103,21 +136,31 @@ FastDecodeResult decodePacketLayer(const std::vector<uint8_t> &data,
  * latest possible PSB sync point. This is what the runtime fast path
  * uses: it never pays for the whole ToPA buffer.
  *
+ * The PSB search runs backward from the end of the buffer. Each
+ * segment between two sync points is first only counted (its TIPs,
+ * no steps built); once the suffix holds `min_tips` TIPs it is
+ * decoded in one chronological pass. The sync points found are those
+ * a forward scan accepts: the last 16 bytes of each run of PSB byte
+ * pairs. `bytesScanned` is what both passes read, and is what the
+ * decode is charged for.
+ *
  * The returned steps are chronological and cover the suffix of the
  * trace from the chosen sync point. If the buffer holds fewer TIPs,
- * everything available is returned.
+ * everything available is returned. A buffer without any PSB is
+ * decoded whole, from byte 0.
  */
-FastDecodeResult decodeRecentTips(const uint8_t *data, size_t size,
+FastDecodeResult decodeRecentTips(std::span<const uint8_t> data,
                                   size_t min_tips,
                                   cpu::CycleAccount *account = nullptr,
                                   telemetry::Telemetry *telemetry = nullptr,
                                   uint64_t cr3 = 0);
 
-FastDecodeResult decodeRecentTips(const std::vector<uint8_t> &data,
-                                  size_t min_tips,
-                                  cpu::CycleAccount *account = nullptr,
-                                  telemetry::Telemetry *telemetry = nullptr,
-                                  uint64_t cr3 = 0);
+/** decodeRecentTips() into `out`, reusing its capacity. */
+void decodeRecentTipsInto(FastDecodeResult &out,
+                          std::span<const uint8_t> data, size_t min_tips,
+                          cpu::CycleAccount *account = nullptr,
+                          telemetry::Telemetry *telemetry = nullptr,
+                          uint64_t cr3 = 0);
 
 /**
  * Decoder resynchronization point after a protection gap: the byte
@@ -127,15 +170,16 @@ FastDecodeResult decodeRecentTips(const std::vector<uint8_t> &data,
  * it judged before the gap stays judged once, and no edge is
  * fabricated across bytes it never saw settle.
  */
-size_t resyncOffset(const uint8_t *data, size_t size, size_t offset);
-
-size_t resyncOffset(const std::vector<uint8_t> &data, size_t offset);
+size_t resyncOffset(std::span<const uint8_t> data, size_t offset);
 
 /**
  * One ITC-CFG-level transition: consecutive TIP targets with the
  * conditional outcomes observed between them. PGE/PGD/FUP context
  * markers (syscalls, context switches) are transparent: they do not
  * break TIP adjacency, and TNT bits accumulate across them.
+ *
+ * This form owns its outcomes: it is what the verdict cache stages,
+ * the journal persists and warm restarts replay.
  */
 struct TipTransition
 {
@@ -144,7 +188,24 @@ struct TipTransition
     std::vector<uint8_t> tnt;   ///< outcomes between from and to
 };
 
-/** Folds a packet-layer decode into TIP transitions. */
+/**
+ * A TipTransition read in place: `tnt` slices the bit pool of the
+ * decode result it came from, and is valid while that result lives
+ * unchanged.
+ */
+struct TransitionView
+{
+    uint64_t from = 0;
+    uint64_t to = 0;
+    std::span<const uint8_t> tnt;
+};
+
+/** Folds a packet-layer decode into transition views, replacing the
+ *  contents of `out` (its capacity is reused). */
+void extractTransitionViews(const FastDecodeResult &flow,
+                            std::vector<TransitionView> &out);
+
+/** Folds a packet-layer decode into owned TIP transitions. */
 std::vector<TipTransition>
 extractTipTransitions(const FastDecodeResult &flow);
 

@@ -1,7 +1,5 @@
 #include "runtime/fast_path.hh"
 
-#include <set>
-
 namespace flowguard::runtime {
 
 FastPathChecker::FastPathChecker(const analysis::ItcCfg &itc,
@@ -14,16 +12,16 @@ FastPathChecker::FastPathChecker(const analysis::ItcCfg &itc,
 {}
 
 FastPathResult
-FastPathChecker::check(const std::vector<uint8_t> &packets) const
+FastPathChecker::check(std::span<const uint8_t> packets) const
 {
     telemetry::ScopedSpan span(_telemetry,
                                telemetry::SpanKind::FastCheck,
                                _telemetryCr3);
-    auto flow = decode::decodeRecentTips(packets, _config.pktCount,
-                                         _account, _telemetry,
-                                         _telemetryCr3);
-    auto transitions = decode::extractTipTransitions(flow);
-    FastPathResult result = checkTransitions(transitions);
+    decode::FastDecodeResult &flow = _scratch.flow;
+    decode::decodeRecentTipsInto(flow, packets, _config.pktCount,
+                                 _account, _telemetry, _telemetryCr3);
+    decode::extractTransitionViews(flow, _scratch.transitions);
+    FastPathResult result = checkWindow(_scratch.transitions);
     result.overflows = flow.overflows;
     result.resyncs = flow.resyncs;
     result.bytesSkipped = flow.bytesSkipped;
@@ -38,26 +36,46 @@ FastPathResult
 FastPathChecker::checkTransitions(
     const std::vector<decode::TipTransition> &all) const
 {
+    auto &views = _scratch.transitions;
+    views.clear();
+    for (const auto &transition : all)
+        views.push_back({transition.from, transition.to, transition.tnt});
+    return checkWindow(views);
+}
+
+FastPathResult
+FastPathChecker::checkWindow(
+    std::span<const decode::TransitionView> all) const
+{
     FastPathResult result;
 
     // --- select the window: walk backwards until pkt_count TIPs are
     // covered, the window strides >= 2 modules, and the executable is
-    // represented (when enough history exists to satisfy that).
+    // represented (when enough history exists to satisfy that). Only
+    // "two distinct modules seen" matters, so the first module seen
+    // is enough state (-1, outside every module, counts as one).
     size_t begin = all.size();
-    std::set<int> modules;
+    int first_module = 0;
+    bool any_module = false;
+    bool two_modules = false;
     bool exec_seen = false;
     size_t tips = 0;
     while (begin > 0) {
         const bool quota =
             tips >= _config.pktCount &&
             (!_config.requireModuleStride ||
-             (modules.size() >= 2 && exec_seen));
+             (two_modules && exec_seen));
         if (quota)
             break;
         --begin;
         ++tips;
         const int module = _program.moduleIndexAt(all[begin].to);
-        modules.insert(module);
+        if (!any_module) {
+            first_module = module;
+            any_module = true;
+        } else if (module != first_module) {
+            two_modules = true;
+        }
         if (module >= 0 &&
             _program.modules()[static_cast<size_t>(module)].kind ==
                 isa::ModuleKind::Executable)
@@ -74,7 +92,7 @@ FastPathChecker::checkTransitions(
     // stale ranges convict outright, JIT/unknown code resolves by the
     // JitPolicy, and only live-module pairs reach edge matching.
     enum class Resolution : uint8_t { Check, Waive, Violate };
-    auto resolveDynamic = [&](const decode::TipTransition &transition,
+    auto resolveDynamic = [&](const decode::TransitionView &transition,
                               FastPathResult &res) {
         if (!_map)
             return Resolution::Check;
@@ -168,8 +186,8 @@ FastPathChecker::checkTransitions(
     // individually high-credit edges in a novel order fail here and
     // defer to the slow path.
     if (_paths) {
-        std::vector<uint64_t> targets;
-        targets.reserve(all.size() - begin);
+        std::vector<uint64_t> &targets = _scratch.targets;
+        targets.clear();
         for (size_t i = begin; i < all.size(); ++i)
             targets.push_back(all[i].to);
         if (_account)

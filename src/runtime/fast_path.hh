@@ -20,6 +20,7 @@
 #define FLOWGUARD_RUNTIME_FAST_PATH_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "analysis/itc_cfg.hh"
@@ -109,8 +110,13 @@ class FastPathChecker
                     cpu::CycleAccount *account = nullptr,
                     const analysis::PathIndex *paths = nullptr);
 
-    /** Checks a ToPA snapshot. */
-    FastPathResult check(const std::vector<uint8_t> &packets) const;
+    /**
+     * Checks a ToPA window: the live ring (Topa::view()) or an owned
+     * snapshot. Decode and transition state live in the checker's
+     * scratch, so once its capacity has grown a check allocates
+     * nothing. Not reentrant.
+     */
+    FastPathResult check(std::span<const uint8_t> packets) const;
 
     /** Checks pre-extracted transitions (shared with tests/benches). */
     FastPathResult
@@ -145,6 +151,17 @@ class FastPathChecker
     }
 
   private:
+    FastPathResult
+    checkWindow(std::span<const decode::TransitionView> all) const;
+
+    /** Per-check working state, reused across checks. */
+    struct Scratch
+    {
+        decode::FastDecodeResult flow;
+        std::vector<decode::TransitionView> transitions;
+        std::vector<uint64_t> targets;
+    };
+
     const analysis::ItcCfg &_itc;
     const isa::Program &_program;
     FastPathConfig _config;
@@ -154,6 +171,7 @@ class FastPathChecker
     dynamic::JitPolicy _jitPolicy = dynamic::JitPolicy::Allowlist;
     telemetry::Telemetry *_telemetry = nullptr;
     uint64_t _telemetryCr3 = 0;
+    mutable Scratch _scratch;
 };
 
 } // namespace flowguard::runtime

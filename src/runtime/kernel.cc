@@ -152,12 +152,13 @@ FlowGuardKernel::onSyscall(cpu::Cpu &cpu, int64_t number)
                     : telemetry::SpanKind::Trap,
             cr3, endpoint.seq);
         endpoint.encoder->flushTnt();
-        std::vector<uint8_t> window;
+        // The check is synchronous, so it reads the ring in place.
+        std::span<const uint8_t> window;
         {
             telemetry::ScopedSpan drain(
                 _telemetry, telemetry::SpanKind::TopaDrain, cr3,
                 endpoint.seq);
-            window = endpoint.topa->snapshot();
+            window = endpoint.topa->view();
             drain.setPayload(window.size());
         }
         // A code-retiring syscall is a barrier: every pre-unload TIP

@@ -89,31 +89,27 @@ Monitor::Monitor(const isa::Program &program, analysis::ItcCfg &itc,
                  const analysis::TypeArmorInfo &typearmor,
                  MonitorConfig config, cpu::CycleAccount *account,
                  analysis::PathIndex *paths)
-    : _program(program), _itc(itc), _config(config), _account(account),
-      _paths(paths),
+    : _itc(itc), _config(config), _paths(paths),
       _fast(itc, program, config.fastPath, account, paths),
+      _full(itc, program,
+            FastPathConfig{.pktCount = SIZE_MAX,
+                           .credRatio = config.fastPath.credRatio,
+                           .requireModuleStride = false},
+            account, paths),
       _slow(ocfg, typearmor, account)
 {}
 
 CheckVerdict
-Monitor::checkFull(const std::vector<uint8_t> &packets)
+Monitor::checkFull(std::span<const uint8_t> packets)
 {
-    FastPathConfig full_config = _config.fastPath;
-    full_config.pktCount = SIZE_MAX;
-    full_config.requireModuleStride = false;
-    FastPathChecker full(_itc, _program, full_config, _account,
-                         _paths);
-    if (_dynamic)
-        full.setDynamic(&_dynamic->map(), _dynamic->policy());
-    full.setTelemetry(_telemetry, _telemetryCr3);
-    return finishCheck(full.check(packets), packets);
+    return finishCheck(_full.check(packets), packets);
 }
 
 void
 Monitor::attachDynamic(dynamic::DynamicGuard &guard)
 {
-    _dynamic = &guard;
     _fast.setDynamic(&guard.map(), guard.policy());
+    _full.setDynamic(&guard.map(), guard.policy());
     _slow.setDynamic(&guard.map(), guard.policy(), &_itc);
     guard.registerInvalidationHook(
         [this](uint64_t begin, uint64_t end) {
@@ -151,6 +147,7 @@ Monitor::setTelemetry(telemetry::Telemetry *telemetry, uint64_t cr3)
     _telemetry = telemetry;
     _telemetryCr3 = cr3;
     _fast.setTelemetry(telemetry, cr3);
+    _full.setTelemetry(telemetry, cr3);
     _slow.setTelemetry(telemetry, cr3);
 }
 
@@ -194,13 +191,13 @@ Monitor::violationReport(uint64_t cr3, uint64_t seq,
 }
 
 CheckVerdict
-Monitor::check(const std::vector<uint8_t> &packets)
+Monitor::check(std::span<const uint8_t> packets)
 {
     return finishCheck(_fast.check(packets), packets);
 }
 
 Monitor::FastPhaseOutcome
-Monitor::fastPhase(const std::vector<uint8_t> &packets)
+Monitor::fastPhase(std::span<const uint8_t> packets)
 {
     return resolveFast(_fast.check(packets));
 }
@@ -290,7 +287,7 @@ Monitor::resolveFast(FastPathResult fast)
 }
 
 CheckVerdict
-Monitor::slowPhase(const std::vector<uint8_t> &packets, bool loss)
+Monitor::slowPhase(std::span<const uint8_t> packets, bool loss)
 {
     // Suspicious (or loss escalation): upcall into the slow-path engine.
     ++_stats.slowChecks;
@@ -328,7 +325,7 @@ Monitor::slowPhase(const std::vector<uint8_t> &packets, bool loss)
 
 CheckVerdict
 Monitor::finishCheck(FastPathResult fast,
-                     const std::vector<uint8_t> &packets)
+                     std::span<const uint8_t> packets)
 {
     const FastPhaseOutcome outcome = resolveFast(std::move(fast));
     if (!outcome.needSlow)
@@ -337,14 +334,13 @@ Monitor::finishCheck(FastPathResult fast,
 }
 
 void
-Monitor::stageCache(const std::vector<uint8_t> &packets)
+Monitor::stageCache(std::span<const uint8_t> packets)
 {
     // The slow path vouched for this window; stage its edges for
     // promotion so the fast path handles recurrences alone (§7.1.1).
     // A wrapped ToPA snapshot starts mid-packet, so sync at the first
     // PSB.
-    auto flow = decode::decodeRecentTips(
-        packets.data(), packets.size(), packets.size());
+    auto flow = decode::decodeRecentTips(packets, packets.size());
     _cacheTransitions = decode::extractTipTransitions(flow);
     _cachePending = true;
 }

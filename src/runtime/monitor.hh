@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "analysis/cfg.hh"
@@ -147,15 +148,20 @@ class Monitor
             cpu::CycleAccount *account = nullptr,
             analysis::PathIndex *paths = nullptr);
 
-    /** Runs the hybrid check over a ToPA snapshot. */
-    CheckVerdict check(const std::vector<uint8_t> &packets);
+    /**
+     * Runs the hybrid check over a ToPA window — the live ring
+     * (Topa::view()) when the check is synchronous, an owned snapshot
+     * when it was queued. A passing check allocates nothing once the
+     * checker's scratch has grown.
+     */
+    CheckVerdict check(std::span<const uint8_t> packets);
 
     /**
      * §5.2 PMI variant: checks *all* packets in the interrupted
      * region rather than the last pkt_count TIPs — the buffer is
      * about to be overwritten, so everything in it is examined once.
      */
-    CheckVerdict checkFull(const std::vector<uint8_t> &packets);
+    CheckVerdict checkFull(std::span<const uint8_t> packets);
 
     /**
      * Phase-split API for the service layer: the fast path always
@@ -173,15 +179,14 @@ class Monitor
         bool loss = false;
     };
 
-    FastPhaseOutcome fastPhase(const std::vector<uint8_t> &packets);
+    FastPhaseOutcome fastPhase(std::span<const uint8_t> packets);
 
     /**
      * Resolves a window fastPhase escalated. `loss` must be the flag
      * fastPhase returned for the same packets. Stages the verdict
      * cache per the config; commits it only under autoCommitCache.
      */
-    CheckVerdict slowPhase(const std::vector<uint8_t> &packets,
-                           bool loss);
+    CheckVerdict slowPhase(std::span<const uint8_t> packets, bool loss);
 
     /**
      * Applies the staged verdict cache from the last slow-path pass
@@ -309,9 +314,9 @@ class Monitor
 
   private:
     CheckVerdict finishCheck(FastPathResult fast,
-                             const std::vector<uint8_t> &packets);
+                             std::span<const uint8_t> packets);
     FastPhaseOutcome resolveFast(FastPathResult fast);
-    void stageCache(const std::vector<uint8_t> &packets);
+    void stageCache(std::span<const uint8_t> packets);
 
     /** Which engine produced the most recent verdict. */
     enum class VerdictSource : uint8_t {
@@ -320,12 +325,12 @@ class Monitor
         LossPolicy,     ///< fail-closed conviction, no flow evidence
     };
 
-    const isa::Program &_program;
     analysis::ItcCfg &_itc;
     MonitorConfig _config;
-    cpu::CycleAccount *_account;
     analysis::PathIndex *_paths;
     FastPathChecker _fast;
+    /** checkFull()'s checker: every TIP, no module stride. */
+    FastPathChecker _full;
     SlowPathChecker _slow;
     MonitorStats _stats;
     FastPathResult _lastFast;
@@ -338,7 +343,6 @@ class Monitor
     CommitObserver _commitObserver;
     bool _forceSlowNext = false;
 
-    dynamic::DynamicGuard *_dynamic = nullptr;
     std::vector<uint8_t> _verdictLog;
     uint64_t _pendingUnknownAudit = 0;
     telemetry::Telemetry *_telemetry = nullptr;

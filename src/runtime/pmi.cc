@@ -34,8 +34,10 @@ PmiGuard::onPmi()
     // encoder must not be re-entered here (no TNT flush): at most six
     // buffered conditional outcomes are deferred to the next window,
     // which the checker's head-truncation handling already tolerates.
+    // The PMI fires with the write cursor at the ring's head, so the
+    // view is the whole buffer, read in place.
     (void)_encoder;
-    const CheckVerdict verdict = _monitor.checkFull(_topa.snapshot());
+    const CheckVerdict verdict = _monitor.checkFull(_topa.view());
     span.setVerdict(static_cast<uint8_t>(verdict));
     if (verdict == CheckVerdict::Violation) {
         _pending = _monitor.violationReport(_cr3, _pmis,

@@ -384,10 +384,11 @@ ProtectionService::onEndpoint(cpu::Cpu &cpu, int64_t syscall)
     }
 
     proc.encoder->flushTnt();
-    std::vector<uint8_t> packets = proc.topa->snapshot();
+    const std::span<const uint8_t> packets = proc.topa->view();
     proc.lastCheckedWritten = written;
 
-    // The fast phase always runs inline: it is cheap and bounded.
+    // The fast phase always runs inline on the live ring: it is cheap
+    // and bounded. Only an escalated window is copied out to queue.
     const Monitor::FastPhaseOutcome fast =
         proc.monitor->fastPhase(packets);
     if (!fast.needSlow) {
@@ -414,7 +415,7 @@ ProtectionService::onEndpoint(cpu::Cpu &cpu, int64_t syscall)
     request.loss = fast.loss;
     request.audit = proc.quarantined &&
         _config.quarantineAction == QuarantineAction::Audit;
-    request.packets = std::move(packets);
+    request.packets.assign(packets.begin(), packets.end());
     const auto outcome = _scheduler.submit(std::move(request), now);
     return resolve(proc, syscall, outcome, fast.loss, now);
 }
@@ -456,7 +457,7 @@ ProtectionService::codeBarrier(cpu::Cpu &cpu, int64_t syscall)
     proc.monitor->setPktCount(proc.basePktCount);
     proc.encoder->flushTnt();
     const CheckVerdict verdict =
-        proc.monitor->checkFull(proc.topa->snapshot());
+        proc.monitor->checkFull(proc.topa->view());
     noteWindow(proc, proc.monitor->lastFast().lossDetected()
                          ? ProtectionWindowClass::Lossy
                          : ProtectionWindowClass::Checked);
@@ -669,7 +670,7 @@ ProtectionService::drain()
             continue;
         proc.monitor->setPktCount(proc.basePktCount);
         proc.encoder->flushTnt();
-        const std::vector<uint8_t> packets = proc.topa->snapshot();
+        const std::span<const uint8_t> packets = proc.topa->view();
         const Monitor::FastPhaseOutcome fast =
             proc.monitor->fastPhase(packets);
         CheckVerdict verdict = fast.verdict;
@@ -777,7 +778,7 @@ ProtectionService::resyncCheck(uint64_t cr3)
     proc.monitor->setPktCount(proc.basePktCount);
     proc.encoder->flushTnt();
     const CheckVerdict verdict =
-        proc.monitor->checkFull(proc.topa->snapshot());
+        proc.monitor->checkFull(proc.topa->view());
     if (verdict == CheckVerdict::Violation) {
         outcome.violation = true;
         outcome.report = withFlight(proc.monitor->violationReport(

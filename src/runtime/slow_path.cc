@@ -67,7 +67,7 @@ SlowPathChecker::indirectCallAllowed(uint64_t source,
 }
 
 SlowPathResult
-SlowPathChecker::check(const std::vector<uint8_t> &packets) const
+SlowPathChecker::check(std::span<const uint8_t> packets) const
 {
     telemetry::ScopedSpan span(_telemetry,
                                telemetry::SpanKind::SlowCheck,
@@ -80,7 +80,7 @@ SlowPathChecker::check(const std::vector<uint8_t> &packets) const
 }
 
 SlowPathResult
-SlowPathChecker::checkImpl(const std::vector<uint8_t> &packets) const
+SlowPathChecker::checkImpl(std::span<const uint8_t> packets) const
 {
     SlowPathResult result;
     // Anchor the expensive instruction-flow decode at the most recent
@@ -89,8 +89,7 @@ SlowPathChecker::checkImpl(const std::vector<uint8_t> &packets) const
     // for the entire ToPA buffer.
     constexpr size_t slow_window_tips = 100;
     auto window =
-        decode::decodeRecentTips(packets.data(), packets.size(),
-                                 slow_window_tips, nullptr,
+        decode::decodeRecentTips(packets, slow_window_tips, nullptr,
                                  _telemetry, _telemetryCr3);
 
     // --- dynamic-code pre-scan ------------------------------------------

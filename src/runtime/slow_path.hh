@@ -17,6 +17,7 @@
 #define FLOWGUARD_RUNTIME_SLOW_PATH_HH
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -57,7 +58,7 @@ class SlowPathChecker
                     cpu::CycleAccount *account = nullptr);
 
     /** Full-decodes and checks a ToPA snapshot. */
-    SlowPathResult check(const std::vector<uint8_t> &packets) const;
+    SlowPathResult check(std::span<const uint8_t> packets) const;
 
     /**
      * Attaches the dynamic-code view. Windows containing stale-range
@@ -86,7 +87,7 @@ class SlowPathChecker
     }
 
   private:
-    SlowPathResult checkImpl(const std::vector<uint8_t> &packets) const;
+    SlowPathResult checkImpl(std::span<const uint8_t> packets) const;
     bool returnAllowedByCfg(uint64_t source, uint64_t target) const;
     bool indirectJumpAllowed(uint64_t source, uint64_t target) const;
     bool indirectCallAllowed(uint64_t source, uint64_t target) const;

@@ -19,6 +19,7 @@ Topa::Topa(std::vector<size_t> region_sizes)
         total += size;
         _regionEnds.push_back(total);
     }
+    _capacity = total;
     _storage.assign(total, 0);
 }
 
@@ -33,11 +34,16 @@ Topa::write(const uint8_t *data, size_t len)
     }
     for (size_t i = 0; i < len; ++i) {
         _storage[_cursor] = data[i];
+        if (_wrapped)
+            _storage[_capacity + _cursor] = data[i];
         ++_cursor;
         ++_totalWritten;
-        if (_cursor == _storage.size()) {
+        if (_cursor == _capacity) {
             // Last region filled: wrap to the head and raise the PMI.
+            // From here on view() ends in the mirror half.
             _cursor = 0;
+            if (!_wrapped)
+                _storage.resize(2 * _capacity);
             _wrapped = true;
             if (_pmiLatencyBytes == 0) {
                 // Instant service: the handler runs inside the wrap.
@@ -53,7 +59,7 @@ Topa::write(const uint8_t *data, size_t len)
                 _latencyRemaining = _pmiLatencyBytes;
                 const size_t torn = i + 1 < len ? i + 1 : 0;
                 for (size_t k = 0; k < torn; ++k)
-                    _storage[_storage.size() - 1 - k] = 0x00;
+                    _storage[_capacity - 1 - k] = 0x00;
                 _droppedBytes += torn;
                 absorbDropped(len - i - 1);
                 return;
@@ -84,16 +90,18 @@ Topa::absorbDropped(size_t len)
 std::vector<uint8_t>
 Topa::snapshot() const
 {
+    // Assembled from the primary half alone, so a mirror that fell
+    // behind would show as a view() != snapshot() mismatch.
     std::vector<uint8_t> out;
     if (!_wrapped) {
         out.assign(_storage.begin(),
                    _storage.begin() + static_cast<int64_t>(_cursor));
         return out;
     }
-    out.reserve(_storage.size());
+    out.reserve(_capacity);
     out.insert(out.end(),
                _storage.begin() + static_cast<int64_t>(_cursor),
-               _storage.end());
+               _storage.begin() + static_cast<int64_t>(_capacity));
     out.insert(out.end(), _storage.begin(),
                _storage.begin() + static_cast<int64_t>(_cursor));
     return out;

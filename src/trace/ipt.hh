@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -67,6 +68,14 @@ struct IptConfig
  * `latency` bytes worth have been lost, then the PMI callback runs
  * (the handler finally sees the buffer) and the encoder is told to
  * emit an OVF + PSB resync before the next packet.
+ *
+ * Once the ring has wrapped, its backing store doubles and every byte
+ * written at offset `i` of the current lap is also written at
+ * `i + capacity()`. The buffer in age order, [cursor, capacity) from
+ * the previous lap then [0, cursor) from this one, is thus always one
+ * contiguous range (view()), and a synchronous check reads it where it
+ * lies instead of copying it out. A ring that never wraps (the
+ * trainer's) never pays for the mirror.
  */
 class Topa
 {
@@ -93,16 +102,26 @@ class Topa
     }
 
     /**
-     * Contents in age order (oldest byte first). After a wrap the
-     * oldest bytes are those just ahead of the write cursor.
+     * Contents in age order (oldest byte first), in place. After a
+     * wrap the oldest bytes are those just ahead of the write cursor.
+     * The view is invalidated by the next write() or clear(); a
+     * caller that must keep the bytes past that takes snapshot().
      */
+    std::span<const uint8_t> view() const
+    {
+        if (!_wrapped)
+            return {_storage.data(), _cursor};
+        return {_storage.data() + _cursor, _capacity};
+    }
+
+    /** An owned copy of view(), for callers that keep the bytes. */
     std::vector<uint8_t> snapshot() const;
 
     /** Total bytes ever written (not capped by capacity). */
     uint64_t totalWritten() const { return _totalWritten; }
 
     /** Sum of region sizes. */
-    size_t capacity() const { return _storage.size(); }
+    size_t capacity() const { return _capacity; }
 
     bool wrapped() const { return _wrapped; }
 
@@ -133,8 +152,11 @@ class Topa
      *  latency budget is exhausted. */
     void absorbDropped(size_t len);
 
-    std::vector<uint8_t> _storage;    ///< regions are contiguous here
+    /** Regions are contiguous here. Once wrapped, the store doubles
+     *  and [capacity, capacity + cursor) mirrors [0, cursor). */
+    std::vector<uint8_t> _storage;
     std::vector<size_t> _regionEnds;  ///< cumulative region boundaries
+    size_t _capacity = 0;
     size_t _cursor = 0;
     bool _wrapped = false;
     uint64_t _totalWritten = 0;

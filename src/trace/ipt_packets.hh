@@ -31,6 +31,7 @@
 #ifndef FLOWGUARD_TRACE_IPT_PACKETS_HH
 #define FLOWGUARD_TRACE_IPT_PACKETS_HH
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -103,6 +104,57 @@ void appendOvf(std::vector<uint8_t> &out);
 /** Appends a PAD byte. */
 void appendPad(std::vector<uint8_t> &out);
 
+/** Wire-format constants and helpers the inline parser below needs. */
+namespace detail {
+
+constexpr uint8_t psb_byte0 = 0x02;
+constexpr uint8_t psb_byte1 = 0x82;
+constexpr uint8_t psbend_byte1 = 0x23;
+constexpr uint8_t ovf_byte1 = 0xF3;
+constexpr int psb_repeats = 8;
+constexpr size_t psb_len = 2 * psb_repeats;
+
+inline bool
+psbPatternAt(const uint8_t *data, size_t size, size_t pos)
+{
+    if (pos + psb_len > size)
+        return false;
+    for (int k = 0; k < psb_repeats; ++k) {
+        if (data[pos + 2 * static_cast<size_t>(k)] != psb_byte0 ||
+            data[pos + 2 * static_cast<size_t>(k) + 1] != psb_byte1)
+            return false;
+    }
+    return true;
+}
+
+/** True when the bytes from `pos` to the end of the buffer are a
+ *  proper prefix of the PSB pattern (the run was cut mid-buffer). */
+inline bool
+psbPrefixAtEnd(const uint8_t *data, size_t size, size_t pos)
+{
+    for (size_t k = pos; k < size; ++k) {
+        const uint8_t expected =
+            ((k - pos) % 2 == 0) ? psb_byte0 : psb_byte1;
+        if (data[k] != expected)
+            return false;
+    }
+    return true;
+}
+
+inline int
+ipPayloadBytes(int mode)
+{
+    switch (mode) {
+      case 0: return 0;
+      case 1: return 2;
+      case 2: return 4;
+      case 6: return 8;
+    }
+    return -1;
+}
+
+} // namespace detail
+
 /**
  * Streaming parser over a raw packet buffer. Maintains the last-IP
  * decompression state; PSB resets it, exactly mirroring the encoder.
@@ -152,6 +204,125 @@ class PacketParser
     bool _bad = false;
     bool _truncated = false;
 };
+
+// Defined here so the decoders' per-packet loops inline it.
+inline bool
+PacketParser::next(Packet &out)
+{
+    using namespace detail;
+    if (_bad || _truncated || _pos >= _size)
+        return false;
+
+    out = Packet{};
+    out.offset = _pos;
+    const uint8_t head = _data[_pos];
+
+    if (head == 0x00) {
+        out.kind = PacketKind::Pad;
+        out.size = 1;
+        _pos += 1;
+        return true;
+    }
+
+    if (head == psb_byte0) {
+        if (_pos + 1 >= _size) {
+            _truncated = true;  // lone 0x02 at the very end
+            return false;
+        }
+        const uint8_t second = _data[_pos + 1];
+        if (second == psb_byte1) {
+            // Expect the full 16-byte pattern.
+            if (!psbPatternAt(_data, _size, _pos)) {
+                if (_pos + psb_len > _size &&
+                    psbPrefixAtEnd(_data, _size, _pos))
+                    _truncated = true;
+                else
+                    _bad = true;
+                return false;
+            }
+            out.kind = PacketKind::Psb;
+            out.size = psb_len;
+            _pos += out.size;
+            _lastIp = 0;    // sync point: compression state resets
+            return true;
+        }
+        if (second == psbend_byte1) {
+            out.kind = PacketKind::PsbEnd;
+            out.size = 2;
+            _pos += 2;
+            return true;
+        }
+        if (second == ovf_byte1) {
+            // Packets were dropped; the last-IP state on the far side
+            // of the gap is unknowable until the next PSB resets it.
+            out.kind = PacketKind::Ovf;
+            out.size = 2;
+            _pos += 2;
+            return true;
+        }
+        _bad = true;
+        return false;
+    }
+
+    if ((head & 1) == 0) {
+        // Short TNT: the stop bit is the highest set bit (head != 0).
+        const int stop = std::bit_width(head) - 1;
+        if (stop < 2) {
+            _bad = true;    // no payload bits — not a valid TNT
+            return false;
+        }
+        out.kind = PacketKind::Tnt;
+        out.tntCount = static_cast<uint8_t>(stop - 1);
+        out.tntBits = static_cast<uint8_t>(
+            (head >> 1) & ((1u << out.tntCount) - 1));
+        out.size = 1;
+        _pos += 1;
+        return true;
+    }
+
+    // TIP-class packet.
+    const uint8_t op = head & 0x1F;
+    const int mode = head >> 5;
+    PacketKind kind;
+    switch (op) {
+      case opcode::tip: kind = PacketKind::Tip; break;
+      case opcode::tip_pge: kind = PacketKind::TipPge; break;
+      case opcode::tip_pgd: kind = PacketKind::TipPgd; break;
+      case opcode::fup: kind = PacketKind::Fup; break;
+      default:
+        _bad = true;
+        return false;
+    }
+    const int nbytes = ipPayloadBytes(mode);
+    if (nbytes < 0) {
+        _bad = true;
+        return false;
+    }
+    if (_pos + 1 + static_cast<size_t>(nbytes) > _size) {
+        _truncated = true;  // valid header, payload cut off
+        return false;
+    }
+    uint64_t payload = 0;
+    for (int i = nbytes - 1; i >= 0; --i)
+        payload = (payload << 8) | _data[_pos + 1 + i];
+
+    out.kind = kind;
+    out.size = static_cast<uint32_t>(1 + nbytes);
+    if (mode == 0) {
+        out.ipSuppressed = true;
+    } else if (mode == 1) {
+        out.ip = (_lastIp & ~0xFFFFULL) | payload;
+        _lastIp = out.ip;
+    } else if (mode == 2) {
+        out.ip = (_lastIp & ~0xFFFFFFFFULL) | payload;
+        _lastIp = out.ip;
+    } else {
+        out.ip = payload;
+        _lastIp = out.ip;
+    }
+    _pos += out.size;
+    return true;
+}
 
 /**
  * Scans the buffer for PSB boundaries (for parallel fast decode and

@@ -138,15 +138,15 @@ TEST(ItcCfg, TntSequencesDedupAndSaturate)
     itc.addTntSequence(0, {1, 0});
     itc.addTntSequence(0, {1, 0});          // duplicate ignored
     EXPECT_TRUE(itc.hasTntInfo(0));
-    EXPECT_TRUE(itc.tntCompatible(0, {1, 0}));
-    EXPECT_FALSE(itc.tntCompatible(0, {0, 1}));
-    EXPECT_FALSE(itc.tntCompatible(0, {}));
+    EXPECT_TRUE(itc.tntCompatible(0, TntSequence{1, 0}));
+    EXPECT_FALSE(itc.tntCompatible(0, TntSequence{0, 1}));
+    EXPECT_FALSE(itc.tntCompatible(0, TntSequence{}));
 
     // Saturate past the variant cap: matching gets disabled.
     for (uint8_t i = 0; i < ItcCfg::max_tnt_variants + 2; ++i)
         itc.addTntSequence(0, {1, 1, i});
     EXPECT_FALSE(itc.hasTntInfo(0));
-    EXPECT_TRUE(itc.tntCompatible(0, {0, 1}));   // vacuously true
+    EXPECT_TRUE(itc.tntCompatible(0, TntSequence{0, 1}));   // vacuously true
 }
 
 TEST(ItcCfg, EdgesWithoutTntInfoAreCompatibleWithAnything)
@@ -154,7 +154,7 @@ TEST(ItcCfg, EdgesWithoutTntInfoAreCompatibleWithAnything)
     Program prog = figureProgram();
     ItcCfg itc = ItcCfg::build(buildCfg(prog));
     EXPECT_FALSE(itc.hasTntInfo(0));
-    EXPECT_TRUE(itc.tntCompatible(0, {1, 1, 1}));
+    EXPECT_TRUE(itc.tntCompatible(0, TntSequence{1, 1, 1}));
 }
 
 TEST(ItcCfg, MemoryAccountingGrowsWithAnnotations)

@@ -53,18 +53,18 @@ TEST(FastDecoder, ExtractsFlowStepsInOrder)
     ASSERT_EQ(result.steps.size(), 6u);
     EXPECT_EQ(result.steps[0].kind, StepKind::Tip);
     EXPECT_EQ(result.steps[0].ip, 0x400100u);
-    EXPECT_TRUE(result.steps[0].tntBefore.empty());
+    EXPECT_TRUE(result.tntBefore(result.steps[0]).empty());
     EXPECT_EQ(result.steps[1].kind, StepKind::Tip);
     EXPECT_EQ(result.steps[1].ip, 0x400200u);
-    ASSERT_EQ(result.steps[1].tntBefore.size(), 2u);
-    EXPECT_EQ(result.steps[1].tntBefore[0], 1);   // oldest first
-    EXPECT_EQ(result.steps[1].tntBefore[1], 0);
+    ASSERT_EQ(result.tntBefore(result.steps[1]).size(), 2u);
+    EXPECT_EQ(result.tntBefore(result.steps[1])[0], 1);   // oldest first
+    EXPECT_EQ(result.tntBefore(result.steps[1])[1], 0);
     EXPECT_EQ(result.steps[2].kind, StepKind::Fup);
     EXPECT_EQ(result.steps[3].kind, StepKind::Pgd);
     EXPECT_TRUE(result.steps[3].ipSuppressed);
     EXPECT_EQ(result.steps[4].kind, StepKind::Pge);
     EXPECT_EQ(result.steps[5].kind, StepKind::Tip);
-    ASSERT_EQ(result.steps[5].tntBefore.size(), 1u);
+    ASSERT_EQ(result.tntBefore(result.steps[5]).size(), 1u);
 }
 
 TEST(FastDecoder, ChargesDecodeCycles)
@@ -84,7 +84,7 @@ TEST(FastDecoder, TrailingTntSurvives)
     appendTipClass(bytes, opcode::tip, 0x400000, last_ip);
     appendTnt(bytes, 0b11, 2);
     auto result = decodePacketLayer(bytes);
-    ASSERT_EQ(result.trailingTnt.size(), 2u);
+    ASSERT_EQ(result.trailingTnt().size(), 2u);
 }
 
 TEST(FastDecoder, TransitionsSkipContextMarkers)
@@ -122,17 +122,17 @@ TEST(FastDecoder, RecentTipsPicksLatestSufficientSync)
     }
 
     // Two TIPs wanted: the last segment suffices.
-    auto last = decodeRecentTips(bytes.data(), bytes.size(), 2);
+    auto last = decodeRecentTips({bytes.data(), bytes.size()}, 2);
     EXPECT_EQ(last.startOffset, psb_offsets[2]);
     EXPECT_EQ(last.steps.size(), 2u);
 
     // Four TIPs wanted: must reach back one more segment.
-    auto more = decodeRecentTips(bytes.data(), bytes.size(), 4);
+    auto more = decodeRecentTips({bytes.data(), bytes.size()}, 4);
     EXPECT_EQ(more.startOffset, psb_offsets[1]);
     EXPECT_EQ(more.steps.size(), 4u);
 
     // More than available: everything from the first PSB.
-    auto all = decodeRecentTips(bytes.data(), bytes.size(), 100);
+    auto all = decodeRecentTips({bytes.data(), bytes.size()}, 100);
     EXPECT_EQ(all.startOffset, psb_offsets[0]);
     EXPECT_EQ(all.steps.size(), 6u);
 }
@@ -142,7 +142,7 @@ TEST(FastDecoder, RecentTipsWithoutPsbDecodesWholeBuffer)
     std::vector<uint8_t> bytes;
     uint64_t last_ip = 0;
     appendTipClass(bytes, opcode::tip, 0x400000, last_ip);
-    auto result = decodeRecentTips(bytes.data(), bytes.size(), 5);
+    auto result = decodeRecentTips({bytes.data(), bytes.size()}, 5);
     EXPECT_EQ(result.steps.size(), 1u);
 }
 
@@ -201,7 +201,7 @@ TEST(FastDecoder, PendingTntDroppedAtLoss)
     auto result = decodePacketLayer(bytes);
     ASSERT_EQ(result.steps.size(), 2u);
     // Outcomes buffered before the gap no longer pair with anything.
-    EXPECT_TRUE(result.steps[1].tntBefore.empty());
+    EXPECT_TRUE(result.tntBefore(result.steps[1]).empty());
 }
 
 TEST(FastDecoder, BadBytesResyncToNextPsb)

@@ -88,7 +88,7 @@ decodeBothWays(const std::vector<uint8_t> &bytes,
         }
 
         auto windowed =
-            decode::decodeRecentTips(bytes.data(), bytes.size(), 30);
+            decode::decodeRecentTips({bytes.data(), bytes.size()}, 30);
         // The windowed decode touches each byte at most twice (the
         // backwards counting pass plus the chronological emit pass).
         EXPECT_LE(windowed.bytesScanned, 2 * bytes.size()) << what;
