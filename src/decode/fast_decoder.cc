@@ -129,9 +129,19 @@ parse(std::span<const uint8_t> data, size_t start, size_t end,
     PacketParser parser(data.data(), limit);
     parser.seek(start);
 
-    // Outcomes since the last step start here in the bit pool.
+    // Outcomes since the last step (and its last loss) start here in
+    // the bit pool.
     size_t pending = result.tntBits.size();
     bool loss_pending = false;
+    // A loss breaks adjacency: outcomes before the first one since the
+    // last step stay in the pool, ahead of the next slice, and those
+    // between two losses pair with nothing.
+    auto lose = [&] {
+        if (loss_pending)
+            result.tntBits.resize(pending);
+        pending = result.tntBits.size();
+        loss_pending = true;
+    };
     Packet pkt;
     while (true) {
         if (!parser.next(pkt)) {
@@ -154,8 +164,7 @@ parse(std::span<const uint8_t> data, size_t start, size_t end,
             if constexpr (Emit) {
                 result.bytesSkipped += psb - bad_at;
                 ++result.resyncs;
-                result.tntBits.resize(pending);
-                loss_pending = true;
+                lose();
             }
             parser.seek(psb);
             continue;
@@ -178,11 +187,9 @@ parse(std::span<const uint8_t> data, size_t start, size_t end,
             ++result.psbCount;
             break;
           case PacketKind::Ovf:
-            // The hardware dropped packets here; TNT bits buffered
-            // before the gap no longer pair with what follows.
+            // The hardware dropped packets here.
             ++result.overflows;
-            result.tntBits.resize(pending);
-            loss_pending = true;
+            lose();
             break;
           case PacketKind::Tnt:
             for (int i = 0; i < pkt.tntCount; ++i)
@@ -205,10 +212,15 @@ parse(std::span<const uint8_t> data, size_t start, size_t end,
             pending = result.tntBits.size();
             step.lossBefore = loss_pending;
             loss_pending = false;
+            result.unsyncedSteps += result.psbCount == 0;
             result.steps.push_back(step);
             break;
           }
         }
+    }
+    if constexpr (Emit) {
+        result.trailingOffset = static_cast<uint32_t>(pending);
+        result.lossAtEnd = loss_pending;
     }
     return parser.offset() - start;
 }
@@ -243,6 +255,9 @@ FastDecodeResult::clear()
 {
     steps.clear();
     tntBits.clear();
+    trailingOffset = 0;
+    lossAtEnd = false;
+    unsyncedSteps = 0;
     bytesScanned = 0;
     packetCount = 0;
     malformed = false;

@@ -4,9 +4,10 @@
  *
  * Parses raw IPT bytes and extracts only the control-flow packets
  * (TIP/TNT plus the PGE/PGD/FUP context markers), without ever
- * consulting the binaries. PSB packets serve as sync points, so
- * decoding can start at any PSB and independent segments can be
- * processed in parallel.
+ * consulting the binaries. It is the one packet loop: the full
+ * decoder and the trainer consume its result. PSB packets serve as
+ * sync points, so decoding can start at any PSB and independent
+ * segments can be processed in parallel.
  *
  * The runtime fast path decodes only the tail of the buffer: the PSB
  * search runs backward from the end, one segment at a time, and stops
@@ -57,7 +58,8 @@ struct FlowStep
      *  step: this step does not form an edge with its predecessor. */
     bool lossBefore = false;
     uint64_t ip = 0;
-    /** Conditional outcomes since the previous step, oldest first:
+    /** Conditional outcomes since the previous step (or since the
+     *  last loss after it), oldest first:
      *  tntBits[tntOffset, tntOffset + tntLength). */
     uint32_t tntOffset = 0;
     uint32_t tntLength = 0;
@@ -68,12 +70,21 @@ struct FastDecodeResult
 {
     std::vector<FlowStep> steps;        ///< chronological
     /**
-     * Every surviving conditional outcome in stream order, one byte
-     * per bit (1 = taken). Each step's slice starts where the previous
-     * one ends; the outcomes after the last step are the trailing
-     * TNT. Outcomes cut off by a loss are not kept.
+     * Conditional outcomes in stream order, one byte per bit
+     * (1 = taken). Each step's slice starts where the previous one
+     * ends, unless trace was lost in between: then the outcomes that
+     * preceded the first loss sit between the two (the instruction
+     * walk replays them; a fast-path transition does not), and those
+     * between two losses are not kept.
      */
     std::vector<uint8_t> tntBits;
+    /** Where the outcomes after the last step (and its losses) start. */
+    uint32_t trailingOffset = 0;
+    /** True when trace was lost after the last step. */
+    bool lossAtEnd = false;
+    /** Leading steps decoded before any PSB; their IPs are not
+     *  anchored, as in a ring that wrapped mid-packet. */
+    uint32_t unsyncedSteps = 0;
     uint64_t bytesScanned = 0;
     uint64_t packetCount = 0;
     bool malformed = false;
@@ -97,13 +108,11 @@ struct FastDecodeResult
         return {tntBits.data() + step.tntOffset, step.tntLength};
     }
 
-    /** TNT after the last step. */
+    /** TNT after the last step and any loss that followed it. */
     std::span<const uint8_t>
     trailingTnt() const
     {
-        const size_t from = steps.empty()
-            ? 0 : steps.back().tntOffset + steps.back().tntLength;
-        return std::span<const uint8_t>(tntBits).subspan(from);
+        return std::span<const uint8_t>(tntBits).subspan(trailingOffset);
     }
 
     /** True when any part of the window was lost or undecodable. */

@@ -1,166 +1,148 @@
 #include "decode/full_decoder.hh"
 
-#include "support/logging.hh"
 #include "telemetry/telemetry.hh"
-#include "trace/ipt_packets.hh"
 
 namespace flowguard::decode {
 
 using cpu::BranchKind;
 using isa::Instruction;
 using isa::Opcode;
-using trace::Packet;
-using trace::PacketKind;
-using trace::PacketParser;
 
 namespace {
 
-/** Flattened packet stream: one entry per TNT *bit* or TIP-class
- *  packet, in emission order. A Loss entry marks a trace gap (OVF or
- *  resync past undecodable bytes): events on its two sides must not
- *  be paired. */
-struct Event
+/**
+ * Reads a packet-layer decode in stream order, as the walk consumes
+ * it: each step's outcomes oldest first, then the step. Where trace
+ * was lost before a step (or after the last one), the outcomes kept
+ * ahead of the loss come first, then the loss, then the rest.
+ */
+class StepCursor
 {
-    enum class Kind : uint8_t { TntBit, Tip, Pge, Pgd, Fup, Loss };
-    Kind kind;
-    uint8_t bit = 0;
-    bool suppressed = false;
-    uint64_t ip = 0;
+  public:
+    enum class At : uint8_t { Bit, Loss, Step, End };
+
+    /** Positioned just past step `from`. */
+    StepCursor(const FastDecodeResult &flow, size_t from)
+        : _flow(flow), _step(from + 1),
+          _bit(flow.steps[from].tntOffset + flow.steps[from].tntLength)
+    {}
+
+    At
+    at() const
+    {
+        const bool tail = _step == _flow.steps.size();
+        const size_t gap =
+            tail ? _flow.trailingOffset : _flow.steps[_step].tntOffset;
+        if (_bit < gap)
+            return At::Bit;
+        if (!_lossPassed &&
+            (tail ? _flow.lossAtEnd : _flow.steps[_step].lossBefore))
+            return At::Loss;
+        const size_t end = tail ? _flow.tntBits.size()
+                                : gap + _flow.steps[_step].tntLength;
+        if (_bit < end)
+            return At::Bit;
+        return tail ? At::End : At::Step;
+    }
+
+    bool done() const { return at() == At::End; }
+    bool atLoss() const { return at() == At::Loss; }
+    bool taken() const { return _flow.tntBits[_bit] != 0; }
+    const FlowStep &step() const { return _flow.steps[_step]; }
+
+    /** True when the next item is a step of `kind`. */
+    bool
+    atStep(StepKind kind) const
+    {
+        return at() == At::Step && step().kind == kind;
+    }
+
+    void
+    consume()
+    {
+        switch (at()) {
+          case At::Bit:
+            ++_bit;
+            break;
+          case At::Loss:
+            _lossPassed = true;
+            break;
+          case At::Step:
+            ++_step;
+            _lossPassed = false;
+            break;
+          case At::End:
+            break;
+        }
+    }
+
+  private:
+    const FastDecodeResult &_flow;
+    size_t _step;
+    size_t _bit;
+    bool _lossPassed = false;
 };
 
-struct EventStream
+/** A step that names where the walk can (re)start. */
+bool
+anchors(const FlowStep &step)
 {
-    std::vector<Event> events;
-    size_t cursor = 0;
-
-    bool done() const { return cursor >= events.size(); }
-    const Event &peek() const { return events[cursor]; }
-    void consume() { ++cursor; }
-};
+    return (step.kind == StepKind::Tip || step.kind == StepKind::Pge) &&
+           !step.ipSuppressed;
+}
 
 } // namespace
 
 FullDecodeResult
-decodeInstructionFlow(const isa::Program &program, const uint8_t *data,
-                      size_t size, cpu::CycleAccount *account,
+decodeInstructionFlow(const isa::Program &program,
+                      const FastDecodeResult &flow,
+                      cpu::CycleAccount *account,
                       telemetry::Telemetry *telemetry, uint64_t cr3)
 {
     const uint64_t span_begin = telemetry ? telemetry->now() : 0;
     FullDecodeResult result;
+    result.overflows = flow.overflows;
+    result.resyncs = flow.resyncs;
+    result.bytesSkipped = flow.bytesSkipped;
 
-    // --- flatten packets into an event stream ---------------------------
-    EventStream stream;
-    bool synced = false;        // saw a PSB
-    bool started = false;       // found the first addressable IP
-    {
-        PacketParser parser(data, size);
-        Packet pkt;
-        while (true) {
-            if (!parser.next(pkt)) {
-                if (!parser.bad())
-                    break;      // clean end of buffer
-                // Malformed bytes: skip to the next validated PSB and
-                // record the gap so the walk re-anchors there.
-                const size_t bad_at =
-                    static_cast<size_t>(parser.offset());
-                const size_t psb =
-                    trace::findNextPsb(data, size, bad_at + 1);
-                if (psb == SIZE_MAX) {
-                    result.bytesSkipped += size - bad_at;
-                    break;
-                }
-                result.bytesSkipped += psb - bad_at;
-                ++result.resyncs;
-                parser.seek(psb);
-                if (started)
-                    stream.events.push_back(
-                        {Event::Kind::Loss, 0, false, 0});
-                continue;
-            }
-            switch (pkt.kind) {
-              case PacketKind::Pad:
-              case PacketKind::PsbEnd:
-                break;
-              case PacketKind::Psb:
-                synced = true;
-                break;
-              case PacketKind::Ovf:
-                ++result.overflows;
-                if (started)
-                    stream.events.push_back(
-                        {Event::Kind::Loss, 0, false, 0});
-                break;
-              case PacketKind::Tnt:
-                if (!started)
-                    break;  // outcomes before a known IP are unusable
-                for (int i = 0; i < pkt.tntCount; ++i)
-                    stream.events.push_back(
-                        {Event::Kind::TntBit,
-                         static_cast<uint8_t>((pkt.tntBits >> i) & 1),
-                         false, 0});
-                break;
-              case PacketKind::Tip:
-              case PacketKind::TipPge:
-              case PacketKind::TipPgd:
-              case PacketKind::Fup: {
-                if (!synced)
-                    break;  // cannot trust IP compression before PSB
-                Event::Kind kind =
-                    pkt.kind == PacketKind::Tip ? Event::Kind::Tip
-                    : pkt.kind == PacketKind::TipPge ? Event::Kind::Pge
-                    : pkt.kind == PacketKind::TipPgd ? Event::Kind::Pgd
-                    : Event::Kind::Fup;
-                if (!started) {
-                    // First addressable packet: a TIP or PGE target
-                    // gives us the walk's start IP.
-                    if ((kind == Event::Kind::Tip ||
-                         kind == Event::Kind::Pge) &&
-                        !pkt.ipSuppressed) {
-                        result.startIp = pkt.ip;
-                        started = true;
-                    }
-                    break;  // the sync packet itself is not replayed
-                }
-                stream.events.push_back(
-                    {kind, 0, pkt.ipSuppressed, pkt.ip});
-                break;
-              }
-            }
-        }
-    }
-
-    if (!started) {
+    // IP compression cannot be trusted before a PSB, and the sync
+    // step itself is not replayed.
+    size_t start = flow.unsyncedSteps;
+    while (start < flow.steps.size() && !anchors(flow.steps[start]))
+        ++start;
+    if (start == flow.steps.size()) {
         result.status = FullDecodeResult::Status::NoSync;
         result.error = "no PSB-anchored TIP/PGE to start from";
         return result;
     }
+    result.startIp = flow.steps[start].ip;
+    StepCursor stream(flow, start);
 
     // --- instruction-by-instruction walk --------------------------------
+    bool walking = true;
     auto desync = [&](const std::string &why) {
         result.status = FullDecodeResult::Status::Desync;
         result.error = why;
+        walking = false;
     };
 
     // Reconstruction past the last packet is unverifiable; stop once
-    // every event is consumed. The walk budget is a backstop against
+    // every step is consumed. The walk budget is a backstop against
     // pathological direct-branch cycles in malformed programs.
     constexpr uint64_t walk_budget = 50'000'000;
     uint64_t ip = result.startIp;
-    bool walking = true;
 
-    // Resumes the walk after a trace gap: events up to the next
-    // packet naming an address were orphaned by the loss, and the
-    // anchor itself (like the initial sync) is not replayed. Returns
-    // false when the trace ends inside the gap.
+    // Resumes the walk at a trace gap: everything up to the next step
+    // naming an address was orphaned by the loss, and the anchor
+    // itself (like the initial sync) is not replayed. Returns false
+    // when the trace ends inside the gap.
     auto reanchor = [&]() -> bool {
         while (!stream.done()) {
-            const Event &ev = stream.peek();
-            if ((ev.kind == Event::Kind::Tip ||
-                 ev.kind == Event::Kind::Pge) &&
-                !ev.suppressed) {
+            if (stream.at() == StepCursor::At::Step &&
+                anchors(stream.step())) {
                 result.lossBranchIndices.push_back(
                     result.branches.size());
-                ip = ev.ip;
+                ip = stream.step().ip;
                 stream.consume();
                 return true;
             }
@@ -171,10 +153,9 @@ decodeInstructionFlow(const isa::Program &program, const uint8_t *data,
     };
 
     while (walking && !stream.done()) {
-        if (stream.peek().kind == Event::Kind::Loss) {
+        if (stream.atLoss()) {
             // Nothing between here and the next addressable packet
             // can be verified; resume the walk on the far side.
-            stream.consume();
             if (!reanchor())
                 break;
             continue;
@@ -195,45 +176,37 @@ decodeInstructionFlow(const isa::Program &program, const uint8_t *data,
         // Transparent handling of context-switch pauses: a PGD not
         // explained by a syscall instruction must be followed by a PGE
         // resuming exactly where we paused.
-        while (!stream.done() &&
-               stream.peek().kind == Event::Kind::Pgd &&
+        while (stream.atStep(StepKind::Pgd) &&
                inst->op != Opcode::Syscall) {
             stream.consume();
             if (stream.done()) {
                 walking = false;
                 break;
             }
-            const Event &resume = stream.peek();
-            if (resume.kind == Event::Kind::Loss)
+            if (stream.atLoss())
                 break;  // gap swallowed the resume; re-anchor above
-            if (resume.kind != Event::Kind::Pge || resume.ip != ip) {
+            if (!stream.atStep(StepKind::Pge) || stream.step().ip != ip) {
                 desync("context resumed at an unexpected address");
-                walking = false;
                 break;
             }
             stream.consume();
         }
-        if (!walking || result.status != FullDecodeResult::Status::Ok)
+        if (!walking)
             break;
-        if (!stream.done() &&
-            stream.peek().kind == Event::Kind::Loss)
+        if (stream.atLoss())
             continue;   // resolve the gap before consuming anything
 
+        // A case that finds the trace consumed just breaks: the loop
+        // ends there.
         switch (inst->op) {
           case Opcode::Jcc: {
-            if (stream.done()) {
-                walking = false;
+            if (stream.done())
                 break;
-            }
-            const Event &ev = stream.peek();
-            if (ev.kind == Event::Kind::Loss)
-                break;  // re-anchor at the top of the loop
-            if (ev.kind != Event::Kind::TntBit) {
+            if (stream.at() != StepCursor::At::Bit) {
                 desync("expected TNT outcome at conditional branch");
-                walking = false;
                 break;
             }
-            const bool taken = ev.bit != 0;
+            const bool taken = stream.taken();
             stream.consume();
             result.branches.push_back(
                 {taken ? BranchKind::CondTaken
@@ -258,75 +231,56 @@ decodeInstructionFlow(const isa::Program &program, const uint8_t *data,
           case Opcode::JmpInd:
           case Opcode::CallInd:
           case Opcode::Ret: {
-            if (stream.done()) {
-                walking = false;
+            if (stream.done())
                 break;
-            }
-            const Event &ev = stream.peek();
-            if (ev.kind == Event::Kind::Loss)
-                break;  // re-anchor at the top of the loop
-            if (ev.kind != Event::Kind::Tip || ev.suppressed) {
+            if (!stream.atStep(StepKind::Tip) ||
+                stream.step().ipSuppressed) {
                 desync("expected TIP at indirect branch");
-                walking = false;
                 break;
             }
+            const uint64_t target = stream.step().ip;
             stream.consume();
             BranchKind kind = inst->op == Opcode::JmpInd
                 ? BranchKind::IndirectJump
                 : inst->op == Opcode::CallInd
                     ? BranchKind::IndirectCall
                     : BranchKind::Return;
-            result.branches.push_back({kind, ip, ev.ip});
-            ip = ev.ip;
+            result.branches.push_back({kind, ip, target});
+            ip = target;
             break;
           }
 
           case Opcode::Syscall: {
-            if (stream.done()) {
-                walking = false;
+            if (stream.done())
                 break;
-            }
             // FUP at the syscall, PGD entering the kernel.
-            if (stream.peek().kind == Event::Kind::Loss)
-                break;  // re-anchor at the top of the loop
-            if (stream.peek().kind != Event::Kind::Fup ||
-                stream.peek().ip != ip) {
+            if (!stream.atStep(StepKind::Fup) || stream.step().ip != ip) {
                 desync("expected FUP at syscall");
-                walking = false;
                 break;
             }
             stream.consume();
-            if (stream.done()) {
-                desync("expected TIP.PGD after syscall FUP");
-                walking = false;
-                break;
-            }
-            if (stream.peek().kind == Event::Kind::Loss)
+            if (stream.atLoss())
                 break;  // gap swallowed the PGD; re-anchor above
-            if (stream.peek().kind != Event::Kind::Pgd) {
+            if (!stream.atStep(StepKind::Pgd)) {
                 desync("expected TIP.PGD after syscall FUP");
-                walking = false;
                 break;
             }
             stream.consume();
             result.branches.push_back(
                 {BranchKind::SyscallEntry, ip, 0});
-            if (stream.done()) {
-                walking = false;   // trace ends inside the kernel
-                break;
-            }
-            const Event &resume = stream.peek();
-            if (resume.kind == Event::Kind::Loss)
+            if (stream.done())
+                break;  // trace ends inside the kernel
+            if (stream.atLoss())
                 break;  // SyscallExit unobserved; re-anchor above
-            if (resume.kind != Event::Kind::Pge) {
+            if (!stream.atStep(StepKind::Pge)) {
                 desync("expected TIP.PGE resuming from syscall");
-                walking = false;
                 break;
             }
+            const uint64_t resume = stream.step().ip;
             stream.consume();
             result.branches.push_back(
-                {BranchKind::SyscallExit, ip, resume.ip});
-            ip = resume.ip;
+                {BranchKind::SyscallExit, ip, resume});
+            ip = resume;
             break;
           }
 
@@ -366,11 +320,11 @@ decodeInstructionFlow(const isa::Program &program, const uint8_t *data,
 
 FullDecodeResult
 decodeInstructionFlow(const isa::Program &program,
-                      const std::vector<uint8_t> &data,
+                      std::span<const uint8_t> data,
                       cpu::CycleAccount *account,
                       telemetry::Telemetry *telemetry, uint64_t cr3)
 {
-    return decodeInstructionFlow(program, data.data(), data.size(),
+    return decodeInstructionFlow(program, decodePacketLayer(data),
                                  account, telemetry, cr3);
 }
 

@@ -9,6 +9,12 @@
  * indirect branch, and thereby reconstructs the complete control flow
  * including all the direct transfers IPT never logged.
  *
+ * It sits on the packet layer, as libipt's instruction-flow decoder
+ * sits on its query decoder: it never parses bytes itself, but walks
+ * the steps and TNT slices of a fast_decoder.hh decode. The slow path
+ * hands it the window the fast decode already anchored; the byte form
+ * below decodes the packet layer first.
+ *
  * Trace loss (OVF packets, undecodable spans) does not fail the
  * decode: the walk re-anchors at the next packet that names an
  * address and reconstructs every surviving window, recording where
@@ -21,11 +27,13 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "cpu/cost_model.hh"
 #include "cpu/events.hh"
+#include "decode/fast_decoder.hh"
 #include "isa/program.hh"
 
 namespace flowguard::telemetry {
@@ -60,8 +68,10 @@ struct FullDecodeResult
     uint64_t startIp = 0;
     std::string error;
 
-    // Loss accounting (§7.1.2 degraded modes).
-    /** Hardware OVF packets seen in the stream. */
+    // Loss accounting (§7.1.2 degraded modes), as the packet layer
+    // reported it.
+    /** Hardware OVF packets seen in the stream (for a tail-anchored
+     *  window, including the OVF right before its PSB). */
     uint64_t overflows = 0;
     /** Skip-to-next-PSB recoveries from malformed bytes. */
     uint64_t resyncs = 0;
@@ -84,21 +94,23 @@ struct FullDecodeResult
 };
 
 /**
- * Reconstructs instruction-level flow from raw IPT bytes.
+ * Reconstructs instruction-level flow from a packet-layer decode.
  *
  * The walk starts at the first addressable sync point: the target of
- * the first PGE or TIP packet following a PSB (conditional outcomes
+ * the first PGE or TIP step decoded after a PSB (conditional outcomes
  * before that point are unusable and skipped, as in any mid-stream
  * attach). Charges cost::sw_full_decode_per_inst per instruction into
  * account->decode.
  */
 FullDecodeResult decodeInstructionFlow(
-    const isa::Program &program, const uint8_t *data, size_t size,
+    const isa::Program &program, const FastDecodeResult &flow,
     cpu::CycleAccount *account = nullptr,
     telemetry::Telemetry *telemetry = nullptr, uint64_t cr3 = 0);
 
+/** The walk over decodePacketLayer(data); the packet decode itself is
+ *  neither charged nor traced. */
 FullDecodeResult decodeInstructionFlow(
-    const isa::Program &program, const std::vector<uint8_t> &data,
+    const isa::Program &program, std::span<const uint8_t> data,
     cpu::CycleAccount *account = nullptr,
     telemetry::Telemetry *telemetry = nullptr, uint64_t cr3 = 0);
 

@@ -111,7 +111,7 @@ FlowGuardKernel::onSyscall(cpu::Cpu &cpu, int64_t number)
             if (decision.kill)
                 return killWith(std::move(decision.report));
             if (Monitor *monitor = _service->monitorFor(cr3))
-                fileAuditReport(*monitor, cr3, 0, number);
+                fileAuditReport(*monitor, cr3, decision.seq, number);
             return dispatch(cpu, number);
         }
         if (_config.endpoints.count(number) &&
@@ -126,7 +126,7 @@ FlowGuardKernel::onSyscall(cpu::Cpu &cpu, int64_t number)
             if (decision.kill)
                 return killWith(std::move(decision.report));
             if (Monitor *monitor = _service->monitorFor(cr3))
-                fileAuditReport(*monitor, cr3, 0, number);
+                fileAuditReport(*monitor, cr3, decision.seq, number);
         }
         return dispatch(cpu, number);
     }

@@ -325,7 +325,7 @@ ProtectionService::onEndpoint(cpu::Cpu &cpu, int64_t syscall)
     if (_recovery &&
         _recovery->gateEndpoint(cr3, proc.seq + 1, now) ==
             RecoveryHooks::Gate::SkipUnchecked) {
-        ++proc.seq;
+        decision.seq = ++proc.seq;
         ++_stats.gapSkipped;
         noteWindow(proc, ProtectionWindowClass::Gap);
         return decision;
@@ -343,7 +343,7 @@ ProtectionService::onEndpoint(cpu::Cpu &cpu, int64_t syscall)
         return decision;
     }
 
-    ++proc.seq;
+    decision.seq = ++proc.seq;
     ++_stats.endpointChecks;
     if (proc.account)
         proc.account->other += cpu::cost::intercept_per_syscall;
@@ -438,7 +438,7 @@ ProtectionService::codeBarrier(cpu::Cpu &cpu, int64_t syscall)
     if (_recovery &&
         _recovery->gateEndpoint(cr3, proc.seq + 1, virtualNow()) ==
             RecoveryHooks::Gate::SkipUnchecked) {
-        ++proc.seq;
+        decision.seq = ++proc.seq;
         ++_stats.gapSkipped;
         noteWindow(proc, ProtectionWindowClass::Gap);
         return decision;
@@ -446,7 +446,7 @@ ProtectionService::codeBarrier(cpu::Cpu &cpu, int64_t syscall)
     if (!proc.attached)
         return decision;
 
-    ++proc.seq;
+    decision.seq = ++proc.seq;
     ++_stats.barrierChecks;
     if (proc.account)
         proc.account->other += cpu::cost::intercept_per_syscall;
@@ -496,6 +496,7 @@ ProtectionService::resolve(ProcessRecord &proc, int64_t syscall,
                            bool loss, uint64_t now)
 {
     EndpointDecision decision;
+    decision.seq = proc.seq;
     const bool audit_class = proc.quarantined &&
         _config.quarantineAction == QuarantineAction::Audit;
 

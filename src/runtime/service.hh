@@ -130,6 +130,8 @@ struct EndpointDecision
 {
     bool kill = false;
     ViolationReport report;
+    /** The process's endpoint sequence number after this endpoint. */
+    uint64_t seq = 0;
 };
 
 /**

@@ -158,13 +158,10 @@ SlowPathChecker::checkImpl(std::span<const uint8_t> packets) const
         }
     }
 
+    // The walk reads the window decoded above; no byte is parsed twice.
     auto flow = decode::decodeInstructionFlow(
-        _ocfg.program(), packets.data() + window.startOffset,
-        packets.size() - static_cast<size_t>(window.startOffset),
-        _account, _telemetry, _telemetryCr3);
+        _ocfg.program(), window, _account, _telemetry, _telemetryCr3);
     result.instructionsWalked = flow.instructionsWalked;
-    result.traceGaps = flow.overflows + flow.resyncs;
-    result.bytesSkipped = flow.bytesSkipped;
 
     using Status = decode::FullDecodeResult::Status;
     if (flow.status == Status::Desync || flow.status == Status::BadFlow) {

@@ -37,13 +37,6 @@ struct SlowPathResult
     uint64_t violatingSource = 0;
     uint64_t violatingTarget = 0;
     std::string reason;
-    /** Trace gaps (OVF episodes + resyncs) inside the checked window.
-     *  The shadow stack restarts empty after each: its contents are
-     *  unknowable across a gap, and a stale stack would turn benign
-     *  returns into false violations. */
-    uint64_t traceGaps = 0;
-    /** Undecodable bytes skipped while resynchronizing. */
-    uint64_t bytesSkipped = 0;
     /** Window entered JIT code: packet-level degraded check used. */
     bool degraded = false;
     /** Violation was a stale-range (unloaded module) TIP. */

@@ -29,11 +29,14 @@
 #include "trace/ipt.hh"
 #include "trace/ipt_packets.hh"
 #include "workloads/apps.hh"
+#include "storm_ring.hh"
 
 namespace {
 
 using namespace flowguard;
 using namespace flowguard::decode;
+using test::RingSampler;
+using test::stormSpec;
 using trace::Packet;
 using trace::PacketKind;
 using trace::PacketParser;
@@ -326,41 +329,6 @@ randomStream(Rng &rng, size_t target)
         }
     }
     return out;
-}
-
-/** A ToPA ring's contents sampled while a server runs under IPT. */
-struct RingSampler : cpu::TraceSink
-{
-    const trace::Topa &topa;
-    size_t every;
-    size_t seen = 0;
-    std::vector<std::vector<uint8_t>> samples;
-
-    RingSampler(const trace::Topa &ring, size_t period)
-        : topa(ring), every(period)
-    {}
-
-    void
-    onBranch(const cpu::BranchEvent &) override
-    {
-        if (++seen % every != 0)
-            return;
-        const auto view = topa.view();
-        samples.emplace_back(view.begin(), view.end());
-    }
-};
-
-workloads::ServerSpec
-stormSpec()
-{
-    // The endpoint-dense server perfbench's `storm` workload runs.
-    workloads::ServerSpec spec;
-    spec.name = "storm";
-    spec.workPerRequest = 1;
-    spec.implantVuln = true;
-    spec.seed = 21;
-    spec.cr3 = 0x2100;
-    return spec;
 }
 
 /** Runs `requests` storm requests into a `ring`-byte ToPA and returns

@@ -24,6 +24,7 @@
 #include "attacks/chains.hh"
 #include "attacks/gadgets.hh"
 #include "core/flowguard.hh"
+#include "isa/syscalls.hh"
 #include "runtime/pmi.hh"
 #include "runtime/service.hh"
 #include "workloads/apps.hh"
@@ -314,6 +315,77 @@ TEST(ReportParity, PostMortemPmiReportCarriesTheEvidence)
     EXPECT_EQ(late.cr3, app.program.cr3());
     EXPECT_EQ(late.from, kill.from);
     EXPECT_EQ(late.to, kill.to);
+}
+
+/** Synthetic window with one checked TIP, `source` -> `target`,
+ *  entered through a TIP.PGE at `source`. */
+std::vector<uint8_t>
+oneTipWindow(uint64_t cr3, uint64_t source, uint64_t target)
+{
+    trace::Topa topa({1 << 16});
+    trace::IptEncoder encoder(trace::IptConfig{}, topa);
+    cpu::BranchEvent event;
+    event.kind = cpu::BranchKind::IndirectCall;
+    event.source = source;
+    event.target = source;
+    event.cr3 = cr3;
+    encoder.onBranch(event);
+    event.target = target;
+    encoder.onBranch(event);
+    encoder.flushTnt();
+    return topa.snapshot();
+}
+
+TEST(ReportParity, AuditReportCarriesTheEndpointSeq)
+{
+    // JitPolicy::AuditOnly waives a transition into address space no
+    // module claims, and the next endpoint files it as an UnknownCode
+    // audit report. Inline and through the service, that report must
+    // name the endpoint that filed it.
+    const auto app = workloads::buildPluginServerApp(pluginSpec());
+    FlowGuardConfig config;
+    config.dynamicModules = app.dynamicModules;
+    config.jitPolicy = dynamic::JitPolicy::AuditOnly;
+    FlowGuard guard(app.program, config);
+    guard.analyze();
+    const uint64_t cr3 = app.program.cr3();
+    const auto window = oneTipWindow(
+        cr3, app.program.modules()[0].codeBase + 8, 0x0000000333000000ULL);
+    const int64_t write = static_cast<int64_t>(isa::Syscall::Write);
+
+    auto audit = [&](bool service_mode) {
+        auto proc = guard.makeProcessHarness(app.program);
+        EXPECT_EQ(proc->monitor->check(window), CheckVerdict::Pass);
+        FlowGuardKernel::Config kconfig;
+        kconfig.endpoints = guard.config().endpoints;
+        FlowGuardKernel kernel(kconfig);
+        ProtectionService service(ServiceConfig{});
+        if (service_mode) {
+            kernel.attachService(service);
+            service.addProcess(cr3, *proc->monitor, *proc->encoder,
+                               *proc->topa, *proc->cpu, &proc->cycles);
+            EXPECT_EQ(service.attachAll().attached, 1u);
+        } else {
+            kernel.attachProcess(cr3, *proc->monitor, *proc->encoder,
+                                 *proc->topa, &proc->cycles);
+        }
+        const auto result = kernel.onSyscall(*proc->cpu, write);
+        EXPECT_NE(result.action, cpu::SyscallResult::Action::Kill);
+        EXPECT_EQ(kernel.auditReports().size(), 1u);
+        return kernel.auditReports().empty()
+            ? ViolationReport{} : kernel.auditReports().front();
+    };
+
+    const ViolationReport inline_audit = audit(false);
+    const ViolationReport service_audit = audit(true);
+    EXPECT_EQ(inline_audit.kind, ViolationReport::Kind::UnknownCode);
+    EXPECT_EQ(inline_audit.cr3, cr3);
+    EXPECT_EQ(inline_audit.seq, 1u);
+    EXPECT_EQ(service_audit.kind, inline_audit.kind);
+    EXPECT_EQ(service_audit.cr3, inline_audit.cr3);
+    EXPECT_EQ(service_audit.seq, inline_audit.seq);
+    EXPECT_EQ(service_audit.syscall, inline_audit.syscall);
+    EXPECT_EQ(service_audit.reason, inline_audit.reason);
 }
 
 } // namespace
