@@ -98,10 +98,10 @@ consumedMask(const Program &program, const LoadedFunction &fn)
     std::vector<bool> reached(fn.numInsts, false);
 
     auto local_index = [&](uint64_t addr) -> int {
-        auto idx = program.instIndexAt(addr);
-        if (!idx)
+        const uint32_t idx = program.instIndexAt(addr);
+        if (idx == isa::no_inst)
             return -1;
-        int64_t local = static_cast<int64_t>(*idx) -
+        int64_t local = static_cast<int64_t>(idx) -
                         static_cast<int64_t>(fn.firstInst);
         if (local < 0 || local >= static_cast<int64_t>(fn.numInsts))
             return -1;

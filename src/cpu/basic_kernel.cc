@@ -76,8 +76,7 @@ BasicKernel::dispatch(Cpu &cpu, int64_t number)
         const uint64_t want = cpu.reg(2);
         const uint64_t avail = _input.size() - _inputPos;
         const uint64_t got = std::min(want, avail);
-        for (uint64_t i = 0; i < got; ++i)
-            cpu.memory().write8(buf + i, _input[_inputPos + i]);
+        cpu.memory().writeBytes(buf, _input.data() + _inputPos, got);
         _inputPos += got;
         result.retval = static_cast<int64_t>(got);
         break;
@@ -87,8 +86,9 @@ BasicKernel::dispatch(Cpu &cpu, int64_t number)
       case Syscall::Send: {
         const uint64_t buf = cpu.reg(1);
         const uint64_t len = cpu.reg(2);
-        for (uint64_t i = 0; i < len; ++i)
-            _output.push_back(cpu.memory().read8(buf + i));
+        const size_t end = _output.size();
+        _output.resize(end + len);
+        cpu.memory().readBytes(buf, _output.data() + end, len);
         result.retval = static_cast<int64_t>(len);
         break;
       }

@@ -30,7 +30,7 @@ Cpu::reset()
     _regs.fill(0);
     for (const auto &image : _prog.initialData())
         _mem.writeBytes(image.addr, image.bytes);
-    _pc = _prog.entry();
+    setPc(_prog.entry());
     _regs[sp_reg] = _prog.stackTop();
     _cmp = 0;
     _instCount = 0;
@@ -110,24 +110,36 @@ Cpu::step()
 Cpu::Stop
 Cpu::doStep()
 {
-    const Instruction *inst = _prog.fetch(_pc);
-    if (!inst)
+    if (_inst == isa::no_inst)
         return raiseFault(FaultInfo::Kind::BadFetch, _pc);
 
+    const Instruction &inst = _prog.inst(_inst);
+    const isa::InstLinks links = _prog.instLinks(_inst);
     ++_instCount;
     const uint64_t pc = _pc;
-    const uint64_t next = pc + isa::instSize(inst->op);
+    const uint64_t next = pc + isa::instSize(inst.op);
 
-    switch (inst->op) {
-      case Opcode::Nop:
+    // Moves to the next instruction or to a direct branch's target,
+    // both resolved at link time.
+    auto fallThrough = [&] {
         _pc = next;
+        _inst = links.next;
+    };
+    auto jumpDirect = [&] {
+        _pc = inst.target;
+        _inst = links.target;
+    };
+
+    switch (inst.op) {
+      case Opcode::Nop:
+        fallThrough();
         break;
 
       case Opcode::Alu: {
-        uint64_t a = _regs[inst->rd];
-        uint64_t b = _regs[inst->rs];
+        uint64_t a = _regs[inst.rd];
+        uint64_t b = _regs[inst.rs];
         uint64_t r = 0;
-        switch (inst->aluOp) {
+        switch (inst.aluOp) {
           case isa::AluOp::Add: r = a + b; break;
           case isa::AluOp::Sub: r = a - b; break;
           case isa::AluOp::Mul: r = a * b; break;
@@ -137,16 +149,16 @@ Cpu::doStep()
           case isa::AluOp::Shl: r = a << (b & 63); break;
           case isa::AluOp::Shr: r = a >> (b & 63); break;
         }
-        _regs[inst->rd] = r;
-        _pc = next;
+        _regs[inst.rd] = r;
+        fallThrough();
         break;
       }
 
       case Opcode::AluImm: {
-        uint64_t a = _regs[inst->rd];
-        uint64_t b = static_cast<uint64_t>(inst->imm);
+        uint64_t a = _regs[inst.rd];
+        uint64_t b = static_cast<uint64_t>(inst.imm);
         uint64_t r = 0;
-        switch (inst->aluOp) {
+        switch (inst.aluOp) {
           case isa::AluOp::Add: r = a + b; break;
           case isa::AluOp::Sub: r = a - b; break;
           case isa::AluOp::Mul: r = a * b; break;
@@ -156,99 +168,106 @@ Cpu::doStep()
           case isa::AluOp::Shl: r = a << (b & 63); break;
           case isa::AluOp::Shr: r = a >> (b & 63); break;
         }
-        _regs[inst->rd] = r;
-        _pc = next;
+        _regs[inst.rd] = r;
+        fallThrough();
         break;
       }
 
       case Opcode::MovImm:
-        _regs[inst->rd] = static_cast<uint64_t>(inst->imm);
-        _pc = next;
+        _regs[inst.rd] = static_cast<uint64_t>(inst.imm);
+        fallThrough();
         break;
 
       case Opcode::MovReg:
-        _regs[inst->rd] = _regs[inst->rs];
-        _pc = next;
+        _regs[inst.rd] = _regs[inst.rs];
+        fallThrough();
         break;
 
       case Opcode::Load:
-        _regs[inst->rd] =
-            _mem.read64(_regs[inst->rs] +
-                        static_cast<uint64_t>(inst->imm));
-        _pc = next;
+        _regs[inst.rd] =
+            _mem.read64(_regs[inst.rs] +
+                        static_cast<uint64_t>(inst.imm));
+        fallThrough();
         break;
 
       case Opcode::Store: {
         uint64_t addr =
-            _regs[inst->rd] + static_cast<uint64_t>(inst->imm);
+            _regs[inst.rd] + static_cast<uint64_t>(inst.imm);
         if (_prog.isCode(addr))
             return raiseFault(FaultInfo::Kind::CodeWrite, addr);
-        _mem.write64(addr, _regs[inst->rs]);
-        _pc = next;
+        _mem.write64(addr, _regs[inst.rs]);
+        fallThrough();
         break;
       }
 
       case Opcode::Cmp: {
-        uint64_t a = _regs[inst->rd];
-        uint64_t b = _regs[inst->rs];
+        uint64_t a = _regs[inst.rd];
+        uint64_t b = _regs[inst.rs];
         _cmp = a < b ? -1 : (a == b ? 0 : 1);
-        _pc = next;
+        fallThrough();
         break;
       }
 
       case Opcode::CmpImm: {
-        uint64_t a = _regs[inst->rd];
-        uint64_t b = static_cast<uint64_t>(inst->imm);
+        uint64_t a = _regs[inst.rd];
+        uint64_t b = static_cast<uint64_t>(inst.imm);
         _cmp = a < b ? -1 : (a == b ? 0 : 1);
-        _pc = next;
+        fallThrough();
         break;
       }
 
-      case Opcode::Jcc: {
-        bool taken = evalCond(inst->cond);
-        emitBranch(taken ? BranchKind::CondTaken
-                         : BranchKind::CondNotTaken,
-                   pc, taken ? inst->target : next);
-        _pc = taken ? inst->target : next;
+      case Opcode::Jcc:
+        if (evalCond(inst.cond)) {
+            emitBranch(BranchKind::CondTaken, pc, inst.target);
+            jumpDirect();
+        } else {
+            emitBranch(BranchKind::CondNotTaken, pc, next);
+            fallThrough();
+        }
         break;
-      }
 
       case Opcode::Jmp:
-        emitBranch(BranchKind::DirectJump, pc, inst->target);
-        _pc = inst->target;
+        emitBranch(BranchKind::DirectJump, pc, inst.target);
+        jumpDirect();
         break;
 
       case Opcode::JmpInd: {
-        uint64_t target = _regs[inst->rs];
-        if (!_prog.fetch(target))
+        uint64_t target = _regs[inst.rs];
+        const uint32_t index = _prog.instIndexAt(target);
+        if (index == isa::no_inst)
             return raiseFault(FaultInfo::Kind::BadBranch, target);
         emitBranch(BranchKind::IndirectJump, pc, target);
         _pc = target;
+        _inst = index;
         break;
       }
 
       case Opcode::Call:
         push64(next);
-        emitBranch(BranchKind::DirectCall, pc, inst->target);
-        _pc = inst->target;
+        emitBranch(BranchKind::DirectCall, pc, inst.target);
+        jumpDirect();
         break;
 
       case Opcode::CallInd: {
-        uint64_t target = _regs[inst->rs];
-        if (!_prog.fetch(target))
+        uint64_t target = _regs[inst.rs];
+        const uint32_t index = _prog.instIndexAt(target);
+        if (index == isa::no_inst)
             return raiseFault(FaultInfo::Kind::BadBranch, target);
         push64(next);
         emitBranch(BranchKind::IndirectCall, pc, target);
         _pc = target;
+        _inst = index;
         break;
       }
 
       case Opcode::Ret: {
         uint64_t target = pop64();
-        if (!_prog.fetch(target))
+        const uint32_t index = _prog.instIndexAt(target);
+        if (index == isa::no_inst)
             return raiseFault(FaultInfo::Kind::BadBranch, target);
         emitBranch(BranchKind::Return, pc, target);
         _pc = target;
+        _inst = index;
         break;
       }
 
@@ -256,17 +275,18 @@ Cpu::doStep()
         emitBranch(BranchKind::SyscallEntry, pc, 0);
         SyscallResult result;
         if (_handler)
-            result = _handler->onSyscall(*this, inst->imm);
+            result = _handler->onSyscall(*this, inst.imm);
         switch (result.action) {
           case SyscallResult::Action::Continue:
             _regs[0] = static_cast<uint64_t>(result.retval);
-            _pc = next;
+            fallThrough();
             emitBranch(BranchKind::SyscallExit, pc, _pc);
             break;
           case SyscallResult::Action::PcSet:
-            // Handler installed pc (sigreturn); resume there.
+            // Handler installed pc (sigreturn) through setPc(), which
+            // re-resolved the index; resume there.
             emitBranch(BranchKind::SyscallExit, pc, _pc);
-            if (!_prog.fetch(_pc))
+            if (_inst == isa::no_inst)
                 return raiseFault(FaultInfo::Kind::BadBranch, _pc);
             break;
           case SyscallResult::Action::Exit:

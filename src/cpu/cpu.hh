@@ -12,6 +12,12 @@
  * Every retired CoFI is published to registered TraceSinks; syscalls
  * suspend the hart and enter the registered SyscallHandler (the kernel
  * simulator), which is where FlowGuard's interception lives.
+ *
+ * Next to the pc the hart carries the flat index of the instruction
+ * there (isa::no_inst when none starts at the pc). Fall-through and
+ * direct branches take the index from the program's link-time
+ * InstLinks; only indirect targets and setPc() consult the dense code
+ * index, so no instruction is looked up by address on the hot path.
  */
 
 #ifndef FLOWGUARD_CPU_CPU_HH
@@ -108,7 +114,12 @@ class Cpu
     uint64_t reg(int index) const { return _regs[index]; }
     void setReg(int index, uint64_t value) { _regs[index] = value; }
     uint64_t pc() const { return _pc; }
-    void setPc(uint64_t pc) { _pc = pc; }
+    void
+    setPc(uint64_t pc)
+    {
+        _pc = pc;
+        _inst = _prog.instIndexAt(pc);
+    }
     uint64_t sp() const { return _regs[sp_reg]; }
     void setSp(uint64_t sp) { _regs[sp_reg] = sp; }
     Memory &memory() { return _mem; }
@@ -147,6 +158,7 @@ class Cpu
     Memory _mem;
     std::array<uint64_t, isa::num_regs> _regs{};
     uint64_t _pc = 0;
+    uint32_t _inst = isa::no_inst;  ///< always _prog.instIndexAt(_pc)
     int _cmp = 0;   ///< -1 / 0 / +1 from the last Cmp
 
     std::vector<TraceSink *> _sinks;

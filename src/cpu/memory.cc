@@ -1,44 +1,46 @@
 #include "cpu/memory.hh"
 
+#include <algorithm>
+#include <cstring>
+
 namespace flowguard::cpu {
 
-const Memory::Page *
-Memory::findPage(uint64_t addr) const
+Memory &
+Memory::operator=(Memory &&other) noexcept
 {
-    auto it = _pages.find(addr / page_size);
-    return it == _pages.end() ? nullptr : &it->second;
+    if (this != &other) {
+        _pages = std::move(other._pages);
+        dropCache();
+        other.clear();
+    }
+    return *this;
+}
+
+const Memory::Page *
+Memory::findPageSlow(uint64_t page_no) const
+{
+    auto it = _pages.find(page_no);
+    if (it == _pages.end())
+        return nullptr;     // not cached: a later write materializes it
+    // Page nodes stay put until clear(), which empties the cache.
+    Page *page = const_cast<Page *>(&it->second);
+    _cache[page_no % cache_slots] = {page_no, page};
+    return page;
 }
 
 Memory::Page &
-Memory::touchPage(uint64_t addr)
+Memory::touchPageSlow(uint64_t page_no)
 {
-    auto [it, inserted] = _pages.try_emplace(addr / page_size);
+    auto [it, inserted] = _pages.try_emplace(page_no);
     if (inserted)
         it->second.fill(0);
+    _cache[page_no % cache_slots] = {page_no, &it->second};
     return it->second;
 }
 
-uint8_t
-Memory::read8(uint64_t addr) const
-{
-    const Page *page = findPage(addr);
-    return page ? (*page)[addr % page_size] : 0;
-}
-
 uint64_t
-Memory::read64(uint64_t addr) const
+Memory::read64Split(uint64_t addr) const
 {
-    // Fast path: fully inside one page.
-    if (addr % page_size <= page_size - 8) {
-        const Page *page = findPage(addr);
-        if (!page)
-            return 0;
-        uint64_t value = 0;
-        const uint8_t *src = page->data() + addr % page_size;
-        for (int i = 7; i >= 0; --i)
-            value = (value << 8) | src[i];
-        return value;
-    }
     uint64_t value = 0;
     for (int i = 7; i >= 0; --i)
         value = (value << 8) | read8(addr + static_cast<uint64_t>(i));
@@ -46,21 +48,8 @@ Memory::read64(uint64_t addr) const
 }
 
 void
-Memory::write8(uint64_t addr, uint8_t value)
+Memory::write64Split(uint64_t addr, uint64_t value)
 {
-    touchPage(addr)[addr % page_size] = value;
-}
-
-void
-Memory::write64(uint64_t addr, uint64_t value)
-{
-    if (addr % page_size <= page_size - 8) {
-        Page &page = touchPage(addr);
-        uint8_t *dst = page.data() + addr % page_size;
-        for (int i = 0; i < 8; ++i)
-            dst[i] = static_cast<uint8_t>(value >> (8 * i));
-        return;
-    }
     for (int i = 0; i < 8; ++i)
         write8(addr + static_cast<uint64_t>(i),
                static_cast<uint8_t>(value >> (8 * i)));
@@ -69,15 +58,30 @@ Memory::write64(uint64_t addr, uint64_t value)
 void
 Memory::readBytes(uint64_t addr, uint8_t *out, uint64_t len) const
 {
-    for (uint64_t i = 0; i < len; ++i)
-        out[i] = read8(addr + i);
+    while (len > 0) {
+        const uint64_t offset = addr % page_size;
+        const uint64_t chunk = std::min(len, page_size - offset);
+        if (const Page *page = findPage(addr / page_size))
+            std::memcpy(out, page->data() + offset, chunk);
+        else
+            std::memset(out, 0, chunk);
+        addr += chunk;
+        out += chunk;
+        len -= chunk;
+    }
 }
 
 void
 Memory::writeBytes(uint64_t addr, const uint8_t *in, uint64_t len)
 {
-    for (uint64_t i = 0; i < len; ++i)
-        write8(addr + i, in[i]);
+    while (len > 0) {
+        const uint64_t offset = addr % page_size;
+        const uint64_t chunk = std::min(len, page_size - offset);
+        std::memcpy(touchPage(addr / page_size).data() + offset, in, chunk);
+        addr += chunk;
+        in += chunk;
+        len -= chunk;
+    }
 }
 
 void
@@ -90,6 +94,7 @@ void
 Memory::clear()
 {
     _pages.clear();
+    dropCache();
 }
 
 } // namespace flowguard::cpu

@@ -43,31 +43,6 @@ Instruction::endsFlow() const
            op == Opcode::Ret || op == Opcode::Halt;
 }
 
-int
-instSize(Opcode op)
-{
-    switch (op) {
-      case Opcode::Nop: return 1;
-      case Opcode::Alu: return 3;
-      case Opcode::AluImm: return 4;
-      case Opcode::MovImm: return 6;
-      case Opcode::MovReg: return 2;
-      case Opcode::Load: return 4;
-      case Opcode::Store: return 4;
-      case Opcode::Cmp: return 2;
-      case Opcode::CmpImm: return 4;
-      case Opcode::Jcc: return 2;
-      case Opcode::Jmp: return 5;
-      case Opcode::JmpInd: return 3;
-      case Opcode::Call: return 5;
-      case Opcode::CallInd: return 3;
-      case Opcode::Ret: return 1;
-      case Opcode::Syscall: return 2;
-      case Opcode::Halt: return 1;
-    }
-    fg_panic("unknown opcode ", static_cast<int>(op));
-}
-
 const char *
 opcodeName(Opcode op)
 {

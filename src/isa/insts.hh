@@ -17,6 +17,7 @@
 #ifndef FLOWGUARD_ISA_INSTS_HH
 #define FLOWGUARD_ISA_INSTS_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -89,8 +90,39 @@ struct Instruction
     bool endsFlow() const;
 };
 
+namespace detail {
+
+/** Encoded byte sizes, indexed by Opcode. */
+inline constexpr uint8_t inst_sizes[] = {
+    1,  // Nop
+    3,  // Alu
+    4,  // AluImm
+    6,  // MovImm
+    2,  // MovReg
+    4,  // Load
+    4,  // Store
+    2,  // Cmp
+    4,  // CmpImm
+    2,  // Jcc
+    5,  // Jmp
+    3,  // JmpInd
+    5,  // Call
+    3,  // CallInd
+    1,  // Ret
+    2,  // Syscall
+    1,  // Halt
+};
+static_assert(sizeof inst_sizes == static_cast<size_t>(Opcode::Halt) + 1,
+              "one size per opcode");
+
+} // namespace detail
+
 /** Encoded byte size of an instruction with the given opcode. */
-int instSize(Opcode op);
+inline int
+instSize(Opcode op)
+{
+    return detail::inst_sizes[static_cast<size_t>(op)];
+}
 
 /** Mnemonic for an opcode. */
 const char *opcodeName(Opcode op);

@@ -428,8 +428,6 @@ Loader::link()
         const Module &mod = mods[i];
         for (size_t k = 0; k < mod.code.size(); ++k) {
             uint64_t addr = _codeBases[i] + mod.instOffsets[k];
-            prog._addrToInst[addr] =
-                static_cast<uint32_t>(prog._insts.size());
             prog._insts.push_back(mod.code[k]);
             prog._instAddrs.push_back(addr);
             prog._instModule.push_back(static_cast<uint32_t>(i));
@@ -466,6 +464,26 @@ Loader::link()
               [](const LoadedFunction &a, const LoadedFunction &b) {
                   return a.entry < b.entry;
               });
+
+    // --- dense code index and link-time successors ----------------------
+    for (const LoadedModule &lm : prog._modules)
+        prog._codeIndex.push_back(
+            {lm.codeBase,
+             std::vector<uint32_t>(lm.codeEnd - lm.codeBase, no_inst)});
+    for (size_t k = 0; k < prog._insts.size(); ++k) {
+        Program::CodeIndex &code = prog._codeIndex[prog._instModule[k]];
+        code.index[prog._instAddrs[k] - code.base] =
+            static_cast<uint32_t>(k);
+    }
+    prog._links.resize(prog._insts.size());
+    for (size_t k = 0; k < prog._insts.size(); ++k) {
+        const Instruction &inst = prog._insts[k];
+        InstLinks &links = prog._links[k];
+        links.next = prog.instIndexAt(prog._instAddrs[k] + instSize(inst.op));
+        if (inst.op == Opcode::Jcc || inst.op == Opcode::Jmp ||
+            inst.op == Opcode::Call)
+            links.target = prog.instIndexAt(inst.target);
+    }
 
     // --- entry point ------------------------------------------------------
     const Module &exec = mods[0];

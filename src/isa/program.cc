@@ -6,15 +6,6 @@
 
 namespace flowguard::isa {
 
-const Instruction *
-Program::fetch(uint64_t addr) const
-{
-    auto it = _addrToInst.find(addr);
-    if (it == _addrToInst.end())
-        return nullptr;
-    return &_insts[it->second];
-}
-
 int
 Program::moduleIndexAt(uint64_t addr) const
 {
@@ -39,21 +30,6 @@ Program::functionAt(uint64_t addr) const
     if (addr >= it->entry && addr < it->end)
         return &*it;
     return nullptr;
-}
-
-bool
-Program::isCode(uint64_t addr) const
-{
-    return moduleIndexAt(addr) >= 0;
-}
-
-std::optional<uint32_t>
-Program::instIndexAt(uint64_t addr) const
-{
-    auto it = _addrToInst.find(addr);
-    if (it == _addrToInst.end())
-        return std::nullopt;
-    return it->second;
 }
 
 uint64_t

@@ -9,13 +9,19 @@
  * layout. Code is immutable once linked (the W^X assumption of the
  * paper's threat model); the CPU copies `initialData()` into its
  * mutable memory at process start.
+ *
+ * Because code is immutable, every address→instruction question is
+ * answered at link time. Each module keeps a dense code index, one
+ * entry per code byte holding the flat index of the instruction that
+ * starts there or `no_inst`, and every instruction carries its
+ * successors (InstLinks) as flat indices, so the interpreter follows
+ * fall-through and direct branches without any lookup.
  */
 
 #ifndef FLOWGUARD_ISA_PROGRAM_HH
 #define FLOWGUARD_ISA_PROGRAM_HH
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -63,6 +69,20 @@ struct LoadedJumpTable
     uint32_t count = 0;
 };
 
+/** Flat instruction index meaning "no instruction starts here". */
+constexpr uint32_t no_inst = UINT32_MAX;
+
+/** An instruction's successors as flat indices, resolved at link time. */
+struct InstLinks
+{
+    /** The instruction at `addr + instSize(op)`, or no_inst when that
+     *  byte starts none (fall-through off a module's end). */
+    uint32_t next = no_inst;
+    /** For Jcc, Jmp and Call, the instruction at `target`, or no_inst
+     *  when the target is not an instruction boundary. */
+    uint32_t target = no_inst;
+};
+
 /** One relocated initial-data region. */
 struct DataImage
 {
@@ -73,8 +93,23 @@ struct DataImage
 class Program
 {
   public:
+    /** Flat index of the instruction starting at `addr`, or no_inst. */
+    uint32_t instIndexAt(uint64_t addr) const
+    {
+        for (const CodeIndex &code : _codeIndex) {
+            const uint64_t offset = addr - code.base;
+            if (offset < code.index.size())
+                return code.index[offset];
+        }
+        return no_inst;
+    }
+
     /** Decoded instruction at `addr`, or nullptr if not code. */
-    const Instruction *fetch(uint64_t addr) const;
+    const Instruction *fetch(uint64_t addr) const
+    {
+        const uint32_t index = instIndexAt(addr);
+        return index == no_inst ? nullptr : &_insts[index];
+    }
 
     /** Index of the module whose code range contains `addr`, or -1. */
     int moduleIndexAt(uint64_t addr) const;
@@ -83,10 +118,13 @@ class Program
     const LoadedFunction *functionAt(uint64_t addr) const;
 
     /** True if `addr` falls inside any module's code range. */
-    bool isCode(uint64_t addr) const;
-
-    /** Flat instruction index at `addr`, if `addr` is code. */
-    std::optional<uint32_t> instIndexAt(uint64_t addr) const;
+    bool isCode(uint64_t addr) const
+    {
+        for (const CodeIndex &code : _codeIndex)
+            if (addr - code.base < code.index.size())
+                return true;
+        return false;
+    }
 
     /** Address of the instruction following the one at `addr`. */
     uint64_t nextAddr(uint64_t addr) const;
@@ -109,6 +147,7 @@ class Program
     const Instruction &inst(size_t index) const { return _insts[index]; }
     uint64_t instAddr(size_t index) const { return _instAddrs[index]; }
     uint32_t instModule(size_t index) const { return _instModule[index]; }
+    const InstLinks &instLinks(size_t index) const { return _links[index]; }
 
     uint64_t entry() const { return _entry; }
     uint64_t stackTop() const { return _stackTop; }
@@ -127,10 +166,20 @@ class Program
   private:
     friend class Loader;
 
+    /** One module's code range [base, base + index.size()): entry
+     *  `addr - base` is the flat index of the instruction starting at
+     *  `addr`, or no_inst. */
+    struct CodeIndex
+    {
+        uint64_t base = 0;
+        std::vector<uint32_t> index;
+    };
+
     std::vector<Instruction> _insts;
     std::vector<uint64_t> _instAddrs;      ///< parallel to _insts, sorted
     std::vector<uint32_t> _instModule;     ///< parallel to _insts
-    std::unordered_map<uint64_t, uint32_t> _addrToInst;
+    std::vector<InstLinks> _links;         ///< parallel to _insts
+    std::vector<CodeIndex> _codeIndex;     ///< parallel to _modules
 
     std::vector<LoadedModule> _modules;
     std::vector<LoadedFunction> _functions;  ///< sorted by entry

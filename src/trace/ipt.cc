@@ -1,6 +1,7 @@
 #include "trace/ipt.hh"
 
 #include <algorithm>
+#include <cstring>
 
 #include "support/logging.hh"
 #include "telemetry/telemetry.hh"
@@ -32,38 +33,43 @@ Topa::write(const uint8_t *data, size_t len)
         absorbDropped(len);
         return;
     }
-    for (size_t i = 0; i < len; ++i) {
-        _storage[_cursor] = data[i];
+    size_t done = 0;
+    while (done < len) {
+        // Copy up to the end of the last region, into the primary
+        // half and, once wrapped, its mirror.
+        const size_t chunk = std::min(len - done, _capacity - _cursor);
+        std::memcpy(_storage.data() + _cursor, data + done, chunk);
         if (_wrapped)
-            _storage[_capacity + _cursor] = data[i];
-        ++_cursor;
-        ++_totalWritten;
-        if (_cursor == _capacity) {
-            // Last region filled: wrap to the head and raise the PMI.
-            // From here on view() ends in the mirror half.
-            _cursor = 0;
-            if (!_wrapped)
-                _storage.resize(2 * _capacity);
-            _wrapped = true;
-            if (_pmiLatencyBytes == 0) {
-                // Instant service: the handler runs inside the wrap.
-                if (_pmi)
-                    _pmi();
-            } else {
-                // Service latency: output stalls until the handler
-                // runs. The packet in flight is dropped whole — the
-                // hardware pads out the region tail rather than
-                // committing a torn packet prefix a decoder could
-                // misparse as a valid packet with garbage payload.
-                _overflowing = true;
-                _latencyRemaining = _pmiLatencyBytes;
-                const size_t torn = i + 1 < len ? i + 1 : 0;
-                for (size_t k = 0; k < torn; ++k)
-                    _storage[_capacity - 1 - k] = 0x00;
-                _droppedBytes += torn;
-                absorbDropped(len - i - 1);
-                return;
-            }
+            std::memcpy(_storage.data() + _capacity + _cursor,
+                        data + done, chunk);
+        _cursor += chunk;
+        _totalWritten += chunk;
+        done += chunk;
+        if (_cursor < _capacity)
+            break;
+        // Last region filled: wrap to the head and raise the PMI.
+        // From here on view() ends in the mirror half.
+        _cursor = 0;
+        if (!_wrapped)
+            _storage.resize(2 * _capacity);
+        _wrapped = true;
+        if (_pmiLatencyBytes == 0) {
+            // Instant service: the handler runs inside the wrap.
+            if (_pmi)
+                _pmi();
+        } else {
+            // Service latency: output stalls until the handler
+            // runs. The packet in flight is dropped whole — the
+            // hardware pads out the region tail rather than
+            // committing a torn packet prefix a decoder could
+            // misparse as a valid packet with garbage payload.
+            _overflowing = true;
+            _latencyRemaining = _pmiLatencyBytes;
+            const size_t torn = done < len ? done : 0;
+            std::memset(_storage.data() + _capacity - torn, 0x00, torn);
+            _droppedBytes += torn;
+            absorbDropped(len - done);
+            return;
         }
     }
 }
@@ -127,7 +133,7 @@ IptEncoder::IptEncoder(IptConfig config, Topa &topa,
 {}
 
 void
-IptEncoder::emit(const std::vector<uint8_t> &bytes)
+IptEncoder::emit(const PacketBytes &bytes)
 {
     _topa.write(bytes.data(), bytes.size());
     _stats.bytes += bytes.size();
@@ -144,10 +150,10 @@ IptEncoder::maybePsb()
     if (_started && _bytesSincePsb < _config.psbPeriodBytes)
         return;
     flushTnt();
-    _scratch.clear();
-    appendPsb(_scratch);
-    appendPsbEnd(_scratch);
-    emit(_scratch);
+    PacketBytes bytes;
+    appendPsb(bytes);
+    appendPsbEnd(bytes);
+    emit(bytes);
     ++_stats.psbPackets;
     _bytesSincePsb = 0;
     _lastIp = 0;    // decoder state resets at PSB; mirror it
@@ -165,11 +171,11 @@ IptEncoder::maybeOvfResync()
     // traced branch re-establishes context via TIP.PGE.
     _tntBits = 0;
     _tntCount = 0;
-    _scratch.clear();
-    appendOvf(_scratch);
-    appendPsb(_scratch);
-    appendPsbEnd(_scratch);
-    emit(_scratch);
+    PacketBytes bytes;
+    appendOvf(bytes);
+    appendPsb(bytes);
+    appendPsbEnd(bytes);
+    emit(bytes);
     ++_stats.ovfPackets;
     ++_stats.psbPackets;
     if (_telemetry)
@@ -187,13 +193,22 @@ IptEncoder::flushTnt()
     maybeOvfResync();
     if (_tntCount == 0)
         return;
-    _scratch.clear();
-    appendTnt(_scratch, _tntBits, _tntCount);
-    emit(_scratch);
+    PacketBytes bytes;
+    appendTnt(bytes, _tntBits, _tntCount);
+    emit(bytes);
     ++_stats.tntPackets;
     _stats.tntBits += static_cast<uint64_t>(_tntCount);
     _tntBits = 0;
     _tntCount = 0;
+}
+
+void
+IptEncoder::appendTntBit(bool taken)
+{
+    _tntBits |= static_cast<uint8_t>(static_cast<unsigned>(taken)
+                                     << _tntCount);
+    if (++_tntCount == 6)
+        flushTnt();
 }
 
 void
@@ -252,15 +267,31 @@ IptEncoder::onBranch(const BranchEvent &event)
     maybeOvfResync();
 
     const bool on = passesFilters(event);
+
+    // Most retired branches are direct or conditional ones inside the
+    // traced context with no PSB due. They emit no packet of their
+    // own, at most a TNT bit, so they return here; the general path
+    // below would reach the same outcome.
+    const bool direct = event.kind == BranchKind::DirectJump ||
+                        event.kind == BranchKind::DirectCall;
+    const bool conditional = event.kind == BranchKind::CondTaken ||
+                             event.kind == BranchKind::CondNotTaken;
+    if (on && _contextOn && (direct || conditional) && _started &&
+        _bytesSincePsb < _config.psbPeriodBytes) {
+        if (conditional)
+            appendTntBit(event.kind == BranchKind::CondTaken);
+        return;
+    }
+
     if (!on) {
         if (_contextOn) {
             // Leaving the filtered context: TIP.PGD, IP suppressed.
             maybePsb();
             flushTnt();
-            _scratch.clear();
-            appendTipClass(_scratch, opcode::tip_pgd, 0, _lastIp,
+            PacketBytes bytes;
+            appendTipClass(bytes, opcode::tip_pgd, 0, _lastIp,
                            /*suppress=*/true);
-            emit(_scratch);
+            emit(bytes);
             ++_stats.pgdPackets;
             _contextOn = false;
         }
@@ -276,9 +307,9 @@ IptEncoder::onBranch(const BranchEvent &event)
         // The PGE subsumes the branch itself — emitting the branch's
         // own TNT/TIP as well would desynchronize the decoder.
         flushTnt();
-        _scratch.clear();
-        appendTipClass(_scratch, opcode::tip_pge, event.target, _lastIp);
-        emit(_scratch);
+        PacketBytes bytes;
+        appendTipClass(bytes, opcode::tip_pge, event.target, _lastIp);
+        emit(bytes);
         ++_stats.pgePackets;
         _contextOn = true;
         return;
@@ -291,39 +322,35 @@ IptEncoder::onBranch(const BranchEvent &event)
         break;
 
       case BranchKind::CondTaken:
-      case BranchKind::CondNotTaken: {
-        const uint8_t bit =
-            event.kind == BranchKind::CondTaken ? 1 : 0;
-        _tntBits |= static_cast<uint8_t>(bit << _tntCount);
-        ++_tntCount;
-        if (_tntCount == 6)
-            flushTnt();
+      case BranchKind::CondNotTaken:
+        appendTntBit(event.kind == BranchKind::CondTaken);
         break;
-      }
 
       case BranchKind::IndirectJump:
       case BranchKind::IndirectCall:
-      case BranchKind::Return:
+      case BranchKind::Return: {
         flushTnt();
-        _scratch.clear();
-        appendTipClass(_scratch, opcode::tip, event.target, _lastIp);
-        emit(_scratch);
+        PacketBytes bytes;
+        appendTipClass(bytes, opcode::tip, event.target, _lastIp);
+        emit(bytes);
         ++_stats.tipPackets;
         break;
+      }
 
-      case BranchKind::SyscallEntry:
+      case BranchKind::SyscallEntry: {
         // Far transfer with OS tracing disabled: FUP at the syscall
         // instruction, then TIP.PGD as tracing pauses in the kernel.
         flushTnt();
-        _scratch.clear();
-        appendTipClass(_scratch, opcode::fup, event.source, _lastIp);
-        appendTipClass(_scratch, opcode::tip_pgd, 0, _lastIp,
+        PacketBytes bytes;
+        appendTipClass(bytes, opcode::fup, event.source, _lastIp);
+        appendTipClass(bytes, opcode::tip_pgd, 0, _lastIp,
                        /*suppress=*/true);
-        emit(_scratch);
+        emit(bytes);
         ++_stats.fupPackets;
         ++_stats.pgdPackets;
         _contextOn = false;     // next user event re-emits PGE
         break;
+      }
 
       case BranchKind::SyscallExit:
         // Handled by the context-on transition above.

@@ -231,7 +231,11 @@ class IptEncoder : public cpu::TraceSink
     bool contextOn() const { return _contextOn; }
 
   private:
-    void emit(const std::vector<uint8_t> &bytes);
+    /** Writes one packet group to the ToPA in a single write, so an
+     *  overflow drops it whole, and charges its bytes. */
+    void emit(const PacketBytes &bytes);
+    /** Buffers one conditional outcome, flushing a full TNT. */
+    void appendTntBit(bool taken);
     void maybePsb();
     void maybeOvfResync();
     bool passesFilters(const cpu::BranchEvent &event) const;
@@ -248,7 +252,6 @@ class IptEncoder : public cpu::TraceSink
     uint64_t _bytesSincePsb = 0;
     uint64_t _reconfigs = 0;
     IptStats _stats;
-    std::vector<uint8_t> _scratch;
     telemetry::Telemetry *_telemetry = nullptr;
     uint64_t _telemetryCr3 = 0;
 };

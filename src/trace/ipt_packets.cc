@@ -2,8 +2,6 @@
 
 #include <sstream>
 
-#include "support/logging.hh"
-
 namespace flowguard::trace {
 
 using namespace detail;
@@ -24,17 +22,6 @@ psbRunTail(const uint8_t *data, size_t size, size_t match)
            data[end + 1] == psb_byte1)
         end += 2;
     return end - psb_len;
-}
-
-/** IPBytes mode for compressing `ip` against `last_ip`. */
-int
-ipMode(uint64_t ip, uint64_t last_ip)
-{
-    if ((ip >> 16) == (last_ip >> 16))
-        return 1;
-    if ((ip >> 32) == (last_ip >> 32))
-        return 2;
-    return 6;
 }
 
 } // namespace
@@ -80,57 +67,6 @@ Packet::toString() const
         break;
     }
     return oss.str();
-}
-
-void
-appendTnt(std::vector<uint8_t> &out, uint8_t bits, int count)
-{
-    fg_assert(count >= 1 && count <= 6, "short TNT holds 1-6 bits");
-    uint8_t byte = static_cast<uint8_t>(1u << (count + 1));
-    byte |= static_cast<uint8_t>((bits & ((1u << count) - 1)) << 1);
-    out.push_back(byte);
-}
-
-void
-appendTipClass(std::vector<uint8_t> &out, uint8_t op, uint64_t ip,
-               uint64_t &last_ip, bool suppress)
-{
-    int mode = suppress ? 0 : ipMode(ip, last_ip);
-    out.push_back(static_cast<uint8_t>((mode << 5) | op));
-    int nbytes = ipPayloadBytes(mode);
-    for (int i = 0; i < nbytes; ++i)
-        out.push_back(static_cast<uint8_t>(ip >> (8 * i)));
-    if (!suppress)
-        last_ip = ip;
-}
-
-void
-appendPsb(std::vector<uint8_t> &out)
-{
-    for (int i = 0; i < psb_repeats; ++i) {
-        out.push_back(psb_byte0);
-        out.push_back(psb_byte1);
-    }
-}
-
-void
-appendPsbEnd(std::vector<uint8_t> &out)
-{
-    out.push_back(psb_byte0);
-    out.push_back(psbend_byte1);
-}
-
-void
-appendOvf(std::vector<uint8_t> &out)
-{
-    out.push_back(psb_byte0);
-    out.push_back(ovf_byte1);
-}
-
-void
-appendPad(std::vector<uint8_t> &out)
-{
-    out.push_back(0x00);
 }
 
 PacketParser::PacketParser(const uint8_t *data, size_t size)

@@ -37,6 +37,8 @@
 #include <string>
 #include <vector>
 
+#include "support/logging.hh"
+
 namespace flowguard::trace {
 
 enum class PacketKind : uint8_t {
@@ -81,28 +83,6 @@ struct Packet
 
     std::string toString() const;
 };
-
-/** Appends a short TNT packet holding `count` (1-6) outcomes. */
-void appendTnt(std::vector<uint8_t> &out, uint8_t bits, int count);
-
-/**
- * Appends a TIP-class packet, delta-compressing `ip` against
- * `last_ip` (updated). `suppress` emits IPBytes mode 0.
- */
-void appendTipClass(std::vector<uint8_t> &out, uint8_t op, uint64_t ip,
-                    uint64_t &last_ip, bool suppress = false);
-
-/** Appends the 16-byte PSB sync pattern. */
-void appendPsb(std::vector<uint8_t> &out);
-
-/** Appends PSBEND. */
-void appendPsbEnd(std::vector<uint8_t> &out);
-
-/** Appends OVF (0x02 0xF3), the trace-loss marker. */
-void appendOvf(std::vector<uint8_t> &out);
-
-/** Appends a PAD byte. */
-void appendPad(std::vector<uint8_t> &out);
 
 /** Wire-format constants and helpers the inline parser below needs. */
 namespace detail {
@@ -153,7 +133,106 @@ ipPayloadBytes(int mode)
     return -1;
 }
 
+/** IPBytes mode for compressing `ip` against `last_ip`. */
+inline int
+ipMode(uint64_t ip, uint64_t last_ip)
+{
+    if ((ip >> 16) == (last_ip >> 16))
+        return 1;
+    if ((ip >> 32) == (last_ip >> 32))
+        return 2;
+    return 6;
+}
+
 } // namespace detail
+
+// The packet writers append to any byte sink with push_back: a
+// std::vector, or the encoder's fixed-size PacketBytes below.
+
+/** Appends a short TNT packet holding `count` (1-6) outcomes. */
+template <typename Out>
+void
+appendTnt(Out &out, uint8_t bits, int count)
+{
+    fg_assert(count >= 1 && count <= 6, "short TNT holds 1-6 bits");
+    uint8_t byte = static_cast<uint8_t>(1u << (count + 1));
+    byte |= static_cast<uint8_t>((bits & ((1u << count) - 1)) << 1);
+    out.push_back(byte);
+}
+
+/**
+ * Appends a TIP-class packet, delta-compressing `ip` against
+ * `last_ip` (updated). `suppress` emits IPBytes mode 0.
+ */
+template <typename Out>
+void
+appendTipClass(Out &out, uint8_t op, uint64_t ip, uint64_t &last_ip,
+               bool suppress = false)
+{
+    const int mode = suppress ? 0 : detail::ipMode(ip, last_ip);
+    out.push_back(static_cast<uint8_t>((mode << 5) | op));
+    const int nbytes = detail::ipPayloadBytes(mode);
+    for (int i = 0; i < nbytes; ++i)
+        out.push_back(static_cast<uint8_t>(ip >> (8 * i)));
+    if (!suppress)
+        last_ip = ip;
+}
+
+/** Appends the 16-byte PSB sync pattern. */
+template <typename Out>
+void
+appendPsb(Out &out)
+{
+    for (int i = 0; i < detail::psb_repeats; ++i) {
+        out.push_back(detail::psb_byte0);
+        out.push_back(detail::psb_byte1);
+    }
+}
+
+/** Appends PSBEND. */
+template <typename Out>
+void
+appendPsbEnd(Out &out)
+{
+    out.push_back(detail::psb_byte0);
+    out.push_back(detail::psbend_byte1);
+}
+
+/** Appends OVF (0x02 0xF3), the trace-loss marker. */
+template <typename Out>
+void
+appendOvf(Out &out)
+{
+    out.push_back(detail::psb_byte0);
+    out.push_back(detail::ovf_byte1);
+}
+
+/** Appends a PAD byte. */
+template <typename Out>
+void
+appendPad(Out &out)
+{
+    out.push_back(0x00);
+}
+
+/**
+ * The bytes of one encoder write, assembled on the stack so a packet
+ * reaches the ToPA in a single write with no heap buffer. The largest
+ * write is OVF + PSB + PSBEND (20 bytes).
+ */
+class PacketBytes
+{
+  public:
+    static constexpr size_t capacity = 20;
+
+    void push_back(uint8_t byte) { _bytes[_size++] = byte; }
+    const uint8_t *data() const { return _bytes; }
+    size_t size() const { return _size; }
+
+  private:
+    uint8_t _bytes[capacity];
+    size_t _size = 0;
+};
 
 /**
  * Streaming parser over a raw packet buffer. Maintains the last-IP

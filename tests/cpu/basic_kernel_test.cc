@@ -71,6 +71,47 @@ TEST(BasicKernel, WriteCapturesOutput)
               (std::vector<uint8_t>{'h', 'i', '!'}));
 }
 
+TEST(BasicKernel, ReadAndWriteStraddleAPageBoundary)
+{
+    // Read 300 input bytes into a buffer that starts 10 bytes before a
+    // page boundary, then write them back out: the bulk copies split
+    // at the boundary and must move every byte once, in order.
+    constexpr int64_t start = 4096 - 10;
+    ModuleBuilder mod("m", ModuleKind::Executable);
+    mod.dataBss("buf", 2 * 4096);
+    mod.function("main");
+    mod.movImm(0, 0);
+    mod.movImmData(1, "buf");
+    mod.aluImm(AluOp::Add, 1, start);
+    mod.movImm(2, 300);
+    mod.syscall(static_cast<int64_t>(Syscall::Read));
+    mod.movReg(5, 0);                   // bytes read
+    mod.movImm(0, 1);
+    mod.movImmData(1, "buf");
+    mod.aluImm(AluOp::Add, 1, start);
+    mod.movImm(2, 300);
+    mod.syscall(static_cast<int64_t>(Syscall::Write));
+    mod.halt();
+    Program prog = link(std::move(mod));
+
+    std::vector<uint8_t> input(300);
+    for (size_t i = 0; i < input.size(); ++i)
+        input[i] = static_cast<uint8_t>(i * 7 + 3);
+    cpu::Cpu cpu(prog);
+    cpu::BasicKernel kernel;
+    kernel.setInput(input);
+    cpu.setSyscallHandler(&kernel);
+    ASSERT_EQ(cpu.run(100), cpu::Cpu::Stop::Halted);
+    EXPECT_EQ(cpu.reg(5), 300u);
+    EXPECT_EQ(kernel.output(), input);
+    const uint64_t buf = prog.dataAddr("m", "buf");
+    ASSERT_EQ(buf % 4096, 0u);
+    EXPECT_EQ(cpu.memory().read8(buf + start - 1), 0u);
+    EXPECT_EQ(cpu.memory().read8(buf + 4095), input[9]);
+    EXPECT_EQ(cpu.memory().read8(buf + 4096), input[10]);
+    EXPECT_EQ(cpu.memory().read8(buf + start + 300), 0u);
+}
+
 TEST(BasicKernel, MmapBumpAllocatorPageAligned)
 {
     ModuleBuilder mod("m", ModuleKind::Executable);

@@ -218,10 +218,10 @@ TEST(Loader, ProgramQueries)
     EXPECT_EQ(prog.functionAt(prog.nextAddr(main_addr)), fn);
     EXPECT_EQ(prog.functionAt(0x10), nullptr);
 
-    auto index = prog.instIndexAt(main_addr);
-    ASSERT_TRUE(index.has_value());
-    EXPECT_EQ(prog.instAddr(*index), main_addr);
-    EXPECT_FALSE(prog.instIndexAt(main_addr + 1).has_value());
+    const uint32_t index = prog.instIndexAt(main_addr);
+    ASSERT_NE(index, no_inst);
+    EXPECT_EQ(prog.instAddr(index), main_addr);
+    EXPECT_EQ(prog.instIndexAt(main_addr + 1), no_inst);
 }
 
 TEST(Loader, RandomizedLayoutSlidesModulesDeterministically)

@@ -15,6 +15,9 @@
  * check. The one allocation a check may still make is the verdict
  * log's amortized growth (one byte per check, capacity doubling),
  * which is told apart by watching the log's capacity.
+ *
+ * A second test counts the allocations of the IPT encoder itself over
+ * a warm ring: none.
  */
 
 #include <gtest/gtest.h>
@@ -187,6 +190,64 @@ TEST(ZeroAllocation, PassingChecksOnLiveViewsAllocateNothing)
     EXPECT_GE(measured.size(), 300u);
     EXPECT_GE(on_wrapped_ring, measured.size() / 2);
     EXPECT_LE(log_growths, 1u);
+}
+
+/** Records a run's branch stream. */
+class BranchLog : public cpu::TraceSink
+{
+  public:
+    void onBranch(const cpu::BranchEvent &event) override
+    {
+        events.push_back(event);
+    }
+
+    std::vector<cpu::BranchEvent> events;
+};
+
+TEST(ZeroAllocation, EncoderWritesPacketsWithoutAllocating)
+{
+    // The encoder builds each packet on the stack and writes it to the
+    // ToPA in one call. After a warm-up pass, in which the ring wraps
+    // and grows its mirror once, encoding allocates nothing: with the
+    // PMI serviced at the wrap and with service latency (packets
+    // dropped whole, then OVF + PSB resync).
+    const auto spec = workloads::serverSuite()[0];
+    const auto app = workloads::buildServerApp(spec);
+    BranchLog log;
+    workloads::runOnce(app.program,
+                       workloads::makeBenignStream(
+                           3, 7, spec.numHandlers, spec.numParserStates),
+                       &log);
+    ASSERT_GT(log.events.size(), 10'000u);
+
+    for (size_t latency : {size_t{0}, size_t{300}}) {
+        SCOPED_TRACE("PMI latency " + std::to_string(latency));
+        trace::Topa topa({2048, 2048});
+        topa.setPmiServiceLatency(latency);
+        uint64_t pmis = 0;
+        topa.setPmiCallback([&pmis] { ++pmis; });
+        trace::IptConfig ipt_config;
+        ipt_config.cr3Filter = true;
+        ipt_config.cr3Match = app.program.cr3();
+        cpu::CycleAccount cycles;
+        trace::IptEncoder encoder(ipt_config, topa, &cycles);
+
+        for (const auto &event : log.events)
+            encoder.onBranch(event);
+        ASSERT_TRUE(topa.wrapped());
+        const uint64_t bytes_before = encoder.stats().bytes;
+        const uint64_t pmis_before = pmis;
+        const uint64_t before = heap_allocations.load();
+        for (const auto &event : log.events)
+            encoder.onBranch(event);
+        EXPECT_EQ(heap_allocations.load() - before, 0u);
+        // The measured pass really wrote packets and wrapped the ring.
+        EXPECT_GT(encoder.stats().bytes - bytes_before, 4096u);
+        EXPECT_GT(pmis - pmis_before, 0u);
+        if (latency > 0) {
+            EXPECT_GT(encoder.stats().ovfPackets, 0u);
+        }
+    }
 }
 
 } // namespace
