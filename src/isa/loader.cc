@@ -466,13 +466,11 @@ Loader::link()
               });
 
     // --- dense code index and link-time successors ----------------------
-    for (const LoadedModule &lm : prog._modules)
-        prog._codeIndex.push_back(
-            {lm.codeBase,
-             std::vector<uint32_t>(lm.codeEnd - lm.codeBase, no_inst)});
+    for (LoadedModule &lm : prog._modules)
+        lm.codeIndex.assign(lm.codeEnd - lm.codeBase, no_inst);
     for (size_t k = 0; k < prog._insts.size(); ++k) {
-        Program::CodeIndex &code = prog._codeIndex[prog._instModule[k]];
-        code.index[prog._instAddrs[k] - code.base] =
+        LoadedModule &lm = prog._modules[prog._instModule[k]];
+        lm.codeIndex[prog._instAddrs[k] - lm.codeBase] =
             static_cast<uint32_t>(k);
     }
     prog._links.resize(prog._insts.size());

@@ -6,17 +6,6 @@
 
 namespace flowguard::isa {
 
-int
-Program::moduleIndexAt(uint64_t addr) const
-{
-    for (size_t i = 0; i < _modules.size(); ++i) {
-        const auto &mod = _modules[i];
-        if (addr >= mod.codeBase && addr < mod.codeEnd)
-            return static_cast<int>(i);
-    }
-    return -1;
-}
-
 const LoadedFunction *
 Program::functionAt(uint64_t addr) const
 {

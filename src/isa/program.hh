@@ -31,6 +31,9 @@
 
 namespace flowguard::isa {
 
+/** Flat instruction index meaning "no instruction starts here". */
+constexpr uint32_t no_inst = UINT32_MAX;
+
 /** A module after loading: absolute ranges plus symbol tables. */
 struct LoadedModule
 {
@@ -38,6 +41,10 @@ struct LoadedModule
     ModuleKind kind = ModuleKind::Executable;
     uint64_t codeBase = 0;
     uint64_t codeEnd = 0;
+    /** Dense code index, one entry per byte of [codeBase, codeEnd):
+     *  entry `addr - codeBase` is the flat index of the instruction
+     *  starting at `addr`, or no_inst. */
+    std::vector<uint32_t> codeIndex;
     uint64_t dataBase = 0;
     uint64_t dataEnd = 0;
     std::unordered_map<std::string, uint64_t> funcAddrs;
@@ -69,9 +76,6 @@ struct LoadedJumpTable
     uint32_t count = 0;
 };
 
-/** Flat instruction index meaning "no instruction starts here". */
-constexpr uint32_t no_inst = UINT32_MAX;
-
 /** An instruction's successors as flat indices, resolved at link time. */
 struct InstLinks
 {
@@ -96,10 +100,10 @@ class Program
     /** Flat index of the instruction starting at `addr`, or no_inst. */
     uint32_t instIndexAt(uint64_t addr) const
     {
-        for (const CodeIndex &code : _codeIndex) {
-            const uint64_t offset = addr - code.base;
-            if (offset < code.index.size())
-                return code.index[offset];
+        for (const LoadedModule &mod : _modules) {
+            const uint64_t offset = addr - mod.codeBase;
+            if (offset < mod.codeIndex.size())
+                return mod.codeIndex[offset];
         }
         return no_inst;
     }
@@ -112,19 +116,21 @@ class Program
     }
 
     /** Index of the module whose code range contains `addr`, or -1. */
-    int moduleIndexAt(uint64_t addr) const;
+    int moduleIndexAt(uint64_t addr) const
+    {
+        for (size_t i = 0; i < _modules.size(); ++i) {
+            const LoadedModule &mod = _modules[i];
+            if (addr - mod.codeBase < mod.codeEnd - mod.codeBase)
+                return static_cast<int>(i);
+        }
+        return -1;
+    }
 
     /** Function whose [entry, end) contains `addr`, or nullptr. */
     const LoadedFunction *functionAt(uint64_t addr) const;
 
     /** True if `addr` falls inside any module's code range. */
-    bool isCode(uint64_t addr) const
-    {
-        for (const CodeIndex &code : _codeIndex)
-            if (addr - code.base < code.index.size())
-                return true;
-        return false;
-    }
+    bool isCode(uint64_t addr) const { return moduleIndexAt(addr) >= 0; }
 
     /** Address of the instruction following the one at `addr`. */
     uint64_t nextAddr(uint64_t addr) const;
@@ -166,20 +172,10 @@ class Program
   private:
     friend class Loader;
 
-    /** One module's code range [base, base + index.size()): entry
-     *  `addr - base` is the flat index of the instruction starting at
-     *  `addr`, or no_inst. */
-    struct CodeIndex
-    {
-        uint64_t base = 0;
-        std::vector<uint32_t> index;
-    };
-
     std::vector<Instruction> _insts;
     std::vector<uint64_t> _instAddrs;      ///< parallel to _insts, sorted
     std::vector<uint32_t> _instModule;     ///< parallel to _insts
     std::vector<InstLinks> _links;         ///< parallel to _insts
-    std::vector<CodeIndex> _codeIndex;     ///< parallel to _modules
 
     std::vector<LoadedModule> _modules;
     std::vector<LoadedFunction> _functions;  ///< sorted by entry

@@ -266,24 +266,7 @@ IptEncoder::onBranch(const BranchEvent &event)
 
     maybeOvfResync();
 
-    const bool on = passesFilters(event);
-
-    // Most retired branches are direct or conditional ones inside the
-    // traced context with no PSB due. They emit no packet of their
-    // own, at most a TNT bit, so they return here; the general path
-    // below would reach the same outcome.
-    const bool direct = event.kind == BranchKind::DirectJump ||
-                        event.kind == BranchKind::DirectCall;
-    const bool conditional = event.kind == BranchKind::CondTaken ||
-                             event.kind == BranchKind::CondNotTaken;
-    if (on && _contextOn && (direct || conditional) && _started &&
-        _bytesSincePsb < _config.psbPeriodBytes) {
-        if (conditional)
-            appendTntBit(event.kind == BranchKind::CondTaken);
-        return;
-    }
-
-    if (!on) {
+    if (!passesFilters(event)) {
         if (_contextOn) {
             // Leaving the filtered context: TIP.PGD, IP suppressed.
             maybePsb();

@@ -32,6 +32,7 @@
 #define FLOWGUARD_TRACE_IPT_PACKETS_HH
 
 #include <bit>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -93,6 +94,10 @@ constexpr uint8_t psbend_byte1 = 0x23;
 constexpr uint8_t ovf_byte1 = 0xF3;
 constexpr int psb_repeats = 8;
 constexpr size_t psb_len = 2 * psb_repeats;
+constexpr size_t psbend_len = 2;
+constexpr size_t ovf_len = 2;
+/** Header byte plus the widest IP payload (IPBytes mode 6). */
+constexpr size_t tip_max_len = 1 + 8;
 
 inline bool
 psbPatternAt(const uint8_t *data, size_t size, size_t pos)
@@ -218,14 +223,21 @@ appendPad(Out &out)
 /**
  * The bytes of one encoder write, assembled on the stack so a packet
  * reaches the ToPA in a single write with no heap buffer. The largest
- * write is OVF + PSB + PSBEND (20 bytes).
+ * write is OVF + PSB + PSBEND; the next is FUP + TIP.PGD.
  */
 class PacketBytes
 {
   public:
-    static constexpr size_t capacity = 20;
+    static constexpr size_t capacity =
+        detail::ovf_len + detail::psb_len + detail::psbend_len;
+    static_assert(capacity >= 2 * detail::tip_max_len,
+                  "a FUP + TIP.PGD group must fit");
 
-    void push_back(uint8_t byte) { _bytes[_size++] = byte; }
+    void push_back(uint8_t byte)
+    {
+        assert(_size < capacity);
+        _bytes[_size++] = byte;
+    }
     const uint8_t *data() const { return _bytes; }
     size_t size() const { return _size; }
 
