@@ -195,54 +195,6 @@ programFingerprint(const isa::Program &program)
 }
 
 void
-saveProfileV2(const FlowGuard &guard, std::ostream &out)
-{
-    fg_assert(guard.analyzed(), "analyze() before saving a profile");
-    const analysis::ItcCfg &itc = guard.itc();
-
-    write64(out, profile_magic);
-    write64(out, profile_version_v2);
-    write64(out, programFingerprint(guard.program()));
-    write64(out, itc.numNodes());
-    write64(out, itc.numEdges());
-
-    // Credits as a packed bitset.
-    for (size_t e = 0; e < itc.numEdges(); e += 64) {
-        uint64_t word = 0;
-        for (size_t b = 0; b < 64 && e + b < itc.numEdges(); ++b) {
-            if (itc.highCredit(static_cast<int64_t>(e + b)))
-                word |= 1ULL << b;
-        }
-        write64(out, word);
-    }
-
-    // TNT annotations: per edge, varied flag + sequence list.
-    for (size_t e = 0; e < itc.numEdges(); ++e) {
-        const int64_t edge = static_cast<int64_t>(e);
-        write64(out, itc.tntVaried(edge) ? 1 : 0);
-        const auto &seqs = itc.tntSequences(edge);
-        write64(out, seqs.size());
-        for (const auto &seq : seqs) {
-            write64(out, seq.size());
-            for (uint8_t bit : seq)
-                out.put(static_cast<char>(bit));
-        }
-    }
-
-    writePathSection(guard, out);
-}
-
-void
-saveProfileV2(const FlowGuard &guard, const std::string &path)
-{
-    saveAtomically(
-        [](const FlowGuard &g, std::ostream &o) {
-            saveProfileV2(g, o);
-        },
-        guard, path);
-}
-
-void
 saveProfile(const FlowGuard &guard, std::ostream &out)
 {
     fg_assert(guard.analyzed(), "analyze() before saving a profile");

@@ -11,9 +11,9 @@
  * and replays the annotations, refusing mismatched binaries.
  *
  * Two on-disk formats:
- *  - v2 (legacy): one whole-program section keyed by a global
- *    program fingerprint and the exact ITC-CFG shape. Any module
- *    changing invalidates the entire profile.
+ *  - v2 (legacy, read only): one whole-program section keyed by a
+ *    global program fingerprint and the exact ITC-CFG shape. Any
+ *    module changing invalidates the entire profile.
  *  - v3: per-module sections. Each module's training data is keyed
  *    by its relocation-invariant fingerprint and its edges are
  *    stored module-relative, so one updated library only skips its
@@ -79,11 +79,6 @@ const char *profileStatusName(ProfileLoadResult::Status status);
  *  final name. */
 void saveProfile(const FlowGuard &guard, std::ostream &out);
 void saveProfile(const FlowGuard &guard, const std::string &path);
-
-/** Legacy whole-program writer (v2), kept so old tooling and the
- *  version-compatibility tests have a producer. */
-void saveProfileV2(const FlowGuard &guard, std::ostream &out);
-void saveProfileV2(const FlowGuard &guard, const std::string &path);
 
 /**
  * Loads training state into `guard` (analyze() is run if needed),

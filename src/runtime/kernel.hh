@@ -9,19 +9,18 @@
  * administrator; everything else forwards to the plain kernel
  * services (BasicKernel).
  *
- * The kernel protects a *set* of processes: Config carries a CR3
- * registry and each protected process is wired to its own checking
- * engine with attachProcess(). A ProtectionService may additionally
- * be attached; endpoint checks then route through its scheduler
- * (bounded queues, deadlines, circuit breakers) instead of running
- * unbounded inline.
+ * The kernel protects a *set* of processes through one
+ * ProtectionService: the caller's (attachService: bounded queues,
+ * deadlines, circuit breakers), or its own synchronous one that
+ * attachProcess() registers into — the paper's inline check, whose
+ * deadline cannot be missed.
  */
 
 #ifndef FLOWGUARD_RUNTIME_KERNEL_HH
 #define FLOWGUARD_RUNTIME_KERNEL_HH
 
 #include <cstdint>
-#include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -43,7 +42,8 @@ class FlowGuardKernel : public cpu::BasicKernel
     struct Config
     {
         std::set<int64_t> endpoints = defaultEndpoints();
-        /** The protection registry: CR3s of all guarded processes. */
+        /** CR3s of the guarded processes. Unread: the registry is the
+         *  service's (attachProcess / ProtectionService::addProcess). */
         std::set<uint64_t> protectedCr3s;
     };
 
@@ -54,25 +54,26 @@ class FlowGuardKernel : public cpu::BasicKernel
     static std::set<int64_t> defaultEndpoints();
 
     explicit FlowGuardKernel(Config config);
+    ~FlowGuardKernel() override;
 
     /**
      * Wires the checking engine of one protected process (keyed by
-     * its CR3) to its tracing hardware. Must be called before that
-     * process's endpoints fire.
+     * its CR3) to its tracing hardware, registering it into the
+     * kernel's own synchronous service; the process's CPU is learned
+     * at its first endpoint. Must be called before that process's
+     * endpoints fire, and never on a kernel given attachService().
      */
     void attachProcess(uint64_t cr3, Monitor &monitor,
                        trace::IptEncoder &encoder, trace::Topa &topa,
                        cpu::CycleAccount *account = nullptr);
 
     /**
-     * Routes endpoint checks through a protection service (overload
-     * policies, deadlines, circuit breakers, deferred kills). The
-     * service must outlive the kernel.
+     * Routes endpoint checks through the caller's protection service
+     * (overload policies, deadlines, circuit breakers, deferred
+     * kills). The service must outlive the kernel. Never mixed with
+     * attachProcess() on one kernel.
      */
-    void attachService(ProtectionService &service)
-    {
-        _service = &service;
-    }
+    void attachService(ProtectionService &service);
 
     /**
      * Enables the §7.1.2 fallback: PMI-window violations detected by
@@ -83,8 +84,9 @@ class FlowGuardKernel : public cpu::BasicKernel
 
     /**
      * Wires the observability layer: endpoint intercepts emit Trap /
-     * TopaDrain spans and every report killWith() files is stamped
-     * with the process's flight-recorder snapshot.
+     * Barrier spans carrying the endpoint's seq, and every report
+     * killWith() files is stamped with the process's flight-recorder
+     * snapshot.
      */
     void attachTelemetry(telemetry::Telemetry *telemetry)
     {
@@ -113,21 +115,7 @@ class FlowGuardKernel : public cpu::BasicKernel
     }
 
   private:
-    /** Per-process endpoint wiring (checking engine + trace tap). */
-    struct Endpoint
-    {
-        Monitor *monitor = nullptr;
-        trace::IptEncoder *encoder = nullptr;
-        trace::Topa *topa = nullptr;
-        cpu::CycleAccount *account = nullptr;
-        uint64_t seq = 0;       ///< endpoint hits for this process
-    };
-
     cpu::SyscallResult killWith(ViolationReport report);
-
-    /** True for syscalls that retire executable code (dlclose,
-     *  jit_unmap) — these run the code-unload barrier. */
-    static bool retiresCode(int64_t number);
 
     /** Turns waived unknown-code transitions accumulated in the
      *  monitor into one Kind::UnknownCode audit report. */
@@ -135,7 +123,8 @@ class FlowGuardKernel : public cpu::BasicKernel
                          int64_t number);
 
     Config _config;
-    std::map<uint64_t, Endpoint> _endpoints;
+    /** The synchronous service attachProcess() registers into. */
+    std::unique_ptr<ProtectionService> _ownService;
     ProtectionService *_service = nullptr;
     PmiGuard *_pmi = nullptr;
     telemetry::Telemetry *_telemetry = nullptr;

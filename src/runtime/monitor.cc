@@ -102,7 +102,10 @@ Monitor::Monitor(const isa::Program &program, analysis::ItcCfg &itc,
 CheckVerdict
 Monitor::checkFull(std::span<const uint8_t> packets)
 {
-    return finishCheck(_full.check(packets), packets);
+    const FastPhaseOutcome outcome = resolveFast(_full.check(packets));
+    if (!outcome.needSlow)
+        return outcome.verdict;
+    return slowPhase(packets, outcome.loss);
 }
 
 void
@@ -188,12 +191,6 @@ Monitor::violationReport(uint64_t cr3, uint64_t seq,
         break;
     }
     return report;
-}
-
-CheckVerdict
-Monitor::check(std::span<const uint8_t> packets)
-{
-    return finishCheck(_fast.check(packets), packets);
 }
 
 Monitor::FastPhaseOutcome
@@ -321,16 +318,6 @@ Monitor::slowPhase(std::span<const uint8_t> packets, bool loss)
             commitCache();
     }
     return CheckVerdict::Pass;
-}
-
-CheckVerdict
-Monitor::finishCheck(FastPathResult fast,
-                     std::span<const uint8_t> packets)
-{
-    const FastPhaseOutcome outcome = resolveFast(std::move(fast));
-    if (!outcome.needSlow)
-        return outcome.verdict;
-    return slowPhase(packets, outcome.loss);
 }
 
 void

@@ -149,25 +149,21 @@ class Monitor
             analysis::PathIndex *paths = nullptr);
 
     /**
-     * Runs the hybrid check over a ToPA window — the live ring
-     * (Topa::view()) when the check is synchronous, an owned snapshot
-     * when it was queued. A passing check allocates nothing once the
-     * checker's scratch has grown.
-     */
-    CheckVerdict check(std::span<const uint8_t> packets);
-
-    /**
      * §5.2 PMI variant: checks *all* packets in the interrupted
      * region rather than the last pkt_count TIPs — the buffer is
      * about to be overwritten, so everything in it is examined once.
+     * Both phases run back to back; the code barrier and the post-gap
+     * catch-up use it too.
      */
     CheckVerdict checkFull(std::span<const uint8_t> packets);
 
     /**
-     * Phase-split API for the service layer: the fast path always
-     * runs inline at the endpoint (it is cheap and bounded), while a
-     * slow-path escalation becomes schedulable work that a
-     * CheckScheduler can queue, deadline and defer.
+     * The endpoint check, split in two phases: the fast path always
+     * runs inline at the endpoint (it is cheap and bounded) over a
+     * ToPA window — the live ring (Topa::view()) — while a slow-path
+     * escalation becomes schedulable work that a CheckScheduler can
+     * queue, deadline and defer. A fast pass allocates nothing once
+     * the checker's scratch has grown.
      */
     struct FastPhaseOutcome
     {
@@ -313,8 +309,6 @@ class Monitor
     telemetry::Telemetry *telemetry() const { return _telemetry; }
 
   private:
-    CheckVerdict finishCheck(FastPathResult fast,
-                             std::span<const uint8_t> packets);
     FastPhaseOutcome resolveFast(FastPathResult fast);
     void stageCache(std::span<const uint8_t> packets);
 

@@ -86,7 +86,7 @@ ProtectionService::setTelemetry(telemetry::Telemetry *telemetry)
 void
 ProtectionService::addProcess(uint64_t cr3, Monitor &monitor,
                               trace::IptEncoder &encoder,
-                              trace::Topa &topa, cpu::Cpu &cpu,
+                              trace::Topa &topa,
                               cpu::CycleAccount *account)
 {
     ProcessRecord record;
@@ -94,12 +94,21 @@ ProtectionService::addProcess(uint64_t cr3, Monitor &monitor,
     record.monitor = &monitor;
     record.encoder = &encoder;
     record.topa = &topa;
-    record.cpu = &cpu;
     record.account = account;
     record.basePktCount = monitor.pktCount();
     if (_telemetry)
         monitor.setTelemetry(_telemetry, cr3);
     _processes[cr3] = std::move(record);
+}
+
+void
+ProtectionService::addProcess(uint64_t cr3, Monitor &monitor,
+                              trace::IptEncoder &encoder,
+                              trace::Topa &topa, cpu::Cpu &cpu,
+                              cpu::CycleAccount *account)
+{
+    addProcess(cr3, monitor, encoder, topa, account);
+    _processes[cr3].cpu = &cpu;
 }
 
 ProtectionService::AttachOutcome
@@ -183,8 +192,10 @@ uint64_t
 ProtectionService::virtualNow() const
 {
     uint64_t insts = 0;
-    for (const auto &entry : _processes)
-        insts += entry.second.cpu->instCount();
+    for (const auto &entry : _processes) {
+        if (entry.second.cpu)
+            insts += entry.second.cpu->instCount();
+    }
     return insts;
 }
 
@@ -304,16 +315,15 @@ ProtectionService::noteWindow(const ProcessRecord &proc,
         _recovery->noteWindow(proc.cr3, proc.seq, cls);
 }
 
-EndpointDecision
-ProtectionService::onEndpoint(cpu::Cpu &cpu, int64_t syscall)
+ProtectionService::ProcessRecord *
+ProtectionService::admit(cpu::Cpu &cpu, EndpointDecision &decision)
 {
-    EndpointDecision decision;
-    const uint64_t cr3 = cpu.program().cr3();
-    auto it = _processes.find(cr3);
+    auto it = _processes.find(cpu.program().cr3());
     if (it == _processes.end())
-        return decision;
+        return nullptr;
     ProcessRecord &proc = it->second;
-    const uint64_t now = virtualNow();
+    if (!proc.cpu)
+        proc.cpu = &cpu;
 
     // The recovery gate first — BEFORE the attached check, because a
     // checker crash detaches every process and the gate is exactly
@@ -322,16 +332,47 @@ ProtectionService::onEndpoint(cpu::Cpu &cpu, int64_t syscall)
     // run. The window is an explicit, accounted protection gap — the
     // sequence number still advances (it is kernel-side protocol
     // state), but no check runs and no stale pending kill can fire.
+    // An unload proceeds unchecked; its code event is still journaled
+    // (the supervisor subscribes to the kernel's event stream, which
+    // survives the checker), so replay knows credit on the range must
+    // not be restored.
     if (_recovery &&
-        _recovery->gateEndpoint(cr3, proc.seq + 1, now) ==
+        _recovery->gateEndpoint(proc.cr3, proc.seq + 1, virtualNow()) ==
             RecoveryHooks::Gate::SkipUnchecked) {
         decision.seq = ++proc.seq;
         ++_stats.gapSkipped;
         noteWindow(proc, ProtectionWindowClass::Gap);
-        return decision;
+        return nullptr;
     }
-    if (!proc.attached)
+    return proc.attached ? &proc : nullptr;
+}
+
+void
+ProtectionService::enforce(const ProcessRecord &proc,
+                           ViolationReport report,
+                           EndpointDecision &decision)
+{
+    if (proc.quarantined &&
+        _config.quarantineAction == QuarantineAction::Audit) {
+        ++_stats.auditViolations;
+        report.reason += " [audit-class, enforcement waived]";
+        _reports.push_back(std::move(report));
+        return;
+    }
+    decision.kill = true;
+    decision.report = std::move(report);
+}
+
+EndpointDecision
+ProtectionService::onEndpoint(cpu::Cpu &cpu, int64_t syscall)
+{
+    EndpointDecision decision;
+    ProcessRecord *admitted = admit(cpu, decision);
+    if (!admitted)
         return decision;
+    ProcessRecord &proc = *admitted;
+    const uint64_t cr3 = proc.cr3;
+    const uint64_t now = virtualNow();
 
     // Deliver any deferred verdicts the virtual clock has reached;
     // one of them may be a kill for this very process.
@@ -424,27 +465,10 @@ EndpointDecision
 ProtectionService::codeBarrier(cpu::Cpu &cpu, int64_t syscall)
 {
     EndpointDecision decision;
-    const uint64_t cr3 = cpu.program().cr3();
-    auto it = _processes.find(cr3);
-    if (it == _processes.end())
+    ProcessRecord *admitted = admit(cpu, decision);
+    if (!admitted)
         return decision;
-    ProcessRecord &proc = it->second;
-
-    // Dead checker (gated before the attached check — the crash is
-    // what detached us): the unload proceeds unchecked. The code
-    // event itself is still journaled (the supervisor subscribes to
-    // the kernel's event stream, which survives the checker), so
-    // replay knows credit on this range must not be restored.
-    if (_recovery &&
-        _recovery->gateEndpoint(cr3, proc.seq + 1, virtualNow()) ==
-            RecoveryHooks::Gate::SkipUnchecked) {
-        decision.seq = ++proc.seq;
-        ++_stats.gapSkipped;
-        noteWindow(proc, ProtectionWindowClass::Gap);
-        return decision;
-    }
-    if (!proc.attached)
-        return decision;
+    ProcessRecord &proc = *admitted;
 
     decision.seq = ++proc.seq;
     ++_stats.barrierChecks;
@@ -454,27 +478,16 @@ ProtectionService::codeBarrier(cpu::Cpu &cpu, int64_t syscall)
     // Full-window check, synchronous by design: the unload must not
     // retire code the checker has not finished judging, so this one
     // check bypasses the scheduler and its deadlines.
-    proc.monitor->setPktCount(proc.basePktCount);
-    proc.encoder->flushTnt();
-    const CheckVerdict verdict =
-        proc.monitor->checkFull(proc.topa->view());
+    const CheckVerdict verdict = checkWholeRing(proc);
     noteWindow(proc, proc.monitor->lastFast().lossDetected()
                          ? ProtectionWindowClass::Lossy
                          : ProtectionWindowClass::Checked);
     if (verdict == CheckVerdict::Violation) {
-        ViolationReport report = withFlight(
-            proc.monitor->violationReport(cr3, proc.seq, syscall));
-        const bool audit_class = proc.quarantined &&
-            _config.quarantineAction == QuarantineAction::Audit;
-        if (audit_class) {
-            ++_stats.auditViolations;
-            report.reason += " [audit-class, enforcement waived]";
-            _reports.push_back(std::move(report));
-        } else {
-            decision.kill = true;
-            decision.report = std::move(report);
+        enforce(proc, withFlight(proc.monitor->violationReport(
+                          proc.cr3, proc.seq, syscall)),
+                decision);
+        if (decision.kill)
             return decision;
-        }
     }
 
     // The pre-unload window passed while the module map still showed
@@ -482,11 +495,7 @@ ProtectionService::codeBarrier(cpu::Cpu &cpu, int64_t syscall)
     // event fires, staged entries touching the range are dropped —
     // then restart the stream so post-barrier windows can only
     // contain post-unload TIPs.
-    if (proc.monitor->cachePending())
-        proc.monitor->commitCache();
-    proc.topa->clear();
-    proc.encoder->restartStream();
-    proc.lastCheckedWritten = proc.topa->totalWritten();
+    restartStream(proc, /*bank=*/true);
     return decision;
 }
 
@@ -497,8 +506,6 @@ ProtectionService::resolve(ProcessRecord &proc, int64_t syscall,
 {
     EndpointDecision decision;
     decision.seq = proc.seq;
-    const bool audit_class = proc.quarantined &&
-        _config.quarantineAction == QuarantineAction::Audit;
 
     // Escalations resolved at the endpoint get their span here; the
     // deferred ones get theirs at deliver(), where the age is known.
@@ -536,19 +543,10 @@ ProtectionService::resolve(ProcessRecord &proc, int64_t syscall,
       case CheckResolution::InlinePass:
         proc.consecutiveMisses = 0;
         break;
-      case CheckResolution::InlineViolation: {
+      case CheckResolution::InlineViolation:
         proc.consecutiveMisses = 0;
-        ViolationReport report = withFlight(out.exec.report);
-        if (audit_class) {
-            ++_stats.auditViolations;
-            report.reason += " [audit-class, enforcement waived]";
-            _reports.push_back(std::move(report));
-        } else {
-            decision.kill = true;
-            decision.report = std::move(report);
-        }
+        enforce(proc, withFlight(out.exec.report), decision);
         break;
-      }
       case CheckResolution::TimeoutConviction: {
         decision.kill = true;
         ViolationReport report;
@@ -776,11 +774,7 @@ ProtectionService::resyncCheck(uint64_t cr3)
     outcome.checked = true;
     ++_stats.resyncChecks;
 
-    proc.monitor->setPktCount(proc.basePktCount);
-    proc.encoder->flushTnt();
-    const CheckVerdict verdict =
-        proc.monitor->checkFull(proc.topa->view());
-    if (verdict == CheckVerdict::Violation) {
+    if (checkWholeRing(proc) == CheckVerdict::Violation) {
         outcome.violation = true;
         outcome.report = withFlight(proc.monitor->violationReport(
             cr3, proc.seq, /*syscall=*/-1));
@@ -788,11 +782,28 @@ ProtectionService::resyncCheck(uint64_t cr3)
     }
     // Never bank credit from a window that spans the gap, and start
     // the stream over so the next window decodes from a clean PSB.
-    proc.monitor->discardCache();
+    restartStream(proc, /*bank=*/false);
+    return outcome;
+}
+
+CheckVerdict
+ProtectionService::checkWholeRing(ProcessRecord &proc)
+{
+    proc.monitor->setPktCount(proc.basePktCount);
+    proc.encoder->flushTnt();
+    return proc.monitor->checkFull(proc.topa->view());
+}
+
+void
+ProtectionService::restartStream(ProcessRecord &proc, bool bank)
+{
+    if (bank)
+        proc.monitor->commitCache();
+    else
+        proc.monitor->discardCache();
     proc.topa->clear();
     proc.encoder->restartStream();
     proc.lastCheckedWritten = proc.topa->totalWritten();
-    return outcome;
 }
 
 void

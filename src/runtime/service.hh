@@ -28,6 +28,10 @@
  * Deferred verdicts and quarantine kills are delivered through the
  * kernel at the target process's next syscall (consumePendingKill),
  * mirroring how PMI-window violations land.
+ *
+ * The paper's synchronous inline check is one configuration of it
+ * (FlowGuardKernel::attachProcess): deadlineCycles = UINT64_MAX, so
+ * every escalation resolves at its endpoint, a pass banking credit.
  */
 
 #ifndef FLOWGUARD_RUNTIME_SERVICE_HH
@@ -234,12 +238,20 @@ class ProtectionService
     /**
      * Registers one process. The monitor should run with
      * autoCommitCache=false — the scheduler decides cache commits —
-     * but the service enforces nothing; it simply never calls
-     * commitCache() for timed-out or deferred windows.
+     * unless the deadline cannot be missed (the synchronous
+     * configuration), where every pass commits anyway. The service
+     * enforces nothing; it never calls commitCache() for timed-out or
+     * deferred windows.
      */
     void addProcess(uint64_t cr3, Monitor &monitor,
                     trace::IptEncoder &encoder, trace::Topa &topa,
                     cpu::Cpu &cpu,
+                    cpu::CycleAccount *account = nullptr);
+
+    /** Registers a process whose CPU is learned at its first
+     *  endpoint; until then it adds nothing to virtualNow(). */
+    void addProcess(uint64_t cr3, Monitor &monitor,
+                    trace::IptEncoder &encoder, trace::Topa &topa,
                     cpu::CycleAccount *account = nullptr);
 
     struct AttachOutcome
@@ -394,6 +406,14 @@ class ProtectionService
     };
 
     bool attachOne(ProcessRecord &proc);
+    /** The entry both endpoint kinds share: finds the caller's record
+     *  (learning its CPU), runs the recovery gate, then the attached
+     *  check. nullptr when `decision` is already final. */
+    ProcessRecord *admit(cpu::Cpu &cpu, EndpointDecision &decision);
+    /** A conviction becomes a kill in `decision`, or a waived report
+     *  for an audit-class process. */
+    void enforce(const ProcessRecord &proc, ViolationReport report,
+                 EndpointDecision &decision);
     CheckExecution execute(const CheckRequest &request);
     void cacheDecision(const CheckRequest &request, bool commit);
     void deliver(const CheckRequest &request,
@@ -403,6 +423,14 @@ class ProtectionService
     EndpointDecision resolve(ProcessRecord &proc, int64_t syscall,
                              const CheckScheduler::SubmitOutcome &out,
                              bool loss, uint64_t now);
+    /** The code barrier's and the post-gap catch-up's synchronous
+     *  check of everything in the ring (never scheduled). */
+    CheckVerdict checkWholeRing(ProcessRecord &proc);
+    /** Their tail when the process lives on: banks (`bank`) or drops
+     *  the staged credit and restarts the stream, so later windows
+     *  hold only later TIPs. A barrier kill skips it, leaving the
+     *  evidence in the ring for drain(). */
+    void restartStream(ProcessRecord &proc, bool bank);
     /** Reports one window's class (and seq) to the recovery hooks. */
     void noteWindow(const ProcessRecord &proc,
                     ProtectionWindowClass cls);

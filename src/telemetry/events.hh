@@ -3,9 +3,9 @@
  * Telemetry event model — the span taxonomy for the endpoint-check
  * lifecycle and the instant events that ride alongside it.
  *
- * A span is one timed stage of a check (trap → ToPA drain → fast
- * decode → binary-search check → slow-path escalation → verdict
- * commit → delivery); an instant is a point event (an OVF episode, a
+ * A span is one timed stage of a check (trap → fast decode →
+ * binary-search check → slow-path escalation → verdict commit →
+ * delivery); an instant is a point event (an OVF episode, a
  * credit commit, a conviction). Both flatten into the same POD
  * `FlightEvent` so one ring buffer, one sink interface, and one
  * serialization path carry everything.
@@ -25,7 +25,6 @@ namespace flowguard::telemetry {
 /** Stages of the endpoint-check lifecycle (ISSUE §tentpole). */
 enum class SpanKind : uint8_t {
     Trap,          ///< endpoint intercept: syscall entry to decision
-    TopaDrain,     ///< draining the ToPA buffer snapshot
     FastDecode,    ///< packet-layer decode of the window
     FastCheck,     ///< binary-search ITC-CFG matching
     SlowEscalate,  ///< escalation: submit → resolution/delivery

@@ -12,7 +12,6 @@ spanKindName(SpanKind kind)
 {
     switch (kind) {
       case SpanKind::Trap: return "trap";
-      case SpanKind::TopaDrain: return "topa-drain";
       case SpanKind::FastDecode: return "fast-decode";
       case SpanKind::FastCheck: return "fast-check";
       case SpanKind::SlowEscalate: return "slow-escalate";

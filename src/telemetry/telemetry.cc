@@ -90,6 +90,15 @@ Telemetry::beginSpan(SpanKind kind, uint64_t cr3, uint64_t seq)
 }
 
 void
+Telemetry::setSpanSeq(uint64_t id, uint64_t seq)
+{
+    for (OpenSpan &span : _open) {
+        if (span.id == id)
+            span.seq = seq;
+    }
+}
+
+void
 Telemetry::endSpan(uint64_t id, uint8_t verdict, uint64_t a,
                    uint64_t b)
 {

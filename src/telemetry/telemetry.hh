@@ -66,6 +66,10 @@ class Telemetry
     void endSpan(uint64_t id, uint8_t verdict = 0, uint64_t a = 0,
                  uint64_t b = 0);
 
+    /** Stamps open span `id` with the endpoint seq it turned out to
+     *  carry (known only once the check assigned it). */
+    void setSpanSeq(uint64_t id, uint64_t seq);
+
     /**
      * Emits an already-bounded span in one call — the async shape
      * (escalations resolved cycles after they were enqueued) where
@@ -160,6 +164,12 @@ class ScopedSpan
     ScopedSpan &operator=(const ScopedSpan &) = delete;
 
     void setVerdict(uint8_t verdict) { _verdict = verdict; }
+    void
+    setSeq(uint64_t seq)
+    {
+        if (_telemetry && _id)
+            _telemetry->setSpanSeq(_id, seq);
+    }
     void setPayload(uint64_t a, uint64_t b = 0) { _a = a; _b = b; }
 
     void

@@ -7,7 +7,8 @@
  *  - one changed library skips only its own section, the rest of the
  *    profile still applies;
  *  - a changed executable is refused (ModuleMismatch);
- *  - the legacy v2 format remains readable;
+ *  - the legacy v2 format remains readable (a committed fixture;
+ *    nothing writes v2 any more);
  *  - every failure mode comes back as a ProfileLoadResult instead of
  *    aborting (the strict loadProfile wrapper still throws).
  */
@@ -175,15 +176,18 @@ TEST(ProfileV3, ChangedExecutableIsModuleMismatch)
     EXPECT_THROW(loadProfile(victim, again), SimError);
 }
 
+/** A v2 profile of makeProgram() trained as trainedGuard() trains it,
+ *  written by the v2 writer before that writer was removed. */
+const std::string v2_fixture =
+    std::string(FLOWGUARD_TESTS_DIR) + "/core/fixtures/profile_v2.bin";
+
 TEST(ProfileV3, LegacyV2StillReadable)
 {
     Program prog = makeProgram();
     FlowGuard trained = trainedGuard(prog);
-    std::stringstream buffer;
-    saveProfileV2(trained, buffer);
 
     FlowGuard fresh(prog);
-    auto result = tryLoadProfile(fresh, buffer);
+    auto result = tryLoadProfile(fresh, v2_fixture);
     EXPECT_TRUE(result.ok()) << result.message;
     EXPECT_EQ(result.version, 2u);
     EXPECT_EQ(fresh.itc().highCreditCount(),
@@ -192,14 +196,9 @@ TEST(ProfileV3, LegacyV2StillReadable)
 
 TEST(ProfileV3, V2WrongProgramIsRecoverable)
 {
-    Program prog = makeProgram();
-    FlowGuard trained = trainedGuard(prog);
-    std::stringstream buffer;
-    saveProfileV2(trained, buffer);
-
     Program patched = makeProgram(/*liby_variant=*/true);
     FlowGuard fresh(patched);
-    auto result = tryLoadProfile(fresh, buffer);
+    auto result = tryLoadProfile(fresh, v2_fixture);
     // v2 is all-or-nothing: any module change invalidates it.
     EXPECT_FALSE(result.ok());
     EXPECT_TRUE(result.status ==

@@ -134,12 +134,15 @@ TEST(CachePolicy, TimedOutOrDeferredWindowNeverCaches)
 
 TEST(CachePolicy, LegacyAutoCommitStillCaches)
 {
-    // The single-process §7.1.1 behavior is unchanged: check()
-    // applies the verdict cache as soon as the slow path vouches.
+    // The single-process §7.1.1 behavior is unchanged: the slow
+    // phase applies the verdict cache as soon as it vouches.
     TraceFixture fixture({1 << 20});
     Monitor monitor = fixture.makeMonitor();
     const size_t before = fixture.itc.highCreditCount();
-    EXPECT_EQ(monitor.check(fixture.packets), CheckVerdict::Pass);
+    auto fast = monitor.fastPhase(fixture.packets);
+    ASSERT_TRUE(fast.needSlow);
+    EXPECT_EQ(monitor.slowPhase(fixture.packets, fast.loss),
+              CheckVerdict::Pass);
     EXPECT_GT(monitor.stats().slowChecks, 0u);
     EXPECT_GT(fixture.itc.highCreditCount(), before);
     EXPECT_FALSE(monitor.cachePending());
@@ -161,7 +164,11 @@ TEST(CachePolicy, LogAndPassLossyWindowNeverCaches)
     Monitor monitor = fixture.makeMonitor(config);
     const size_t before = fixture.itc.highCreditCount();
 
-    EXPECT_NE(monitor.check(fixture.packets), CheckVerdict::Violation);
+    auto fast = monitor.fastPhase(fixture.packets);
+    const CheckVerdict verdict = fast.needSlow
+        ? monitor.slowPhase(fixture.packets, fast.loss)
+        : fast.verdict;
+    EXPECT_NE(verdict, CheckVerdict::Violation);
     EXPECT_GE(monitor.stats().lossWindows, 1u);
     EXPECT_GE(monitor.stats().lossAccepted, 1u);
     EXPECT_EQ(fixture.itc.highCreditCount(), before);

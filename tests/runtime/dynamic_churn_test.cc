@@ -180,9 +180,10 @@ TEST_F(DynamicChurn, AuditOnlyWaivesUnknownCodeButRecordsIt)
     // A transition into address space no module or JIT region claims.
     const uint64_t source =
         app->program.modules()[0].codeBase + 8;
-    const auto verdict =
-        monitor.check(oneTipWindow(source, 0x0000000333000000ULL));
-    EXPECT_EQ(verdict, CheckVerdict::Pass);
+    const auto fast =
+        monitor.fastPhase(oneTipWindow(source, 0x0000000333000000ULL));
+    EXPECT_FALSE(fast.needSlow);
+    EXPECT_EQ(fast.verdict, CheckVerdict::Pass);
     EXPECT_GE(monitor.stats().unknownCodeTips, 1u);
     EXPECT_GE(monitor.consumeUnknownAudit(), 1u);
     EXPECT_EQ(monitor.consumeUnknownAudit(), 0u);   // drained

@@ -355,7 +355,9 @@ TEST(ReportParity, AuditReportCarriesTheEndpointSeq)
 
     auto audit = [&](bool service_mode) {
         auto proc = guard.makeProcessHarness(app.program);
-        EXPECT_EQ(proc->monitor->check(window), CheckVerdict::Pass);
+        const auto fast = proc->monitor->fastPhase(window);
+        EXPECT_FALSE(fast.needSlow);
+        EXPECT_EQ(fast.verdict, CheckVerdict::Pass);
         FlowGuardKernel::Config kconfig;
         kconfig.endpoints = guard.config().endpoints;
         FlowGuardKernel kernel(kconfig);

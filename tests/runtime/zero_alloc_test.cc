@@ -4,9 +4,11 @@
  *
  * This binary replaces the global operator new/delete with counting
  * wrappers over malloc/free (so it also runs under ASan), drives a
- * trained, warmed server through its endpoints with a Monitor that
- * checks the live ToPA view at each one, and counts the heap
- * allocations made inside each Monitor::check.
+ * trained, warmed server through its endpoints with the synchronous
+ * ProtectionService the kernel's inline mode builds (it checks the
+ * live ToPA view at each one), and counts the heap allocations made
+ * inside each ProtectionService::onEndpoint — the path every endpoint
+ * check takes.
  *
  * The checker's scratch grows to the largest window it has decoded,
  * and windows keep growing while the ring first fills. A first pass
@@ -33,6 +35,7 @@
 #include "cpu/basic_kernel.hh"
 #include "cpu/cpu.hh"
 #include "runtime/monitor.hh"
+#include "runtime/service.hh"
 #include "trace/ipt.hh"
 #include "workloads/apps.hh"
 
@@ -69,7 +72,7 @@ using namespace flowguard;
 
 struct EndpointCheck
 {
-    runtime::CheckVerdict verdict = runtime::CheckVerdict::Pass;
+    bool kill = false;
     uint64_t allocations = 0;
     /** The verdict log reallocated during this check. */
     bool logGrew = false;
@@ -77,14 +80,16 @@ struct EndpointCheck
     bool wrapped = false;
 };
 
-/** Checks the live ToPA view at every endpoint syscall, counting the
- *  heap allocations Monitor::check makes. */
+/** Runs the service's endpoint check at every endpoint syscall,
+ *  counting the heap allocations ProtectionService::onEndpoint
+ *  makes. */
 class CountingKernel : public cpu::BasicKernel
 {
   public:
-    CountingKernel(runtime::Monitor &monitor, trace::IptEncoder &encoder,
+    CountingKernel(runtime::ProtectionService &service,
+                   const runtime::Monitor &monitor,
                    const trace::Topa &topa)
-        : _monitor(monitor), _encoder(encoder), _topa(topa),
+        : _service(service), _monitor(monitor), _topa(topa),
           _endpoints(runtime::FlowGuardKernel::defaultEndpoints())
     {}
 
@@ -92,13 +97,12 @@ class CountingKernel : public cpu::BasicKernel
     onSyscall(cpu::Cpu &cpu, int64_t number) override
     {
         if (_endpoints.count(number)) {
-            _encoder.flushTnt();
             EndpointCheck check;
             check.wrapped = _topa.wrapped();
             const size_t log_capacity =
                 _monitor.verdictLog().capacity();
             const uint64_t before = heap_allocations.load();
-            check.verdict = _monitor.check(_topa.view());
+            check.kill = _service.onEndpoint(cpu, number).kill;
             check.allocations = heap_allocations.load() - before;
             check.logGrew =
                 _monitor.verdictLog().capacity() != log_capacity;
@@ -110,8 +114,8 @@ class CountingKernel : public cpu::BasicKernel
     std::vector<EndpointCheck> checks;
 
   private:
-    runtime::Monitor &_monitor;
-    trace::IptEncoder &_encoder;
+    runtime::ProtectionService &_service;
+    const runtime::Monitor &_monitor;
     const trace::Topa &_topa;
     std::set<int64_t> _endpoints;
 };
@@ -161,7 +165,14 @@ TEST(ZeroAllocation, PassingChecksOnLiveViewsAllocateNothing)
         ipt_config.psbPeriodBytes = config.psbPeriodBytes;
         trace::IptEncoder encoder(ipt_config, topa, &cycles);
         cpu.addTraceSink(&encoder);
-        CountingKernel kernel(monitor, encoder, topa);
+        // The configuration FlowGuardKernel::attachProcess builds.
+        runtime::ServiceConfig service_config;
+        service_config.scheduler.deadlineCycles = UINT64_MAX;
+        runtime::ProtectionService service(service_config);
+        service.addProcess(app.program.cr3(), monitor, encoder, topa,
+                           cpu, &cycles);
+        EXPECT_EQ(service.attachAll().attached, 1u);
+        CountingKernel kernel(service, monitor, topa);
         kernel.setInput(load);
         cpu.setSyscallHandler(&kernel);
         EXPECT_EQ(cpu.run(50'000'000), cpu::Cpu::Stop::Halted);
@@ -178,7 +189,7 @@ TEST(ZeroAllocation, PassingChecksOnLiveViewsAllocateNothing)
     for (size_t i = 0; i < measured.size(); ++i) {
         SCOPED_TRACE("check " + std::to_string(i));
         const EndpointCheck &check = measured[i];
-        ASSERT_EQ(check.verdict, runtime::CheckVerdict::Pass);
+        ASSERT_FALSE(check.kill);
         EXPECT_EQ(check.allocations, check.logGrew ? 1u : 0u);
         on_wrapped_ring += check.wrapped ? 1 : 0;
         log_growths += check.logGrew ? 1 : 0;

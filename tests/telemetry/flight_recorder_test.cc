@@ -12,10 +12,14 @@
  *  - on an injected checker crash the supervisor dumps every
  *    process's ring (crashDumps) and stamps ProtectionGap reports
  *    with flight snapshots;
- *  - telemetryOff really disables the run-local hub.
+ *  - telemetryOff really disables the run-local hub;
+ *  - every endpoint's Trap span carries its endpoint seq, inline and
+ *    through the service.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "attacks/chains.hh"
 #include "attacks/gadgets.hh"
@@ -43,6 +47,19 @@ hasViolatingEdgeSpan(const std::vector<FlightEvent> &flight,
             return true;
     }
     return false;
+}
+
+/** The seqs of the endpoint (Trap) spans in `flight`, oldest first. */
+std::vector<uint64_t>
+trapSeqs(const std::vector<FlightEvent> &flight)
+{
+    std::vector<uint64_t> seqs;
+    for (const auto &event : flight) {
+        if (event.kind == EventKind::Span &&
+            event.span == telemetry::SpanKind::Trap)
+            seqs.push_back(event.seq);
+    }
+    return seqs;
 }
 
 class FlightRecorderE2E : public ::testing::Test
@@ -110,6 +127,27 @@ TEST_F(FlightRecorderE2E, RopViolationCarriesFlightSnapshot)
                                      report.to))
         << "flight must include the check span that convicted "
         << std::hex << report.from << " -> " << report.to;
+
+    // The convicting endpoint's Trap span closes after the report is
+    // filed, so it is read from an external hub: inline, it carries
+    // the report's seq and the verdict.
+    telemetry::Telemetry hub;
+    FlowGuardConfig traced_config;
+    traced_config.telemetry = &hub;
+    FlowGuard traced = makeGuard(traced_config);
+    const auto again = traced.run(attack.request);
+    ASSERT_FALSE(again.violations.empty());
+    const auto ring = hub.snapshotFlight(app->program.cr3());
+    const auto trap = std::find_if(
+        ring.rbegin(), ring.rend(), [](const FlightEvent &event) {
+            return event.kind == EventKind::Span &&
+                event.span == telemetry::SpanKind::Trap;
+        });
+    ASSERT_NE(trap, ring.rend());
+    EXPECT_EQ(trap->seq, again.violations.front().seq);
+    EXPECT_GT(trap->seq, 0u);
+    EXPECT_EQ(trap->verdict,
+              static_cast<uint8_t>(runtime::CheckVerdict::Violation));
 }
 
 TEST_F(FlightRecorderE2E, SropViolationCarriesFlightSnapshot)
@@ -243,6 +281,16 @@ TEST(FlightRecorderCrash, SupervisorDumpsRingsAndStampsGapReports)
     }
     EXPECT_TRUE(crash_seen);
     EXPECT_TRUE(restart_seen);
+
+    // Through the service, every endpoint's Trap span carries the seq
+    // the service gave it: consecutive, never the 0 of "no endpoint".
+    for (size_t i = 0; i < fleet.kernels.size(); ++i) {
+        const auto seqs = trapSeqs(hub.snapshotFlight(fleet.cr3(i)));
+        ASSERT_FALSE(seqs.empty());
+        EXPECT_GT(seqs.front(), 0u);
+        for (size_t k = 1; k < seqs.size(); ++k)
+            EXPECT_EQ(seqs[k], seqs[k - 1] + 1);
+    }
 }
 
 } // namespace

@@ -160,7 +160,7 @@ TEST(Sinks, JsonlShapeIsCompactAndTagged)
 {
     FlightEvent event;
     event.kind = EventKind::Span;
-    event.span = SpanKind::TopaDrain;
+    event.span = SpanKind::FastDecode;
     event.id = 3;
     event.parent = 2;
     event.cr3 = 0xC0;
@@ -169,7 +169,7 @@ TEST(Sinks, JsonlShapeIsCompactAndTagged)
     event.end = 25;
     event.a = 4096;
     EXPECT_EQ(telemetry::JsonlSink::toJson(event),
-              "{\"ev\":\"span\",\"span\":\"topa-drain\",\"id\":3,"
+              "{\"ev\":\"span\",\"span\":\"fast-decode\",\"id\":3,"
               "\"parent\":2,\"cr3\":192,\"seq\":5,\"begin\":10,"
               "\"end\":25,\"a\":4096}");
 }
