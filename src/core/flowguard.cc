@@ -4,6 +4,7 @@
 
 #include "cpu/basic_kernel.hh"
 #include "fuzz/trainer.hh"
+#include "runtime/service.hh"
 #include "support/logging.hh"
 #include "trace/ipt.hh"
 
@@ -157,13 +158,9 @@ FlowGuard::run(const std::vector<uint8_t> &input, uint64_t max_insts)
                          &outcome.cycles);
     kernel.setInput(input);
     cpu.setSyscallHandler(&kernel);
-
-    std::unique_ptr<runtime::PmiGuard> pmi;
-    if (_config.pmiChecking) {
-        pmi = std::make_unique<runtime::PmiGuard>(
-            _program.cr3(), monitor, encoder, topa, &outcome.cycles);
-        kernel.attachPmi(*pmi);
-    }
+    runtime::ProtectionService &service = *kernel.service();
+    if (_config.pmiChecking)
+        service.armPmi(_program.cr3());
 
     std::unique_ptr<dynamic::DynamicGuard> dyn;
     if (_config.dynamicTracking || !_config.dynamicModules.empty()) {
@@ -184,8 +181,6 @@ FlowGuard::run(const std::vector<uint8_t> &input, uint64_t max_insts)
         monitor.setTelemetry(hub, _program.cr3());
         encoder.setTelemetry(hub, _program.cr3());
         kernel.attachTelemetry(hub);
-        if (pmi)
-            pmi->setTelemetry(hub);
     }
 
     outcome.stop = cpu.run(max_insts);
@@ -193,9 +188,11 @@ FlowGuard::run(const std::vector<uint8_t> &input, uint64_t max_insts)
     outcome.attackDetected = kernel.kills() > 0;
     outcome.violations = kernel.violations();
     runtime::ViolationReport pending;
-    if (pmi && pmi->consumePendingKill(_program.cr3(), pending)) {
+    if (kernel.kills() == 0 &&
+        service.consumePendingKill(_program.cr3(), pending)) {
         // The process stopped before the kernel could deliver the
-        // PMI-triggered kill; still a positive detection.
+        // PMI-triggered kill; still a positive detection. A killed
+        // process leaves only later evidence in the queue.
         outcome.attackDetected = true;
         pending.reason += " (post-mortem)";
         outcome.violations.push_back(std::move(pending));

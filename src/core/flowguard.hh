@@ -92,7 +92,7 @@ struct FlowGuardConfig
     // --- observability (src/telemetry) ------------------------------------
     /**
      * External telemetry hub. When set, run() and makeProcessHarness()
-     * wire it through the kernel, monitor, encoder and PMI guard, so
+     * wire it through the kernel, monitor and encoder, so
      * the caller's sink sees the whole check lifecycle. When null,
      * run() builds a run-local hub (null sink) purely so violation
      * reports still carry flight-recorder snapshots. Must outlive the

@@ -97,8 +97,7 @@ FlowGuardKernel::onSyscall(cpu::Cpu &cpu, int64_t number)
     // process's next syscall, whatever its number: the earliest
     // moment the kernel regains control.
     ViolationReport pending;
-    if ((_pmi && _pmi->consumePendingKill(cr3, pending)) ||
-        (_service && _service->consumePendingKill(cr3, pending)))
+    if (_service && _service->consumePendingKill(cr3, pending))
         return killWith(std::move(pending));
 
     // A syscall that retires code (dlclose, jit_unmap) is a barrier:

@@ -27,7 +27,6 @@
 
 #include "cpu/basic_kernel.hh"
 #include "runtime/monitor.hh"
-#include "runtime/pmi.hh"
 #include "runtime/report.hh"
 #include "telemetry/telemetry.hh"
 #include "trace/ipt.hh"
@@ -75,12 +74,9 @@ class FlowGuardKernel : public cpu::BasicKernel
      */
     void attachService(ProtectionService &service);
 
-    /**
-     * Enables the §7.1.2 fallback: PMI-window violations detected by
-     * `pmi` are delivered as SIGKILL at the process's next syscall —
-     * the earliest moment the kernel regains control in this model.
-     */
-    void attachPmi(PmiGuard &pmi) { _pmi = &pmi; }
+    /** The service endpoints route through: the caller's, or the
+     *  kernel's own once attachProcess() ran; nullptr before. */
+    ProtectionService *service() const { return _service; }
 
     /**
      * Wires the observability layer: endpoint intercepts emit Trap /
@@ -126,7 +122,6 @@ class FlowGuardKernel : public cpu::BasicKernel
     /** The synchronous service attachProcess() registers into. */
     std::unique_ptr<ProtectionService> _ownService;
     ProtectionService *_service = nullptr;
-    PmiGuard *_pmi = nullptr;
     telemetry::Telemetry *_telemetry = nullptr;
     uint64_t _endpointHits = 0;
     uint64_t _kills = 0;

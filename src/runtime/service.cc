@@ -271,6 +271,12 @@ ProtectionService::deliver(const CheckRequest &request,
         return;
     }
     ++_stats.deferredKills;
+    queueKill(proc, std::move(report));
+}
+
+void
+ProtectionService::queueKill(ProcessRecord &proc, ViolationReport report)
+{
     // Commit point: the verdict exists but the kill has not reached
     // its process yet. Journaling here is what lets a checker crash
     // in the commit-to-delivery window neither lose the kill nor,
@@ -281,6 +287,51 @@ ProtectionService::deliver(const CheckRequest &request,
         _telemetry->instant(telemetry::EventKind::VerdictCommitted,
                             proc.cr3, report.seq);
     proc.pendingKills.push_back(std::move(report));
+}
+
+void
+ProtectionService::armPmi(uint64_t cr3)
+{
+    auto it = _processes.find(cr3);
+    fg_assert(it != _processes.end(), "armPmi on an unregistered cr3");
+    it->second.topa->setPmiCallback([this, cr3] { onPmi(cr3); });
+}
+
+void
+ProtectionService::onPmi(uint64_t cr3)
+{
+    auto it = _processes.find(cr3);
+    if (it == _processes.end() || !it->second.attached)
+        return;
+    ProcessRecord &proc = it->second;
+    ++proc.pmis;
+    ++_stats.pmiChecks;
+    telemetry::ScopedSpan span(proc.monitor->telemetry(),
+                               telemetry::SpanKind::PmiCheck, cr3,
+                               proc.pmis);
+    if (proc.account)
+        proc.account->other += cpu::cost::intercept_per_syscall;
+    // The PMI fires from inside the encoder's own ToPA write, so the
+    // encoder must not be re-entered here (no TNT flush): at most six
+    // buffered conditional outcomes are deferred to the next window,
+    // which the checker's head-truncation handling already tolerates.
+    // The PMI fires with the write cursor at the ring's head, so the
+    // view is the whole buffer, read in place.
+    const CheckVerdict verdict =
+        proc.monitor->checkFull(proc.topa->view());
+    span.setVerdict(static_cast<uint8_t>(verdict));
+    if (verdict != CheckVerdict::Violation) {
+        proc.monitor->commitCache();
+        return;
+    }
+    ViolationReport report = withFlight(
+        proc.monitor->violationReport(cr3, proc.pmis, /*syscall=*/-1));
+    report.reason = "PMI window: " + report.reason;
+    span.setPayload(report.from, report.to);
+    EndpointDecision decision;
+    enforce(proc, std::move(report), decision);
+    if (decision.kill)
+        queueKill(proc, std::move(decision.report));
 }
 
 bool
@@ -437,9 +488,9 @@ ProtectionService::onEndpoint(cpu::Cpu &cpu, int64_t syscall)
                                    : ProtectionWindowClass::Checked);
         if (fast.verdict == CheckVerdict::Violation) {
             ++_stats.inlineFastViolations;
-            decision.kill = true;
-            decision.report = withFlight(
-                proc.monitor->violationReport(cr3, proc.seq, syscall));
+            enforce(proc, withFlight(proc.monitor->violationReport(
+                              cr3, proc.seq, syscall)),
+                    decision);
             return decision;
         }
         ++_stats.inlineFastPass;
@@ -826,6 +877,7 @@ registerServiceMetrics(telemetry::MetricRegistry &registry,
         c("audit_violations", stats.auditViolations);
         c("quarantines", stats.quarantines);
         c("pmi_storm_checks", stats.pmiStormChecks);
+        c("pmi_checks", stats.pmiChecks);
         c("attach_attempts", stats.attachAttempts);
         c("attach_retries", stats.attachRetries);
         c("attach_failures", stats.attachFailures);

@@ -25,9 +25,9 @@
  *    backoff with jitter; permanent failures surface as
  *    AttachFailure reports instead of silently unprotected processes.
  *
- * Deferred verdicts and quarantine kills are delivered through the
- * kernel at the target process's next syscall (consumePendingKill),
- * mirroring how PMI-window violations land.
+ * Deferred verdicts, PMI-window convictions and quarantine kills
+ * share one queue per process, delivered through the kernel at the
+ * target process's next syscall (consumePendingKill), earliest first.
  *
  * The paper's synchronous inline check is one configuration of it
  * (FlowGuardKernel::attachProcess): deadlineCycles = UINT64_MAX, so
@@ -101,6 +101,7 @@ struct ServiceStats
     uint64_t auditViolations = 0;   ///< violations observed, waived
     uint64_t quarantines = 0;       ///< breaker trips
     uint64_t pmiStormChecks = 0;    ///< injected spurious checks
+    uint64_t pmiChecks = 0;         ///< buffer-full PMI window checks
     uint64_t attachAttempts = 0;    ///< attach tries incl. retries
     uint64_t attachRetries = 0;     ///< failed tries that were retried
     uint64_t attachFailures = 0;    ///< processes never protected
@@ -296,6 +297,30 @@ class ProtectionService
      */
     EndpointDecision codeBarrier(cpu::Cpu &cpu, int64_t syscall);
 
+    /**
+     * Enables PMI-driven checking for process `cr3` (paper §7.1.2,
+     * "Endpoints bypassing"). Syscall endpoints can in principle be
+     * pruned by an attacker who reaches their goal without touching a
+     * sensitive syscall. The fallback treats the buffer-full
+     * performance monitoring interrupt as one more endpoint: whenever
+     * the ToPA's last region fills, the whole freshly captured buffer
+     * is checked before tracing wraps over it. Checks then scale with
+     * trace volume, not syscall rate, in exchange for
+     * endpoint-independence.
+     *
+     * Points the process's Topa PMI callback at the service. Each PMI
+     * of an attached process is charged as an intercept, checked with
+     * checkFull() (a PmiCheck span on the monitor's hub, seq = the
+     * process's PMI count), and on a pass banks staged credit, as the
+     * code barrier does. A conviction is enforced like any other: its
+     * report, prefixed "PMI window: " with seq = the PMI count and
+     * syscall = -1, joins the process's kill queue (or is waived for
+     * an audit-class process), and the kernel delivers it at the
+     * process's next syscall — the earliest moment it regains
+     * control. The process must be registered.
+     */
+    void armPmi(uint64_t cr3);
+
     /** The monitor registered for `cr3` (nullptr when unknown) —
      *  lets the kernel drain audit observations after a decision. */
     Monitor *
@@ -306,9 +331,9 @@ class ProtectionService
     }
 
     /**
-     * Pops one queued kill for `cr3` (deferred verdicts, quarantine
-     * kills). The kernel consumes these at every syscall of the
-     * target process.
+     * Pops the oldest queued kill for `cr3` (deferred verdicts, PMI
+     * windows, quarantine kills). The kernel consumes these at every
+     * syscall of the target process.
      */
     bool consumePendingKill(uint64_t cr3, ViolationReport &out);
 
@@ -397,6 +422,7 @@ class ProtectionService
         cpu::CycleAccount *account = nullptr;
         size_t basePktCount = 0;
         uint64_t seq = 0;
+        uint64_t pmis = 0;
         uint64_t lastCheckedWritten = 0;
         uint32_t consecutiveMisses = 0;
         uint32_t attachAttempts = 0;
@@ -414,6 +440,11 @@ class ProtectionService
      *  for an audit-class process. */
     void enforce(const ProcessRecord &proc, ViolationReport report,
                  EndpointDecision &decision);
+    /** Queues a committed kill for delivery at the process's next
+     *  syscall, journaling the commit point. */
+    void queueKill(ProcessRecord &proc, ViolationReport report);
+    /** The PMI trigger armPmi() installs. */
+    void onPmi(uint64_t cr3);
     CheckExecution execute(const CheckRequest &request);
     void cacheDecision(const CheckRequest &request, bool commit);
     void deliver(const CheckRequest &request,

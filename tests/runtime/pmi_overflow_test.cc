@@ -12,6 +12,11 @@
  *  - EscalateSlowPath re-checks the surviving window and still
  *    catches a planted ROP attack, attributing it to flow evidence
  *    (CfiViolation), not to the gap.
+ *
+ * The PMI check is a ProtectionService trigger, so its convictions
+ * share the service's one kill queue: the earliest lands at the
+ * process's next syscall, whatever its number, and one the process
+ * never reaches is filed post-mortem at drain().
  */
 
 #include <gtest/gtest.h>
@@ -21,7 +26,8 @@
 #include "attacks/gadgets.hh"
 #include "core/flowguard.hh"
 #include "cpu/basic_kernel.hh"
-#include "runtime/pmi.hh"
+#include "isa/syscalls.hh"
+#include "runtime/service.hh"
 #include "workloads/apps.hh"
 
 namespace {
@@ -44,8 +50,9 @@ miniSpec()
     return spec;
 }
 
-/** Monitor + PmiGuard wired straight to a Topa (no FlowGuardKernel):
- *  the smallest harness that exercises the PMI checking path. */
+/** Monitor + a ProtectionService with PMI armed, wired straight to a
+ *  Topa (no FlowGuardKernel): the smallest harness that exercises the
+ *  PMI checking path. */
 struct PmiHarness
 {
     workloads::SyntheticApp app;
@@ -55,7 +62,7 @@ struct PmiHarness
     Monitor monitor;
     trace::Topa topa;
     trace::IptEncoder encoder;
-    PmiGuard guard;
+    ProtectionService service;
 
     PmiHarness(LossPolicy policy, size_t latency_bytes,
                std::vector<size_t> regions = {1024})
@@ -70,10 +77,19 @@ struct PmiHarness
                       return config;
                   }()),
           topa(std::move(regions)),
-          encoder(trace::IptConfig{}, topa),
-          guard(app.program.cr3(), monitor, encoder, topa)
+          encoder(trace::IptConfig{}, topa)
     {
         topa.setPmiServiceLatency(latency_bytes);
+        service.addProcess(app.program.cr3(), monitor, encoder, topa);
+        service.attachAll();
+        service.armPmi(app.program.cr3());
+    }
+
+    /** Pops the oldest PMI kill awaiting delivery, if any. */
+    bool
+    consumePendingKill(ViolationReport &out)
+    {
+        return service.consumePendingKill(app.program.cr3(), out);
     }
 
     cpu::Cpu::Stop
@@ -97,9 +113,10 @@ TEST(PmiOverflow, InstantServiceWrapIsNotLoss)
     // packet at the snapshot tail is a clean EOF, not loss.
     PmiHarness harness(LossPolicy::FailClosed, /*latency=*/0);
     EXPECT_EQ(harness.runBenign(21), cpu::Cpu::Stop::Halted);
-    EXPECT_GE(harness.guard.pmiCount(), 2u);
+    EXPECT_GE(harness.service.stats().pmiChecks, 2u);
     EXPECT_EQ(harness.topa.overflowEpisodes(), 0u);
-    EXPECT_FALSE(harness.guard.violationPending());
+    ViolationReport none;
+    EXPECT_FALSE(harness.consumePendingKill(none));
     EXPECT_EQ(harness.monitor.stats().lossWindows, 0u);
 }
 
@@ -108,14 +125,23 @@ TEST(PmiOverflow, FailClosedConvictsLossyWindow)
     PmiHarness harness(LossPolicy::FailClosed, /*latency=*/512);
     harness.runBenign(21);
     ASSERT_GE(harness.topa.overflowEpisodes(), 2u);
-    EXPECT_TRUE(harness.guard.violationPending());
     ViolationReport report;
-    ASSERT_TRUE(harness.guard.consumePendingKill(
-        harness.app.program.cr3(), report));
+    ASSERT_TRUE(harness.consumePendingKill(report));
     EXPECT_EQ(report.kind, ViolationReport::Kind::TraceLoss);
     EXPECT_EQ(report.reason, "PMI window: trace loss (fail-closed policy)");
-    EXPECT_FALSE(harness.guard.violationPending());
+    // Every later lossy window queued its own kill behind the first,
+    // in PMI order: one per loss conviction, none beyond.
+    uint64_t queued = 1;
+    uint64_t last_seq = report.seq;
+    for (ViolationReport later; harness.consumePendingKill(later);) {
+        ++queued;
+        EXPECT_EQ(later.kind, report.kind);
+        EXPECT_EQ(later.reason, report.reason);
+        EXPECT_GT(later.seq, last_seq);
+        last_seq = later.seq;
+    }
     const auto &stats = harness.monitor.stats();
+    EXPECT_EQ(queued, stats.lossViolations);
     EXPECT_GE(stats.lossWindows, 1u);
     EXPECT_GE(stats.lossViolations, 1u);
     EXPECT_GE(stats.overflows, 1u);
@@ -126,7 +152,8 @@ TEST(PmiOverflow, LogAndPassOnlyAudits)
     PmiHarness harness(LossPolicy::LogAndPass, /*latency=*/512);
     EXPECT_EQ(harness.runBenign(21), cpu::Cpu::Stop::Halted);
     ASSERT_GE(harness.topa.overflowEpisodes(), 2u);
-    EXPECT_FALSE(harness.guard.violationPending());
+    ViolationReport none;
+    EXPECT_FALSE(harness.consumePendingKill(none));
     const auto &stats = harness.monitor.stats();
     EXPECT_GE(stats.lossWindows, 1u);
     EXPECT_EQ(stats.lossAccepted, stats.lossWindows);
@@ -139,12 +166,120 @@ TEST(PmiOverflow, EscalateSlowPathClearsBenignLoss)
     PmiHarness harness(LossPolicy::EscalateSlowPath, /*latency=*/512);
     EXPECT_EQ(harness.runBenign(21), cpu::Cpu::Stop::Halted);
     ASSERT_GE(harness.topa.overflowEpisodes(), 2u);
-    EXPECT_FALSE(harness.guard.violationPending());
+    ViolationReport none;
+    EXPECT_FALSE(harness.consumePendingKill(none));
     const auto &stats = harness.monitor.stats();
     EXPECT_GE(stats.lossWindows, 1u);
     EXPECT_GE(stats.lossEscalations, 1u);
     EXPECT_GE(stats.slowChecks, stats.lossEscalations);
     EXPECT_EQ(stats.lossViolations, 0u);
+}
+
+// --- one kill queue ----------------------------------------------------------
+
+/** A window with one checked TIP, from inside the image into address
+ *  space no module claims: every full-buffer check convicts it. */
+std::vector<uint8_t>
+hijackWindow()
+{
+    const auto app = workloads::buildServerApp(miniSpec());
+    trace::Topa topa({1 << 16});
+    trace::IptEncoder encoder(trace::IptConfig{}, topa);
+    cpu::BranchEvent event;
+    event.kind = cpu::BranchKind::IndirectCall;
+    event.source = app.program.modules()[0].codeBase + 8;
+    event.target = event.source;
+    event.cr3 = app.program.cr3();
+    encoder.onBranch(event);
+    event.target = 0x0000000333000000ULL;
+    encoder.onBranch(event);
+    encoder.flushTnt();
+    return topa.snapshot();
+}
+
+/** A harness whose ToPA fills, firing one PMI, on every write of
+ *  `window`. */
+PmiHarness
+windowHarness(const std::vector<uint8_t> &window)
+{
+    return PmiHarness(LossPolicy::FailClosed, /*latency=*/0,
+                      {window.size()});
+}
+
+TEST(PmiDelivery, KillLandsAtNextSyscallOfAnyNumber)
+{
+    const auto window = hijackWindow();
+    for (const auto number : {isa::Syscall::Read, isa::Syscall::Write}) {
+        PmiHarness harness = windowHarness(window);
+        harness.topa.write(window.data(), window.size());
+        ASSERT_EQ(harness.service.stats().pmiChecks, 1u);
+        const uint64_t checks = harness.monitor.stats().checks;
+
+        FlowGuardKernel kernel(FlowGuardKernel::Config{});
+        kernel.attachService(harness.service);
+        cpu::Cpu cpu(harness.app.program);
+        const auto result =
+            kernel.onSyscall(cpu, static_cast<int64_t>(number));
+        EXPECT_EQ(result.action, cpu::SyscallResult::Action::Kill);
+        ASSERT_EQ(kernel.violations().size(), 1u);
+        const ViolationReport &kill = kernel.violations().front();
+        EXPECT_EQ(kill.reason.rfind("PMI window: ", 0), 0u)
+            << kill.reason;
+        EXPECT_EQ(kill.cr3, harness.app.program.cr3());
+        EXPECT_EQ(kill.seq, 1u);
+        EXPECT_EQ(kill.syscall, -1);
+        // The delivering syscall's own check never ran, endpoint or
+        // not.
+        EXPECT_EQ(harness.monitor.stats().checks, checks);
+        EXPECT_EQ(harness.service.stats().endpointChecks, 0u);
+    }
+}
+
+TEST(PmiDelivery, TwoConvictionsDeliverTheEarliest)
+{
+    const auto window = hijackWindow();
+    PmiHarness harness = windowHarness(window);
+    harness.topa.write(window.data(), window.size());
+    harness.topa.write(window.data(), window.size());
+    ASSERT_EQ(harness.service.stats().pmiChecks, 2u);
+
+    FlowGuardKernel kernel(FlowGuardKernel::Config{});
+    kernel.attachService(harness.service);
+    cpu::Cpu cpu(harness.app.program);
+    kernel.onSyscall(cpu, static_cast<int64_t>(isa::Syscall::Read));
+    ASSERT_EQ(kernel.violations().size(), 1u);
+    EXPECT_EQ(kernel.violations().front().seq, 1u);
+    // The later window's evidence stays queued behind it.
+    ViolationReport later;
+    ASSERT_TRUE(harness.consumePendingKill(later));
+    EXPECT_EQ(later.seq, 2u);
+    EXPECT_EQ(later.reason, kernel.violations().front().reason);
+    EXPECT_FALSE(harness.consumePendingKill(later));
+}
+
+TEST(PmiDelivery, UndeliveredKillIsFiledAtDrain)
+{
+    const auto window = hijackWindow();
+    PmiHarness harness = windowHarness(window);
+    harness.topa.write(window.data(), window.size());
+    ASSERT_EQ(harness.service.stats().pmiChecks, 1u);
+    harness.service.drain();   // panics on a broken identity
+
+    size_t post_mortem = 0;
+    for (const auto &report : harness.service.reports()) {
+        if (report.reason.rfind("PMI window: ", 0) != 0)
+            continue;
+        ++post_mortem;
+        EXPECT_EQ(report.seq, 1u);
+        EXPECT_TRUE(report.reason.ends_with(
+            " [post-mortem: process stopped first]"))
+            << report.reason;
+    }
+    EXPECT_EQ(post_mortem, 1u);
+    std::string why;
+    EXPECT_TRUE(harness.service.stats().checkInvariants(&why)) << why;
+    ViolationReport none;
+    EXPECT_FALSE(harness.consumePendingKill(none));
 }
 
 // --- end-to-end through the FlowGuard facade --------------------------------

@@ -1,11 +1,12 @@
 /**
  * @file
  * One verdict, one report. The same conviction reaches the
- * administrator through three paths: the inline kernel
- * (FlowGuard::run), the protection service (fast phase at the
- * endpoint, slow phase through the scheduler) and a PMI window
- * (PmiGuard). Each must file the same kind, offending edge and
- * reason; a PMI report differs only by its "PMI window: " prefix.
+ * administrator through three triggers: the inline kernel
+ * (FlowGuard::run, the kernel's own synchronous service), a caller's
+ * protection service (fast phase at the endpoint, slow phase through
+ * the scheduler) and a PMI window (ProtectionService::armPmi). Each
+ * must file the same kind, offending edge and reason; a PMI report
+ * differs only by its "PMI window: " prefix.
  *
  * Every scenario checks whole buffers (pkt_count unbounded, no
  * module-stride rule) with verdict caching off, so the endpoint check
@@ -25,7 +26,6 @@
 #include "attacks/gadgets.hh"
 #include "core/flowguard.hh"
 #include "isa/syscalls.hh"
-#include "runtime/pmi.hh"
 #include "runtime/service.hh"
 #include "workloads/apps.hh"
 #include "stale_rop.hh"
@@ -119,19 +119,25 @@ serviceKill(FlowGuard &guard, const isa::Program &program,
     return kill;
 }
 
-/** Replays `window` through a fresh monitor's PMI. */
+/** Replays `window` through a fresh monitor's PMI, armed on a
+ *  service. */
 ViolationReport
 pmiReport(FlowGuard &guard, const isa::Program &program,
           const std::vector<uint8_t> &window)
 {
     auto proc = guard.makeProcessHarness(program);
     trace::Topa topa({window.size()});
-    PmiGuard pmi(program.cr3(), *proc->monitor, *proc->encoder, topa);
+    ProtectionService service;
+    service.addProcess(program.cr3(), *proc->monitor, *proc->encoder,
+                       topa);
+    EXPECT_EQ(service.attachAll().attached, 1u);
+    service.armPmi(program.cr3());
     topa.write(window.data(), window.size());
-    EXPECT_EQ(pmi.pmiCount(), 1u);
+    EXPECT_EQ(service.stats().pmiChecks, 1u);
     ViolationReport report;
-    EXPECT_TRUE(pmi.consumePendingKill(program.cr3(), report));
-    EXPECT_FALSE(pmi.violationPending());
+    EXPECT_TRUE(service.consumePendingKill(program.cr3(), report));
+    ViolationReport none;
+    EXPECT_FALSE(service.consumePendingKill(program.cr3(), none));
     return report;
 }
 

@@ -25,6 +25,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "attacks/chains.hh"
@@ -344,6 +345,47 @@ TEST_F(ServiceOverload, CircuitBreakerKillDeliversSigkill)
     }
     EXPECT_GE(kills, 1u);
     EXPECT_TRUE(quarantined_kind);
+    EXPECT_TRUE(fleet.service.accountingBalances());
+}
+
+TEST_F(ServiceOverload, CircuitBreakerAuditWaivesFastConviction)
+{
+    // Audit quarantine demotes every later check of the process to
+    // audit class: a conviction is filed as waived evidence, never a
+    // kill — also when the inline fast phase alone convicts. An
+    // untrained guard escalates every benign endpoint, and a deadline
+    // no check can meet trips the breaker before the ROP chain runs.
+    FlowGuard guard = makeGuard(/*train=*/false);
+    ServiceConfig config;
+    config.scheduler.policy = OverloadPolicy::AuditOnly;
+    config.scheduler.deadlineCycles = 1;
+    config.breakerThreshold = 2;
+    config.quarantineAction = QuarantineAction::Audit;
+    auto input = benign(101, 4);
+    auto rop = attacks::buildRopWriteAttack(app->program, *catalog);
+    input.insert(input.end(), rop.request.begin(), rop.request.end());
+    Fleet fleet(guard, config, {input});
+
+    EXPECT_EQ(fleet.service.attachAll().attached, 1u);
+    fleet.machine.run(100'000'000);
+    fleet.service.drain();
+
+    EXPECT_TRUE(fleet.service.quarantined(fleet.cr3(0)));
+    EXPECT_TRUE(fleet.detected(0, ViolationReport::Kind::Quarantined));
+    EXPECT_EQ(fleet.kernels[0]->kills(), 0u);
+    EXPECT_NE(fleet.procs[0]->cpu->state(), cpu::Cpu::Stop::Killed);
+    EXPECT_GE(fleet.service.stats().inlineFastViolations, 1u);
+    const std::string waived = " [audit-class, enforcement waived]";
+    bool fast_waived = false;
+    for (const auto &report : fleet.service.reports()) {
+        fast_waived |=
+            report.kind == ViolationReport::Kind::CfiViolation &&
+            report.reason ==
+                "fast path: ITC-CFG edge mismatch" + waived;
+    }
+    EXPECT_TRUE(fast_waived);
+    std::string why;
+    EXPECT_TRUE(fleet.service.stats().checkInvariants(&why)) << why;
     EXPECT_TRUE(fleet.service.accountingBalances());
 }
 
