@@ -1,11 +1,12 @@
 /**
  * @file
- * The profile wire format's primitive layer, shared between the
- * profile writer/loader (v2/v3) and the crash-recovery structures
- * (journal, snapshot) that reuse it: little-endian u64 fields,
- * length-prefixed strings, and a bounded Reader that records
- * truncation instead of aborting — the property every recoverable
- * loader in the system is built on.
+ * The profile wire format's primitive layer, used by the profile
+ * writer/loader (v2/v3): little-endian u64 fields, length-prefixed
+ * strings over streams, and a bounded Reader that records truncation
+ * instead of aborting — the property every recoverable loader in the
+ * system is built on. The crash-recovery structures (journal,
+ * snapshot) use the same field encoding through the in-memory codec
+ * in support/byte_codec.hh.
  */
 
 #ifndef FLOWGUARD_CORE_PROFILE_WIRE_HH

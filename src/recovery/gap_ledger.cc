@@ -45,13 +45,6 @@ GapLedger::attribute(uint64_t cr3, uint64_t inst_now,
     }
 }
 
-const GapLedger::Buckets *
-GapLedger::bucketsFor(uint64_t cr3) const
-{
-    auto it = _entries.find(cr3);
-    return it == _entries.end() ? nullptr : &it->second.buckets;
-}
-
 GapLedger::Buckets
 GapLedger::totals() const
 {

@@ -52,9 +52,6 @@ class GapLedger
     void attribute(uint64_t cr3, uint64_t inst_now,
                    runtime::ProtectionWindowClass cls);
 
-    /** Buckets for one process (nullptr when never begun). */
-    const Buckets *bucketsFor(uint64_t cr3) const;
-
     /** Fleet-wide sums. */
     Buckets totals() const;
 

@@ -1,7 +1,5 @@
 #include "recovery/journal.hh"
 
-#include <cstring>
-
 #include "support/crc32.hh"
 
 namespace flowguard::recovery {
@@ -14,128 +12,29 @@ namespace {
 constexpr size_t max_payload = 1u << 24;
 
 void
-put8(std::vector<uint8_t> &out, uint8_t value)
+encodePayload(ByteWriter &out, const JournalRecord &record)
 {
-    out.push_back(value);
-}
-
-void
-put32(std::vector<uint8_t> &out, uint32_t value)
-{
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<uint8_t>(value >> (8 * i)));
-}
-
-void
-put64(std::vector<uint8_t> &out, uint64_t value)
-{
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<uint8_t>(value >> (8 * i)));
-}
-
-void
-putString(std::vector<uint8_t> &out, const std::string &s)
-{
-    put64(out, s.size());
-    out.insert(out.end(), s.begin(), s.end());
-}
-
-/** Bounded byte reader mirroring wire::Reader for raw buffers. */
-struct ByteReader
-{
-    const uint8_t *data;
-    size_t size;
-    size_t offset = 0;
-    bool truncated = false;
-
-    uint8_t
-    u8()
-    {
-        if (offset + 1 > size) {
-            truncated = true;
-            return 0;
-        }
-        return data[offset++];
-    }
-
-    uint32_t
-    u32()
-    {
-        if (offset + 4 > size) {
-            truncated = true;
-            return 0;
-        }
-        uint32_t value = 0;
-        for (int i = 0; i < 4; ++i)
-            value |= static_cast<uint32_t>(data[offset++]) << (8 * i);
-        return value;
-    }
-
-    uint64_t
-    u64()
-    {
-        if (offset + 8 > size) {
-            truncated = true;
-            return 0;
-        }
-        uint64_t value = 0;
-        for (int i = 0; i < 8; ++i)
-            value |= static_cast<uint64_t>(data[offset++]) << (8 * i);
-        return value;
-    }
-
-    std::string
-    str()
-    {
-        const uint64_t len = u64();
-        if (truncated || len > size - offset) {
-            truncated = true;
-            return {};
-        }
-        std::string s(reinterpret_cast<const char *>(data + offset),
-                      len);
-        offset += len;
-        return s;
-    }
-};
-
-std::vector<uint8_t>
-encodePayload(const JournalRecord &record)
-{
-    std::vector<uint8_t> out;
-    put8(out, static_cast<uint8_t>(record.type));
-    put64(out, record.cr3);
+    out.u8(static_cast<uint8_t>(record.type));
+    out.u64(record.cr3);
     switch (record.type) {
       case RecordType::CreditCommit:
-        put64(out, record.transitions.size());
-        for (const auto &transition : record.transitions) {
-            put64(out, transition.from);
-            put64(out, transition.to);
-            put64(out, transition.tnt.size());
-            out.insert(out.end(), transition.tnt.begin(),
-                       transition.tnt.end());
-        }
+        out.u64(record.transitions.size());
+        encodeTransitions(out, record.transitions);
         break;
       case RecordType::VerdictCommitted:
-        put64(out, record.seq);
-        put8(out, record.verdictKind);
-        put64(out, static_cast<uint64_t>(record.syscall));
-        put64(out, record.from);
-        put64(out, record.to);
-        putString(out, record.reason);
+        writeVerdict(out, record);
         break;
       case RecordType::VerdictDelivered:
       case RecordType::EndpointSeq:
-        put64(out, record.seq);
+        out.u64(record.seq);
         break;
       case RecordType::ModuleEvent:
-        put8(out, static_cast<uint8_t>(record.moduleKind));
-        put64(out, record.begin);
-        put64(out, record.end);
-        put64(out, record.newBase);
+        out.u8(static_cast<uint8_t>(record.moduleKind));
+        out.u64(record.begin);
+        out.u64(record.end);
+        out.u64(record.newBase);
         break;
     }
-    return out;
 }
 
 /** Decodes one payload; false when malformed (truncated content or
@@ -152,32 +51,12 @@ decodePayload(const uint8_t *data, size_t size, JournalRecord &out)
     out.type = static_cast<RecordType>(type);
     out.cr3 = in.u64();
     switch (out.type) {
-      case RecordType::CreditCommit: {
-        const uint64_t count = in.u64();
-        if (in.truncated || count > size)
+      case RecordType::CreditCommit:
+        if (!decodeTransitions(in, in.u64(), &out.transitions))
             return false;
-        out.transitions.reserve(count);
-        for (uint64_t i = 0; i < count; ++i) {
-            decode::TipTransition transition;
-            transition.from = in.u64();
-            transition.to = in.u64();
-            const uint64_t tnt_len = in.u64();
-            if (in.truncated || tnt_len > size - in.offset)
-                return false;
-            transition.tnt.assign(in.data + in.offset,
-                                  in.data + in.offset + tnt_len);
-            in.offset += tnt_len;
-            out.transitions.push_back(std::move(transition));
-        }
         break;
-      }
       case RecordType::VerdictCommitted:
-        out.seq = in.u64();
-        out.verdictKind = in.u8();
-        out.syscall = static_cast<int64_t>(in.u64());
-        out.from = in.u64();
-        out.to = in.u64();
-        out.reason = in.str();
+        readVerdict(in, out);
         break;
       case RecordType::VerdictDelivered:
       case RecordType::EndpointSeq:
@@ -214,12 +93,71 @@ recordTypeName(RecordType type)
 }
 
 void
+encodeTransitions(ByteWriter &out,
+                  const std::vector<decode::TipTransition> &transitions)
+{
+    for (const auto &transition : transitions) {
+        out.u64(transition.from);
+        out.u64(transition.to);
+        out.u64(transition.tnt.size());
+        out.bytes(transition.tnt.data(), transition.tnt.size());
+    }
+}
+
+bool
+decodeTransitions(ByteReader &in, uint64_t count,
+                  std::vector<decode::TipTransition> *out)
+{
+    // Each transition takes bytes: a larger count is corruption.
+    if (in.truncated || count > in.size)
+        return false;
+    if (out)
+        out->reserve(out->size() + count);
+    for (uint64_t i = 0; i < count; ++i) {
+        const uint64_t from = in.u64();
+        const uint64_t to = in.u64();
+        const uint64_t tnt_len = in.u64();
+        const uint8_t *tnt = in.bytes(tnt_len);
+        if (!tnt)
+            return false;
+        if (out)
+            out->push_back({from, to, {tnt, tnt + tnt_len}});
+    }
+    return true;
+}
+
+void
+writeVerdict(ByteWriter &out, const JournalRecord &verdict)
+{
+    out.u64(verdict.seq);
+    out.u8(verdict.verdictKind);
+    out.u64(static_cast<uint64_t>(verdict.syscall));
+    out.u64(verdict.from);
+    out.u64(verdict.to);
+    out.u64(verdict.reason.size());
+    out.bytes(verdict.reason.data(), verdict.reason.size());
+}
+
+void
+readVerdict(ByteReader &in, JournalRecord &verdict)
+{
+    verdict.seq = in.u64();
+    verdict.verdictKind = in.u8();
+    verdict.syscall = static_cast<int64_t>(in.u64());
+    verdict.from = in.u64();
+    verdict.to = in.u64();
+    const uint64_t len = in.u64();
+    if (const uint8_t *reason = in.bytes(len))
+        verdict.reason.assign(reason, reason + len);
+}
+
+void
 StateJournal::append(const JournalRecord &record)
 {
-    const std::vector<uint8_t> payload = encodePayload(record);
-    put32(_bytes, static_cast<uint32_t>(payload.size()));
-    put32(_bytes, crc32(payload.data(), payload.size()));
-    _bytes.insert(_bytes.end(), payload.begin(), payload.end());
+    ByteWriter out(_bytes);
+    const size_t frame = out.beginFrame();
+    encodePayload(out, record);
+    out.endFrame(frame);
     ++_records;
 }
 
@@ -228,6 +166,7 @@ StateJournal::clear()
 {
     _bytes.clear();
     _records = 0;
+    ++_edits;
 }
 
 void
@@ -235,6 +174,7 @@ StateJournal::truncateTo(size_t size)
 {
     if (size < _bytes.size())
         _bytes.resize(size);
+    ++_edits;
 }
 
 JournalReadResult
@@ -242,43 +182,24 @@ readJournal(const uint8_t *data, size_t size)
 {
     using Status = ProfileLoadResult::Status;
     JournalReadResult result;
-    size_t offset = 0;
-    while (offset < size) {
-        if (size - offset < 8) {
-            // A torn header: the writer died before finishing the
-            // frame prefix.
-            result.status = Status::Truncated;
-            break;
-        }
-        uint32_t len = 0, crc = 0;
-        for (int i = 0; i < 4; ++i)
-            len |= static_cast<uint32_t>(data[offset + i]) << (8 * i);
-        for (int i = 0; i < 4; ++i)
-            crc |= static_cast<uint32_t>(data[offset + 4 + i])
-                << (8 * i);
-        if (len > max_payload) {
-            // No writer produces frames this large; the length field
-            // itself is corrupt.
-            result.status = Status::BadChecksum;
-            break;
-        }
-        if (len > size - offset - 8) {
-            result.status = Status::Truncated;
-            break;
-        }
-        const uint8_t *payload = data + offset + 8;
-        if (crc32(payload, len) != crc) {
-            result.status = Status::BadChecksum;
-            break;
-        }
+    ByteReader in{data, size};
+    while (in.offset < size) {
+        const uint32_t len = in.u32();
+        const uint32_t crc = in.u32();
+        // A short header or payload is a torn append. No writer
+        // produces frames over max_payload: such a length field is
+        // itself corrupt, as is a payload its CRC or decoder rejects.
+        const uint8_t *payload =
+            len > max_payload ? nullptr : in.bytes(len);
         JournalRecord record;
-        if (!decodePayload(payload, len, record)) {
-            result.status = Status::BadChecksum;
+        if (!payload || crc32(payload, len) != crc ||
+            !decodePayload(payload, len, record)) {
+            result.status = in.truncated ? Status::Truncated
+                                         : Status::BadChecksum;
             break;
         }
         result.records.push_back(std::move(record));
-        offset += 8 + len;
-        result.bytesConsumed = offset;
+        result.bytesConsumed = in.offset;
     }
     result.bytesDropped = size - result.bytesConsumed;
     return result;

@@ -36,6 +36,7 @@
 
 #include "core/profile_io.hh"
 #include "decode/fast_decoder.hh"
+#include "support/byte_codec.hh"
 
 namespace flowguard::recovery {
 
@@ -100,7 +101,7 @@ class StateJournal
     const std::vector<uint8_t> &bytes() const { return _bytes; }
 
     /** Mutable view for fault injection (torn-tail crashes). */
-    std::vector<uint8_t> &mutableBytes() { return _bytes; }
+    std::vector<uint8_t> &mutableBytes() { ++_edits; return _bytes; }
 
     /** Drops everything (after a compaction made it redundant). */
     void clear();
@@ -112,9 +113,14 @@ class StateJournal
     /** Records appended since construction or the last clear(). */
     size_t recordCount() const { return _records; }
 
+    /** Counts clear(), truncateTo() and mutableBytes() calls: what a
+     *  reader folding the appends cannot see. */
+    uint64_t edits() const { return _edits; }
+
   private:
     std::vector<uint8_t> _bytes;
     size_t _records = 0;
+    uint64_t _edits = 0;
 };
 
 /** What a tolerant journal read produced. */
@@ -139,6 +145,18 @@ struct JournalReadResult
 JournalReadResult readJournal(const uint8_t *data, size_t size);
 
 JournalReadResult readJournal(const std::vector<uint8_t> &bytes);
+
+/** The encodings journal frames and snapshots share. A transition is
+ *  from, to, u64 TNT length, TNT bytes; decoding reads `count` of them
+ *  into `out` (or only walks them when it is null) and fails when they
+ *  over-run `in`. A committed verdict after its cr3 is seq, kind,
+ *  syscall, from, to, u64 reason length, reason. */
+void encodeTransitions(ByteWriter &out,
+                       const std::vector<decode::TipTransition> &transitions);
+bool decodeTransitions(ByteReader &in, uint64_t count,
+                       std::vector<decode::TipTransition> *out);
+void writeVerdict(ByteWriter &out, const JournalRecord &verdict);
+void readVerdict(ByteReader &in, JournalRecord &verdict);
 
 } // namespace flowguard::recovery
 

@@ -1,6 +1,7 @@
 #include "recovery/snapshot.hh"
 
 #include <algorithm>
+#include <cstring>
 
 #include "support/crc32.hh"
 
@@ -11,118 +12,26 @@ namespace {
 constexpr uint8_t snapshot_magic[8] = {'F', 'G', 'R', 'S',
                                        'N', 'P', '0', '1'};
 
-void
-put32(std::vector<uint8_t> &out, uint32_t value)
-{
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<uint8_t>(value >> (8 * i)));
-}
-
-void
-put64(std::vector<uint8_t> &out, uint64_t value)
-{
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<uint8_t>(value >> (8 * i)));
-}
-
-void
-putString(std::vector<uint8_t> &out, const std::string &s)
-{
-    put64(out, s.size());
-    out.insert(out.end(), s.begin(), s.end());
-}
-
-void
-putTransitions(std::vector<uint8_t> &out,
-               const std::vector<decode::TipTransition> &transitions)
-{
-    put64(out, transitions.size());
-    for (const auto &transition : transitions) {
-        put64(out, transition.from);
-        put64(out, transition.to);
-        put64(out, transition.tnt.size());
-        out.insert(out.end(), transition.tnt.begin(),
-                   transition.tnt.end());
-    }
-}
-
-struct ByteReader
-{
-    const uint8_t *data;
-    size_t size;
-    size_t offset = 0;
-    bool truncated = false;
-
-    uint8_t
-    u8()
-    {
-        if (offset + 1 > size) {
-            truncated = true;
-            return 0;
-        }
-        return data[offset++];
-    }
-
-    uint64_t
-    u64()
-    {
-        if (offset + 8 > size) {
-            truncated = true;
-            return 0;
-        }
-        uint64_t value = 0;
-        for (int i = 0; i < 8; ++i)
-            value |= static_cast<uint64_t>(data[offset++]) << (8 * i);
-        return value;
-    }
-
-    std::string
-    str()
-    {
-        const uint64_t len = u64();
-        if (truncated || len > size - offset) {
-            truncated = true;
-            return {};
-        }
-        std::string s(reinterpret_cast<const char *>(data + offset),
-                      len);
-        offset += len;
-        return s;
-    }
-
-    bool
-    transitions(std::vector<decode::TipTransition> &out)
-    {
-        const uint64_t count = u64();
-        if (truncated || count > size)
-            return false;
-        out.reserve(count);
-        for (uint64_t i = 0; i < count; ++i) {
-            decode::TipTransition transition;
-            transition.from = u64();
-            transition.to = u64();
-            const uint64_t tnt_len = u64();
-            if (truncated || tnt_len > size - offset)
-                return false;
-            transition.tnt.assign(data + offset,
-                                  data + offset + tnt_len);
-            offset += tnt_len;
-            out.push_back(std::move(transition));
-        }
-        return !truncated;
-    }
-};
-
 } // namespace
+
+std::vector<decode::TipTransition>
+ProcessSnapshot::transitions() const
+{
+    std::vector<decode::TipTransition> out;
+    ByteReader in{credits.data(), credits.size()};
+    decodeTransitions(in, creditCount, &out);
+    return out;
+}
 
 void
 RecoveredState::apply(const JournalRecord &record)
 {
     switch (record.type) {
       case RecordType::CreditCommit: {
-        auto &credits = processes[record.cr3].credits;
-        credits.insert(credits.end(), record.transitions.begin(),
-                       record.transitions.end());
+        ProcessSnapshot &proc = processes[record.cr3];
+        ByteWriter out(proc.credits);
+        encodeTransitions(out, record.transitions);
+        proc.creditCount += record.transitions.size();
         break;
       }
       case RecordType::VerdictCommitted:
@@ -134,20 +43,14 @@ RecoveredState::apply(const JournalRecord &record)
         }
         undeliveredVerdicts.push_back(record);
         break;
-      case RecordType::VerdictDelivered: {
+      case RecordType::VerdictDelivered:
         delivered.insert({record.cr3, record.seq});
-        const auto matches = [&](const JournalRecord &pending) {
-            return pending.cr3 == record.cr3 &&
-                   pending.seq == record.seq;
-        };
-        const auto before = undeliveredVerdicts.size();
-        undeliveredVerdicts.erase(
-            std::remove_if(undeliveredVerdicts.begin(),
-                           undeliveredVerdicts.end(), matches),
-            undeliveredVerdicts.end());
-        dedupDropped += before - undeliveredVerdicts.size();
+        dedupDropped += std::erase_if(
+            undeliveredVerdicts, [&](const JournalRecord &pending) {
+                return pending.cr3 == record.cr3 &&
+                       pending.seq == record.seq;
+            });
         break;
-      }
       case RecordType::EndpointSeq: {
         uint64_t &high = processes[record.cr3].seqHighWater;
         high = std::max(high, record.seq);
@@ -162,54 +65,67 @@ RecoveredState::apply(const JournalRecord &record)
         auto it = processes.find(record.cr3);
         if (it == processes.end())
             break;
-        const auto touches = [&](const decode::TipTransition &t) {
-            const bool from_in =
-                t.from >= record.begin && t.from < record.end;
-            const bool to_in =
-                t.to >= record.begin && t.to < record.end;
-            return from_in || to_in;
-        };
-        auto &credits = it->second.credits;
-        credits.erase(std::remove_if(credits.begin(), credits.end(),
-                                     touches),
-                      credits.end());
+        // Compacts the wire forms in place, keeping commit order.
+        ProcessSnapshot &proc = it->second;
+        ByteReader in{proc.credits.data(), proc.credits.size()};
+        size_t kept = 0;
+        while (in.offset < in.size && !in.truncated) {
+            const size_t at = in.offset;
+            const uint64_t from = in.u64();
+            const uint64_t to = in.u64();
+            in.bytes(in.u64());
+            if ((from >= record.begin && from < record.end) ||
+                (to >= record.begin && to < record.end)) {
+                --proc.creditCount;
+                continue;
+            }
+            if (kept != at)
+                std::memmove(proc.credits.data() + kept,
+                             proc.credits.data() + at, in.offset - at);
+            kept += in.offset - at;
+        }
+        proc.credits.resize(kept);
         break;
       }
     }
 }
 
 std::vector<uint8_t>
-serializeSnapshot(const RecoveredState &state)
+serializeSnapshot(const RecoveredState &state, std::vector<uint8_t> bytes)
 {
-    std::vector<uint8_t> body;
-    put64(body, state.processes.size());
-    for (const auto &entry : state.processes) {
-        put64(body, entry.first);
-        put64(body, entry.second.seqHighWater);
-        putTransitions(body, entry.second.credits);
+    // The credit runs are nearly all of the bytes: one allocation
+    // with room to grow, never a copy of what is already written.
+    size_t credits = 0;
+    for (const auto &entry : state.processes)
+        credits += entry.second.credits.size();
+    bytes.clear();
+    bytes.reserve(credits + credits / 2 + 4096);
+    {
+        // The writer trims the buffer when this scope closes.
+        ByteWriter out(bytes);
+        out.bytes(snapshot_magic, sizeof(snapshot_magic));
+        const size_t body = out.beginFrame();
+        out.u64(state.processes.size());
+        for (const auto &entry : state.processes) {
+            out.u64(entry.first);
+            out.u64(entry.second.seqHighWater);
+            out.u64(entry.second.creditCount);
+            out.bytes(entry.second.credits.data(),
+                      entry.second.credits.size());
+        }
+        out.u64(state.undeliveredVerdicts.size());
+        for (const auto &verdict : state.undeliveredVerdicts) {
+            out.u64(verdict.cr3);
+            writeVerdict(out, verdict);
+        }
+        out.u64(state.delivered.size());
+        for (const auto &pair : state.delivered) {
+            out.u64(pair.first);
+            out.u64(pair.second);
+        }
+        out.endFrame(body);
     }
-    put64(body, state.undeliveredVerdicts.size());
-    for (const auto &verdict : state.undeliveredVerdicts) {
-        put64(body, verdict.cr3);
-        put64(body, verdict.seq);
-        body.push_back(verdict.verdictKind);
-        put64(body, static_cast<uint64_t>(verdict.syscall));
-        put64(body, verdict.from);
-        put64(body, verdict.to);
-        putString(body, verdict.reason);
-    }
-    put64(body, state.delivered.size());
-    for (const auto &pair : state.delivered) {
-        put64(body, pair.first);
-        put64(body, pair.second);
-    }
-
-    std::vector<uint8_t> out(snapshot_magic,
-                             snapshot_magic + sizeof(snapshot_magic));
-    put32(out, static_cast<uint32_t>(body.size()));
-    put32(out, crc32(body.data(), body.size()));
-    out.insert(out.end(), body.begin(), body.end());
-    return out;
+    return bytes;
 }
 
 SnapshotLoadResult
@@ -219,41 +135,36 @@ loadSnapshot(const uint8_t *data, size_t size)
     SnapshotLoadResult result;
     if (size == 0)
         return result;    // first boot: empty state is Ok
-    if (size < sizeof(snapshot_magic) + 8) {
-        result.status = Status::Truncated;
-        return result;
-    }
-    if (!std::equal(snapshot_magic,
-                    snapshot_magic + sizeof(snapshot_magic), data)) {
+    ByteReader frame{data, size};
+    const uint8_t *magic = frame.bytes(sizeof(snapshot_magic));
+    const uint32_t body_len = frame.u32();
+    const uint32_t crc = frame.u32();
+    const bool header = !frame.truncated;
+    const uint8_t *body = frame.bytes(body_len);
+    if (header && !std::equal(snapshot_magic,
+                              snapshot_magic + sizeof(snapshot_magic),
+                              magic)) {
         result.status = Status::BadMagic;
         return result;
     }
-    size_t offset = sizeof(snapshot_magic);
-    uint32_t body_len = 0, crc = 0;
-    for (int i = 0; i < 4; ++i)
-        body_len |= static_cast<uint32_t>(data[offset + i]) << (8 * i);
-    for (int i = 0; i < 4; ++i)
-        crc |= static_cast<uint32_t>(data[offset + 4 + i]) << (8 * i);
-    offset += 8;
-    if (body_len > size - offset) {
-        result.status = Status::Truncated;
-        return result;
-    }
-    if (crc32(data + offset, body_len) != crc) {
-        result.status = Status::BadChecksum;
+    if (!body || crc32(body, body_len) != crc) {
+        result.status = body ? Status::BadChecksum : Status::Truncated;
         return result;
     }
 
-    ByteReader in{data + offset, body_len};
+    ByteReader in{body, body_len};
     const uint64_t proc_count = in.u64();
     for (uint64_t i = 0; i < proc_count && !in.truncated; ++i) {
         const uint64_t cr3 = in.u64();
         ProcessSnapshot proc;
         proc.seqHighWater = in.u64();
-        if (!in.transitions(proc.credits)) {
+        proc.creditCount = in.u64();
+        const size_t credits = in.offset;
+        if (!decodeTransitions(in, proc.creditCount, nullptr)) {
             result.status = Status::BadChecksum;
             return result;
         }
+        proc.credits.assign(in.data + credits, in.data + in.offset);
         result.state.processes[cr3] = std::move(proc);
     }
     const uint64_t verdict_count = in.u64();
@@ -261,12 +172,7 @@ loadSnapshot(const uint8_t *data, size_t size)
         JournalRecord verdict;
         verdict.type = RecordType::VerdictCommitted;
         verdict.cr3 = in.u64();
-        verdict.seq = in.u64();
-        verdict.verdictKind = in.u8();
-        verdict.syscall = static_cast<int64_t>(in.u64());
-        verdict.from = in.u64();
-        verdict.to = in.u64();
-        verdict.reason = in.str();
+        readVerdict(in, verdict);
         result.state.undeliveredVerdicts.push_back(
             std::move(verdict));
     }

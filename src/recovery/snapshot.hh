@@ -7,16 +7,19 @@
  * commits accumulate in order, module unloads/rebases prune what
  * they retired, verdict deliveries cancel their commits (the
  * replay-side dedup), and checked endpoints raise the per-process
- * high-water mark. Compaction is then simply "fold snapshot +
- * journal, serialize, clear journal" — and warm restart is the same
- * fold read back.
+ * high-water mark.
  *
- * The serialized form reuses the profile wire primitives and the
- * journal's CRC discipline, and loading is recoverable in the same
- * vocabulary as tryLoadProfile: a truncated or bit-flipped snapshot
- * yields Truncated / BadChecksum / BadMagic, never an abort — the
- * supervisor falls back to an empty state plus whatever the journal
- * still holds.
+ * The supervisor keeps that fold live, applying each record as it
+ * journals it, so compaction only serializes it. The durable bytes
+ * (snapshot + the journal's intact prefix) are folded afresh at warm
+ * restart, which adopts the result as the live fold, and when they
+ * changed behind the fold's back (StateJournal::edits()).
+ *
+ * The serialized form uses the journal's byte codec and CRC framing,
+ * and loading is recoverable in the same vocabulary as
+ * tryLoadProfile: a truncated or bit-flipped snapshot yields
+ * Truncated / BadChecksum / BadMagic, never an abort — the supervisor
+ * falls back to an empty state plus whatever the journal still holds.
  */
 
 #ifndef FLOWGUARD_RECOVERY_SNAPSHOT_HH
@@ -36,10 +39,16 @@ namespace flowguard::recovery {
 struct ProcessSnapshot
 {
     /** Committed runtime-credit transitions, in commit order, with
-     *  unload/rebase-retired ranges already pruned. */
-    std::vector<decode::TipTransition> credits;
+     *  unload/rebase-retired ranges already pruned: `creditCount` of
+     *  them in wire form (encodeTransitions), which costs a fold no
+     *  allocation per transition and a snapshot one copy. */
+    std::vector<uint8_t> credits;
+    uint64_t creditCount = 0;
     /** Highest endpoint sequence number that was fully checked. */
     uint64_t seqHighWater = 0;
+
+    /** The credits decoded, in commit order. */
+    std::vector<decode::TipTransition> transitions() const;
 };
 
 /** The folded protection state a warm restart rebuilds from. */
@@ -58,8 +67,10 @@ struct RecoveredState
     void apply(const JournalRecord &record);
 };
 
-/** Serializes the state: magic, CRC-framed body, wire encoding. */
-std::vector<uint8_t> serializeSnapshot(const RecoveredState &state);
+/** Serializes the state: magic, CRC-framed body, wire encoding.
+ *  `buffer`'s bytes are replaced and its capacity reused. */
+std::vector<uint8_t> serializeSnapshot(const RecoveredState &state,
+                                       std::vector<uint8_t> buffer = {});
 
 struct SnapshotLoadResult
 {

@@ -140,17 +140,14 @@ RecoverySupervisor::restart(uint64_t now)
     if (_config.policy == RecoveryPolicy::FailClosed)
         _stats.frozenCycles += _config.restartLatencyCycles;
 
-    // Warm restart is fold(snapshot + journal tail) read back. A
-    // damaged snapshot degrades to the empty state — the journal tail
-    // still holds whatever was appended since the last compaction.
-    RecoveredState state = loadSnapshot(_snapshot).state;
-    const JournalReadResult tail = readJournal(_journal.bytes());
-    for (const auto &record : tail.records) {
-        ++_stats.replayedRecords;
+    // Warm restart folds the durable bytes, not the live fold: after a
+    // torn tail they are the truth.
+    JournalReadResult tail;
+    RecoveredState state = foldDurable(tail);
+    _stats.replayedRecords += tail.records.size();
+    for (const auto &record : tail.records)
         if (record.type == RecordType::CreditCommit)
             ++_stats.replayedCreditCommits;
-        state.apply(record);
-    }
     _stats.dedupSuppressed += state.dedupDropped;
     if (tail.status != ProfileLoadResult::Status::Ok) {
         // Appending after a torn frame would bury good records behind
@@ -167,12 +164,12 @@ RecoverySupervisor::restart(uint64_t now)
         auto it = _procs.find(entry.first);
         if (it == _procs.end())
             continue;
-        std::vector<decode::TipTransition> credits =
-            entry.second.credits;
         if (_config.policy == RecoveryPolicy::ColdRestart) {
-            _stats.creditDroppedCold += credits.size();
+            _stats.creditDroppedCold += entry.second.creditCount;
             continue;
         }
+        std::vector<decode::TipTransition> credits =
+            entry.second.transitions();
         // Reconcile against the kernel's surviving module map: the
         // journal's fold already pruned credit behind every unload it
         // recorded, but a torn tail can be missing the final unload.
@@ -248,36 +245,40 @@ RecoverySupervisor::restart(uint64_t now)
             // bucket, no matter when the next endpoint fires.
             _ledger.attribute(entry.first, proc.cpu->instCount(),
                               ProtectionWindowClass::Gap);
-            ViolationReport gap;
-            gap.kind = ViolationReport::Kind::ProtectionGap;
-            gap.cr3 = entry.first;
-            gap.seq = proc.gapStartSeq;
-            gap.from = proc.gapStartInst;
-            gap.to = proc.cpu->instCount();
-            gap.reason = std::string("checker down ") +
-                std::to_string(now - _downAt) + " cycles (policy " +
-                recoveryPolicyName(_config.policy) + ", detect at " +
-                std::to_string(_detectAt) + ", up at " +
-                std::to_string(now) + ")";
-            if (_telemetry)
-                gap.flight = _telemetry->snapshotFlight(entry.first);
-            _gapWidths.add(
-                static_cast<double>(gap.to - gap.from));
-            _reports.push_back(std::move(gap));
-            proc.inGap = false;
+            closeGap(entry.first, proc,
+                     std::string("checker down ") +
+                         std::to_string(now - _downAt) + " cycles (policy " +
+                         recoveryPolicyName(_config.policy) +
+                         ", detect at " + std::to_string(_detectAt) +
+                         ", up at " + std::to_string(now) + ")");
         }
     }
 
-    // The fold we just performed IS the new snapshot; persisting it
-    // now means the next crash replays from here.
-    _snapshot = serializeSnapshot(state);
-    _journal.clear();
-    ++_stats.compactions;
-    _stats.snapshotBytes = _snapshot.size();
+    // The fold we just performed becomes the live fold and the new
+    // snapshot; persisting it now means the next crash replays from
+    // here.
+    _live = std::move(state);
+    _liveEdits = _journal.edits();
+    compactNow();
     _stats.journalBytes = 0;
-    if (!_config.snapshotPath.empty())
-        writeFileAtomic(_config.snapshotPath, _snapshot.data(),
-                        _snapshot.size());
+}
+
+void
+RecoverySupervisor::closeGap(uint64_t cr3, ProcessRefs &proc,
+                             std::string reason)
+{
+    ViolationReport gap;
+    gap.kind = ViolationReport::Kind::ProtectionGap;
+    gap.cr3 = cr3;
+    gap.seq = proc.gapStartSeq;
+    gap.from = proc.gapStartInst;
+    gap.to = proc.cpu->instCount();
+    gap.reason = std::move(reason);
+    if (_telemetry)
+        gap.flight = _telemetry->snapshotFlight(cr3);
+    _gapWidths.add(static_cast<double>(gap.to - gap.from));
+    _reports.push_back(std::move(gap));
+    proc.inGap = false;
 }
 
 RecoverySupervisor::Gate
@@ -324,20 +325,10 @@ RecoverySupervisor::emitGapReports(uint64_t now)
             proc.inGap = false;
             continue;
         }
-        ViolationReport gap;
-        gap.kind = ViolationReport::Kind::ProtectionGap;
-        gap.cr3 = entry.first;
-        gap.seq = proc.gapStartSeq;
-        gap.from = proc.gapStartInst;
-        gap.to = proc.cpu->instCount();
-        gap.reason = std::string("checker still down at drain (") +
-            std::to_string(now - _downAt) + " cycles, policy " +
-            recoveryPolicyName(_config.policy) + ")";
-        if (_telemetry)
-            gap.flight = _telemetry->snapshotFlight(entry.first);
-        _gapWidths.add(static_cast<double>(gap.to - gap.from));
-        _reports.push_back(std::move(gap));
-        proc.inGap = false;
+        closeGap(entry.first, proc,
+                 std::string("checker still down at drain (") +
+                     std::to_string(now - _downAt) + " cycles, policy " +
+                     recoveryPolicyName(_config.policy) + ")");
     }
 }
 
@@ -414,22 +405,40 @@ RecoverySupervisor::journalAppend(const JournalRecord &record)
     if (_replaying)
         return;
     _journal.append(record);
+    _live.apply(record);
     ++_stats.journalAppends;
     if (_config.compactEveryRecords != 0 &&
         _journal.recordCount() >= _config.compactEveryRecords)
         compactNow();
 }
 
+RecoveredState
+RecoverySupervisor::foldDurable(JournalReadResult &tail) const
+{
+    // A damaged snapshot degrades to the empty state — the journal
+    // tail still holds whatever was appended since the last
+    // compaction.
+    RecoveredState state = loadSnapshot(_snapshot).state;
+    tail = readJournal(_journal.bytes());
+    for (const auto &record : tail.records)
+        state.apply(record);
+    return state;
+}
+
 void
 RecoverySupervisor::compactNow()
 {
-    RecoveredState state = loadSnapshot(_snapshot).state;
-    const JournalReadResult tail = readJournal(_journal.bytes());
-    for (const auto &record : tail.records)
-        state.apply(record);
+    if (_liveEdits != _journal.edits()) {
+        // The journal bytes changed behind the live fold (a torn
+        // tail, a truncation, a direct edit): rebuild it from what is
+        // durable.
+        JournalReadResult tail;
+        _live = foldDurable(tail);
+    }
     _stats.journalBytes = _journal.bytes().size();
-    _snapshot = serializeSnapshot(state);
+    _snapshot = serializeSnapshot(_live, std::move(_snapshot));
     _journal.clear();
+    _liveEdits = _journal.edits();
     ++_stats.compactions;
     _stats.snapshotBytes = _snapshot.size();
     if (!_config.snapshotPath.empty())

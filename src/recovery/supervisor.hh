@@ -202,8 +202,10 @@ class RecoverySupervisor : public runtime::RecoveryHooks,
     // --- CodeEventSink ------------------------------------------------------
     void onCodeEvent(const cpu::CodeEvent &event) override;
 
-    /** Folds snapshot + journal into a fresh snapshot now. */
-    void compactNow();
+    /** Serializes the live fold (re-folded first if the journal was
+     *  edited, not just appended to) and clears the journal. Virtual
+     *  so a test can hold each compaction to a reference fold. */
+    virtual void compactNow();
 
     bool checkerAlive() const { return _state == State::Alive; }
 
@@ -245,7 +247,11 @@ class RecoverySupervisor : public runtime::RecoveryHooks,
     void crash(uint64_t now, bool hang);
     void restart(uint64_t now);
     void journalAppend(const JournalRecord &record);
+    /** fold(snapshot + the journal's intact prefix); `tail` gets the read. */
+    RecoveredState foldDurable(JournalReadResult &tail) const;
     void emitGapReports(uint64_t now);
+    /** Files process `cr3`'s ProtectionGap report, ending its gap. */
+    void closeGap(uint64_t cr3, ProcessRefs &proc, std::string reason);
 
     RecoveryConfig _config;
     runtime::ProtectionService *_service = nullptr;
@@ -256,6 +262,10 @@ class RecoverySupervisor : public runtime::RecoveryHooks,
 
     StateJournal _journal;
     std::vector<uint8_t> _snapshot;
+    /** fold(snapshot + journal), kept as records are appended. Valid
+     *  while _liveEdits matches the journal's edit count. */
+    RecoveredState _live;
+    uint64_t _liveEdits = 0;
     GapLedger _ledger;
     std::vector<runtime::ViolationReport> _reports;
     RecoveryStats _stats;

@@ -343,6 +343,7 @@ ProtectionService::consumePendingKill(uint64_t cr3,
         return false;
     out = std::move(it->second.pendingKills.front());
     it->second.pendingKills.pop_front();
+    it->second.killed = true;
     if (_recovery)
         _recovery->noteVerdictDelivered(cr3, out.seq);
     if (_telemetry) {
@@ -742,7 +743,10 @@ ProtectionService::drain()
     _scheduler.drain(now);
 
     // Kills queued for processes that never made another syscall
-    // are surfaced as post-mortem reports rather than lost.
+    // are surfaced as post-mortem reports rather than lost. Those
+    // queued behind a kill that already ended their process are
+    // retired: journaled as delivered, so a warm restart does not
+    // re-queue them, but not reported as if the process had stopped.
     for (auto &entry : _processes) {
         ProcessRecord &proc = entry.second;
         while (!proc.pendingKills.empty()) {
@@ -755,6 +759,8 @@ ProtectionService::drain()
                 _telemetry->instant(
                     telemetry::EventKind::VerdictDelivered, proc.cr3,
                     report.seq);
+            if (proc.killed)
+                continue;
             report.reason += " [post-mortem: process stopped first]";
             _reports.push_back(std::move(report));
         }

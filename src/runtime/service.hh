@@ -341,7 +341,9 @@ class ProtectionService
      * End of run: one full-window check per attached process (so
      * coalesced endpoints are verified), then the scheduler drains.
      * Verdicts that could no longer be enforced (their process
-     * already stopped) become post-mortem reports.
+     * already stopped) become post-mortem reports; those queued
+     * behind a kill that already ended their process are retired
+     * unreported, journaled as delivered all the same.
      */
     void drain();
 
@@ -428,6 +430,9 @@ class ProtectionService
         uint32_t attachAttempts = 0;
         bool attached = false;
         bool quarantined = false;
+        /** A queued kill was delivered: the process is gone, and what
+         *  is still queued for it can never be enforced. */
+        bool killed = false;
         std::deque<ViolationReport> pendingKills;
     };
 

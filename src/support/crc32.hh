@@ -11,14 +11,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace flowguard {
 
 /** CRC-32 of `size` bytes; `seed` chains incremental computations. */
 uint32_t crc32(const void *data, size_t size, uint32_t seed = 0);
-
-uint32_t crc32(const std::vector<uint8_t> &bytes, uint32_t seed = 0);
 
 } // namespace flowguard
 

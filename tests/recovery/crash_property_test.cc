@@ -37,41 +37,15 @@ namespace {
 using namespace flowguard;
 using namespace flowguard::runtime;
 using namespace flowguard::recovery;
+using flowguard::test::benignFleetGuard;
+using flowguard::test::benignFleetSpec;
+using flowguard::test::churnFleetGuard;
+using flowguard::test::churnFleetSpec;
 using flowguard::test::Outcome;
 using flowguard::test::RecoveryFleet;
 
 constexpr uint64_t server_cr3 = 0xB000;
 constexpr uint64_t plugin_cr3 = 0x6000;
-
-workloads::ServerSpec
-serverSpec(uint64_t cr3)
-{
-    workloads::ServerSpec spec;
-    spec.name = "svc";
-    spec.numHandlers = 4;
-    spec.numParserStates = 2;
-    spec.numFillerFuncs = 16;
-    spec.fillerTableSlots = 6;
-    spec.workPerRequest = 20;
-    spec.implantVuln = true;
-    spec.seed = 7;
-    spec.cr3 = cr3;
-    return spec;
-}
-
-workloads::PluginServerSpec
-pluginSpec(uint64_t cr3)
-{
-    workloads::PluginServerSpec spec;
-    spec.numPlugins = 2;
-    spec.handlersPerPlugin = 2;
-    spec.workPerCall = 8;
-    spec.numFillerFuncs = 12;
-    spec.implantVuln = true;
-    spec.seed = 9;
-    spec.cr3 = cr3;
-    return spec;
-}
 
 ServiceConfig
 calmService()
@@ -109,33 +83,13 @@ class CrashProperty : public ::testing::Test
     SetUpTestSuite()
     {
         server_app = new workloads::SyntheticApp(
-            workloads::buildServerApp(serverSpec(server_cr3)));
+            workloads::buildServerApp(benignFleetSpec(server_cr3)));
         plugin_app = new workloads::SyntheticApp(
-            workloads::buildPluginServerApp(pluginSpec(plugin_cr3)));
+            workloads::buildPluginServerApp(churnFleetSpec(plugin_cr3)));
         catalog = new attacks::GadgetCatalog(
             attacks::scanGadgets(server_app->program));
-
-        FlowGuardConfig config;
-        config.topaRegions = {4096, 4096};
-        server_guard = new FlowGuard(server_app->program, config);
-        server_guard->analyze();
-        std::vector<fuzz::Input> corpus;
-        for (uint64_t seed = 1; seed <= 4; ++seed)
-            corpus.push_back(
-                workloads::makeBenignStream(12, seed, 4, 2));
-        server_guard->trainWithCorpus(corpus);
-
-        FlowGuardConfig dyn_config;
-        dyn_config.topaRegions = {4096, 4096};
-        dyn_config.dynamicModules = plugin_app->dynamicModules;
-        plugin_guard = new FlowGuard(plugin_app->program,
-                                     dyn_config);
-        plugin_guard->analyze();
-        std::vector<fuzz::Input> plugin_corpus;
-        for (uint64_t seed = 1; seed <= 4; ++seed)
-            plugin_corpus.push_back(workloads::makePluginStream(
-                10, seed, pluginSpec(plugin_cr3)));
-        plugin_guard->trainWithCorpus(plugin_corpus);
+        server_guard = benignFleetGuard(*server_app, 4).release();
+        plugin_guard = churnFleetGuard(*plugin_app, plugin_cr3, 4).release();
     }
 
     static void
@@ -158,7 +112,7 @@ class CrashProperty : public ::testing::Test
     {
         return [](size_t i) {
             return workloads::buildServerApp(
-                serverSpec(server_cr3 + i));
+                benignFleetSpec(server_cr3 + i));
         };
     }
 
@@ -167,7 +121,7 @@ class CrashProperty : public ::testing::Test
     {
         return [](size_t i) {
             return workloads::buildPluginServerApp(
-                pluginSpec(plugin_cr3 + 0x100 * i));
+                churnFleetSpec(plugin_cr3 + 0x100 * i));
         };
     }
 
@@ -284,8 +238,8 @@ TEST_F(CrashProperty, ModuleChurnFleet60CrashPoints)
     // (and around) code-unload barriers, and replay must never
     // restore credit onto a range retired before or during the gap.
     const std::vector<std::vector<uint8_t>> inputs = {
-        workloads::makePluginStream(12, 21, pluginSpec(plugin_cr3)),
-        workloads::makePluginStream(12, 22, pluginSpec(plugin_cr3)),
+        workloads::makePluginStream(12, 21, churnFleetSpec(plugin_cr3)),
+        workloads::makePluginStream(12, 22, churnFleetSpec(plugin_cr3)),
     };
 
     RecoveryFleet baseline(*plugin_guard, calmService(),

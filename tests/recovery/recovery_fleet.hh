@@ -2,9 +2,11 @@
  * @file
  * Shared test harness for crash-recovery tests: a fleet of processes
  * on one cpu::Machine behind one ProtectionService, with a
- * RecoverySupervisor wired in as both the service's recovery hooks
- * and a kernel code-event sink, and a FaultInjector that can crash,
- * hang, or tear the checker on a scheduled virtual cycle.
+ * RecoverySupervisor (or a test subclass of it) wired in as both the
+ * service's recovery hooks and a kernel code-event sink, and a
+ * FaultInjector that can crash, hang, or tear the checker on a
+ * scheduled virtual cycle. Also the two fleets the crash suites run:
+ * benign servers, and plugin servers with dlopen/dlclose churn.
  */
 
 #ifndef FLOWGUARD_TESTS_RECOVERY_FLEET_HH
@@ -31,20 +33,92 @@ using runtime::FlowGuardKernel;
 /** (cr3, seq, kind) — one attributable enforcement outcome. */
 using Outcome = std::tuple<uint64_t, uint64_t, uint8_t>;
 
-struct RecoveryFleet
+/** The benign fleet's server (it carries an implanted vulnerability,
+ *  for the suites that attack it). */
+inline workloads::ServerSpec
+benignFleetSpec(uint64_t cr3)
+{
+    workloads::ServerSpec spec;
+    spec.name = "svc";
+    spec.numHandlers = 4;
+    spec.numParserStates = 2;
+    spec.numFillerFuncs = 16;
+    spec.fillerTableSlots = 6;
+    spec.workPerRequest = 20;
+    spec.implantVuln = true;
+    spec.seed = 7;
+    spec.cr3 = cr3;
+    return spec;
+}
+
+/** The module-churn fleet's plugin server: requests dlopen and
+ *  dlclose its plugins. */
+inline workloads::PluginServerSpec
+churnFleetSpec(uint64_t cr3)
+{
+    workloads::PluginServerSpec spec;
+    spec.numPlugins = 2;
+    spec.handlersPerPlugin = 2;
+    spec.workPerCall = 8;
+    spec.numFillerFuncs = 12;
+    spec.implantVuln = true;
+    spec.seed = 9;
+    spec.cr3 = cr3;
+    return spec;
+}
+
+/** A guard over 4 KiB ToPA regions for a benign-fleet server,
+ *  trained on `streams` seeded benign streams (none: every first-seen
+ *  path goes slow and earns runtime credit). */
+inline std::unique_ptr<FlowGuard>
+benignFleetGuard(const workloads::SyntheticApp &app, uint64_t streams)
+{
+    FlowGuardConfig config;
+    config.topaRegions = {4096, 4096};
+    auto guard = std::make_unique<FlowGuard>(app.program, config);
+    guard->analyze();
+    std::vector<fuzz::Input> corpus;
+    for (uint64_t seed = 1; seed <= streams; ++seed)
+        corpus.push_back(workloads::makeBenignStream(12, seed, 4, 2));
+    if (!corpus.empty())
+        guard->trainWithCorpus(corpus);
+    return guard;
+}
+
+/** The same for a module-churn plugin server (`cr3` is its spec's). */
+inline std::unique_ptr<FlowGuard>
+churnFleetGuard(const workloads::SyntheticApp &app, uint64_t cr3,
+                uint64_t streams)
+{
+    FlowGuardConfig config;
+    config.topaRegions = {4096, 4096};
+    config.dynamicModules = app.dynamicModules;
+    auto guard = std::make_unique<FlowGuard>(app.program, config);
+    guard->analyze();
+    std::vector<fuzz::Input> corpus;
+    for (uint64_t seed = 1; seed <= streams; ++seed)
+        corpus.push_back(
+            workloads::makePluginStream(10, seed, churnFleetSpec(cr3)));
+    if (!corpus.empty())
+        guard->trainWithCorpus(corpus);
+    return guard;
+}
+
+template <typename Supervisor>
+struct BasicRecoveryFleet
 {
     std::vector<workloads::SyntheticApp> apps;
     std::vector<std::unique_ptr<FlowGuard::ProcessHarness>> procs;
     std::vector<std::unique_ptr<FlowGuardKernel>> kernels;
     cpu::Machine machine;
     runtime::ProtectionService service;
-    recovery::RecoverySupervisor supervisor;
+    Supervisor supervisor;
     trace::FaultInjector faults;
 
     using AppBuilder =
         std::function<workloads::SyntheticApp(size_t index)>;
 
-    RecoveryFleet(FlowGuard &guard, runtime::ServiceConfig sconfig,
+    BasicRecoveryFleet(FlowGuard &guard, runtime::ServiceConfig sconfig,
                   recovery::RecoveryConfig rconfig,
                   trace::ControlFaultPlan plan, uint64_t fault_seed,
                   const AppBuilder &build_app,
@@ -175,6 +249,8 @@ struct RecoveryFleet
         return kills;
     }
 };
+
+using RecoveryFleet = BasicRecoveryFleet<recovery::RecoverySupervisor>;
 
 } // namespace flowguard::test
 

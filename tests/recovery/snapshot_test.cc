@@ -92,9 +92,11 @@ TEST(RecoverySnapshot, SerializeLoadRoundTrip)
 
     ASSERT_EQ(loaded.state.processes.size(), 2u);
     const auto &proc_a = loaded.state.processes.at(0xA);
-    EXPECT_EQ(proc_a.credits.size(), 2u);
-    EXPECT_EQ(proc_a.credits[0].from, 0x1000u);
-    EXPECT_EQ(proc_a.credits[0].tnt,
+    const auto credits_a = proc_a.transitions();
+    EXPECT_EQ(proc_a.creditCount, 2u);
+    ASSERT_EQ(credits_a.size(), 2u);
+    EXPECT_EQ(credits_a[0].from, 0x1000u);
+    EXPECT_EQ(credits_a[0].tnt,
               (std::vector<uint8_t>{1, 1, 0}));
     EXPECT_EQ(proc_a.seqHighWater, 41u);
     ASSERT_EQ(loaded.state.undeliveredVerdicts.size(), 1u);
@@ -148,14 +150,16 @@ TEST(RecoverySnapshot, UnloadPrunesCreditOnRetiredRange)
     unload.end = 0x7000;
     state.apply(unload);
 
-    const auto &credits = state.processes.at(0xA).credits;
+    const auto credits = state.processes.at(0xA).transitions();
     ASSERT_EQ(credits.size(), 1u);
+    EXPECT_EQ(state.processes.at(0xA).creditCount, 1u);
     EXPECT_EQ(credits[0].from, 0x1000u);
 
     // A commit AFTER the unload (new code mapped at the same place)
     // is a different epoch and must survive.
     state.apply(commitOf(0xA, {tip(0x5000, 0x6000)}));
-    EXPECT_EQ(state.processes.at(0xA).credits.size(), 2u);
+    EXPECT_EQ(state.processes.at(0xA).transitions().size(), 2u);
+    EXPECT_EQ(state.processes.at(0xA).creditCount, 2u);
 }
 
 TEST(RecoverySnapshot, TruncatedSnapshotRejectedCleanly)

@@ -16,7 +16,8 @@
  * The PMI check is a ProtectionService trigger, so its convictions
  * share the service's one kill queue: the earliest lands at the
  * process's next syscall, whatever its number, and one the process
- * never reaches is filed post-mortem at drain().
+ * never reaches is filed post-mortem at drain() — unless an earlier
+ * kill already ended the process, in which case it is retired.
  */
 
 #include <gtest/gtest.h>
@@ -276,6 +277,64 @@ TEST(PmiDelivery, UndeliveredKillIsFiledAtDrain)
             << report.reason;
     }
     EXPECT_EQ(post_mortem, 1u);
+    std::string why;
+    EXPECT_TRUE(harness.service.stats().checkInvariants(&why)) << why;
+    ViolationReport none;
+    EXPECT_FALSE(harness.consumePendingKill(none));
+}
+
+/** Records the verdict lifecycle the service journals. */
+struct VerdictLog : RecoveryHooks
+{
+    std::vector<uint64_t> committed;
+    std::vector<uint64_t> delivered;
+
+    Gate gateEndpoint(uint64_t, uint64_t, uint64_t) override
+    {
+        return Gate::Proceed;
+    }
+    Gate gateDrain(uint64_t) override { return Gate::Proceed; }
+    void noteWindow(uint64_t, uint64_t, ProtectionWindowClass) override {}
+    void
+    noteVerdictCommitted(const ViolationReport &report) override
+    {
+        committed.push_back(report.seq);
+    }
+    void
+    noteVerdictDelivered(uint64_t, uint64_t seq) override
+    {
+        delivered.push_back(seq);
+    }
+};
+
+TEST(PmiDelivery, KillQueuedBehindADeliveredKillIsRetiredAtDrain)
+{
+    // TwoConvictionsDeliverTheEarliest, then the run ends: the kill
+    // that ended the process leaves the later one queued, and drain()
+    // must not file it as if the process had stopped on its own.
+    const auto window = hijackWindow();
+    PmiHarness harness = windowHarness(window);
+    VerdictLog journal;
+    harness.service.setRecoveryHooks(&journal);
+    harness.topa.write(window.data(), window.size());
+    harness.topa.write(window.data(), window.size());
+    ASSERT_EQ(harness.service.stats().pmiChecks, 2u);
+
+    FlowGuardKernel kernel(FlowGuardKernel::Config{});
+    kernel.attachService(harness.service);
+    cpu::Cpu cpu(harness.app.program);
+    kernel.onSyscall(cpu, static_cast<int64_t>(isa::Syscall::Read));
+    ASSERT_EQ(kernel.violations().size(), 1u);
+    EXPECT_EQ(kernel.violations().front().seq, 1u);
+    harness.service.drain();   // panics on a broken identity
+
+    for (const auto &report : harness.service.reports())
+        EXPECT_NE(report.reason.rfind("PMI window: ", 0), 0u)
+            << "filed after its process was killed: " << report.reason;
+    // Still journaled as delivered, so a warm restart cannot re-queue
+    // it.
+    EXPECT_EQ(journal.committed, (std::vector<uint64_t>{1, 2}));
+    EXPECT_EQ(journal.delivered, (std::vector<uint64_t>{1, 2}));
     std::string why;
     EXPECT_TRUE(harness.service.stats().checkInvariants(&why)) << why;
     ViolationReport none;
