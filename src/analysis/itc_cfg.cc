@@ -288,15 +288,6 @@ ItcCfg::clearRuntimeCredits()
     return dropped;
 }
 
-size_t
-ItcCfg::runtimeCreditCount() const
-{
-    size_t count = 0;
-    for (const auto &credit : _runtimeCredit)
-        count += credit != 0;
-    return count;
-}
-
 void
 ItcCfg::enableLiveness()
 {

@@ -103,9 +103,6 @@ class ItcCfg
      */
     size_t clearRuntimeCredits();
 
-    /** Edges currently carrying runtime (verdict-cache) credit. */
-    size_t runtimeCreditCount() const;
-
     // --- liveness (dynamic code) --------------------------------------------
     /** Cost accounting for one incremental range operation. */
     struct RangeUpdate

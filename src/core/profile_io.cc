@@ -519,14 +519,4 @@ loadProfile(FlowGuard &guard, std::istream &in)
                  result.message);
 }
 
-void
-loadProfile(FlowGuard &guard, const std::string &path)
-{
-    const ProfileLoadResult result = tryLoadProfile(guard, path);
-    if (!result.ok())
-        fg_fatal("profile load failed (",
-                 profileStatusName(result.status), "): ",
-                 result.message);
-}
-
 } // namespace flowguard

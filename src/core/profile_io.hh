@@ -94,7 +94,6 @@ ProfileLoadResult tryLoadProfile(FlowGuard &guard,
  * fatal.
  */
 void loadProfile(FlowGuard &guard, std::istream &in);
-void loadProfile(FlowGuard &guard, const std::string &path);
 
 } // namespace flowguard
 

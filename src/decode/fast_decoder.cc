@@ -343,14 +343,6 @@ decodeRecentTipsInto(FastDecodeResult &out,
     report(telemetry, cr3, begin, out);
 }
 
-size_t
-resyncOffset(std::span<const uint8_t> data, size_t offset)
-{
-    if (offset >= data.size())
-        return SIZE_MAX;
-    return trace::findNextPsb(data.data(), data.size(), offset);
-}
-
 void
 extractTransitionViews(const FastDecodeResult &flow,
                        std::vector<TransitionView> &out)

@@ -172,16 +172,6 @@ void decodeRecentTipsInto(FastDecodeResult &out,
                           uint64_t cr3 = 0);
 
 /**
- * Decoder resynchronization point after a protection gap: the byte
- * offset of the first validated PSB at or after `offset`, or
- * SIZE_MAX when the remainder of the buffer holds none. A checker
- * that went dark and restarted resumes decoding here — everything
- * it judged before the gap stays judged once, and no edge is
- * fabricated across bytes it never saw settle.
- */
-size_t resyncOffset(std::span<const uint8_t> data, size_t offset);
-
-/**
  * One ITC-CFG-level transition: consecutive TIP targets with the
  * conditional outcomes observed between them. PGE/PGD/FUP context
  * markers (syscalls, context switches) are transparent: they do not

@@ -1,7 +1,6 @@
 #include "fuzz/trainer.hh"
 
 #include "decode/fast_decoder.hh"
-#include "telemetry/metrics.hh"
 #include "trace/ipt.hh"
 
 namespace flowguard::fuzz {
@@ -75,23 +74,6 @@ trainItcCfg(analysis::ItcCfg &itc, const RunTarget &target,
         total.unknownTransitions += one.unknownTransitions;
     }
     return total;
-}
-
-void
-registerTrainingMetrics(telemetry::MetricRegistry &registry,
-                        const TrainingStats &stats,
-                        const std::string &prefix)
-{
-    registry.addSource(prefix, [&stats, prefix](
-                                   telemetry::MetricRegistry &r) {
-        auto c = [&](const char *name, uint64_t value) {
-            r.counter(prefix + "." + name).set(value);
-        };
-        c("inputs_replayed", stats.inputsReplayed);
-        c("transitions_seen", stats.transitionsSeen);
-        c("edges_labeled", stats.edgesLabeled);
-        c("unknown_transitions", stats.unknownTransitions);
-    });
 }
 
 } // namespace flowguard::fuzz

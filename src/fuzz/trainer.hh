@@ -12,17 +12,12 @@
 #define FLOWGUARD_FUZZ_TRAINER_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "analysis/itc_cfg.hh"
 #include "analysis/path_index.hh"
 #include "fuzz/fuzzer.hh"
 #include "isa/program.hh"
-
-namespace flowguard::telemetry {
-class MetricRegistry;
-} // namespace flowguard::telemetry
 
 namespace flowguard::fuzz {
 
@@ -49,15 +44,6 @@ TrainingStats trainItcCfg(analysis::ItcCfg &itc, const RunTarget &target,
 TrainingStats labelFromPackets(analysis::ItcCfg &itc,
                                const std::vector<uint8_t> &packets,
                                analysis::PathIndex *paths = nullptr);
-
-/**
- * Publishes a TrainingStats into a MetricRegistry as a live source
- * (re-read at every collect()), same contract as the runtime's
- * register*Metrics helpers. The struct must outlive the registry.
- */
-void registerTrainingMetrics(telemetry::MetricRegistry &registry,
-                             const TrainingStats &stats,
-                             const std::string &prefix);
 
 } // namespace flowguard::fuzz
 

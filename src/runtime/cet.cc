@@ -29,13 +29,6 @@ CetMonitor::endbranchMarked(uint64_t target) const
 }
 
 void
-CetMonitor::reset()
-{
-    _shadowStack.clear();
-    _violations.clear();
-}
-
-void
 CetMonitor::onBranch(const BranchEvent &event)
 {
     switch (event.kind) {

@@ -57,9 +57,6 @@ class CetMonitor : public cpu::TraceSink
         return _violations;
     }
 
-    /** Clears state between runs. */
-    void reset();
-
   private:
     bool endbranchMarked(uint64_t target) const;
 

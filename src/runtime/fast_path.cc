@@ -12,16 +12,17 @@ FastPathChecker::FastPathChecker(const analysis::ItcCfg &itc,
 {}
 
 FastPathResult
-FastPathChecker::check(std::span<const uint8_t> packets) const
+FastPathChecker::check(std::span<const uint8_t> packets,
+                       size_t pkt_count) const
 {
     telemetry::ScopedSpan span(_telemetry,
                                telemetry::SpanKind::FastCheck,
                                _telemetryCr3);
     decode::FastDecodeResult &flow = _scratch.flow;
-    decode::decodeRecentTipsInto(flow, packets, _config.pktCount,
-                                 _account, _telemetry, _telemetryCr3);
+    decode::decodeRecentTipsInto(flow, packets, pkt_count, _account,
+                                 _telemetry, _telemetryCr3);
     decode::extractTransitionViews(flow, _scratch.transitions);
-    FastPathResult result = checkWindow(_scratch.transitions);
+    FastPathResult result = checkWindow(_scratch.transitions, pkt_count);
     result.overflows = flow.overflows;
     result.resyncs = flow.resyncs;
     result.bytesSkipped = flow.bytesSkipped;
@@ -40,12 +41,12 @@ FastPathChecker::checkTransitions(
     views.clear();
     for (const auto &transition : all)
         views.push_back({transition.from, transition.to, transition.tnt});
-    return checkWindow(views);
+    return checkWindow(views, _config.pktCount);
 }
 
 FastPathResult
 FastPathChecker::checkWindow(
-    std::span<const decode::TransitionView> all) const
+    std::span<const decode::TransitionView> all, size_t pkt_count) const
 {
     FastPathResult result;
 
@@ -62,7 +63,7 @@ FastPathChecker::checkWindow(
     size_t tips = 0;
     while (begin > 0) {
         const bool quota =
-            tips >= _config.pktCount &&
+            tips >= pkt_count &&
             (!_config.requireModuleStride ||
              (two_modules && exec_seen));
         if (quota)

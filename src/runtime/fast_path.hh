@@ -112,11 +112,20 @@ class FastPathChecker
 
     /**
      * Checks a ToPA window: the live ring (Topa::view()) or an owned
-     * snapshot. Decode and transition state live in the checker's
-     * scratch, so once its capacity has grown a check allocates
-     * nothing. Not reentrant.
+     * snapshot. The window holds at least `pkt_count` TIPs (SIZE_MAX:
+     * every TIP in the buffer). Decode and transition state live in
+     * the checker's scratch, so once its capacity has grown a check
+     * allocates nothing. Not reentrant.
      */
-    FastPathResult check(std::span<const uint8_t> packets) const;
+    FastPathResult check(std::span<const uint8_t> packets,
+                         size_t pkt_count) const;
+
+    /** check() at the configured pkt_count. */
+    FastPathResult
+    check(std::span<const uint8_t> packets) const
+    {
+        return check(packets, _config.pktCount);
+    }
 
     /** Checks pre-extracted transitions (shared with tests/benches). */
     FastPathResult
@@ -124,9 +133,6 @@ class FastPathChecker
         const;
 
     const FastPathConfig &config() const { return _config; }
-
-    /** Overload batching: widen/narrow the checked window live. */
-    void setPktCount(size_t pkt_count) { _config.pktCount = pkt_count; }
 
     /**
      * Attaches the dynamic-code view: TIP endpoints are classified
@@ -152,7 +158,8 @@ class FastPathChecker
 
   private:
     FastPathResult
-    checkWindow(std::span<const decode::TransitionView> all) const;
+    checkWindow(std::span<const decode::TransitionView> all,
+                size_t pkt_count) const;
 
     /** Per-check working state, reused across checks. */
     struct Scratch

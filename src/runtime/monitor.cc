@@ -73,17 +73,6 @@ registerMonitorMetrics(telemetry::MetricRegistry &registry,
     });
 }
 
-const char *
-lossPolicyName(LossPolicy policy)
-{
-    switch (policy) {
-      case LossPolicy::FailClosed: return "fail-closed";
-      case LossPolicy::EscalateSlowPath: return "escalate-slow-path";
-      case LossPolicy::LogAndPass: return "log-and-pass";
-    }
-    return "?";
-}
-
 Monitor::Monitor(const isa::Program &program, analysis::ItcCfg &itc,
                  const analysis::Cfg &ocfg,
                  const analysis::TypeArmorInfo &typearmor,
@@ -91,28 +80,13 @@ Monitor::Monitor(const isa::Program &program, analysis::ItcCfg &itc,
                  analysis::PathIndex *paths)
     : _itc(itc), _config(config), _paths(paths),
       _fast(itc, program, config.fastPath, account, paths),
-      _full(itc, program,
-            FastPathConfig{.pktCount = SIZE_MAX,
-                           .credRatio = config.fastPath.credRatio,
-                           .requireModuleStride = false},
-            account, paths),
       _slow(ocfg, typearmor, account)
 {}
-
-CheckVerdict
-Monitor::checkFull(std::span<const uint8_t> packets)
-{
-    const FastPhaseOutcome outcome = resolveFast(_full.check(packets));
-    if (!outcome.needSlow)
-        return outcome.verdict;
-    return slowPhase(packets, outcome.loss);
-}
 
 void
 Monitor::attachDynamic(dynamic::DynamicGuard &guard)
 {
     _fast.setDynamic(&guard.map(), guard.policy());
-    _full.setDynamic(&guard.map(), guard.policy());
     _slow.setDynamic(&guard.map(), guard.policy(), &_itc);
     guard.registerInvalidationHook(
         [this](uint64_t begin, uint64_t end) {
@@ -150,7 +124,6 @@ Monitor::setTelemetry(telemetry::Telemetry *telemetry, uint64_t cr3)
     _telemetry = telemetry;
     _telemetryCr3 = cr3;
     _fast.setTelemetry(telemetry, cr3);
-    _full.setTelemetry(telemetry, cr3);
     _slow.setTelemetry(telemetry, cr3);
 }
 
@@ -194,18 +167,12 @@ Monitor::violationReport(uint64_t cr3, uint64_t seq,
 }
 
 Monitor::FastPhaseOutcome
-Monitor::fastPhase(std::span<const uint8_t> packets)
-{
-    return resolveFast(_fast.check(packets));
-}
-
-Monitor::FastPhaseOutcome
-Monitor::resolveFast(FastPathResult fast)
+Monitor::fastPhase(std::span<const uint8_t> packets, size_t pkt_count)
 {
     const bool force_slow = _forceSlowNext;
     _forceSlowNext = false;
     ++_stats.checks;
-    _lastFast = std::move(fast);
+    _lastFast = _fast.check(packets, pkt_count);
     _lastSource = VerdictSource::FastPath;
     _stats.tipsChecked += _lastFast.tipsChecked;
     _stats.edgesChecked += _lastFast.edgesChecked;
@@ -383,13 +350,6 @@ Monitor::discardCache()
 {
     _cacheTransitions.clear();
     _cachePending = false;
-}
-
-void
-Monitor::setPktCount(size_t pkt_count)
-{
-    _config.fastPath.pktCount = pkt_count;
-    _fast.setPktCount(pkt_count);
 }
 
 } // namespace flowguard::runtime

@@ -45,8 +45,6 @@ enum class LossPolicy : uint8_t {
     LogAndPass,
 };
 
-const char *lossPolicyName(LossPolicy policy);
-
 struct MonitorConfig
 {
     FastPathConfig fastPath;
@@ -149,21 +147,12 @@ class Monitor
             analysis::PathIndex *paths = nullptr);
 
     /**
-     * §5.2 PMI variant: checks *all* packets in the interrupted
-     * region rather than the last pkt_count TIPs — the buffer is
-     * about to be overwritten, so everything in it is examined once.
-     * Both phases run back to back; the code barrier and the post-gap
-     * catch-up use it too.
-     */
-    CheckVerdict checkFull(std::span<const uint8_t> packets);
-
-    /**
-     * The endpoint check, split in two phases: the fast path always
-     * runs inline at the endpoint (it is cheap and bounded) over a
-     * ToPA window — the live ring (Topa::view()) — while a slow-path
-     * escalation becomes schedulable work that a CheckScheduler can
-     * queue, deadline and defer. A fast pass allocates nothing once
-     * the checker's scratch has grown.
+     * A check, split in two phases: the fast path always runs inline
+     * (it is cheap and bounded) over a ToPA window — the live ring
+     * (Topa::view()) — while a slow-path escalation becomes
+     * schedulable work that a CheckScheduler can queue, deadline and
+     * defer. A fast pass allocates nothing once the checker's scratch
+     * has grown.
      */
     struct FastPhaseOutcome
     {
@@ -175,7 +164,14 @@ class Monitor
         bool loss = false;
     };
 
-    FastPhaseOutcome fastPhase(std::span<const uint8_t> packets);
+    /**
+     * The fast phase over at least `pkt_count` TIPs: pktCount() at an
+     * endpoint (§7.1.1), widened by the service under backpressure;
+     * SIZE_MAX for everything in the buffer — the §5.2 PMI window,
+     * which is about to be overwritten, and the code barrier.
+     */
+    FastPhaseOutcome fastPhase(std::span<const uint8_t> packets,
+                               size_t pkt_count);
 
     /**
      * Resolves a window fastPhase escalated. `loss` must be the flag
@@ -228,22 +224,13 @@ class Monitor
      */
     void forceSlowNext() { _forceSlowNext = true; }
 
-    bool slowForcedPending() const { return _forceSlowNext; }
-
     /** True while a slow-path pass has uncommitted cache material. */
     bool cachePending() const { return _cachePending; }
 
-    /**
-     * Overload batching hook: replaces the fast path's pkt_count so
-     * the service can widen windows under pressure (amortizing checks
-     * over more TIPs) and restore the configured value afterwards.
-     */
-    void setPktCount(size_t pkt_count);
-
+    /** The configured endpoint window (FastPathConfig::pktCount). */
     size_t pktCount() const { return _config.fastPath.pktCount; }
 
     const MonitorStats &stats() const { return _stats; }
-    const FastPathResult &lastFast() const { return _lastFast; }
     const SlowPathResult &lastSlow() const { return _lastSlow; }
 
     /**
@@ -264,8 +251,6 @@ class Monitor
      */
     ViolationReport violationReport(uint64_t cr3, uint64_t seq,
                                     int64_t syscall) const;
-
-    LossPolicy lossPolicy() const { return _config.lossPolicy; }
 
     /**
      * Wires the dynamic-code subsystem in: both checkers classify
@@ -309,7 +294,6 @@ class Monitor
     telemetry::Telemetry *telemetry() const { return _telemetry; }
 
   private:
-    FastPhaseOutcome resolveFast(FastPathResult fast);
     void stageCache(std::span<const uint8_t> packets);
 
     /** Which engine produced the most recent verdict. */
@@ -323,8 +307,6 @@ class Monitor
     MonitorConfig _config;
     analysis::PathIndex *_paths;
     FastPathChecker _fast;
-    /** checkFull()'s checker: every TIP, no module stride. */
-    FastPathChecker _full;
     SlowPathChecker _slow;
     MonitorStats _stats;
     FastPathResult _lastFast;

@@ -7,6 +7,13 @@
 
 namespace flowguard::runtime {
 
+namespace {
+
+/** The window width that takes in every TIP in the ring. */
+constexpr size_t whole_ring = SIZE_MAX;
+
+} // namespace
+
 const char *
 quarantineActionName(QuarantineAction action)
 {
@@ -14,18 +21,6 @@ quarantineActionName(QuarantineAction action)
       case QuarantineAction::Suspend: return "suspend";
       case QuarantineAction::Kill: return "kill";
       case QuarantineAction::Audit: return "audit";
-    }
-    return "?";
-}
-
-const char *
-windowClassName(ProtectionWindowClass cls)
-{
-    switch (cls) {
-      case ProtectionWindowClass::Checked: return "checked";
-      case ProtectionWindowClass::Deferred: return "deferred";
-      case ProtectionWindowClass::Lossy: return "lossy";
-      case ProtectionWindowClass::Gap: return "gap";
     }
     return "?";
 }
@@ -95,7 +90,6 @@ ProtectionService::addProcess(uint64_t cr3, Monitor &monitor,
     record.encoder = &encoder;
     record.topa = &topa;
     record.account = account;
-    record.basePktCount = monitor.pktCount();
     if (_telemetry)
         monitor.setTelemetry(_telemetry, cr3);
     _processes[cr3] = std::move(record);
@@ -317,8 +311,7 @@ ProtectionService::onPmi(uint64_t cr3)
     // which the checker's head-truncation handling already tolerates.
     // The PMI fires with the write cursor at the ring's head, so the
     // view is the whole buffer, read in place.
-    const CheckVerdict verdict =
-        proc.monitor->checkFull(proc.topa->view());
+    const CheckVerdict verdict = checkNow(proc, whole_ring).verdict;
     span.setVerdict(static_cast<uint8_t>(verdict));
     if (verdict != CheckVerdict::Violation) {
         proc.monitor->commitCache();
@@ -447,7 +440,6 @@ ProtectionService::onEndpoint(cpu::Cpu &cpu, int64_t syscall)
     // drain() ends the run with a full check per process, so
     // coalescing delays detection but never loses it.
     const size_t batch = _scheduler.batchFactor();
-    proc.monitor->setPktCount(proc.basePktCount * batch);
     const uint64_t written = proc.topa->totalWritten();
     if (batch > 1 &&
         written - proc.lastCheckedWritten <
@@ -483,7 +475,7 @@ ProtectionService::onEndpoint(cpu::Cpu &cpu, int64_t syscall)
     // The fast phase always runs inline on the live ring: it is cheap
     // and bounded. Only an escalated window is copied out to queue.
     const Monitor::FastPhaseOutcome fast =
-        proc.monitor->fastPhase(packets);
+        proc.monitor->fastPhase(packets, proc.monitor->pktCount() * batch);
     if (!fast.needSlow) {
         noteWindow(proc, fast.loss ? ProtectionWindowClass::Lossy
                                    : ProtectionWindowClass::Checked);
@@ -530,11 +522,11 @@ ProtectionService::codeBarrier(cpu::Cpu &cpu, int64_t syscall)
     // Full-window check, synchronous by design: the unload must not
     // retire code the checker has not finished judging, so this one
     // check bypasses the scheduler and its deadlines.
-    const CheckVerdict verdict = checkWholeRing(proc);
-    noteWindow(proc, proc.monitor->lastFast().lossDetected()
-                         ? ProtectionWindowClass::Lossy
-                         : ProtectionWindowClass::Checked);
-    if (verdict == CheckVerdict::Violation) {
+    proc.encoder->flushTnt();
+    const SyncCheck check = checkNow(proc, whole_ring);
+    noteWindow(proc, check.loss ? ProtectionWindowClass::Lossy
+                                : ProtectionWindowClass::Checked);
+    if (check.verdict == CheckVerdict::Violation) {
         enforce(proc, withFlight(proc.monitor->violationReport(
                           proc.cr3, proc.seq, syscall)),
                 decision);
@@ -719,19 +711,14 @@ ProtectionService::drain()
         }
         if (!proc.attached)
             continue;
-        proc.monitor->setPktCount(proc.basePktCount);
         proc.encoder->flushTnt();
-        const std::span<const uint8_t> packets = proc.topa->view();
-        const Monitor::FastPhaseOutcome fast =
-            proc.monitor->fastPhase(packets);
-        CheckVerdict verdict = fast.verdict;
-        if (fast.needSlow)
-            verdict = proc.monitor->slowPhase(packets, fast.loss);
+        const SyncCheck check =
+            checkNow(proc, proc.monitor->pktCount());
         // End of run: credit earned here cannot be reused.
         proc.monitor->discardCache();
-        noteWindow(proc, fast.loss ? ProtectionWindowClass::Lossy
-                                   : ProtectionWindowClass::Checked);
-        if (verdict == CheckVerdict::Violation) {
+        noteWindow(proc, check.loss ? ProtectionWindowClass::Lossy
+                                    : ProtectionWindowClass::Checked);
+        if (check.verdict == CheckVerdict::Violation) {
             ViolationReport report = withFlight(
                 proc.monitor->violationReport(proc.cr3, proc.seq,
                                               /*syscall=*/-1));
@@ -831,7 +818,8 @@ ProtectionService::resyncCheck(uint64_t cr3)
     outcome.checked = true;
     ++_stats.resyncChecks;
 
-    if (checkWholeRing(proc) == CheckVerdict::Violation) {
+    proc.encoder->flushTnt();
+    if (checkNow(proc, whole_ring).verdict == CheckVerdict::Violation) {
         outcome.violation = true;
         outcome.report = withFlight(proc.monitor->violationReport(
             cr3, proc.seq, /*syscall=*/-1));
@@ -843,12 +831,16 @@ ProtectionService::resyncCheck(uint64_t cr3)
     return outcome;
 }
 
-CheckVerdict
-ProtectionService::checkWholeRing(ProcessRecord &proc)
+ProtectionService::SyncCheck
+ProtectionService::checkNow(ProcessRecord &proc, size_t pkt_count)
 {
-    proc.monitor->setPktCount(proc.basePktCount);
-    proc.encoder->flushTnt();
-    return proc.monitor->checkFull(proc.topa->view());
+    const std::span<const uint8_t> packets = proc.topa->view();
+    const Monitor::FastPhaseOutcome fast =
+        proc.monitor->fastPhase(packets, pkt_count);
+    SyncCheck check{fast.verdict, fast.loss};
+    if (fast.needSlow)
+        check.verdict = proc.monitor->slowPhase(packets, fast.loss);
+    return check;
 }
 
 void

@@ -154,8 +154,6 @@ enum class ProtectionWindowClass : uint8_t {
     Gap,        ///< no checker existed — crash/hang window, or shed
 };
 
-const char *windowClassName(ProtectionWindowClass cls);
-
 /**
  * The seam between the service and the crash-recovery subsystem
  * (src/recovery). The service never knows *how* journaling, the
@@ -309,15 +307,16 @@ class ProtectionService
      * endpoint-independence.
      *
      * Points the process's Topa PMI callback at the service. Each PMI
-     * of an attached process is charged as an intercept, checked with
-     * checkFull() (a PmiCheck span on the monitor's hub, seq = the
-     * process's PMI count), and on a pass banks staged credit, as the
-     * code barrier does. A conviction is enforced like any other: its
-     * report, prefixed "PMI window: " with seq = the PMI count and
-     * syscall = -1, joins the process's kill queue (or is waived for
-     * an audit-class process), and the kernel delivers it at the
-     * process's next syscall — the earliest moment it regains
-     * control. The process must be registered.
+     * of an attached process is charged as an intercept, and every
+     * TIP in the ring is checked, fast phase then slow phase (a
+     * PmiCheck span on the monitor's hub, seq = the process's PMI
+     * count); a pass banks staged credit, as the code barrier does.
+     * A conviction is enforced like any other: its report, prefixed
+     * "PMI window: " with seq = the PMI count and syscall = -1, joins
+     * the process's kill queue (or is waived for an audit-class
+     * process), and the kernel delivers it at the process's next
+     * syscall — the earliest moment it regains control. The process
+     * must be registered.
      */
     void armPmi(uint64_t cr3);
 
@@ -422,7 +421,6 @@ class ProtectionService
         trace::Topa *topa = nullptr;
         cpu::Cpu *cpu = nullptr;
         cpu::CycleAccount *account = nullptr;
-        size_t basePktCount = 0;
         uint64_t seq = 0;
         uint64_t pmis = 0;
         uint64_t lastCheckedWritten = 0;
@@ -459,9 +457,18 @@ class ProtectionService
     EndpointDecision resolve(ProcessRecord &proc, int64_t syscall,
                              const CheckScheduler::SubmitOutcome &out,
                              bool loss, uint64_t now);
-    /** The code barrier's and the post-gap catch-up's synchronous
-     *  check of everything in the ring (never scheduled). */
-    CheckVerdict checkWholeRing(ProcessRecord &proc);
+    struct SyncCheck
+    {
+        CheckVerdict verdict = CheckVerdict::Pass;
+        bool loss = false;          ///< the window saw trace loss
+    };
+    /** The one synchronous check, never scheduled: the fast phase
+     *  over at least `pkt_count` TIPs of the live ring, then the slow
+     *  phase if it escalates. The PMI window, the code barrier and
+     *  the post-gap catch-up check the whole ring; drain() the
+     *  configured window. Callers flush the encoder's TNT first,
+     *  except the PMI, which fires inside the encoder's write. */
+    SyncCheck checkNow(ProcessRecord &proc, size_t pkt_count);
     /** Their tail when the process lives on: banks (`bank`) or drops
      *  the staged credit and restarts the stream, so later windows
      *  hold only later TIPs. A barrier kill skips it, leaving the

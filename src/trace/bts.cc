@@ -49,12 +49,4 @@ Bts::snapshot() const
     return out;
 }
 
-void
-Bts::clear()
-{
-    _cursor = 0;
-    _wrapped = false;
-    _total = 0;
-}
-
 } // namespace flowguard::trace

@@ -41,8 +41,6 @@ class Bts : public cpu::TraceSink
 
     uint64_t totalRecords() const { return _total; }
 
-    void clear();
-
   private:
     std::vector<BtsRecord> _ring;
     size_t _cursor = 0;

@@ -97,7 +97,7 @@ TEST(CachePolicy, StagedVerdictIsInvisibleUntilCommit)
     Monitor monitor = fixture.makeMonitor(config);
     const size_t before = fixture.itc.highCreditCount();
 
-    auto fast = monitor.fastPhase(fixture.packets);
+    auto fast = monitor.fastPhase(fixture.packets, monitor.pktCount());
     ASSERT_TRUE(fast.needSlow);
     EXPECT_EQ(monitor.slowPhase(fixture.packets, fast.loss),
               CheckVerdict::Pass);
@@ -116,7 +116,7 @@ TEST(CachePolicy, TimedOutOrDeferredWindowNeverCaches)
     Monitor monitor = fixture.makeMonitor(config);
     const size_t before = fixture.itc.highCreditCount();
 
-    auto fast = monitor.fastPhase(fixture.packets);
+    auto fast = monitor.fastPhase(fixture.packets, monitor.pktCount());
     ASSERT_TRUE(fast.needSlow);
     EXPECT_EQ(monitor.slowPhase(fixture.packets, fast.loss),
               CheckVerdict::Pass);
@@ -139,7 +139,7 @@ TEST(CachePolicy, LegacyAutoCommitStillCaches)
     TraceFixture fixture({1 << 20});
     Monitor monitor = fixture.makeMonitor();
     const size_t before = fixture.itc.highCreditCount();
-    auto fast = monitor.fastPhase(fixture.packets);
+    auto fast = monitor.fastPhase(fixture.packets, monitor.pktCount());
     ASSERT_TRUE(fast.needSlow);
     EXPECT_EQ(monitor.slowPhase(fixture.packets, fast.loss),
               CheckVerdict::Pass);
@@ -164,7 +164,7 @@ TEST(CachePolicy, LogAndPassLossyWindowNeverCaches)
     Monitor monitor = fixture.makeMonitor(config);
     const size_t before = fixture.itc.highCreditCount();
 
-    auto fast = monitor.fastPhase(fixture.packets);
+    auto fast = monitor.fastPhase(fixture.packets, monitor.pktCount());
     const CheckVerdict verdict = fast.needSlow
         ? monitor.slowPhase(fixture.packets, fast.loss)
         : fast.verdict;

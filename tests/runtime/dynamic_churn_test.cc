@@ -180,8 +180,8 @@ TEST_F(DynamicChurn, AuditOnlyWaivesUnknownCodeButRecordsIt)
     // A transition into address space no module or JIT region claims.
     const uint64_t source =
         app->program.modules()[0].codeBase + 8;
-    const auto fast =
-        monitor.fastPhase(oneTipWindow(source, 0x0000000333000000ULL));
+    const auto fast = monitor.fastPhase(
+        oneTipWindow(source, 0x0000000333000000ULL), monitor.pktCount());
     EXPECT_FALSE(fast.needSlow);
     EXPECT_EQ(fast.verdict, CheckVerdict::Pass);
     EXPECT_GE(monitor.stats().unknownCodeTips, 1u);

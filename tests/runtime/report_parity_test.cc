@@ -361,7 +361,8 @@ TEST(ReportParity, AuditReportCarriesTheEndpointSeq)
 
     auto audit = [&](bool service_mode) {
         auto proc = guard.makeProcessHarness(app.program);
-        const auto fast = proc->monitor->fastPhase(window);
+        const auto fast =
+            proc->monitor->fastPhase(window, proc->monitor->pktCount());
         EXPECT_FALSE(fast.needSlow);
         EXPECT_EQ(fast.verdict, CheckVerdict::Pass);
         FlowGuardKernel::Config kconfig;
