@@ -237,7 +237,7 @@ gapSweepPoint(FlowGuard &guard, RecoveryPolicy policy,
         if (stats.crashes != 0)
             require(!fleet.supervisor.reports().empty(),
                     "crash survived without a gap report");
-        guard.itc().clearRuntimeCredits();
+        guard.itc().clearRuntime();
     }
     require(point.crashedRuns == point.runs,
             "gap sweep point with a crash that never fired");
@@ -354,7 +354,7 @@ attackSurvival(FlowGuard &guard, const workloads::SyntheticApp &app,
         baseline.run();
         result.baselineDetected =
             attackConvicted(baseline, attacked_cr3);
-        guard.itc().clearRuntimeCredits();
+        guard.itc().clearRuntime();
     }
 
     for (size_t k = 0; k < crash_points; ++k) {
@@ -369,7 +369,7 @@ attackSurvival(FlowGuard &guard, const workloads::SyntheticApp &app,
         require(detected,
                 "attack lost across a warm restart (not even the "
                 "catch-up audit convicted it)");
-        guard.itc().clearRuntimeCredits();
+        guard.itc().clearRuntime();
     }
     return result;
 }

@@ -1,6 +1,7 @@
 #include "analysis/itc_cfg.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "support/logging.hh"
 
@@ -212,6 +213,7 @@ ItcCfg::build(const Cfg &cfg)
     itc._credits.assign(itc._targets.size(), 0);
     itc._tntVaried.assign(itc._targets.size(), 0);
     itc._tntSeqs.resize(itc._targets.size());
+    itc._tntTrained.assign(itc._targets.size(), 0);
     return itc;
 }
 
@@ -239,12 +241,41 @@ ItcCfg::findEdge(uint64_t from, uint64_t to) const
     return static_cast<int64_t>(it - _targets.data());
 }
 
-void
-ItcCfg::setRuntimeCredit(int64_t edge)
+int64_t
+ItcCfg::findEdgeCached(uint64_t from, uint64_t to)
 {
+    if (_edgeCache.empty())
+        _edgeCache.resize(size_t{1} << edge_cache_bits);
+    const uint64_t hash = (from ^ std::rotl(to, 32)) * 0x9e3779b97f4a7c15ULL;
+    EdgeCacheSlot &slot = _edgeCache[hash >> (64 - edge_cache_bits)];
+    if (slot.from != from || slot.to != to)
+        slot = {from, to, findEdge(from, to)};
+    return slot.edge;
+}
+
+bool
+ItcCfg::learn(int64_t edge, std::span<const uint8_t> tnt)
+{
+    const auto e = static_cast<size_t>(edge);
     if (_runtimeCredit.size() != _targets.size())
         _runtimeCredit.resize(_targets.size(), 0);
-    _runtimeCredit[static_cast<size_t>(edge)] = 1;
+    const bool fresh = _runtimeCredit[e] == 0;
+    _runtimeCredit[e] = 1;
+    if (_tntVaried[e])
+        return fresh;
+    auto &seqs = _tntSeqs[e];
+    for (const auto &seq : seqs)
+        if (std::ranges::equal(seq, tnt))
+            return fresh;
+    if (seqs.size() >= max_tnt_variants) {
+        // Saturated at runtime: the trained sequences stay behind the
+        // varied mark, for clearRuntime() to restore.
+        _tntVaried[e] = 1;
+        seqs.resize(_tntTrained[e]);
+    } else {
+        seqs.emplace_back(tnt.begin(), tnt.end());
+    }
+    return true;
 }
 
 size_t
@@ -278,12 +309,17 @@ ItcCfg::revokeRuntimeCreditsInRange(uint64_t begin, uint64_t end)
 }
 
 size_t
-ItcCfg::clearRuntimeCredits()
+ItcCfg::clearRuntime()
 {
     size_t dropped = 0;
     for (auto &credit : _runtimeCredit) {
         dropped += credit != 0;
         credit = 0;
+    }
+    for (size_t e = 0; e < _tntSeqs.size(); ++e) {
+        const bool varied = _tntTrained[e] == trained_varied;
+        _tntVaried[e] = varied ? 1 : 0;
+        _tntSeqs[e].resize(varied ? 0 : _tntTrained[e]);
     }
     return dropped;
 }
@@ -433,11 +469,13 @@ ItcCfg::applyRebase(uint64_t begin, uint64_t end, int64_t delta)
     permuteEdges(_credits);
     permuteEdges(_tntVaried);
     permuteEdges(_tntSeqs);
+    permuteEdges(_tntTrained);
     permuteEdges(_runtimeCredit);
 
     _nodeAddrs = std::move(addrs);
     _offsets = std::move(offsets);
     _targets = std::move(targets);
+    _edgeCache.clear();
 
     if (_livenessEnabled) {
         std::vector<uint8_t> live(n);
@@ -451,18 +489,30 @@ ItcCfg::applyRebase(uint64_t begin, uint64_t end, int64_t delta)
 void
 ItcCfg::addTntSequence(int64_t edge, const TntSequence &seq)
 {
-    auto &seqs = _tntSeqs[static_cast<size_t>(edge)];
-    if (_tntVaried[static_cast<size_t>(edge)])
+    const auto e = static_cast<size_t>(edge);
+    uint8_t &trained = _tntTrained[e];
+    auto &seqs = _tntSeqs[e];
+    if (trained == trained_varied)
         return;
-    if (std::find(seqs.begin(), seqs.end(), seq) != seqs.end())
+    const auto held = std::find(seqs.begin(), seqs.end(), seq);
+    if (held < seqs.begin() + trained)
         return;
-    if (seqs.size() >= max_tnt_variants) {
-        _tntVaried[static_cast<size_t>(edge)] = 1;
+    if (trained >= max_tnt_variants) {
+        _tntVaried[e] = 1;
+        trained = trained_varied;
         seqs.clear();
         seqs.shrink_to_fit();
         return;
     }
-    seqs.push_back(seq);
+    // Trained sequences come first; one learned at runtime moves up.
+    if (held != seqs.end())
+        seqs.erase(held);
+    seqs.insert(seqs.begin() + trained, seq);
+    ++trained;
+    if (!_tntVaried[e] && seqs.size() > max_tnt_variants) {
+        _tntVaried[e] = 1;
+        seqs.resize(trained);
+    }
 }
 
 bool
@@ -508,7 +558,9 @@ ItcCfg::memoryBytes() const
     size_t bytes = _nodeAddrs.size() * sizeof(uint64_t) +
                    _offsets.size() * sizeof(uint32_t) +
                    _targets.size() * sizeof(uint64_t) +
-                   _credits.size() + _tntVaried.size();
+                   _credits.size() + _tntVaried.size() +
+                   _tntTrained.size() +
+                   _edgeCache.capacity() * sizeof(EdgeCacheSlot);
     for (const auto &seqs : _tntSeqs) {
         bytes += sizeof(seqs);
         for (const auto &seq : seqs)

@@ -65,6 +65,14 @@ class ItcCfg
      */
     int64_t findEdge(uint64_t from, uint64_t to) const;
 
+    /**
+     * findEdge() through a direct-mapped cache of recent lookups, for
+     * verdict-cache commits: they ask about the same few hundred
+     * edges commit after commit, and a binary search over a graph
+     * that left the CPU cache costs several memory round trips.
+     */
+    int64_t findEdgeCached(uint64_t from, uint64_t to);
+
     // --- training annotations ---------------------------------------------
     /** Trained OR runtime (verdict-cache) credit. */
     bool highCredit(int64_t edge) const
@@ -78,30 +86,46 @@ class ItcCfg
         _credits[static_cast<size_t>(edge)] = 1;
     }
 
-    // --- runtime (verdict-cache) credit -------------------------------------
-    /**
-     * Credit earned online by a committed slow-path verdict. Kept in
-     * a separate bitmap from trained credit so unload/rebase can
-     * revoke it for an address range without losing training data —
-     * trained credits ride a retracted module and revive on reload.
+    // --- runtime overlay (verdict cache) -----------------------------------
+    /*
+     * What committed slow-path verdicts taught the graph (§7.1.1),
+     * kept apart from training so an unload or rebase can revoke
+     * credit for an address range and a checker crash can drop all of
+     * it, leaving trained state alone. The overlay is a runtime credit
+     * bitmap plus the TNT sequences each edge learned at runtime. Those
+     * sit after the edge's trained ones in the one list tntCompatible()
+     * reads, so the fast path looks nothing up twice. The runtime
+     * n-grams are the PathIndex's half of the overlay.
      */
-    void setRuntimeCredit(int64_t edge);
+
+    /**
+     * Learns one committed (edge, TNT) pair: sets the edge's runtime
+     * credit and records `tnt` under the max_tnt_variants budget of
+     * trained and runtime sequences together. Returns true when the
+     * pair was new: the credit bit was unset, or the edge is not
+     * TNT-varied and did not hold `tnt`. Only new pairs change the
+     * graph, so they are what a commit journals.
+     */
+    bool learn(int64_t edge, std::span<const uint8_t> tnt);
+
     bool runtimeCredit(int64_t edge) const
     {
         const auto e = static_cast<size_t>(edge);
         return e < _runtimeCredit.size() && _runtimeCredit[e] != 0;
     }
     /** Drops runtime credit on edges with an endpoint in [begin,end);
-     *  returns how many credits were revoked. */
+     *  returns how many credits were revoked. Runtime TNT stays with
+     *  its edge. */
     size_t revokeRuntimeCreditsInRange(uint64_t begin, uint64_t end);
 
     /**
-     * Drops ALL runtime credit; returns how many edges lost it.
-     * This is what a checker crash does to the online-learned state:
-     * the bitmap lived in the dead process, and a warm restart must
-     * rebuild it from the journal (or accept the cold-start cost).
+     * Drops the whole overlay: runtime credit, runtime TNT sequences
+     * and TNT-varied marks set at runtime, so only trained state is
+     * left. Returns how many edges lost runtime credit. This is what
+     * a checker crash does: the overlay lived in the dead process,
+     * and a warm restart rebuilds it from the journal.
      */
-    size_t clearRuntimeCredits();
+    size_t clearRuntime();
 
     // --- liveness (dynamic code) --------------------------------------------
     /** Cost accounting for one incremental range operation. */
@@ -151,7 +175,8 @@ class ItcCfg
      * Sequences are deduplicated; past `max_tnt_variants` distinct
      * sequences the edge is marked TNT-varied and matching is
      * disabled (data-dependent conditional counts make the exact set
-     * unboundable).
+     * unboundable). A sequence the edge learned at runtime becomes a
+     * trained one.
      */
     void addTntSequence(int64_t edge, const TntSequence &seq);
 
@@ -166,7 +191,8 @@ class ItcCfg
     /** True if any TNT info is recorded and active for the edge. */
     bool hasTntInfo(int64_t edge) const;
 
-    /** Recorded sequences for an edge (empty when varied). */
+    /** Recorded sequences for an edge: trained first, then learned
+     *  at runtime. Meaningless when the edge is varied. */
     const std::vector<TntSequence> &
     tntSequences(int64_t edge) const
     {
@@ -180,11 +206,13 @@ class ItcCfg
         return _tntVaried[static_cast<size_t>(edge)] != 0;
     }
 
-    /** Marks an edge TNT-varied (profile deserialization). */
+    /** Marks an edge TNT-varied in training (profile
+     *  deserialization). */
     void
     markTntVaried(int64_t edge)
     {
         _tntVaried[static_cast<size_t>(edge)] = 1;
+        _tntTrained[static_cast<size_t>(edge)] = trained_varied;
         _tntSeqs[static_cast<size_t>(edge)].clear();
     }
 
@@ -201,6 +229,18 @@ class ItcCfg
     static constexpr size_t max_tnt_variants = 8;
 
   private:
+    /** _tntTrained value of an edge that saturated in training. */
+    static constexpr uint8_t trained_varied = 0xFF;
+
+    /** One findEdgeCached() entry. */
+    struct EdgeCacheSlot
+    {
+        uint64_t from = 0;
+        uint64_t to = 0;
+        int64_t edge = -1;
+    };
+    static constexpr int edge_cache_bits = 10;
+
     RangeUpdate setRangeLive(uint64_t begin, uint64_t end, bool live);
     void buildLivenessIndex();
     size_t edgeFromNode(size_t edge) const;
@@ -211,8 +251,11 @@ class ItcCfg
     std::vector<uint8_t> _credits;        ///< per edge, 0 = low
     std::vector<uint8_t> _tntVaried;      ///< per edge
     std::vector<std::vector<TntSequence>> _tntSeqs;  ///< per edge
+    /** Per edge: how many of _tntSeqs are trained (they come first),
+     *  or trained_varied. What clearRuntime() restores. */
+    std::vector<uint8_t> _tntTrained;
 
-    // Dynamic-code state (empty until used).
+    // Runtime overlay and dynamic-code state (empty until used).
     std::vector<uint8_t> _runtimeCredit;  ///< per edge, lazily sized
     bool _livenessEnabled = false;
     std::vector<uint8_t> _liveNode;       ///< per node
@@ -220,6 +263,9 @@ class ItcCfg
     std::vector<uint32_t> _targetNode;    ///< per edge: target node
     std::vector<uint32_t> _inOffsets;     ///< transpose CSR
     std::vector<uint32_t> _inEdgeIds;     ///< transpose CSR payload
+    /** findEdgeCached() slots, sized on first use; a rebase empties
+     *  it. */
+    std::vector<EdgeCacheSlot> _edgeCache;
 };
 
 } // namespace flowguard::analysis

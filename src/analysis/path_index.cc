@@ -1,5 +1,7 @@
 #include "analysis/path_index.hh"
 
+#include <algorithm>
+
 #include "support/logging.hh"
 #include "support/random.hh"
 
@@ -28,7 +30,43 @@ PathIndex::observe(const std::vector<uint64_t> &targets)
     if (targets.size() < _length)
         return;
     for (size_t i = 0; i + _length <= targets.size(); ++i)
-        _paths.insert(hashPath(targets.data() + i));
+        insertHash(hashPath(targets.data() + i));
+}
+
+void
+PathIndex::insertHash(uint64_t hash)
+{
+    // A hash learned at runtime and now trained is trained.
+    if (!_paths.insert(hash).second && !_runtime.empty())
+        std::erase(_runtime, hash);
+}
+
+void
+PathIndex::learn(std::span<const uint64_t> targets,
+                 std::vector<uint64_t> &fresh)
+{
+    for (size_t i = 0; i + _length <= targets.size(); ++i) {
+        const uint64_t hash = hashPath(targets.data() + i);
+        if (_paths.insert(hash).second) {
+            _runtime.push_back(hash);
+            fresh.push_back(hash);
+        }
+    }
+}
+
+void
+PathIndex::learnHash(uint64_t hash)
+{
+    if (_paths.insert(hash).second)
+        _runtime.push_back(hash);
+}
+
+void
+PathIndex::clearRuntime()
+{
+    for (const uint64_t hash : _runtime)
+        _paths.erase(hash);
+    _runtime.clear();
 }
 
 bool
@@ -52,7 +90,7 @@ size_t
 PathIndex::memoryBytes() const
 {
     return _paths.size() * (sizeof(uint64_t) + sizeof(void *)) +
-           sizeof(*this);
+           _runtime.capacity() * sizeof(uint64_t) + sizeof(*this);
 }
 
 } // namespace flowguard::analysis

@@ -19,6 +19,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <unordered_set>
 #include <vector>
 
@@ -47,20 +48,40 @@ class PathIndex
     /** Approximate resident bytes. */
     size_t memoryBytes() const;
 
-    /** Raw path hashes (profile serialization). */
+    /** Raw path hashes, trained and runtime (profile
+     *  serialization). */
     const std::unordered_set<uint64_t> &hashes() const
     {
         return _paths;
     }
 
-    /** Inserts a previously serialized hash. */
-    void insertHash(uint64_t hash) { _paths.insert(hash); }
+    /** Inserts a previously serialized (trained) hash. */
+    void insertHash(uint64_t hash);
+
+    // --- runtime overlay ------------------------------------------------
+    /**
+     * Learns the n-grams of a committed TIP-target sequence (§7.1.1's
+     * verdict cache, path-sensitive), appending to `fresh` the hashes
+     * not held before, in first-seen order: what a commit journals.
+     */
+    void learn(std::span<const uint64_t> targets,
+               std::vector<uint64_t> &fresh);
+
+    /** Learns one journaled hash (warm restart). */
+    void learnHash(uint64_t hash);
+
+    /** Drops every hash learned at runtime, leaving the trained
+     *  ones: what a checker crash does. */
+    void clearRuntime();
 
   private:
     uint64_t hashPath(const uint64_t *targets) const;
 
     size_t _length;
+    /** Trained and runtime hashes in one set: one lookup per n-gram. */
     std::unordered_set<uint64_t> _paths;
+    /** The members of _paths learned at runtime. */
+    std::vector<uint64_t> _runtime;
 };
 
 } // namespace flowguard::analysis

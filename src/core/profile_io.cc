@@ -225,7 +225,8 @@ saveProfile(const FlowGuard &guard, std::ostream &out)
                 : *t - mods[to_mod].codeBase;
             record.credit = itc.highCredit(edge);
             record.varied = itc.tntVaried(edge);
-            record.seqs = itc.tntSequences(edge);
+            if (!record.varied)
+                record.seqs = itc.tntSequences(edge);
             // Untrained edges carry no information; the loader
             // re-derives the graph from the binary anyway.
             if (!record.credit && !record.varied &&

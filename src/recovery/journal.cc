@@ -6,9 +6,9 @@ namespace flowguard::recovery {
 
 namespace {
 
-// A frame's payload is bounded in practice by one CreditCommit worth
-// of transitions; anything claiming more than this is a corrupt
-// length field, not a real record.
+// A frame's payload is bounded in practice by one CreditCommit's
+// delta; anything claiming more than this is a corrupt length field,
+// not a real record.
 constexpr size_t max_payload = 1u << 24;
 
 void
@@ -20,6 +20,7 @@ encodePayload(ByteWriter &out, const JournalRecord &record)
       case RecordType::CreditCommit:
         out.u64(record.transitions.size());
         encodeTransitions(out, record.transitions);
+        encodeHashes(out, record.paths);
         break;
       case RecordType::VerdictCommitted:
         writeVerdict(out, record);
@@ -51,10 +52,17 @@ decodePayload(const uint8_t *data, size_t size, JournalRecord &out)
     out.type = static_cast<RecordType>(type);
     out.cr3 = in.u64();
     switch (out.type) {
-      case RecordType::CreditCommit:
-        if (!decodeTransitions(in, in.u64(), &out.transitions))
+      case RecordType::CreditCommit: {
+        std::vector<decode::TransitionView> views;
+        if (!decodeTransitions(in, in.u64(), &views) ||
+            !decodeHashes(in, out.paths))
             return false;
+        out.transitions.reserve(views.size());
+        for (const auto &view : views)
+            out.transitions.push_back(
+                {view.from, view.to, {view.tnt.begin(), view.tnt.end()}});
         break;
+      }
       case RecordType::VerdictCommitted:
         readVerdict(in, out);
         break;
@@ -106,7 +114,7 @@ encodeTransitions(ByteWriter &out,
 
 bool
 decodeTransitions(ByteReader &in, uint64_t count,
-                  std::vector<decode::TipTransition> *out)
+                  std::vector<decode::TransitionView> *out)
 {
     // Each transition takes bytes: a larger count is corruption.
     if (in.truncated || count > in.size)
@@ -121,8 +129,29 @@ decodeTransitions(ByteReader &in, uint64_t count,
         if (!tnt)
             return false;
         if (out)
-            out->push_back({from, to, {tnt, tnt + tnt_len}});
+            out->push_back({from, to, {tnt, tnt_len}});
     }
+    return true;
+}
+
+void
+encodeHashes(ByteWriter &out, const std::vector<uint64_t> &hashes)
+{
+    out.u64(hashes.size());
+    for (const uint64_t hash : hashes)
+        out.u64(hash);
+}
+
+bool
+decodeHashes(ByteReader &in, std::vector<uint64_t> &out)
+{
+    const uint64_t count = in.u64();
+    // Eight bytes each: a larger count is corruption.
+    if (in.truncated || count > (in.size - in.offset) / 8)
+        return false;
+    out.reserve(out.size() + count);
+    for (uint64_t i = 0; i < count; ++i)
+        out.push_back(in.u64());
     return true;
 }
 

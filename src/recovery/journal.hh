@@ -15,9 +15,10 @@
  *
  * What gets journaled is exactly the volatile state a crash destroys
  * and a warm restart must reproduce:
- *  - CreditCommit: verdict-cache promotions into the ITC-CFG's
- *    runtime-credit bitmap (with their TNT sequences — replay must
- *    reproduce the original commit calls bit for bit);
+ *  - CreditCommit: one verdict-cache commit's delta, what it added to
+ *    the runtime overlay: the (edge, TNT) pairs the ITC-CFG did not
+ *    hold and the n-gram hashes the path index did not hold. A commit
+ *    that added nothing journals nothing;
  *  - VerdictCommitted / VerdictDelivered: the two halves of deferred
  *    enforcement, keyed (cr3, seq), so a crash between them neither
  *    loses a kill nor delivers it twice;
@@ -67,8 +68,10 @@ struct JournalRecord
     RecordType type = RecordType::EndpointSeq;
     uint64_t cr3 = 0;
 
-    /** CreditCommit: the promoted transitions, TNT included. */
+    /** CreditCommit: the new (edge, TNT) pairs, as transitions. */
     std::vector<decode::TipTransition> transitions;
+    /** CreditCommit: the new n-gram hashes. */
+    std::vector<uint64_t> paths;
 
     /** VerdictCommitted / VerdictDelivered / EndpointSeq. */
     uint64_t seq = 0;
@@ -148,13 +151,16 @@ JournalReadResult readJournal(const std::vector<uint8_t> &bytes);
 
 /** The encodings journal frames and snapshots share. A transition is
  *  from, to, u64 TNT length, TNT bytes; decoding reads `count` of them
- *  into `out` (or only walks them when it is null) and fails when they
- *  over-run `in`. A committed verdict after its cr3 is seq, kind,
- *  syscall, from, to, u64 reason length, reason. */
+ *  into `out` as views of `in`'s bytes (or only walks them when it is
+ *  null) and fails when they over-run `in`. A hash list is its u64
+ *  count, then the hashes. A committed verdict after its cr3 is seq,
+ *  kind, syscall, from, to, u64 reason length, reason. */
 void encodeTransitions(ByteWriter &out,
                        const std::vector<decode::TipTransition> &transitions);
 bool decodeTransitions(ByteReader &in, uint64_t count,
-                       std::vector<decode::TipTransition> *out);
+                       std::vector<decode::TransitionView> *out);
+void encodeHashes(ByteWriter &out, const std::vector<uint64_t> &hashes);
+bool decodeHashes(ByteReader &in, std::vector<uint64_t> &out);
 void writeVerdict(ByteWriter &out, const JournalRecord &verdict);
 void readVerdict(ByteReader &in, JournalRecord &verdict);
 

@@ -10,18 +10,9 @@ namespace flowguard::recovery {
 namespace {
 
 constexpr uint8_t snapshot_magic[8] = {'F', 'G', 'R', 'S',
-                                       'N', 'P', '0', '1'};
+                                       'N', 'P', '0', '2'};
 
 } // namespace
-
-std::vector<decode::TipTransition>
-ProcessSnapshot::transitions() const
-{
-    std::vector<decode::TipTransition> out;
-    ByteReader in{credits.data(), credits.size()};
-    decodeTransitions(in, creditCount, &out);
-    return out;
-}
 
 void
 RecoveredState::apply(const JournalRecord &record)
@@ -32,6 +23,8 @@ RecoveredState::apply(const JournalRecord &record)
         ByteWriter out(proc.credits);
         encodeTransitions(out, record.transitions);
         proc.creditCount += record.transitions.size();
+        proc.paths.insert(proc.paths.end(), record.paths.begin(),
+                          record.paths.end());
         break;
       }
       case RecordType::VerdictCommitted:
@@ -97,7 +90,8 @@ serializeSnapshot(const RecoveredState &state, std::vector<uint8_t> bytes)
     // with room to grow, never a copy of what is already written.
     size_t credits = 0;
     for (const auto &entry : state.processes)
-        credits += entry.second.credits.size();
+        credits += entry.second.credits.size() +
+                   8 * entry.second.paths.size();
     bytes.clear();
     bytes.reserve(credits + credits / 2 + 4096);
     {
@@ -112,6 +106,7 @@ serializeSnapshot(const RecoveredState &state, std::vector<uint8_t> bytes)
             out.u64(entry.second.creditCount);
             out.bytes(entry.second.credits.data(),
                       entry.second.credits.size());
+            encodeHashes(out, entry.second.paths);
         }
         out.u64(state.undeliveredVerdicts.size());
         for (const auto &verdict : state.undeliveredVerdicts) {
@@ -165,6 +160,10 @@ loadSnapshot(const uint8_t *data, size_t size)
             return result;
         }
         proc.credits.assign(in.data + credits, in.data + in.offset);
+        if (!decodeHashes(in, proc.paths)) {
+            result.status = Status::BadChecksum;
+            return result;
+        }
         result.state.processes[cr3] = std::move(proc);
     }
     const uint64_t verdict_count = in.u64();

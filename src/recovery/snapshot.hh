@@ -4,10 +4,12 @@
  *
  * An append-only journal grows without bound; the snapshot is its
  * periodic fold. RecoveredState::apply() defines the fold: credit
- * commits accumulate in order, module unloads/rebases prune what
- * they retired, verdict deliveries cancel their commits (the
+ * commit deltas accumulate in order, module unloads/rebases prune the
+ * pairs they retired, verdict deliveries cancel their commits (the
  * replay-side dedup), and checked endpoints raise the per-process
- * high-water mark.
+ * high-water mark. A delta holds only what the runtime overlay did
+ * not hold yet, so a process's pairs and n-grams are each distinct
+ * until an unload revokes credit and the pair is earned again.
  *
  * The supervisor keeps that fold live, applying each record as it
  * journals it, so compaction only serializes it. The durable bytes
@@ -38,17 +40,18 @@ namespace flowguard::recovery {
 /** Per-process durable protection state. */
 struct ProcessSnapshot
 {
-    /** Committed runtime-credit transitions, in commit order, with
-     *  unload/rebase-retired ranges already pruned: `creditCount` of
-     *  them in wire form (encodeTransitions), which costs a fold no
-     *  allocation per transition and a snapshot one copy. */
+    /** The (edge, TNT) pairs of the process's commit deltas, in
+     *  commit order, with unload/rebase-retired ranges already
+     *  pruned: `creditCount` transitions in wire form
+     *  (encodeTransitions), which costs a fold no allocation per
+     *  transition and a snapshot one copy. */
     std::vector<uint8_t> credits;
     uint64_t creditCount = 0;
+    /** The n-gram hashes of its commit deltas, in commit order. An
+     *  unload does not prune them: the live path index keeps them. */
+    std::vector<uint64_t> paths;
     /** Highest endpoint sequence number that was fully checked. */
     uint64_t seqHighWater = 0;
-
-    /** The credits decoded, in commit order. */
-    std::vector<decode::TipTransition> transitions() const;
 };
 
 /** The folded protection state a warm restart rebuilds from. */

@@ -45,12 +45,16 @@ RecoverySupervisor::addProcess(uint64_t cr3,
     _procs[cr3] = refs;
     _ledger.begin(cr3, cpu.instCount());
     monitor.setCommitObserver(
-        [this, cr3](
-            const std::vector<decode::TipTransition> &transitions) {
+        [this, cr3](const runtime::Monitor::CreditDelta &delta) {
             JournalRecord record;
             record.type = RecordType::CreditCommit;
             record.cr3 = cr3;
-            record.transitions = transitions;
+            record.transitions.reserve(delta.pairs.size());
+            for (const auto &pair : delta.pairs)
+                record.transitions.push_back(
+                    {pair.from, pair.to,
+                     {pair.tnt.begin(), pair.tnt.end()}});
+            record.paths.assign(delta.paths.begin(), delta.paths.end());
             journalAppend(record);
         });
 }
@@ -121,7 +125,11 @@ RecoverySupervisor::crash(uint64_t now, bool hang)
     }
     for (auto &entry : _procs) {
         ProcessRefs &proc = entry.second;
-        proc.itc->clearRuntimeCredits();
+        // The whole runtime overlay dies: credit, runtime TNT and
+        // runtime n-grams. A cold checker starts from training alone.
+        proc.itc->clearRuntime();
+        if (analysis::PathIndex *paths = proc.monitor->paths())
+            paths->clearRuntime();
         proc.gapStartInst = proc.cpu->instCount();
         proc.gapStartSeq = 0;
         proc.inGap = true;
@@ -168,8 +176,11 @@ RecoverySupervisor::restart(uint64_t now)
             _stats.creditDroppedCold += entry.second.creditCount;
             continue;
         }
-        std::vector<decode::TipTransition> credits =
-            entry.second.transitions();
+        // The fold's pairs are views of its wire bytes.
+        std::vector<decode::TransitionView> credits;
+        ByteReader in{entry.second.credits.data(),
+                      entry.second.credits.size()};
+        decodeTransitions(in, entry.second.creditCount, &credits);
         // Reconcile against the kernel's surviving module map: the
         // journal's fold already pruned credit behind every unload it
         // recorded, but a torn tail can be missing the final unload.
@@ -178,10 +189,9 @@ RecoverySupervisor::restart(uint64_t now)
         if (const dynamic::DynamicGuard *dyn = it->second.dyn) {
             const auto retired = dyn->retiredRanges();
             if (!retired.empty()) {
-                const size_t before = credits.size();
-                std::erase_if(
+                _stats.replayReconciledDrops += std::erase_if(
                     credits,
-                    [&retired](const decode::TipTransition &t) {
+                    [&retired](const decode::TransitionView &t) {
                         for (const auto &range : retired)
                             if ((t.from >= range.first &&
                                  t.from < range.second) ||
@@ -190,16 +200,11 @@ RecoverySupervisor::restart(uint64_t now)
                                 return true;
                         return false;
                     });
-                _stats.replayReconciledDrops +=
-                    before - credits.size();
             }
         }
-        // Replay reproduces the original commitCache() calls; the
-        // observer guard keeps the replay from re-journaling records
-        // the journal is the source of.
-        _replaying = true;
-        it->second.monitor->replayCommit(credits);
-        _replaying = false;
+        // Replay learns the journaled deltas into the overlay; it does
+        // not notify the commit observer, so nothing is re-journaled.
+        it->second.monitor->replayCommit({credits, entry.second.paths});
         _stats.replayedTransitions += credits.size();
     }
 
@@ -402,8 +407,6 @@ RecoverySupervisor::onCodeEvent(const cpu::CodeEvent &event)
 void
 RecoverySupervisor::journalAppend(const JournalRecord &record)
 {
-    if (_replaying)
-        return;
     _journal.append(record);
     _live.apply(record);
     ++_stats.journalAppends;

@@ -5,8 +5,9 @@
  *
  * The simulator's crash model: one checker process hosts every
  * monitor. When it dies (or hangs), all volatile checking state goes
- * with it — the scheduler queue, staged verdict caches, runtime
- * credit bitmaps, undelivered pending kills. What survives is what
+ * with it — the scheduler queue, staged verdict caches, the runtime
+ * overlays (learned credit, TNT and n-grams), undelivered pending
+ * kills. What survives is what
  * the supervisor holds on the other side of the process boundary:
  * the journal bytes, the last snapshot, and the kernel-side registry
  * (sequence numbers, module map). The protected processes keep
@@ -23,19 +24,23 @@
  * (retired-instruction) clock the window collapses: frozen processes
  * retire nothing, and restartAt == detectAt.
  *
- * Warm restart = fold(snapshot + journal tail) read back:
- * re-attach with the usual retry/backoff, replay committed credit
- * through Monitor::replayCommit (exactly the original commit calls),
- * re-queue committed-but-undelivered kills (deduped against the
- * delivered set), run one audit-only catch-up check per process, and
- * emit a ProtectionGap report bounding the unchecked window. The
+ * A crash clears every process's runtime overlay: runtime credit,
+ * runtime TNT sequences and runtime n-grams. Warm restart = fold
+ * (snapshot + journal tail) read back: re-attach with the usual
+ * retry/backoff, learn each process's journaled commit deltas back
+ * into the overlay through Monitor::replayCommit (minus pairs on
+ * ranges the module map says are retired), re-queue
+ * committed-but-undelivered kills (deduped against the delivered
+ * set), run one audit-only catch-up check per process, and emit a
+ * ProtectionGap report bounding the unchecked window. The
  * RecoveryPolicy decides what the window cost:
  *
  *   FailClosed     freeze the fleet; zero-width gap, availability hit
  *   ResyncAndAudit run through the gap; report it, force the first
  *                  post-resync window through the slow path
- *   ColdRestart    run through the gap; drop all learned runtime
- *                  credit (warm-up cost instead of replay trust)
+ *   ColdRestart    run through the gap; replay nothing, so checking
+ *                  restarts from trained state alone (warm-up cost
+ *                  instead of replay trust)
  */
 
 #ifndef FLOWGUARD_RECOVERY_SUPERVISOR_HH
@@ -174,9 +179,10 @@ class RecoverySupervisor : public runtime::RecoveryHooks,
 
     /**
      * Registers a protected process with the recovery layer. Hooks
-     * the monitor's commit observer (journaling every credit commit)
-     * and opens the process's ledger account at the CPU's current
-     * instruction count. `dyn`, when given, is the process's dynamic
+     * the monitor's commit observer (journaling each commit's delta),
+     * takes `itc` and the monitor's path index as the overlay a crash
+     * clears, and opens the process's ledger account at the CPU's
+     * current instruction count. `dyn`, when given, is the process's dynamic
      * guard: its module map is kernel-side truth that survives a
      * crash, and warm restart reconciles replayed credit against it
      * (a torn journal tail can be missing the final unload record).
@@ -223,7 +229,6 @@ class RecoverySupervisor : public runtime::RecoveryHooks,
     {
         return _snapshot;
     }
-    const RecoveryConfig &config() const { return _config; }
     /** Width (virtual cycles) of every closed protection gap. */
     const Distribution &gapWidths() const { return _gapWidths; }
 
@@ -277,9 +282,6 @@ class RecoverySupervisor : public runtime::RecoveryHooks,
     uint64_t _restartAt = 0;
     bool _crashFired = false;   ///< one-shot: injector crash consumed
     bool _hangFired = false;
-    /** True while restart() replays journaled commits — the commit
-     *  observer must not re-journal what the journal is replaying. */
-    bool _replaying = false;
 };
 
 } // namespace flowguard::recovery

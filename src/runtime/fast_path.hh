@@ -132,8 +132,6 @@ class FastPathChecker
     checkTransitions(const std::vector<decode::TipTransition> &all)
         const;
 
-    const FastPathConfig &config() const { return _config; }
-
     /**
      * Attaches the dynamic-code view: TIP endpoints are classified
      * through `map` before edge matching, and `policy` decides what

@@ -1,6 +1,7 @@
 #include "runtime/monitor.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "decode/fast_decoder.hh"
 
@@ -97,22 +98,17 @@ Monitor::attachDynamic(dynamic::DynamicGuard &guard)
 size_t
 Monitor::invalidateStaged(uint64_t begin, uint64_t end)
 {
-    if (_cacheTransitions.empty())
+    if (_staged.empty())
         return 0;
-    const auto touches = [&](const decode::TipTransition &transition) {
+    const auto touches = [&](const decode::TransitionView &transition) {
         const bool from_in = transition.from >= begin &&
                              transition.from < end;
         const bool to_in = transition.to >= begin &&
                            transition.to < end;
         return from_in || to_in;
     };
-    const size_t before = _cacheTransitions.size();
-    _cacheTransitions.erase(
-        std::remove_if(_cacheTransitions.begin(),
-                       _cacheTransitions.end(), touches),
-        _cacheTransitions.end());
-    const size_t dropped = before - _cacheTransitions.size();
-    if (_cacheTransitions.empty())
+    const size_t dropped = std::erase_if(_staged, touches);
+    if (_staged.empty())
         _cachePending = false;
     _stats.stagedInvalidated += dropped;
     return dropped;
@@ -294,8 +290,8 @@ Monitor::stageCache(std::span<const uint8_t> packets)
     // promotion so the fast path handles recurrences alone (§7.1.1).
     // A wrapped ToPA snapshot starts mid-packet, so sync at the first
     // PSB.
-    auto flow = decode::decodeRecentTips(packets, packets.size());
-    _cacheTransitions = decode::extractTipTransitions(flow);
+    decode::decodeRecentTipsInto(_stagedFlow, packets, packets.size());
+    decode::extractTransitionViews(_stagedFlow, _staged);
     _cachePending = true;
 }
 
@@ -304,51 +300,79 @@ Monitor::commitCache()
 {
     if (!_cachePending)
         return;
+    // A commit is a set union: learn() tells the pairs the overlay did
+    // not hold from the ones it did, and only those are new. A staged
+    // ring repeats itself (on cold-fleet ~590 transitions hold ~90
+    // distinct pairs), and a repeat cannot be new once its first copy
+    // was learned, so an open-addressed table of first copies keeps
+    // repeats away from the graph.
+    _deltaPairs.clear();
+    _deltaPaths.clear();
+    const int bits = std::bit_width(2 * _staged.size());
+    const size_t mask = (size_t{1} << bits) - 1;
+    _firstCopies.assign(mask + 1, 0);
+    for (uint32_t i = 0; i < _staged.size(); ++i) {
+        const auto &transition = _staged[i];
+        if (transition.from == 0)
+            continue;
+        const uint64_t hash =
+            (transition.from ^ std::rotl(transition.to, 32)) *
+            0x9e3779b97f4a7c15ULL;
+        size_t slot = static_cast<size_t>(hash >> (64 - bits));
+        bool repeat = false;
+        for (; _firstCopies[slot] != 0 && !repeat;
+             slot = (slot + 1) & mask) {
+            const auto &first = _staged[_firstCopies[slot] - 1];
+            repeat = first.from == transition.from &&
+                     first.to == transition.to &&
+                     std::ranges::equal(first.tnt, transition.tnt);
+        }
+        if (repeat)
+            continue;
+        _firstCopies[slot] = i + 1;
+        const int64_t edge =
+            _itc.findEdgeCached(transition.from, transition.to);
+        if (edge >= 0 && _itc.learn(edge, transition.tnt))
+            _deltaPairs.push_back(transition);
+    }
+    if (_paths) {
+        _stagedTargets.clear();
+        for (const auto &transition : _staged)
+            _stagedTargets.push_back(transition.to);
+        _paths->learn(_stagedTargets, _deltaPaths);
+    }
     if (_telemetry) {
         const uint64_t now = _telemetry->now();
         _telemetry->completeSpan(telemetry::SpanKind::VerdictCommit,
                                  _telemetryCr3, 0, now, now, 0,
-                                 _cacheTransitions.size());
+                                 _staged.size());
         _telemetry->instant(telemetry::EventKind::CreditCommit,
-                            _telemetryCr3, 0,
-                            _cacheTransitions.size());
+                            _telemetryCr3, 0, _deltaPairs.size(),
+                            _deltaPaths.size());
     }
-    if (_commitObserver)
-        _commitObserver(_cacheTransitions);
-    replayCommit(_cacheTransitions);
+    if (_commitObserver && (!_deltaPairs.empty() || !_deltaPaths.empty()))
+        _commitObserver({_deltaPairs, _deltaPaths});
     discardCache();
 }
 
 void
-Monitor::replayCommit(
-    const std::vector<decode::TipTransition> &transitions)
+Monitor::replayCommit(const CreditDelta &delta)
 {
-    if (_paths) {
-        std::vector<uint64_t> targets;
-        targets.reserve(transitions.size());
-        for (const auto &transition : transitions)
-            targets.push_back(transition.to);
-        _paths->observe(targets);
-    }
-    for (const auto &transition : transitions) {
-        if (transition.from == 0)
-            continue;
+    for (const auto &transition : delta.pairs) {
         const int64_t edge =
             _itc.findEdge(transition.from, transition.to);
-        if (edge < 0)
-            continue;
-        // Online credit goes into the revocable runtime bitmap, not
-        // the trained one: unload/rebase must be able to take it back
-        // for a range without erasing training data.
-        _itc.setRuntimeCredit(edge);
-        _itc.addTntSequence(edge, transition.tnt);
+        if (edge >= 0)
+            _itc.learn(edge, transition.tnt);
     }
+    if (_paths)
+        for (const uint64_t hash : delta.paths)
+            _paths->learnHash(hash);
 }
 
 void
 Monitor::discardCache()
 {
-    _cacheTransitions.clear();
+    _staged.clear();
     _cachePending = false;
 }
 

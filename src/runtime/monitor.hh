@@ -185,30 +185,53 @@ class Monitor
      * (no-op when nothing is staged). The caller asserts the verdict
      * arrived in time and undeferred; timed-out or deferred windows
      * must call discardCache() instead.
+     *
+     * A commit walks the staged transitions once and learns each
+     * (edge, TNT) pair into the ITC-CFG's runtime overlay, and each
+     * n-gram of the staged targets into the path index. What either
+     * did not hold yet is the commit's delta; only a non-empty delta
+     * reaches the commit observer. Allocates nothing once its scratch
+     * has grown, unless the delta is non-empty.
      */
     void commitCache();
 
     /** Drops the staged verdict cache without applying it. */
     void discardCache();
 
-    /**
-     * Warm-restart path: re-applies journaled commit transitions with
-     * exactly the original commitCache() effect (path observation,
-     * runtime credit, TNT sequences) — without staging and without
-     * re-notifying the commit observer, since the journal already
-     * holds these records.
-     */
-    void replayCommit(
-        const std::vector<decode::TipTransition> &transitions);
+    /** The transitions the last slow-path pass staged, until
+     *  commitCache() or discardCache(). */
+    std::span<const decode::TransitionView> staged() const
+    {
+        return _staged;
+    }
 
     /**
-     * Observes every commitCache() with the transitions being
-     * promoted, before they land in the ITC-CFG. The recovery
-     * journal uses this to make committed runtime credit durable:
-     * what the observer saw is exactly what a warm restart replays.
+     * What one commitCache() added: the (edge, TNT) pairs the runtime
+     * overlay did not hold, in staged order, and the n-gram hashes the
+     * path index did not hold, in first-seen order. The views are
+     * valid during the observer call only.
      */
-    using CommitObserver = std::function<void(
-        const std::vector<decode::TipTransition> &)>;
+    struct CreditDelta
+    {
+        std::span<const decode::TransitionView> pairs;
+        std::span<const uint64_t> paths;
+    };
+
+    /**
+     * Warm-restart path: learns journaled deltas into the runtime
+     * overlay without staging and without notifying the commit
+     * observer, since the journal already holds them. Pairs whose
+     * edge left the graph are skipped.
+     */
+    void replayCommit(const CreditDelta &delta);
+
+    /**
+     * Observes every commitCache() whose delta is non-empty, after it
+     * landed in the overlay. The recovery journal uses this to make
+     * committed runtime credit durable: what the observer saw is
+     * exactly what a warm restart replays.
+     */
+    using CommitObserver = std::function<void(const CreditDelta &)>;
 
     void setCommitObserver(CommitObserver observer)
     {
@@ -232,6 +255,9 @@ class Monitor
 
     const MonitorStats &stats() const { return _stats; }
     const SlowPathResult &lastSlow() const { return _lastSlow; }
+
+    /** The path index checks and commits use (null: path-insensitive). */
+    analysis::PathIndex *paths() const { return _paths; }
 
     /**
      * The report for the most recent Violation verdict — the one
@@ -285,9 +311,9 @@ class Monitor
     /**
      * Wires the observability layer in: both checkers emit
      * check/decode spans, convictions emit Violation instants
-     * carrying the offending edge, and commitCache() emits
-     * CreditCommit events — all attributed to process `cr3`.
-     * nullptr detaches.
+     * carrying the offending edge, and commitCache() emits a
+     * CreditCommit instant carrying its delta (a = new pairs, b = new
+     * n-grams) — all attributed to process `cr3`. nullptr detaches.
      */
     void setTelemetry(telemetry::Telemetry *telemetry, uint64_t cr3);
 
@@ -313,9 +339,17 @@ class Monitor
     SlowPathResult _lastSlow;
     VerdictSource _lastSource = VerdictSource::FastPath;
 
-    /** Staged (uncommitted) verdict-cache material. */
-    std::vector<decode::TipTransition> _cacheTransitions;
+    /** Staged (uncommitted) verdict-cache material: the ring's decode
+     *  and its transitions, which slice its TNT pool. */
+    decode::FastDecodeResult _stagedFlow;
+    std::vector<decode::TransitionView> _staged;
     bool _cachePending = false;
+    /** Commit scratch: a table of the first copy of each staged pair
+     *  (index + 1, 0 = empty), the staged targets and the delta. */
+    std::vector<uint32_t> _firstCopies;
+    std::vector<uint64_t> _stagedTargets;
+    std::vector<decode::TransitionView> _deltaPairs;
+    std::vector<uint64_t> _deltaPaths;
     CommitObserver _commitObserver;
     bool _forceSlowNext = false;
 

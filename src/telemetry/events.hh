@@ -43,7 +43,7 @@ enum class EventKind : uint8_t {
     Span,             ///< a completed span (see SpanKind)
     Overflow,         ///< hardware OVF episode (a = dropped bytes)
     Resync,           ///< decoder skip-to-sync (a = count, b = bytes)
-    CreditCommit,     ///< verdict-cache commit (a = transitions)
+    CreditCommit,     ///< verdict-cache commit (a = new pairs, b = new n-grams)
     Violation,        ///< conviction (a = from, b = to)
     VerdictCommitted, ///< deferred kill journaled (a = seq)
     VerdictDelivered, ///< deferred kill delivered (a = seq)

@@ -225,7 +225,6 @@ class IptEncoder : public cpu::TraceSink
     }
 
     const IptStats &stats() const { return _stats; }
-    const IptConfig &config() const { return _config; }
 
     /** True if the last seen context matched the filters. */
     bool contextOn() const { return _contextOn; }

@@ -150,7 +150,7 @@ TEST_F(DynamicGuardTest, InvalidationAccountingBalancesExactly)
     // Simulate verdict-cache state touching the plugin: one committed
     // runtime credit on a plugin-range edge, and a hook holding two
     // staged entries for any range that covers it.
-    itc.setRuntimeCredit(edge);
+    ASSERT_TRUE(itc.learn(edge, {}));
     ASSERT_TRUE(itc.runtimeCredit(edge));
     const auto &mod = app->program.modules()[plugin];
     dyn.registerInvalidationHook(
@@ -176,6 +176,7 @@ TEST_F(DynamicGuardTest, InvalidationAccountingBalancesExactly)
     // Restore.
     dyn.onCodeEvent(
         moduleEvent(cpu::CodeEventKind::ModuleLoad, plugin));
+    itc.clearRuntime();
 }
 
 TEST_F(DynamicGuardTest, JitEventsTrackRegions)

@@ -178,7 +178,7 @@ TEST_F(CrashProperty, BenignFleet120CrashPoints)
         baseline.enforcementOutcomes();
     EXPECT_TRUE(expected.empty());
     EXPECT_TRUE(baseline.ledgerIdentityHolds());
-    server_guard->itc().clearRuntimeCredits();
+    server_guard->itc().clearRuntime();
 
     int crashed_runs = 0;
     int restarted_runs = 0;
@@ -220,7 +220,7 @@ TEST_F(CrashProperty, BenignFleet120CrashPoints)
         torn_runs += fleet.supervisor.stats().tornTailBytes != 0;
 
         // The shared trained graph must enter every run cold.
-        server_guard->itc().clearRuntimeCredits();
+        server_guard->itc().clearRuntime();
     }
 
     // The sweep must not be vacuous: the crash actually fired in
@@ -308,7 +308,7 @@ TEST_F(CrashProperty, AttackStillDetectedAcross24CrashPoints)
     EXPECT_TRUE(baseline.detected(
         1, ViolationReport::Kind::CfiViolation));
     EXPECT_EQ(baseline.kernels[0]->kills(), 0u);
-    server_guard->itc().clearRuntimeCredits();
+    server_guard->itc().clearRuntime();
 
     int audited_runs = 0;
     int enforced_runs = 0;
@@ -341,7 +341,7 @@ TEST_F(CrashProperty, AttackStillDetectedAcross24CrashPoints)
             << "crash@" << crash_at;
         audited_runs += audited;
         enforced_runs += enforced;
-        server_guard->itc().clearRuntimeCredits();
+        server_guard->itc().clearRuntime();
     }
 
     // Both conviction paths must actually occur across the sweep:

@@ -6,11 +6,13 @@
  * restart's snapshot, byte for byte to the fold compaction performed
  * before: load the last snapshot, read the journal, apply every intact
  * record, serialize. The reference keeps that fold's own state layout
- * (decoded transitions), its own apply and its own byte writer, so a
+ * (decoded transitions and the n-gram hashes of each commit delta),
+ * its own apply, its own byte reader and its own byte writer, so a
  * fault in the live fold or in the shared codec shows as a byte
  * difference.
  *
- * Settings:
+ * Settings, with path-sensitive guards so commit deltas carry n-gram
+ * hashes as well as pairs:
  *  - the benign and module-churn fleets at compactEveryRecords 1, 8
  *    and 256;
  *  - both fleets across injected crashes that tear the journal tail,
@@ -48,12 +50,43 @@ put64(std::vector<uint8_t> &out, uint64_t value)
         out.push_back(static_cast<uint8_t>(value >> (8 * i)));
 }
 
+uint64_t
+get64(const std::vector<uint8_t> &in, size_t &at)
+{
+    uint64_t value = 0;
+    for (int i = 0; i < 8; ++i)
+        value |= static_cast<uint64_t>(in[at + i]) << (8 * i);
+    at += 8;
+    return value;
+}
+
+/** A fold's credit run, decoded without the shared codec. */
+std::vector<decode::TipTransition>
+decodeCredits(const ProcessSnapshot &proc)
+{
+    std::vector<decode::TipTransition> out;
+    size_t at = 0;
+    for (uint64_t i = 0; i < proc.creditCount; ++i) {
+        decode::TipTransition t;
+        t.from = get64(proc.credits, at);
+        t.to = get64(proc.credits, at);
+        const uint64_t len = get64(proc.credits, at);
+        t.tnt.assign(proc.credits.begin() + at,
+                     proc.credits.begin() + at + len);
+        at += len;
+        out.push_back(std::move(t));
+    }
+    EXPECT_EQ(at, proc.credits.size());
+    return out;
+}
+
 /** The fold compaction used to run, in its own layout. */
 struct ReferenceFold
 {
     struct Process
     {
         std::vector<decode::TipTransition> credits;
+        std::vector<uint64_t> paths;
         uint64_t seqHighWater = 0;
     };
 
@@ -62,13 +95,16 @@ struct ReferenceFold
     std::set<std::pair<uint64_t, uint64_t>> delivered;
     /** Credits unload/rebase events removed. */
     uint64_t pruned = 0;
+    /** N-gram hashes the journaled commit deltas carried. */
+    uint64_t deltaPaths = 0;
 
     /** Starts from what loadSnapshot reads back. */
     explicit ReferenceFold(const std::vector<uint8_t> &snapshot)
     {
         const RecoveredState loaded = loadSnapshot(snapshot).state;
         for (const auto &[cr3, proc] : loaded.processes)
-            processes[cr3] = {proc.transitions(), proc.seqHighWater};
+            processes[cr3] = {decodeCredits(proc), proc.paths,
+                              proc.seqHighWater};
         undelivered = loaded.undeliveredVerdicts;
         delivered = loaded.delivered;
     }
@@ -78,9 +114,16 @@ struct ReferenceFold
     {
         switch (record.type) {
           case RecordType::CreditCommit: {
-            auto &credits = processes[record.cr3].credits;
-            credits.insert(credits.end(), record.transitions.begin(),
-                           record.transitions.end());
+            EXPECT_FALSE(record.transitions.empty() &&
+                         record.paths.empty())
+                << "an empty commit delta was journaled";
+            Process &proc = processes[record.cr3];
+            proc.credits.insert(proc.credits.end(),
+                                record.transitions.begin(),
+                                record.transitions.end());
+            proc.paths.insert(proc.paths.end(), record.paths.begin(),
+                              record.paths.end());
+            deltaPaths += record.paths.size();
             break;
           }
           case RecordType::VerdictCommitted:
@@ -131,6 +174,9 @@ struct ReferenceFold
                 put64(body, t.tnt.size());
                 body.insert(body.end(), t.tnt.begin(), t.tnt.end());
             }
+            put64(body, proc.paths.size());
+            for (const uint64_t hash : proc.paths)
+                put64(body, hash);
         }
         put64(body, undelivered.size());
         for (const auto &v : undelivered) {
@@ -148,7 +194,7 @@ struct ReferenceFold
             put64(body, cr3);
             put64(body, seq);
         }
-        const std::string magic = "FGRSNP01";
+        const std::string magic = "FGRSNP02";
         std::vector<uint8_t> out(magic.begin(), magic.end());
         const uint64_t header =
             body.size() | static_cast<uint64_t>(crc32(body.data(), body.size())) << 32;
@@ -171,6 +217,7 @@ class OracleSupervisor : public RecoverySupervisor
     size_t compactionsChecked = 0;
     size_t restartsChecked = 0;
     uint64_t prunedCredits = 0;
+    uint64_t foldedPaths = 0;
 
     void
     compactNow() override
@@ -205,6 +252,7 @@ class OracleSupervisor : public RecoverySupervisor
         for (const auto &record : readJournal(journal_bytes).records)
             fold.apply(record);
         prunedCredits += fold.pruned;
+        foldedPaths += fold.deltaPaths;
         return fold.serialize();
     }
 
@@ -322,8 +370,10 @@ class LiveFoldOracle : public ::testing::Test
                 : workloads::makeBenignStream(160, seed, 4, 2));
         FleetRun run;
         run.guard = churn
-            ? test::churnFleetGuard(*plugin_app, plugin_cr3, 0)
-            : test::benignFleetGuard(*server_app, 0);
+            ? test::churnFleetGuard(*plugin_app, plugin_cr3, 0,
+                                    /*path_sensitive=*/true)
+            : test::benignFleetGuard(*server_app, 0,
+                                     /*path_sensitive=*/true);
         run.fleet = std::make_unique<OracleFleet>(
             *run.guard, calmService(), config, plan, fault_seed, apps,
             inputs);
@@ -342,6 +392,7 @@ TEST_F(LiveFoldOracle, EveryCompactionMatchesAtEveryInterval)
 {
     for (const bool churn : {false, true}) {
         uint64_t pruned = 0;
+        uint64_t paths = 0;
         for (const size_t every : {size_t{1}, size_t{8}, size_t{256}}) {
             FleetRun run = runFleet(churn, recoveryEvery(every));
             OracleSupervisor &supervisor = run.supervisor();
@@ -355,7 +406,10 @@ TEST_F(LiveFoldOracle, EveryCompactionMatchesAtEveryInterval)
             EXPECT_GE(stats.compactions, every == 256 ? 3u : 50u)
                 << "churn " << churn << " every " << every;
             pruned += supervisor.prunedCredits;
+            paths += supervisor.foldedPaths;
         }
+        EXPECT_GT(paths, 0u) << "churn " << churn
+                             << ": commit deltas must carry n-grams";
         if (churn) {
             EXPECT_GT(pruned, 0u)
                 << "the churn fleet's unloads must retire credit";

@@ -69,12 +69,15 @@ churnFleetSpec(uint64_t cr3)
 
 /** A guard over 4 KiB ToPA regions for a benign-fleet server,
  *  trained on `streams` seeded benign streams (none: every first-seen
- *  path goes slow and earns runtime credit). */
+ *  path goes slow and earns runtime credit), path-sensitive on
+ *  request. */
 inline std::unique_ptr<FlowGuard>
-benignFleetGuard(const workloads::SyntheticApp &app, uint64_t streams)
+benignFleetGuard(const workloads::SyntheticApp &app, uint64_t streams,
+                 bool path_sensitive = false)
 {
     FlowGuardConfig config;
     config.topaRegions = {4096, 4096};
+    config.pathSensitive = path_sensitive;
     auto guard = std::make_unique<FlowGuard>(app.program, config);
     guard->analyze();
     std::vector<fuzz::Input> corpus;
@@ -88,10 +91,11 @@ benignFleetGuard(const workloads::SyntheticApp &app, uint64_t streams)
 /** The same for a module-churn plugin server (`cr3` is its spec's). */
 inline std::unique_ptr<FlowGuard>
 churnFleetGuard(const workloads::SyntheticApp &app, uint64_t cr3,
-                uint64_t streams)
+                uint64_t streams, bool path_sensitive = false)
 {
     FlowGuardConfig config;
     config.topaRegions = {4096, 4096};
+    config.pathSensitive = path_sensitive;
     config.dynamicModules = app.dynamicModules;
     auto guard = std::make_unique<FlowGuard>(app.program, config);
     guard->analyze();

@@ -45,13 +45,29 @@ tip(uint64_t from, uint64_t to)
 }
 
 JournalRecord
-commitOf(uint64_t cr3, std::vector<decode::TipTransition> ts)
+commitOf(uint64_t cr3, std::vector<decode::TipTransition> ts,
+         std::vector<uint64_t> paths = {})
 {
     JournalRecord record;
     record.type = RecordType::CreditCommit;
     record.cr3 = cr3;
     record.transitions = std::move(ts);
+    record.paths = std::move(paths);
     return record;
+}
+
+/** A process's folded credit pairs, decoded. */
+std::vector<decode::TipTransition>
+creditsOf(const ProcessSnapshot &proc)
+{
+    std::vector<decode::TransitionView> views;
+    ByteReader in{proc.credits.data(), proc.credits.size()};
+    EXPECT_TRUE(decodeTransitions(in, proc.creditCount, &views));
+    std::vector<decode::TipTransition> out;
+    for (const auto &view : views)
+        out.push_back({view.from, view.to,
+                       {view.tnt.begin(), view.tnt.end()}});
+    return out;
 }
 
 RecoveredState
@@ -59,8 +75,9 @@ sampleState()
 {
     RecoveredState state;
     state.apply(commitOf(0xA, {tip(0x1000, 0x2000),
-                               tip(0x3000, 0x4000)}));
+                               tip(0x3000, 0x4000)}, {0x51, 0x52}));
     state.apply(commitOf(0xB, {tip(0x1100, 0x2100)}));
+    state.apply(commitOf(0xA, {}, {0x53}));
 
     JournalRecord seq;
     seq.type = RecordType::EndpointSeq;
@@ -92,12 +109,15 @@ TEST(RecoverySnapshot, SerializeLoadRoundTrip)
 
     ASSERT_EQ(loaded.state.processes.size(), 2u);
     const auto &proc_a = loaded.state.processes.at(0xA);
-    const auto credits_a = proc_a.transitions();
+    const auto credits_a = creditsOf(proc_a);
     EXPECT_EQ(proc_a.creditCount, 2u);
     ASSERT_EQ(credits_a.size(), 2u);
     EXPECT_EQ(credits_a[0].from, 0x1000u);
     EXPECT_EQ(credits_a[0].tnt,
               (std::vector<uint8_t>{1, 1, 0}));
+    // The n-gram hashes of both commit deltas, in commit order.
+    EXPECT_EQ(proc_a.paths, (std::vector<uint64_t>{0x51, 0x52, 0x53}));
+    EXPECT_TRUE(loaded.state.processes.at(0xB).paths.empty());
     EXPECT_EQ(proc_a.seqHighWater, 41u);
     ASSERT_EQ(loaded.state.undeliveredVerdicts.size(), 1u);
     EXPECT_EQ(loaded.state.undeliveredVerdicts[0].seq, 9u);
@@ -141,7 +161,7 @@ TEST(RecoverySnapshot, UnloadPrunesCreditOnRetiredRange)
 {
     RecoveredState state;
     state.apply(commitOf(0xA, {tip(0x1000, 0x2000),
-                               tip(0x5000, 0x6000)}));
+                               tip(0x5000, 0x6000)}, {0x77}));
     JournalRecord unload;
     unload.type = RecordType::ModuleEvent;
     unload.cr3 = 0xA;
@@ -150,15 +170,18 @@ TEST(RecoverySnapshot, UnloadPrunesCreditOnRetiredRange)
     unload.end = 0x7000;
     state.apply(unload);
 
-    const auto credits = state.processes.at(0xA).transitions();
+    const auto credits = creditsOf(state.processes.at(0xA));
     ASSERT_EQ(credits.size(), 1u);
     EXPECT_EQ(state.processes.at(0xA).creditCount, 1u);
     EXPECT_EQ(credits[0].from, 0x1000u);
+    // N-grams are not pruned: the live path index keeps them too.
+    EXPECT_EQ(state.processes.at(0xA).paths,
+              (std::vector<uint64_t>{0x77}));
 
     // A commit AFTER the unload (new code mapped at the same place)
     // is a different epoch and must survive.
     state.apply(commitOf(0xA, {tip(0x5000, 0x6000)}));
-    EXPECT_EQ(state.processes.at(0xA).transitions().size(), 2u);
+    EXPECT_EQ(creditsOf(state.processes.at(0xA)).size(), 2u);
     EXPECT_EQ(state.processes.at(0xA).creditCount, 2u);
 }
 

@@ -268,7 +268,7 @@ TEST_F(Watchdog, ResyncReplaysCreditAndColdRestartDropsIt)
     EXPECT_EQ(warm.supervisor.stats().creditDroppedCold, 0u);
     EXPECT_EQ(warm.totalKills(), 0u);
     EXPECT_TRUE(warm.ledgerIdentityHolds());
-    warm_guard.itc().clearRuntimeCredits();
+    warm_guard.itc().clearRuntime();
 
     FlowGuard cold_guard = guardFor(/*train=*/false);
     RecoveryFleet cold(cold_guard, sconfig,

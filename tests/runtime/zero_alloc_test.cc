@@ -18,7 +18,10 @@
  * log's amortized growth (one byte per check, capacity doubling),
  * which is told apart by watching the log's capacity.
  *
- * A second test counts the allocations of the IPT encoder itself over
+ * A second test counts the allocations of a verdict-cache commit whose
+ * staged pairs and n-grams the runtime overlay already holds: none.
+ *
+ * A third test counts the allocations of the IPT encoder itself over
  * a warm ring: none.
  */
 
@@ -201,6 +204,69 @@ TEST(ZeroAllocation, PassingChecksOnLiveViewsAllocateNothing)
     EXPECT_GE(measured.size(), 300u);
     EXPECT_GE(on_wrapped_ring, measured.size() / 2);
     EXPECT_LE(log_growths, 1u);
+}
+
+TEST(ZeroAllocation, CommittingHeldPairsAllocatesNothing)
+{
+    workloads::ServerSpec spec;
+    spec.name = "commit";
+    spec.seed = 23;
+    spec.cr3 = 0x2300;
+    const auto app = workloads::buildServerApp(spec);
+
+    FlowGuardConfig config;
+    config.telemetryOff = true;
+    config.pathSensitive = true;
+    FlowGuard guard(app.program, config);
+    guard.analyze();
+    guard.trainWithCorpus({workloads::makeBenignStream(
+        4, 3, spec.numHandlers, spec.numParserStates)});
+
+    // A window the size of the ring, from a different request mix.
+    cpu::Cpu cpu(app.program);
+    trace::Topa topa(config.topaRegions);
+    trace::IptConfig ipt_config;
+    ipt_config.cr3Filter = true;
+    ipt_config.cr3Match = app.program.cr3();
+    cpu::CycleAccount cycles;
+    trace::IptEncoder encoder(ipt_config, topa, &cycles);
+    cpu.addTraceSink(&encoder);
+    cpu::BasicKernel kernel;
+    kernel.setInput(workloads::makeBenignStream(
+        12, 9, spec.numHandlers, spec.numParserStates));
+    cpu.setSyscallHandler(&kernel);
+    cpu.run(50'000'000);
+    const auto view = topa.view();
+    const std::vector<uint8_t> window(view.begin(), view.end());
+
+    runtime::MonitorConfig monitor_config;
+    monitor_config.fastPath = config.fastPath;
+    monitor_config.autoCommitCache = false;
+    runtime::Monitor monitor(app.program, guard.itc(), guard.ocfg(),
+                             guard.typearmor(), monitor_config, &cycles,
+                             guard.mutablePaths());
+    uint64_t deltas = 0;
+    monitor.setCommitObserver(
+        [&deltas](const runtime::Monitor::CreditDelta &) { ++deltas; });
+
+    // The first commit learns the window; the second holds nothing new.
+    for (int commit = 0; commit < 2; ++commit) {
+        SCOPED_TRACE("commit " + std::to_string(commit));
+        ASSERT_EQ(monitor.slowPhase(window, /*loss=*/false),
+                  runtime::CheckVerdict::Pass);
+        ASSERT_TRUE(monitor.cachePending());
+        ASSERT_GT(monitor.staged().size(), 100u);
+        const uint64_t before = heap_allocations.load();
+        monitor.commitCache();
+        const uint64_t allocations = heap_allocations.load() - before;
+        if (commit == 0) {
+            EXPECT_GT(allocations, 0u);    // the delta was collected
+        } else {
+            EXPECT_EQ(allocations, 0u);
+        }
+    }
+    // Only the first commit had a delta to hand the observer.
+    EXPECT_EQ(deltas, 1u);
 }
 
 /** Records a run's branch stream. */

@@ -2,13 +2,19 @@
  * @file
  * Unit tests for the telemetry hub: span lifecycle (nesting, async
  * completion, RAII wrapper), instants, flight-recorder rings, the
- * JSONL and Chrome trace sinks, and the warn()/inform() log tap.
+ * JSONL and Chrome trace sinks, and the warn()/inform() log tap; and
+ * the CreditCommit instant a verdict-cache commit emits.
  */
 
 #include <gtest/gtest.h>
 
+#include "core/flowguard.hh"
+#include "cpu/basic_kernel.hh"
+#include "runtime/monitor.hh"
 #include "support/logging.hh"
 #include "telemetry/telemetry.hh"
+#include "trace/ipt.hh"
+#include "workloads/apps.hh"
 
 namespace {
 
@@ -119,6 +125,68 @@ TEST(Tracer, ScopedSpanClosesOnDestruction)
         span.finish();
     }
     EXPECT_EQ(hub.snapshotFlight(0x300).size(), 2u);
+}
+
+TEST(Tracer, CreditCommitCarriesTheCommitDelta)
+{
+    workloads::ServerSpec spec;
+    spec.name = "commit";
+    spec.seed = 23;
+    spec.cr3 = 0x2300;
+    const auto app = workloads::buildServerApp(spec);
+    FlowGuardConfig config;
+    config.pathSensitive = true;
+    FlowGuard guard(app.program, config);
+    guard.analyze();
+
+    // The ring after a few requests: one window, committed twice.
+    cpu::Cpu cpu(app.program);
+    trace::Topa topa(config.topaRegions);
+    trace::IptConfig ipt_config;
+    ipt_config.cr3Filter = true;
+    ipt_config.cr3Match = app.program.cr3();
+    cpu::CycleAccount cycles;
+    trace::IptEncoder encoder(ipt_config, topa, &cycles);
+    cpu.addTraceSink(&encoder);
+    cpu::BasicKernel kernel;
+    kernel.setInput(workloads::makeBenignStream(
+        6, 9, spec.numHandlers, spec.numParserStates));
+    cpu.setSyscallHandler(&kernel);
+    cpu.run(50'000'000);
+    const auto view = topa.view();
+    const std::vector<uint8_t> window(view.begin(), view.end());
+
+    runtime::MonitorConfig monitor_config;
+    monitor_config.autoCommitCache = false;
+    runtime::Monitor monitor(app.program, guard.itc(), guard.ocfg(),
+                             guard.typearmor(), monitor_config, &cycles,
+                             guard.mutablePaths());
+    Telemetry hub;
+    monitor.setTelemetry(&hub, 0x2300);
+    std::vector<std::pair<uint64_t, uint64_t>> observed;
+    monitor.setCommitObserver(
+        [&](const runtime::Monitor::CreditDelta &delta) {
+            observed.emplace_back(delta.pairs.size(), delta.paths.size());
+        });
+    for (int commit = 0; commit < 2; ++commit) {
+        ASSERT_EQ(monitor.slowPhase(window, /*loss=*/false),
+                  runtime::CheckVerdict::Pass);
+        monitor.commitCache();
+    }
+
+    std::vector<FlightEvent> commits;
+    for (const auto &event : hub.snapshotFlight(0x2300))
+        if (event.kind == EventKind::CreditCommit)
+            commits.push_back(event);
+    ASSERT_EQ(commits.size(), 2u);
+    ASSERT_EQ(observed.size(), 1u);
+    // a = the (edge, TNT) pairs the commit added, b = its n-grams.
+    EXPECT_GT(commits[0].a, 0u);
+    EXPECT_GT(commits[0].b, 0u);
+    EXPECT_EQ(std::make_pair(commits[0].a, commits[0].b), observed[0]);
+    // The same window again holds nothing new.
+    EXPECT_EQ(commits[1].a, 0u);
+    EXPECT_EQ(commits[1].b, 0u);
 }
 
 TEST(FlightRing, WrapsKeepingMostRecent)
