@@ -6,6 +6,12 @@
 
 namespace flowguard::analysis {
 
+namespace {
+
+constexpr uint32_t no_block = UINT32_MAX;
+
+} // namespace
+
 bool
 edgeIsIndirect(EdgeKind kind)
 {
@@ -28,11 +34,26 @@ Cfg::Cfg(const isa::Program &program, std::vector<BasicBlock> blocks,
         _out[_edges[i].from].push_back(i);
         _in[_edges[i].to].push_back(i);
     }
+    _blockOfInst.assign(_program.numInsts(), no_block);
+    for (uint32_t b = 0; b < _blocks.size(); ++b) {
+        const BasicBlock &block = _blocks[b];
+        for (uint32_t i = 0; i < block.numInsts; ++i)
+            _blockOfInst[block.firstInst + i] = b;
+    }
 }
 
 std::optional<uint32_t>
 Cfg::blockAt(uint64_t addr) const
 {
+    // The dense answer stands when it is the first block entered at
+    // `addr`, as the search below would find.
+    const uint32_t inst = _program.instIndexAt(addr);
+    if (inst != isa::no_inst) {
+        const uint32_t b = _blockOfInst[inst];
+        if (b != no_block && _blocks[b].start == addr &&
+            (b == 0 || _blocks[b - 1].start != addr))
+            return b;
+    }
     auto it = std::lower_bound(
         _blocks.begin(), _blocks.end(), addr,
         [](const BasicBlock &b, uint64_t a) { return b.start < a; });
@@ -44,6 +65,16 @@ Cfg::blockAt(uint64_t addr) const
 std::optional<uint32_t>
 Cfg::blockContaining(uint64_t addr) const
 {
+    // The dense answer stands when no later block starts at or below
+    // `addr`: it is then the block the search below would find.
+    const uint32_t inst = _program.instIndexAt(addr);
+    if (inst != isa::no_inst) {
+        const uint32_t b = _blockOfInst[inst];
+        if (b != no_block && addr >= _blocks[b].start &&
+            addr < _blocks[b].end &&
+            (b + 1 == _blocks.size() || _blocks[b + 1].start > addr))
+            return b;
+    }
     auto it = std::upper_bound(
         _blocks.begin(), _blocks.end(), addr,
         [](uint64_t a, const BasicBlock &b) { return a < b.start; });

@@ -78,7 +78,11 @@ class Cfg
         return _in[index];
     }
 
-    /** Block whose entry is exactly `addr`, if any. */
+    /**
+     * Block whose entry is exactly `addr`, if any. Both lookups read
+     * a dense per-instruction block index when `addr` starts an
+     * instruction, and search the sorted blocks otherwise.
+     */
     std::optional<uint32_t> blockAt(uint64_t addr) const;
 
     /** Block containing `addr`, if any. */
@@ -93,6 +97,9 @@ class Cfg
     std::vector<Edge> _edges;
     std::vector<std::vector<uint32_t>> _out;
     std::vector<std::vector<uint32_t>> _in;
+    /** Per flat instruction index, the block holding it (the latest
+     *  starting one), or UINT32_MAX. */
+    std::vector<uint32_t> _blockOfInst;
 };
 
 } // namespace flowguard::analysis

@@ -184,17 +184,26 @@ parse(std::span<const uint8_t> data, size_t start, size_t end,
           case PacketKind::PsbEnd:
             break;
           case PacketKind::Psb:
-            ++result.psbCount;
+            result.psbs.push_back(
+                {pkt.offset, static_cast<uint32_t>(result.steps.size())});
             break;
           case PacketKind::Ovf:
             // The hardware dropped packets here.
             ++result.overflows;
             lose();
             break;
-          case PacketKind::Tnt:
+          case PacketKind::Tnt: {
+            // One resize, then plain stores: a push_back per outcome
+            // re-checks capacity, and its byte store may alias the
+            // vector, whose pointers are then reloaded every time.
+            auto &bits = result.tntBits;
+            const size_t at = bits.size();
+            bits.resize(at + pkt.tntCount);
+            uint8_t *out = bits.data() + at;
             for (int i = 0; i < pkt.tntCount; ++i)
-                result.tntBits.push_back((pkt.tntBits >> i) & 1);
+                out[i] = (pkt.tntBits >> i) & 1;
             break;
+          }
           case PacketKind::Tip:
           case PacketKind::TipPge:
           case PacketKind::TipPgd:
@@ -212,7 +221,7 @@ parse(std::span<const uint8_t> data, size_t start, size_t end,
             pending = result.tntBits.size();
             step.lossBefore = loss_pending;
             loss_pending = false;
-            result.unsyncedSteps += result.psbCount == 0;
+            result.unsyncedSteps += result.psbs.empty();
             result.steps.push_back(step);
             break;
           }
@@ -248,12 +257,32 @@ decodeAll(FastDecodeResult &result, std::span<const uint8_t> data,
     report(telemetry, cr3, begin, result);
 }
 
+/**
+ * The overflow resync emits OVF immediately followed by the PSB a
+ * window anchors at. The gap the OVF marks lies inside the history
+ * the window is supposed to cover ("everything since the last
+ * check"), so it must stay visible to the loss policy even though
+ * decoding starts at the PSB.
+ */
+void
+countOverflowBeforeAnchor(FastDecodeResult &out,
+                          std::span<const uint8_t> data, size_t anchor)
+{
+    if (anchor >= 2 && data[anchor - 2] == 0x02 &&
+        data[anchor - 1] == 0xF3) {
+        ++out.overflows;
+        if (!out.steps.empty())
+            out.steps.front().lossBefore = true;
+    }
+}
+
 } // namespace
 
 void
 FastDecodeResult::clear()
 {
     steps.clear();
+    psbs.clear();
     tntBits.clear();
     trailingOffset = 0;
     lossAtEnd = false;
@@ -261,7 +290,6 @@ FastDecodeResult::clear()
     bytesScanned = 0;
     packetCount = 0;
     malformed = false;
-    psbCount = 0;
     startOffset = 0;
     overflows = 0;
     resyncs = 0;
@@ -327,33 +355,79 @@ decodeRecentTipsInto(FastDecodeResult &out,
     decodeFrom(out, data, anchor);
     scanned += out.bytesScanned;
     out.bytesScanned = scanned;
-
-    // The encoder's overflow resync emits OVF immediately followed by
-    // the PSB we just anchored at. The gap the OVF marks lies inside
-    // the history this window is supposed to cover ("everything since
-    // the last check"), so it must stay visible to the loss policy
-    // even though decoding starts at the PSB.
-    if (anchor >= 2 && data[anchor - 2] == 0x02 &&
-        data[anchor - 1] == 0xF3) {
-        ++out.overflows;
-        if (!out.steps.empty())
-            out.steps.front().lossBefore = true;
-    }
+    countOverflowBeforeAnchor(out, data, anchor);
     charge(account, scanned);
     report(telemetry, cr3, begin, out);
 }
 
 void
+decodeRingInto(FastDecodeResult &out, std::span<const uint8_t> data,
+               cpu::CycleAccount *account,
+               telemetry::Telemetry *telemetry, uint64_t cr3)
+{
+    // The backward search's earliest sync point is the forward scan's
+    // first one.
+    const size_t anchor = trace::findNextPsb(data.data(), data.size(), 0);
+    if (anchor == SIZE_MAX) {
+        decodeAll(out, data, account, telemetry, cr3);
+        return;
+    }
+    const uint64_t begin = telemetry ? telemetry->now() : 0;
+    decodeFrom(out, data, anchor);
+    countOverflowBeforeAnchor(out, data, anchor);
+    charge(account, out.bytesScanned);
+    report(telemetry, cr3, begin, out);
+}
+
+size_t
+recentTipsStep(const FastDecodeResult &ring,
+               std::span<const uint8_t> data, size_t min_tips)
+{
+    // decodeRecentTips' search, with each segment's TIPs counted from
+    // the ring's steps instead of a parse: the sync points it meets,
+    // latest first, must be the ring's PSBs, latest first.
+    size_t limit = data.size();
+    size_t mark = ring.psbs.size();
+    size_t step = ring.steps.size();
+    size_t tips = 0;
+    size_t first = SIZE_MAX;
+    while (true) {
+        const size_t sync = previousPsb(data.data(), data.size(), limit);
+        if (sync == SIZE_MAX)
+            break;
+        if (mark == 0 || ring.psbs[--mark].offset != sync)
+            return SIZE_MAX;
+        for (; step > ring.psbs[mark].step; --step)
+            tips += ring.steps[step - 1].kind == StepKind::Tip;
+        first = ring.psbs[mark].step;
+        if (tips >= min_tips)
+            return first;
+    }
+    // Every sync point was met: the suffix is the whole ring, which
+    // must have started at the earliest of them (or, with none, at
+    // byte 0, as decodeRecentTips then decodes).
+    if (mark != 0)
+        return SIZE_MAX;
+    return first == SIZE_MAX ? 0 : first;
+}
+
+void
 extractTransitionViews(const FastDecodeResult &flow,
-                       std::vector<TransitionView> &out)
+                       std::vector<TransitionView> &out,
+                       size_t first_step)
 {
     out.clear();
+    if (first_step >= flow.steps.size())
+        return;
     const std::span<const uint8_t> pool(flow.tntBits);
     uint64_t prev = 0;
     // Steps slice the pool back to back, so the outcomes of one
-    // transition are the contiguous run from `from` to its TIP.
-    size_t from = 0;
-    for (const auto &step : flow.steps) {
+    // transition are the contiguous run from `from` to its TIP. (A
+    // decode's first step starts the pool, unless a loss kept
+    // outcomes ahead of it; those pair with nothing.)
+    size_t from = flow.steps[first_step].tntOffset;
+    for (const auto &step :
+         std::span<const FlowStep>(flow.steps).subspan(first_step)) {
         if (step.lossBefore) {
             // Trace gap: the previous TIP is not this step's true
             // predecessor. Restart the window as if at its head.

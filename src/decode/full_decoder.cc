@@ -1,5 +1,7 @@
 #include "decode/full_decoder.hh"
 
+#include <algorithm>
+
 #include "telemetry/telemetry.hh"
 
 namespace flowguard::decode {
@@ -25,28 +27,13 @@ class StepCursor
     StepCursor(const FastDecodeResult &flow, size_t from)
         : _flow(flow), _step(from + 1),
           _bit(flow.steps[from].tntOffset + flow.steps[from].tntLength)
-    {}
-
-    At
-    at() const
     {
-        const bool tail = _step == _flow.steps.size();
-        const size_t gap =
-            tail ? _flow.trailingOffset : _flow.steps[_step].tntOffset;
-        if (_bit < gap)
-            return At::Bit;
-        if (!_lossPassed &&
-            (tail ? _flow.lossAtEnd : _flow.steps[_step].lossBefore))
-            return At::Loss;
-        const size_t end = tail ? _flow.tntBits.size()
-                                : gap + _flow.steps[_step].tntLength;
-        if (_bit < end)
-            return At::Bit;
-        return tail ? At::End : At::Step;
+        refresh();
     }
 
-    bool done() const { return at() == At::End; }
-    bool atLoss() const { return at() == At::Loss; }
+    At at() const { return _at; }
+    bool done() const { return _at == At::End; }
+    bool atLoss() const { return _at == At::Loss; }
     bool taken() const { return _flow.tntBits[_bit] != 0; }
     const FlowStep &step() const { return _flow.steps[_step]; }
 
@@ -54,15 +41,16 @@ class StepCursor
     bool
     atStep(StepKind kind) const
     {
-        return at() == At::Step && step().kind == kind;
+        return _at == At::Step && step().kind == kind;
     }
 
     void
     consume()
     {
-        switch (at()) {
+        switch (_at) {
           case At::Bit:
-            ++_bit;
+            if (++_bit < _bitsEnd)
+                return;     // still inside the same run of outcomes
             break;
           case At::Loss:
             _lossPassed = true;
@@ -72,15 +60,47 @@ class StepCursor
             _lossPassed = false;
             break;
           case At::End:
-            break;
+            return;
         }
+        refresh();
     }
 
   private:
+    /** Works out the next item; the walk asks for it several times
+     *  per instruction it stops at, so it is kept. */
+    void
+    refresh()
+    {
+        const bool tail = _step == _flow.steps.size();
+        const size_t gap =
+            tail ? _flow.trailingOffset : _flow.steps[_step].tntOffset;
+        if (_bit < gap) {
+            _at = At::Bit;
+            _bitsEnd = gap;
+            return;
+        }
+        if (!_lossPassed &&
+            (tail ? _flow.lossAtEnd : _flow.steps[_step].lossBefore)) {
+            _at = At::Loss;
+            return;
+        }
+        const size_t end = tail ? _flow.tntBits.size()
+                                : gap + _flow.steps[_step].tntLength;
+        if (_bit < end) {
+            _at = At::Bit;
+            _bitsEnd = end;
+            return;
+        }
+        _at = tail ? At::End : At::Step;
+    }
+
     const FastDecodeResult &_flow;
     size_t _step;
     size_t _bit;
+    /** With _at == Bit, where that run of outcomes ends. */
+    size_t _bitsEnd = 0;
     bool _lossPassed = false;
+    At _at = At::End;
 };
 
 /** A step that names where the walk can (re)start. */
@@ -93,34 +113,40 @@ anchors(const FlowStep &step)
 
 } // namespace
 
-FullDecodeResult
-decodeInstructionFlow(const isa::Program &program,
-                      const FastDecodeResult &flow,
-                      cpu::CycleAccount *account,
-                      telemetry::Telemetry *telemetry, uint64_t cr3)
+void
+decodeInstructionFlowInto(FullDecodeResult &result,
+                          const isa::Program &program,
+                          const FastDecodeResult &flow, size_t first_step,
+                          cpu::CycleAccount *account,
+                          telemetry::Telemetry *telemetry, uint64_t cr3)
 {
     const uint64_t span_begin = telemetry ? telemetry->now() : 0;
-    FullDecodeResult result;
+    result.status = FullDecodeResult::Status::Ok;
+    result.branches.clear();
+    result.instructionsWalked = 0;
+    result.startIp = 0;
+    result.error.clear();
     result.overflows = flow.overflows;
     result.resyncs = flow.resyncs;
     result.bytesSkipped = flow.bytesSkipped;
+    result.lossBranchIndices.clear();
 
     // IP compression cannot be trusted before a PSB, and the sync
     // step itself is not replayed.
-    size_t start = flow.unsyncedSteps;
+    size_t start = std::max<size_t>(first_step, flow.unsyncedSteps);
     while (start < flow.steps.size() && !anchors(flow.steps[start]))
         ++start;
     if (start == flow.steps.size()) {
         result.status = FullDecodeResult::Status::NoSync;
         result.error = "no PSB-anchored TIP/PGE to start from";
-        return result;
+        return;
     }
     result.startIp = flow.steps[start].ip;
     StepCursor stream(flow, start);
 
-    // --- instruction-by-instruction walk --------------------------------
+    // --- run-by-run walk -------------------------------------------------
     bool walking = true;
-    auto desync = [&](const std::string &why) {
+    auto desync = [&](const char *why) {
         result.status = FullDecodeResult::Status::Desync;
         result.error = why;
         walking = false;
@@ -130,7 +156,12 @@ decodeInstructionFlow(const isa::Program &program,
     // every step is consumed. The walk budget is a backstop against
     // pathological direct-branch cycles in malformed programs.
     constexpr uint64_t walk_budget = 50'000'000;
+    // The instruction at `ip` and its flat index (no_inst off mapped
+    // code). Direct successors come from the link-time table; only a
+    // packet's address needs a lookup.
     uint64_t ip = result.startIp;
+    uint32_t index = program.instIndexAt(ip);
+    uint64_t tips = 0;
 
     // Resumes the walk at a trace gap: everything up to the next step
     // naming an address was orphaned by the loss, and the anchor
@@ -143,6 +174,7 @@ decodeInstructionFlow(const isa::Program &program,
                 result.lossBranchIndices.push_back(
                     result.branches.size());
                 ip = stream.step().ip;
+                index = program.instIndexAt(ip);
                 stream.consume();
                 return true;
             }
@@ -164,14 +196,15 @@ decodeInstructionFlow(const isa::Program &program,
             desync("instruction walk budget exceeded");
             break;
         }
-        const Instruction *inst = program.fetch(ip);
-        if (!inst) {
+        if (index == isa::no_inst) {
             result.status = FullDecodeResult::Status::BadFlow;
             result.error = "flow left mapped code";
             break;
         }
+        // Counted before the pause handling below, as every
+        // instruction of the run would be.
         ++result.instructionsWalked;
-        const uint64_t next = ip + isa::instSize(inst->op);
+        const Instruction *inst = &program.inst(index);
 
         // Transparent handling of context-switch pauses: a PGD not
         // explained by a syscall instruction must be followed by a PGE
@@ -196,6 +229,26 @@ decodeInstructionFlow(const isa::Program &program,
         if (stream.atLoss())
             continue;   // resolve the gap before consuming anything
 
+        // The rest of the run reads no trace: the stream now stands
+        // where no instruction before the run's end can move it, so
+        // jump there. Each skipped instruction is checked against the
+        // budget before it is counted, as the loop above would.
+        const uint32_t run_end = program.runEnd(index);
+        if (run_end != index && !stream.done()) {
+            const uint64_t skipped = run_end - index;
+            if (result.instructionsWalked + skipped > walk_budget) {
+                result.instructionsWalked = walk_budget;
+                desync("instruction walk budget exceeded");
+                break;
+            }
+            result.instructionsWalked += skipped;
+            index = run_end;
+            ip = program.instAddr(index);
+            inst = &program.inst(index);
+        }
+        const isa::InstLinks &links = program.instLinks(index);
+        const uint64_t next = ip + isa::instSize(inst->op);
+
         // A case that finds the trace consumed just breaks: the loop
         // ends there.
         switch (inst->op) {
@@ -213,6 +266,7 @@ decodeInstructionFlow(const isa::Program &program,
                        : BranchKind::CondNotTaken,
                  ip, taken ? inst->target : next});
             ip = taken ? inst->target : next;
+            index = taken ? links.target : links.next;
             break;
           }
 
@@ -220,12 +274,14 @@ decodeInstructionFlow(const isa::Program &program,
             result.branches.push_back(
                 {BranchKind::DirectJump, ip, inst->target});
             ip = inst->target;
+            index = links.target;
             break;
 
           case Opcode::Call:
             result.branches.push_back(
                 {BranchKind::DirectCall, ip, inst->target});
             ip = inst->target;
+            index = links.target;
             break;
 
           case Opcode::JmpInd:
@@ -246,7 +302,9 @@ decodeInstructionFlow(const isa::Program &program,
                     ? BranchKind::IndirectCall
                     : BranchKind::Return;
             result.branches.push_back({kind, ip, target});
+            ++tips;
             ip = target;
+            index = program.instIndexAt(ip);
             break;
           }
 
@@ -281,6 +339,7 @@ decodeInstructionFlow(const isa::Program &program,
             result.branches.push_back(
                 {BranchKind::SyscallExit, ip, resume});
             ip = resume;
+            index = program.instIndexAt(ip);
             break;
           }
 
@@ -289,18 +348,14 @@ decodeInstructionFlow(const isa::Program &program,
             break;
 
           default:
+            // Only a run that leaves the flat order ends here.
             ip = next;
+            index = links.next;
             break;
         }
     }
 
     if (account) {
-        uint64_t tips = 0;
-        for (const auto &branch : result.branches) {
-            tips += branch.kind == BranchKind::IndirectJump ||
-                    branch.kind == BranchKind::IndirectCall ||
-                    branch.kind == BranchKind::Return;
-        }
         account->decode +=
             static_cast<double>(result.instructionsWalked) *
                 cpu::cost::sw_full_decode_per_inst +
@@ -315,6 +370,17 @@ decodeInstructionFlow(const isa::Program &program,
                                 result.instructionsWalked,
                                 result.branches.size());
     }
+}
+
+FullDecodeResult
+decodeInstructionFlow(const isa::Program &program,
+                      const FastDecodeResult &flow,
+                      cpu::CycleAccount *account,
+                      telemetry::Telemetry *telemetry, uint64_t cr3)
+{
+    FullDecodeResult result;
+    decodeInstructionFlowInto(result, program, flow, 0, account,
+                              telemetry, cr3);
     return result;
 }
 

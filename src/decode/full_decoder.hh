@@ -12,8 +12,15 @@
  * It sits on the packet layer, as libipt's instruction-flow decoder
  * sits on its query decoder: it never parses bytes itself, but walks
  * the steps and TNT slices of a fast_decoder.hh decode. The slow path
- * hands it the window the fast decode already anchored; the byte form
+ * hands it the suffix of the ring it already decoded; the byte form
  * below decodes the packet layer first.
+ *
+ * Like libipt's block decoder, the walk moves a straight-line run at a
+ * time: between two control-flow instructions nothing reads the trace,
+ * so it jumps to the run's end (isa::Program::runEnd) and counts the
+ * instructions it skipped. The count, the walk budget and where a run
+ * leaves mapped code are exactly what a walk one instruction at a
+ * time gives, so the per-instruction decode charge is unchanged.
  *
  * Trace loss (OVF packets, undecodable spans) does not fail the
  * decode: the walk re-anchors at the next packet that names an
@@ -106,6 +113,20 @@ FullDecodeResult decodeInstructionFlow(
     const isa::Program &program, const FastDecodeResult &flow,
     cpu::CycleAccount *account = nullptr,
     telemetry::Telemetry *telemetry = nullptr, uint64_t cr3 = 0);
+
+/**
+ * decodeInstructionFlow() over flow.steps[first_step, end) into `out`,
+ * reusing its capacity: the walk of a decode started at the PSB
+ * before `first_step` (see recentTipsStep()). The loss counters are
+ * the whole decode's.
+ */
+void decodeInstructionFlowInto(FullDecodeResult &out,
+                               const isa::Program &program,
+                               const FastDecodeResult &flow,
+                               size_t first_step,
+                               cpu::CycleAccount *account = nullptr,
+                               telemetry::Telemetry *telemetry = nullptr,
+                               uint64_t cr3 = 0);
 
 /** The walk over decodePacketLayer(data); the packet decode itself is
  *  neither charged nor traced. */

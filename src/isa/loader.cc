@@ -465,7 +465,7 @@ Loader::link()
                   return a.entry < b.entry;
               });
 
-    // --- dense code index and link-time successors ----------------------
+    // --- dense code index, link-time successors and runs ----------------
     for (LoadedModule &lm : prog._modules)
         lm.codeIndex.assign(lm.codeEnd - lm.codeBase, no_inst);
     for (size_t k = 0; k < prog._insts.size(); ++k) {
@@ -481,6 +481,14 @@ Loader::link()
         if (inst.op == Opcode::Jcc || inst.op == Opcode::Jmp ||
             inst.op == Opcode::Call)
             links.target = prog.instIndexAt(inst.target);
+    }
+    prog._runEnds.resize(prog._insts.size());
+    for (size_t k = prog._insts.size(); k-- > 0;) {
+        const Instruction &inst = prog._insts[k];
+        const bool ends = inst.isCofi() || inst.op == Opcode::Halt ||
+                          prog._links[k].next != k + 1;
+        prog._runEnds[k] =
+            ends ? static_cast<uint32_t>(k) : prog._runEnds[k + 1];
     }
 
     // --- entry point ------------------------------------------------------

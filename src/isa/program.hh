@@ -15,7 +15,10 @@
  * entry per code byte holding the flat index of the instruction that
  * starts there or `no_inst`, and every instruction carries its
  * successors (InstLinks) as flat indices, so the interpreter follows
- * fall-through and direct branches without any lookup.
+ * fall-through and direct branches without any lookup. Beside the
+ * links, each instruction records where its straight-line run ends
+ * (runEnd()), so the slow path's instruction-flow walk jumps a run at
+ * once, as libipt's block decoder does.
  */
 
 #ifndef FLOWGUARD_ISA_PROGRAM_HH
@@ -155,6 +158,16 @@ class Program
     uint32_t instModule(size_t index) const { return _instModule[index]; }
     const InstLinks &instLinks(size_t index) const { return _links[index]; }
 
+    /**
+     * Flat index of the instruction that ends the straight-line run
+     * through instruction `index`: the first control-flow instruction
+     * (CoFI or Halt) at or after it, or, when fall-through leaves the
+     * flat order first (off mapped code, or into another module), the
+     * last instruction before it does. Every instruction in
+     * [index, runEnd(index)) falls through to the next flat index.
+     */
+    uint32_t runEnd(size_t index) const { return _runEnds[index]; }
+
     uint64_t entry() const { return _entry; }
     uint64_t stackTop() const { return _stackTop; }
     uint64_t stackSize() const { return _stackSize; }
@@ -176,6 +189,9 @@ class Program
     std::vector<uint64_t> _instAddrs;      ///< parallel to _insts, sorted
     std::vector<uint32_t> _instModule;     ///< parallel to _insts
     std::vector<InstLinks> _links;         ///< parallel to _insts
+    /** Parallel to _insts; kept apart from InstLinks, which the
+     *  interpreter copies every step. */
+    std::vector<uint32_t> _runEnds;
 
     std::vector<LoadedModule> _modules;
     std::vector<LoadedFunction> _functions;  ///< sorted by entry

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <utility>
 
 #include "decode/fast_decoder.hh"
 
@@ -250,8 +251,19 @@ CheckVerdict
 Monitor::slowPhase(std::span<const uint8_t> packets, bool loss)
 {
     // Suspicious (or loss escalation): upcall into the slow-path engine.
+    // A window whose verdict may be cached is decoded once, whole: the
+    // slow path walks its suffix and staging reads all of it. Never
+    // cache verdicts from a lossy window (edges extracted from a
+    // damaged buffer must not earn durable high credit), so a lossy
+    // window decodes only what the walk needs. The ring is decoded
+    // straight into the staged decode unless a stage it would clobber
+    // is still pending.
     ++_stats.slowChecks;
-    _lastSlow = _slow.check(packets);
+    const bool stage = _config.cacheSlowPathVerdicts && !loss;
+    decode::FastDecodeResult &ring =
+        _cachePending ? _pendingRingFlow : _stagedFlow;
+    _lastSlow = stage ? _slow.checkRing(packets, ring)
+                      : _slow.check(packets);
     _lastSource = VerdictSource::SlowPath;
     if (_lastSlow.degraded)
         ++_stats.jitDegradedChecks;
@@ -272,11 +284,10 @@ Monitor::slowPhase(std::span<const uint8_t> packets, bool loss)
     }
     ++_stats.slowPass;
     _verdictLog.push_back(static_cast<uint8_t>(CheckVerdict::Pass));
-
-    // Never cache verdicts from a lossy window: edges extracted from
-    // a damaged buffer must not earn durable high credit.
-    if (_config.cacheSlowPathVerdicts && !loss) {
-        stageCache(packets);
+    if (stage) {
+        if (&ring != &_stagedFlow)
+            std::swap(_stagedFlow, _pendingRingFlow);
+        stageCache();
         if (_config.autoCommitCache)
             commitCache();
     }
@@ -284,13 +295,11 @@ Monitor::slowPhase(std::span<const uint8_t> packets, bool loss)
 }
 
 void
-Monitor::stageCache(std::span<const uint8_t> packets)
+Monitor::stageCache()
 {
     // The slow path vouched for this window; stage its edges for
     // promotion so the fast path handles recurrences alone (§7.1.1).
-    // A wrapped ToPA snapshot starts mid-packet, so sync at the first
-    // PSB.
-    decode::decodeRecentTipsInto(_stagedFlow, packets, packets.size());
+    // A stage still pending from an earlier pass is replaced.
     decode::extractTransitionViews(_stagedFlow, _staged);
     _cachePending = true;
 }

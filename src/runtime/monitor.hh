@@ -320,7 +320,8 @@ class Monitor
     telemetry::Telemetry *telemetry() const { return _telemetry; }
 
   private:
-    void stageCache(std::span<const uint8_t> packets);
+    /** Stages _stagedFlow, the ring the last slow-path pass decoded. */
+    void stageCache();
 
     /** Which engine produced the most recent verdict. */
     enum class VerdictSource : uint8_t {
@@ -340,8 +341,11 @@ class Monitor
     VerdictSource _lastSource = VerdictSource::FastPath;
 
     /** Staged (uncommitted) verdict-cache material: the ring's decode
-     *  and its transitions, which slice its TNT pool. */
+     *  and its transitions, which slice its TNT pool. The slow path
+     *  decodes the ring under check into it, or, while a stage is
+     *  pending, into _pendingRingFlow. */
     decode::FastDecodeResult _stagedFlow;
+    decode::FastDecodeResult _pendingRingFlow;
     std::vector<decode::TransitionView> _staged;
     bool _cachePending = false;
     /** Commit scratch: a table of the first copy of each staged pair

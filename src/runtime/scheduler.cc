@@ -190,6 +190,12 @@ CheckScheduler::enqueueDeferred(CheckRequest request,
     item.executed = executed;
     item.completionAt = completion_at;
     _queue.push_back(std::move(item));
+    // The one copy of a window: the ring moves on before this request
+    // runs or is delivered. The deque never moves what it holds, so
+    // the view stays on the copy.
+    CheckRequest &queued = _queue.back().request;
+    queued.owned.assign(queued.packets.begin(), queued.packets.end());
+    queued.packets = queued.owned;
     ++_stats.deferred;
     _stats.maxQueueDepth =
         std::max(_stats.maxQueueDepth, _queue.size());

@@ -35,6 +35,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -65,7 +66,12 @@ enum class OverloadPolicy : uint8_t {
 
 const char *overloadPolicyName(OverloadPolicy policy);
 
-/** One slow-path escalation, snapshotted at the endpoint. */
+/**
+ * One slow-path escalation. Its window views the live ToPA ring while
+ * the check runs within submit(); a request that is queued keeps its
+ * own copy of the bytes (CheckScheduler copies them as it enqueues),
+ * so only deferred work pays for a copy.
+ */
 struct CheckRequest
 {
     uint64_t cr3 = 0;
@@ -73,7 +79,9 @@ struct CheckRequest
     int64_t syscall = 0;
     bool loss = false;          ///< window had trace loss
     bool audit = false;         ///< audit-class: sheddable first
-    std::vector<uint8_t> packets;
+    /** The window: the ring at submit, or `owned` once queued. */
+    std::span<const uint8_t> packets;
+    std::vector<uint8_t> owned;
     uint64_t enqueuedAt = 0;    ///< virtual cycles at submit
     uint32_t attempts = 0;      ///< executor invocations so far
 };

@@ -458,7 +458,7 @@ ProtectionService::onEndpoint(cpu::Cpu &cpu, int64_t syscall)
             spurious.seq = proc.seq;
             spurious.syscall = syscall;
             spurious.audit = true;
-            spurious.packets = proc.topa->snapshot();
+            spurious.packets = proc.topa->view();
             ++_stats.pmiStormChecks;
             const auto outcome =
                 _scheduler.submit(std::move(spurious), now);
@@ -473,7 +473,7 @@ ProtectionService::onEndpoint(cpu::Cpu &cpu, int64_t syscall)
     proc.lastCheckedWritten = written;
 
     // The fast phase always runs inline on the live ring: it is cheap
-    // and bounded. Only an escalated window is copied out to queue.
+    // and bounded. Only an escalation the scheduler queues is copied.
     const Monitor::FastPhaseOutcome fast =
         proc.monitor->fastPhase(packets, proc.monitor->pktCount() * batch);
     if (!fast.needSlow) {
@@ -500,7 +500,7 @@ ProtectionService::onEndpoint(cpu::Cpu &cpu, int64_t syscall)
     request.loss = fast.loss;
     request.audit = proc.quarantined &&
         _config.quarantineAction == QuarantineAction::Audit;
-    request.packets.assign(packets.begin(), packets.end());
+    request.packets = packets;
     const auto outcome = _scheduler.submit(std::move(request), now);
     return resolve(proc, syscall, outcome, fast.loss, now);
 }

@@ -1,8 +1,5 @@
 #include "runtime/slow_path.hh"
 
-#include "decode/fast_decoder.hh"
-#include "decode/full_decoder.hh"
-
 namespace flowguard::runtime {
 
 using cpu::BranchKind;
@@ -66,13 +63,55 @@ SlowPathChecker::indirectCallAllowed(uint64_t source,
         prepared, _ta.consumedCount[index]);
 }
 
+namespace {
+
+/** The ≥100-TIP window both check forms walk. */
+constexpr size_t slow_window_tips = 100;
+
+} // namespace
+
 SlowPathResult
-SlowPathChecker::check(std::span<const uint8_t> packets) const
+SlowPathChecker::check(std::span<const uint8_t> packets)
+{
+    return checkImpl(packets, nullptr);
+}
+
+SlowPathResult
+SlowPathChecker::checkRing(std::span<const uint8_t> packets,
+                           decode::FastDecodeResult &ring)
+{
+    return checkImpl(packets, &ring);
+}
+
+SlowPathResult
+SlowPathChecker::checkImpl(std::span<const uint8_t> packets,
+                           decode::FastDecodeResult *ring)
 {
     telemetry::ScopedSpan span(_telemetry,
                                telemetry::SpanKind::SlowCheck,
                                _telemetryCr3);
-    SlowPathResult result = checkImpl(packets);
+    // One decode emits the FastDecode span: the ring's when there is
+    // one, else the window's.
+    telemetry::Telemetry *window_telemetry = _telemetry;
+    size_t first = SIZE_MAX;
+    if (ring) {
+        decode::decodeRingInto(*ring, packets, nullptr, _telemetry,
+                               _telemetryCr3);
+        first = decode::recentTipsStep(*ring, packets, slow_window_tips);
+        window_telemetry = nullptr;
+    }
+    SlowPathResult result;
+    if (first != SIZE_MAX) {
+        result = checkFlow(*ring, first);
+    } else {
+        // No ring, or its PSBs are not the sync points the window
+        // search meets, so its suffix need not be the window: decode
+        // the window alone.
+        decode::decodeRecentTipsInto(_window, packets, slow_window_tips,
+                                     nullptr, window_telemetry,
+                                     _telemetryCr3);
+        result = checkFlow(_window, 0);
+    }
     span.setVerdict(static_cast<uint8_t>(result.verdict));
     if (result.verdict == CheckVerdict::Violation)
         span.setPayload(result.violatingSource, result.violatingTarget);
@@ -80,17 +119,10 @@ SlowPathChecker::check(std::span<const uint8_t> packets) const
 }
 
 SlowPathResult
-SlowPathChecker::checkImpl(std::span<const uint8_t> packets) const
+SlowPathChecker::checkFlow(const decode::FastDecodeResult &window,
+                           size_t first_step)
 {
     SlowPathResult result;
-    // Anchor the expensive instruction-flow decode at the most recent
-    // PSB whose suffix still covers ~100 TIP packets (the paper's
-    // §7.2.2 context-sensitive analysis window), instead of paying
-    // for the entire ToPA buffer.
-    constexpr size_t slow_window_tips = 100;
-    auto window =
-        decode::decodeRecentTips(packets, slow_window_tips, nullptr,
-                                 _telemetry, _telemetryCr3);
 
     // --- dynamic-code pre-scan ------------------------------------------
     // Classify the window's TIP endpoints before committing to the
@@ -98,9 +130,9 @@ SlowPathChecker::checkImpl(std::span<const uint8_t> packets) const
     // windows cannot be instruction-walked (no image of JIT code), so
     // they fall back to a packet-level ITC membership check.
     if (_map) {
-        const auto transitions = decode::extractTipTransitions(window);
+        decode::extractTransitionViews(window, _transitions, first_step);
         bool jit_seen = false;
-        for (const auto &transition : transitions) {
+        for (const auto &transition : _transitions) {
             const auto to_class = _map->classify(transition.to).cls;
             auto from_class = dynamic::AddrClass::LiveModule;
             if (transition.from != 0)
@@ -129,7 +161,7 @@ SlowPathChecker::checkImpl(std::span<const uint8_t> packets) const
         }
         if (jit_seen && _itc) {
             result.degraded = true;
-            for (const auto &transition : transitions) {
+            for (const auto &transition : _transitions) {
                 if (transition.from == 0)
                     continue;
                 const bool waived =
@@ -159,8 +191,10 @@ SlowPathChecker::checkImpl(std::span<const uint8_t> packets) const
     }
 
     // The walk reads the window decoded above; no byte is parsed twice.
-    auto flow = decode::decodeInstructionFlow(
-        _ocfg.program(), window, _account, _telemetry, _telemetryCr3);
+    decode::decodeInstructionFlowInto(_walk, _ocfg.program(), window,
+                                      first_step, _account, _telemetry,
+                                      _telemetryCr3);
+    const decode::FullDecodeResult &flow = _walk;
     result.instructionsWalked = flow.instructionsWalked;
 
     using Status = decode::FullDecodeResult::Status;
@@ -178,7 +212,8 @@ SlowPathChecker::checkImpl(std::span<const uint8_t> packets) const
         return result;
     }
 
-    std::vector<uint64_t> shadow;   // return addresses
+    std::vector<uint64_t> &shadow = _shadow;   // return addresses
+    shadow.clear();
     auto fail = [&](uint64_t src, uint64_t dst, const char *why) {
         result.verdict = CheckVerdict::Violation;
         result.violatingSource = src;
@@ -202,9 +237,13 @@ SlowPathChecker::checkImpl(std::span<const uint8_t> packets) const
         switch (branch.kind) {
           case BranchKind::DirectCall:
           case BranchKind::IndirectCall: {
-            const uint64_t ret_addr =
-                _ocfg.program().nextAddr(branch.source);
-            shadow.push_back(ret_addr);
+            // The call returns past itself, and its kind says which
+            // instruction it was.
+            shadow.push_back(branch.source +
+                             isa::instSize(branch.kind ==
+                                                   BranchKind::DirectCall
+                                               ? isa::Opcode::Call
+                                               : isa::Opcode::CallInd));
             if (branch.kind == BranchKind::IndirectCall &&
                 !indirectCallAllowed(branch.source, branch.target)) {
                 fail(branch.source, branch.target,

@@ -24,6 +24,8 @@
 #include "analysis/cfg.hh"
 #include "analysis/typearmor.hh"
 #include "cpu/cost_model.hh"
+#include "decode/fast_decoder.hh"
+#include "decode/full_decoder.hh"
 #include "isa/program.hh"
 #include "runtime/fast_path.hh"
 
@@ -50,8 +52,24 @@ class SlowPathChecker
                     const analysis::TypeArmorInfo &typearmor,
                     cpu::CycleAccount *account = nullptr);
 
-    /** Full-decodes and checks a ToPA snapshot. */
-    SlowPathResult check(std::span<const uint8_t> packets) const;
+    /**
+     * Full-decodes and checks a ToPA snapshot. Only the window is
+     * decoded: the suffix from the most recent PSB that still covers
+     * ~100 TIP packets (the paper's §7.2.2 context-sensitive analysis
+     * window), not the entire ToPA buffer.
+     */
+    SlowPathResult check(std::span<const uint8_t> packets);
+
+    /**
+     * check(packets) for a caller that wants the whole ring decoded
+     * too: decodes all of `packets` once (decode::decodeRingInto) into
+     * `ring`, and walks the suffix of that decode check(packets) would
+     * have decoded (decode::recentTipsStep). `ring` keeps the decode,
+     * which the monitor stages for its verdict cache. Either form
+     * allocates nothing once its scratch has grown, unless it convicts.
+     */
+    SlowPathResult checkRing(std::span<const uint8_t> packets,
+                             decode::FastDecodeResult &ring);
 
     /**
      * Attaches the dynamic-code view. Windows containing stale-range
@@ -80,7 +98,13 @@ class SlowPathChecker
     }
 
   private:
-    SlowPathResult checkImpl(std::span<const uint8_t> packets) const;
+    /** Both forms: decodes `packets` (whole into `ring`, when given)
+     *  and checks the window. */
+    SlowPathResult checkImpl(std::span<const uint8_t> packets,
+                             decode::FastDecodeResult *ring);
+    /** The check of flow.steps[first_step, end). */
+    SlowPathResult checkFlow(const decode::FastDecodeResult &flow,
+                             size_t first_step);
     bool returnAllowedByCfg(uint64_t source, uint64_t target) const;
     bool indirectJumpAllowed(uint64_t source, uint64_t target) const;
     bool indirectCallAllowed(uint64_t source, uint64_t target) const;
@@ -93,6 +117,13 @@ class SlowPathChecker
     const analysis::ItcCfg *_itc = nullptr;
     telemetry::Telemetry *_telemetry = nullptr;
     uint64_t _telemetryCr3 = 0;
+
+    // Scratch, reused across checks: the byte form's window decode,
+    // the walk, the shadow stack and the JIT pre-scan's transitions.
+    decode::FastDecodeResult _window;
+    decode::FullDecodeResult _walk;
+    std::vector<uint64_t> _shadow;
+    std::vector<decode::TransitionView> _transitions;
 };
 
 } // namespace flowguard::runtime

@@ -23,10 +23,26 @@
  *    (the gap lies inside the history the window covers), while the
  *    reference, handed only the bytes from the PSB on, never saw it.
  *    The walk itself does not re-anchor on it.
+ *
+ * The walk moves a straight-line run at a time (Program::runEnd); the
+ * reference moves one instruction at a time, so every comparison also
+ * holds the run walk's count, budget and fall-off to it. Hand-built
+ * traces below reach the places a run walk could count differently:
+ * a run left off mapped code, and a PGD/PGE pause at a run's first
+ * instruction followed by a loss or by the end of the trace.
+ *
+ * The slow path decodes an escalated ring once, whole
+ * (decodeRingInto), and walks the suffix recentTipsStep() selects. The
+ * suffix oracle holds that suffix to the window decodeRecentTips(…,
+ * 100) decodes on its own, step by step and outcome by outcome, and
+ * the walk over it to the reference; and holds the ring decode to the
+ * whole-ring decodeRecentTips() the verdict cache staged from before.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -34,6 +50,8 @@
 #include "cpu/cpu.hh"
 #include "decode/fast_decoder.hh"
 #include "decode/full_decoder.hh"
+#include "isa/builder.hh"
+#include "isa/loader.hh"
 #include "telemetry/telemetry.hh"
 #include "trace/faults.hh"
 #include "trace/ipt.hh"
@@ -423,6 +441,11 @@ struct Coverage
     size_t unsyncedSteps = 0;
     /** Windows anchored right after an OVF. */
     size_t preAnchorOverflows = 0;
+    /** Rings whose suffix recentTipsStep() selected. */
+    size_t ringSuffixes = 0;
+    /** Rings it declined (their sync points are not the ring's PSBs):
+     *  the slow path decodes those windows on their own. */
+    size_t ringFallbacks = 0;
 };
 
 /** True when the pool holds outcomes that precede a loss. */
@@ -459,10 +482,102 @@ expectSameFlow(const FullDecodeResult &got, const FullDecodeResult &want,
     }
 }
 
+/** The walk's own outputs agree (loss counters aside, which a ring
+ *  walk reports for the whole ring). */
+void
+expectSameWalk(const FullDecodeResult &got, const FullDecodeResult &want)
+{
+    EXPECT_EQ(got.status, want.status);
+    EXPECT_EQ(got.error, want.error);
+    EXPECT_EQ(got.startIp, want.startIp);
+    EXPECT_EQ(got.instructionsWalked, want.instructionsWalked);
+    EXPECT_EQ(got.lossBranchIndices, want.lossBranchIndices);
+    ASSERT_EQ(got.branches.size(), want.branches.size());
+    for (size_t i = 0; i < want.branches.size(); ++i) {
+        SCOPED_TRACE("branch " + std::to_string(i));
+        EXPECT_EQ(got.branches[i].kind, want.branches[i].kind);
+        EXPECT_EQ(got.branches[i].source, want.branches[i].source);
+        EXPECT_EQ(got.branches[i].target, want.branches[i].target);
+    }
+}
+
+/**
+ * The suffix oracle: from step `first` on, `ring` reads as `window`
+ * does, as the walk consumes it. Every step after the first has the
+ * same kind, IP, suppression and loss flag, and sits at the same place
+ * in the outcomes that follow the first step, which are the same
+ * outcomes; so do the trailing outcomes and the final loss.
+ */
+void
+expectSameSuffix(const decode::FastDecodeResult &ring, size_t first,
+                 const decode::FastDecodeResult &window)
+{
+    ASSERT_LE(first, ring.steps.size());
+    ASSERT_EQ(ring.steps.size() - first, window.steps.size());
+    if (window.steps.empty())
+        return;
+    const auto after = [](const decode::FastDecodeResult &flow,
+                          size_t step) {
+        return flow.steps[step].tntOffset + flow.steps[step].tntLength;
+    };
+    const size_t ring_base = after(ring, first);
+    const size_t window_base = after(window, 0);
+    for (size_t i = 1; i < window.steps.size(); ++i) {
+        SCOPED_TRACE("suffix step " + std::to_string(i));
+        const auto &got = ring.steps[first + i];
+        const auto &want = window.steps[i];
+        EXPECT_EQ(got.kind, want.kind);
+        EXPECT_EQ(got.ip, want.ip);
+        EXPECT_EQ(got.ipSuppressed, want.ipSuppressed);
+        EXPECT_EQ(got.lossBefore, want.lossBefore);
+        EXPECT_EQ(got.tntOffset - ring_base, want.tntOffset - window_base);
+        EXPECT_EQ(got.tntLength, want.tntLength);
+    }
+    EXPECT_EQ(ring.trailingOffset - ring_base,
+              window.trailingOffset - window_base);
+    EXPECT_EQ(ring.lossAtEnd, window.lossAtEnd);
+    EXPECT_TRUE(std::ranges::equal(
+        std::span<const uint8_t>(ring.tntBits).subspan(ring_base),
+        std::span<const uint8_t>(window.tntBits).subspan(window_base)));
+}
+
+/** decodeRingInto() is the whole-ring decodeRecentTips() the verdict
+ *  cache staged, without its counting pass. */
+void
+expectSameRing(const decode::FastDecodeResult &got,
+               const decode::FastDecodeResult &want)
+{
+    ASSERT_EQ(got.steps.size(), want.steps.size());
+    for (size_t i = 0; i < want.steps.size(); ++i) {
+        SCOPED_TRACE("ring step " + std::to_string(i));
+        EXPECT_EQ(got.steps[i].kind, want.steps[i].kind);
+        EXPECT_EQ(got.steps[i].ip, want.steps[i].ip);
+        EXPECT_EQ(got.steps[i].ipSuppressed, want.steps[i].ipSuppressed);
+        EXPECT_EQ(got.steps[i].lossBefore, want.steps[i].lossBefore);
+        EXPECT_EQ(got.steps[i].tntOffset, want.steps[i].tntOffset);
+        EXPECT_EQ(got.steps[i].tntLength, want.steps[i].tntLength);
+    }
+    EXPECT_EQ(got.tntBits, want.tntBits);
+    EXPECT_EQ(got.trailingOffset, want.trailingOffset);
+    EXPECT_EQ(got.lossAtEnd, want.lossAtEnd);
+    EXPECT_EQ(got.unsyncedSteps, want.unsyncedSteps);
+    EXPECT_EQ(got.startOffset, want.startOffset);
+    ASSERT_EQ(got.psbs.size(), want.psbs.size());
+    for (size_t i = 0; i < want.psbs.size(); ++i) {
+        EXPECT_EQ(got.psbs[i].offset, want.psbs[i].offset);
+        EXPECT_EQ(got.psbs[i].step, want.psbs[i].step);
+    }
+    EXPECT_EQ(got.malformed, want.malformed);
+    EXPECT_EQ(got.overflows, want.overflows);
+    EXPECT_EQ(got.resyncs, want.resyncs);
+    EXPECT_EQ(got.bytesSkipped, want.bytesSkipped);
+}
+
 /**
  * Asserts the walk reproduces the reference on `bytes`, whole and as
  * the slow path's anchored window (decodeRecentTips(…, 100)), with
- * the same modeled charge.
+ * the same modeled charge; and that the ring decode's suffix is that
+ * window (or is declined).
  */
 void
 expectSameDecode(const isa::Program &program,
@@ -501,6 +616,29 @@ expectSameDecode(const isa::Program &program,
         EXPECT_DOUBLE_EQ(got_cost.decode, want_cost.decode);
         coverage.preAnchorOverflows += ovf_before;
         coverage.preLossOutcomes += keepsPreLossOutcomes(window);
+    }
+    {
+        SCOPED_TRACE("ring suffix");
+        decode::FastDecodeResult ring;
+        decode::decodeRingInto(ring, bytes);
+        expectSameRing(ring, decode::decodeRecentTips(bytes, bytes.size()));
+        const size_t first = decode::recentTipsStep(ring, bytes, 100);
+        if (first == SIZE_MAX) {
+            ++coverage.ringFallbacks;
+            return;
+        }
+        ++coverage.ringSuffixes;
+        const auto window = decode::decodeRecentTips(bytes, 100);
+        expectSameSuffix(ring, first, window);
+        cpu::CycleAccount got_cost;
+        cpu::CycleAccount want_cost;
+        FullDecodeResult got;
+        decode::decodeInstructionFlowInto(got, program, ring, first,
+                                          &got_cost);
+        const auto want =
+            decode::decodeInstructionFlow(program, window, &want_cost);
+        expectSameWalk(got, want);
+        EXPECT_DOUBLE_EQ(got_cost.decode, want_cost.decode);
     }
 }
 
@@ -602,6 +740,7 @@ TEST_P(FullDecodeOracle, PropertyTraceMatchesFlatteningDecoder)
     // work.
     const auto full =
         decode::decodeInstructionFlow(trace.app.program, trace.bytes);
+    EXPECT_EQ(coverage.ringSuffixes, 1u);
     ASSERT_TRUE(full.ok()) << full.error;
     EXPECT_GT(full.branches.size(), 100u);
 }
@@ -634,6 +773,9 @@ TEST(FullDecodeOracleFaults, EveryBufferFaultModeMatches)
     }
     // Resyncs after kept outcomes: the walk replays them first.
     EXPECT_GT(coverage.preLossOutcomes, 0u);
+    // No input here declines the ring's suffix.
+    EXPECT_EQ(coverage.ringFallbacks, 0u);
+    EXPECT_GT(coverage.ringSuffixes, 0u);
 }
 
 TEST(FullDecodeOracleRings, WrappedRingsMatch)
@@ -655,6 +797,9 @@ TEST(FullDecodeOracleRings, WrappedRingsMatch)
     }
     // A wrapped ring starts mid-packet: steps before its first PSB.
     EXPECT_GT(coverage.unsyncedSteps, 0u);
+    // No input here declines the ring's suffix.
+    EXPECT_EQ(coverage.ringFallbacks, 0u);
+    EXPECT_GT(coverage.ringSuffixes, 0u);
 }
 
 TEST(FullDecodeOracleRings, DelayedPmiEpisodesMatch)
@@ -677,6 +822,223 @@ TEST(FullDecodeOracleRings, DelayedPmiEpisodesMatch)
     // anchor there; outcomes before an OVF are kept for the walk.
     EXPECT_GT(coverage.preAnchorOverflows, 0u);
     EXPECT_GT(coverage.preLossOutcomes, 0u);
+    // No input here declines the ring's suffix.
+    EXPECT_EQ(coverage.ringFallbacks, 0u);
+    EXPECT_GT(coverage.ringSuffixes, 0u);
+}
+
+// --- the run walk's edges ---------------------------------------------------
+
+/**
+ * main: run A (three instructions, then a Jcc to `next`, which follows
+ * it), run B (three nops and an add, then a Ret). `stop` is a nop and
+ * a Halt, which ends its run although `tail` follows it. `tail`, the
+ * module's last function, is a run of four instructions with no
+ * control flow at all: its fall-through leaves mapped code.
+ */
+isa::Program
+runProgram()
+{
+    using namespace isa;
+    ModuleBuilder mod("m", ModuleKind::Executable);
+    mod.function("main");
+    mod.movImm(1, 0);
+    mod.movImm(2, 0);
+    mod.cmpImm(1, 0);
+    mod.jcc(Cond::Eq, "next");
+    mod.label("next");
+    mod.nop();
+    mod.nop();
+    mod.nop();
+    mod.aluImm(AluOp::Add, 1, 1);
+    mod.ret();
+    mod.function("stop");
+    mod.nop();
+    mod.halt();
+    mod.function("tail");
+    mod.nop();
+    mod.movImm(3, 1);
+    mod.aluImm(AluOp::Add, 3, 1);
+    mod.nop();
+    return Loader().addExecutable(mod.build()).link();
+}
+
+/** Builds a trace packet by packet. */
+struct TraceBytes
+{
+    std::vector<uint8_t> bytes;
+    uint64_t lastIp = 0;
+
+    TraceBytes &psb()
+    {
+        trace::appendPsb(bytes);
+        lastIp = 0;
+        return *this;
+    }
+    TraceBytes &tip(uint8_t op, uint64_t ip)
+    {
+        trace::appendTipClass(bytes, op, ip, lastIp);
+        return *this;
+    }
+    TraceBytes &tnt(uint8_t bits, int count)
+    {
+        trace::appendTnt(bytes, bits, count);
+        return *this;
+    }
+    TraceBytes &ovf()
+    {
+        trace::appendOvf(bytes);
+        return *this;
+    }
+};
+
+/** Walks `bytes` and checks the reference agrees, charge included. */
+FullDecodeResult
+walkBoth(const isa::Program &program, const std::vector<uint8_t> &bytes)
+{
+    cpu::CycleAccount got_cost;
+    cpu::CycleAccount want_cost;
+    const auto got = decode::decodeInstructionFlow(program, bytes,
+                                                   &got_cost);
+    const auto want = ref::decodeInstructionFlow(
+        program, bytes.data(), bytes.size(), &want_cost, nullptr, 0);
+    expectSameFlow(got, want, 0);
+    EXPECT_DOUBLE_EQ(got_cost.decode, want_cost.decode);
+    return got;
+}
+
+TEST(FullDecodeOracleRuns, RunTableEndsAtControlFlowOrMappedCode)
+{
+    const isa::Program program = runProgram();
+    const uint32_t main = program.instIndexAt(program.funcAddr("m", "main"));
+    const uint32_t tail = program.instIndexAt(program.funcAddr("m", "tail"));
+    EXPECT_EQ(program.runEnd(main), main + 3);        // the Jcc
+    EXPECT_EQ(program.runEnd(main + 3), main + 3);
+    EXPECT_EQ(program.runEnd(main + 4), main + 8);    // the Ret
+    const uint32_t stop = program.instIndexAt(program.funcAddr("m", "stop"));
+    EXPECT_EQ(program.runEnd(stop), stop + 1);        // the Halt
+    EXPECT_EQ(stop + 2, tail);
+    EXPECT_EQ(program.runEnd(tail), tail + 3);        // last mapped
+    EXPECT_EQ(program.runEnd(tail + 2), tail + 3);
+    EXPECT_EQ(program.instLinks(tail + 3).next, isa::no_inst);
+}
+
+TEST(FullDecodeOracleRuns, RunLeavingMappedCodeIsBadFlow)
+{
+    const isa::Program program = runProgram();
+    const uint64_t tail = program.funcAddr("m", "tail");
+    const uint64_t second = tail + isa::instSize(isa::Opcode::Nop);
+    // Entered mid-run, at the run's start, and between two
+    // instructions; a trailing outcome keeps the walk going.
+    const struct
+    {
+        uint64_t entry;
+        uint64_t walked;
+    } cases[] = {{second, 3}, {tail, 4}, {second + 1, 0}};
+    for (const auto &c : cases) {
+        SCOPED_TRACE("entry " + std::to_string(c.entry - tail));
+        TraceBytes trace;
+        trace.psb().tip(trace::opcode::tip_pge, c.entry).tnt(1, 1);
+        const auto got = walkBoth(program, trace.bytes);
+        EXPECT_EQ(got.status, FullDecodeResult::Status::BadFlow);
+        EXPECT_EQ(got.instructionsWalked, c.walked);
+    }
+}
+
+TEST(FullDecodeOracleRuns, HaltEndsTheWalkMidFlatOrder)
+{
+    const isa::Program program = runProgram();
+    TraceBytes trace;
+    trace.psb().tip(trace::opcode::tip_pge, program.funcAddr("m", "stop"));
+    trace.tnt(1, 1);
+    const auto got = walkBoth(program, trace.bytes);
+    EXPECT_TRUE(got.ok()) << got.error;
+    EXPECT_EQ(got.instructionsWalked, 2u);
+}
+
+TEST(FullDecodeOracleRuns, BudgetCrossedMidRunStopsAtTheBudget)
+{
+    // A direct loop of 999 instructions (998 nops and a jmp back) that
+    // no packet ever leaves: the 50 M instruction budget falls inside
+    // a run, which the run walk must stop at exactly.
+    isa::ModuleBuilder mod("m", isa::ModuleKind::Executable);
+    mod.function("main");
+    mod.label("top");
+    for (int i = 0; i < 998; ++i)
+        mod.nop();
+    mod.jmp("top");
+    const isa::Program program =
+        isa::Loader().addExecutable(mod.build()).link();
+    ASSERT_NE(50'000'000 % 999, 0);
+    TraceBytes trace;
+    trace.psb().tip(trace::opcode::tip_pge, program.funcAddr("m", "main"));
+    trace.tnt(1, 1);
+    const auto got = walkBoth(program, trace.bytes);
+    EXPECT_EQ(got.status, FullDecodeResult::Status::Desync);
+    EXPECT_EQ(got.instructionsWalked, 50'000'000u);
+    EXPECT_EQ(got.branches.size(), 50'000'000u / 999);
+}
+
+TEST(FullDecodeOracleRuns, PauseAtRunStartCountsOnlyThatInstruction)
+{
+    const isa::Program program = runProgram();
+    const uint64_t main = program.funcAddr("m", "main");
+    const uint64_t next = main + 6 + 6 + 4 + 2;   // past run A
+    ASSERT_EQ(program.instIndexAt(next),
+              program.instIndexAt(main) + 4);
+
+    // Run A, then a PGD at run B's first nop, then ...
+    const auto paused = [&] {
+        TraceBytes trace;
+        trace.psb().tip(trace::opcode::tip_pge, main).tnt(1, 1);
+        trace.tip(trace::opcode::tip_pgd, next);
+        return trace;
+    };
+    {
+        SCOPED_TRACE("... the trace ends");
+        const auto got = walkBoth(program, paused().bytes);
+        EXPECT_TRUE(got.ok()) << got.error;
+        EXPECT_EQ(got.instructionsWalked, 5u);
+        EXPECT_EQ(got.branches.size(), 1u);
+    }
+    {
+        SCOPED_TRACE("... the PGE resumes there, and the trace ends");
+        auto trace = paused();
+        trace.tip(trace::opcode::tip_pge, next);
+        const auto got = walkBoth(program, trace.bytes);
+        EXPECT_TRUE(got.ok()) << got.error;
+        EXPECT_EQ(got.instructionsWalked, 5u);
+        EXPECT_EQ(got.branches.size(), 1u);
+    }
+    {
+        SCOPED_TRACE("... a loss, and the trace ends in it");
+        auto trace = paused();
+        trace.ovf();
+        const auto got = walkBoth(program, trace.bytes);
+        EXPECT_TRUE(got.ok()) << got.error;
+        EXPECT_EQ(got.instructionsWalked, 5u);
+        EXPECT_EQ(got.lossBranchIndices,
+                  std::vector<uint64_t>({1}));
+    }
+    {
+        SCOPED_TRACE("... a loss, then run A again");
+        auto trace = paused();
+        trace.ovf().psb().tip(trace::opcode::tip_pge, main).tnt(0, 1);
+        const auto got = walkBoth(program, trace.bytes);
+        EXPECT_TRUE(got.ok()) << got.error;
+        EXPECT_EQ(got.instructionsWalked, 9u);
+        EXPECT_EQ(got.lossBranchIndices,
+                  std::vector<uint64_t>({1}));
+        EXPECT_EQ(got.branches.size(), 2u);
+    }
+    {
+        SCOPED_TRACE("... a PGE elsewhere: a desync at the pause");
+        auto trace = paused();
+        trace.tip(trace::opcode::tip_pge, main).tnt(1, 1);
+        const auto got = walkBoth(program, trace.bytes);
+        EXPECT_EQ(got.status, FullDecodeResult::Status::Desync);
+        EXPECT_EQ(got.instructionsWalked, 5u);
+    }
 }
 
 } // namespace

@@ -235,7 +235,7 @@ expectSameDecode(const std::vector<uint8_t> &bytes, size_t min_tips)
     EXPECT_EQ(got.bytesSkipped, want.bytesSkipped);
     EXPECT_EQ(got.malformed, want.malformed);
     EXPECT_EQ(got.packetCount, want.packetCount);
-    EXPECT_EQ(got.psbCount, want.psbCount);
+    EXPECT_EQ(got.psbs.size(), want.psbCount);
     EXPECT_EQ(bitsOf(got.trailingTnt()), want.trailingTnt);
     ASSERT_EQ(got.steps.size(), want.steps.size());
     for (size_t i = 0; i < want.steps.size(); ++i) {

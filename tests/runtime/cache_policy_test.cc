@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "analysis/cfg_builder.hh"
@@ -19,6 +20,7 @@
 #include "cpu/cpu.hh"
 #include "runtime/monitor.hh"
 #include "trace/ipt.hh"
+#include "trace/ipt_packets.hh"
 #include "workloads/apps.hh"
 
 namespace {
@@ -130,6 +132,40 @@ TEST(CachePolicy, TimedOutOrDeferredWindowNeverCaches)
     monitor.commitCache();
     EXPECT_FALSE(monitor.cachePending());
     EXPECT_GT(fixture.itc.highCreditCount(), before);
+}
+
+TEST(CachePolicy, PendingStageSurvivesALaterConviction)
+{
+    // A stage stays as it was while a later slow check of another
+    // window runs and convicts: the caller's commit still applies the
+    // window it staged, not the one decoded since.
+    TraceFixture fixture({1 << 20});
+    MonitorConfig config;
+    config.autoCommitCache = false;
+    Monitor monitor = fixture.makeMonitor(config);
+    ASSERT_EQ(monitor.slowPhase(fixture.packets, false), CheckVerdict::Pass);
+    ASSERT_TRUE(monitor.cachePending());
+    std::vector<decode::TipTransition> staged;
+    for (const auto &view : monitor.staged())
+        staged.push_back({view.from, view.to, {view.tnt.begin(), view.tnt.end()}});
+    ASSERT_GT(staged.size(), 10u);
+
+    // A window that enters unmapped code and carries an outcome on.
+    std::vector<uint8_t> wild;
+    uint64_t last_ip = 0;
+    trace::appendPsb(wild);
+    trace::appendTipClass(wild, trace::opcode::tip_pge, 0x1234, last_ip);
+    trace::appendTnt(wild, 1, 1);
+    EXPECT_EQ(monitor.slowPhase(wild, false), CheckVerdict::Violation);
+
+    EXPECT_TRUE(monitor.cachePending());
+    ASSERT_EQ(monitor.staged().size(), staged.size());
+    for (size_t i = 0; i < staged.size(); ++i) {
+        const auto &view = monitor.staged()[i];
+        EXPECT_EQ(view.from, staged[i].from);
+        EXPECT_EQ(view.to, staged[i].to);
+        EXPECT_TRUE(std::ranges::equal(view.tnt, staged[i].tnt));
+    }
 }
 
 TEST(CachePolicy, LegacyAutoCommitStillCaches)

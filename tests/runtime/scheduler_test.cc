@@ -13,11 +13,15 @@
  *  - AuditOnly still computes verdicts it will not enforce;
  *  - the queue never silently drops: audit work sheds (counted),
  *    enforcement work force-runs, and the accounting identity
- *    submitted = resolved + shed + dropped + pending always holds.
+ *    submitted = resolved + shed + dropped + pending always holds;
+ *  - a request that runs within submit() reads its window where it
+ *    lies, and only a queued one owns a copy of the bytes.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <tuple>
 #include <vector>
 
@@ -313,6 +317,77 @@ TEST(Scheduler, DropProcessCountsDroppedWork)
     sched.drain(100'000);
     ASSERT_EQ(probe.delivered.size(), 1u);
     EXPECT_EQ(std::get<0>(probe.delivered[0]), 9u);
+    EXPECT_TRUE(sched.accountingBalances());
+}
+
+/** What the executor saw of each window it ran. */
+struct WindowProbe
+{
+    std::vector<const uint8_t *> data;
+    std::vector<std::vector<uint8_t>> bytes;
+};
+
+CheckScheduler
+makeWindowScheduler(SchedulerConfig config, WindowProbe &probe,
+                    uint64_t cost)
+{
+    return CheckScheduler(
+        config,
+        [&probe, cost](const CheckRequest &req) {
+            probe.data.push_back(req.packets.data());
+            probe.bytes.emplace_back(req.packets.begin(),
+                                     req.packets.end());
+            CheckExecution exec;
+            exec.verdict = CheckVerdict::Pass;
+            exec.costCycles = cost;
+            return exec;
+        },
+        [](const CheckRequest &, bool) {},
+        [](const CheckRequest &, const CheckExecution &, uint64_t) {});
+}
+
+TEST(Scheduler, InlineCheckReadsTheRingInPlace)
+{
+    SchedulerConfig config;
+    config.deadlineCycles = UINT64_MAX;     // the synchronous service
+    WindowProbe probe;
+    auto sched = makeWindowScheduler(config, probe, 100);
+    const std::vector<uint8_t> ring = {1, 2, 3, 4};
+    CheckRequest req = request(1);
+    req.packets = ring;
+    EXPECT_EQ(sched.submit(std::move(req), 0).resolution,
+              CheckResolution::InlinePass);
+    ASSERT_EQ(probe.data.size(), 1u);
+    EXPECT_EQ(probe.data[0], ring.data());
+}
+
+TEST(Scheduler, QueuedCheckOwnsItsWindow)
+{
+    SchedulerConfig config;
+    config.policy = OverloadPolicy::DeferAndRecheck;
+    config.deadlineCycles = 100;
+    WindowProbe probe;
+    auto sched = makeWindowScheduler(config, probe, 1'000);
+    std::vector<uint8_t> ring = {1, 2, 3, 4};
+
+    // Runs late (deferred executed), then queued unexecuted; the ring
+    // moves on before the second runs at delivery.
+    CheckRequest late = request(1);
+    late.packets = ring;
+    EXPECT_EQ(sched.submit(std::move(late), 0).resolution,
+              CheckResolution::Deferred);
+    CheckRequest backlog = request(2);
+    backlog.packets = ring;
+    EXPECT_EQ(sched.submit(std::move(backlog), 0).resolution,
+              CheckResolution::Deferred);
+    ASSERT_EQ(probe.data.size(), 1u);
+    EXPECT_EQ(probe.data[0], ring.data());
+    std::fill(ring.begin(), ring.end(), 0);
+
+    sched.drain(/*now=*/5'000);
+    ASSERT_EQ(probe.bytes.size(), 2u);
+    EXPECT_NE(probe.data[1], ring.data());
+    EXPECT_EQ(probe.bytes[1], std::vector<uint8_t>({1, 2, 3, 4}));
     EXPECT_TRUE(sched.accountingBalances());
 }
 

@@ -18,10 +18,18 @@
  * log's amortized growth (one byte per check, capacity doubling),
  * which is told apart by watching the log's capacity.
  *
- * A second test counts the allocations of a verdict-cache commit whose
+ * A second test drives the same service with every check forced onto
+ * the slow path: once the slow path's scratch (the ring's one decode,
+ * the run walk's branches, the shadow stack) and the staged views have
+ * grown, and the overlay holds every pair the load stages, an
+ * escalation that passes allocates nothing, from the ring decode
+ * through the walk, staging and the commit, and the synchronous
+ * service copies no window.
+ *
+ * A third test counts the allocations of a verdict-cache commit whose
  * staged pairs and n-grams the runtime overlay already holds: none.
  *
- * A third test counts the allocations of the IPT encoder itself over
+ * A fourth test counts the allocations of the IPT encoder itself over
  * a warm ring: none.
  */
 
@@ -100,6 +108,8 @@ class CountingKernel : public cpu::BasicKernel
     onSyscall(cpu::Cpu &cpu, int64_t number) override
     {
         if (_endpoints.count(number)) {
+            if (escalate)
+                escalate->forceSlowNext();
             EndpointCheck check;
             check.wrapped = _topa.wrapped();
             const size_t log_capacity =
@@ -115,6 +125,8 @@ class CountingKernel : public cpu::BasicKernel
     }
 
     std::vector<EndpointCheck> checks;
+    /** When set, every check is forced onto this monitor's slow path. */
+    runtime::Monitor *escalate = nullptr;
 
   private:
     runtime::ProtectionService &_service;
@@ -203,6 +215,78 @@ TEST(ZeroAllocation, PassingChecksOnLiveViewsAllocateNothing)
     EXPECT_EQ(monitor.stats().fastPass, 2 * measured.size());
     EXPECT_GE(measured.size(), 300u);
     EXPECT_GE(on_wrapped_ring, measured.size() / 2);
+    EXPECT_LE(log_growths, 1u);
+}
+
+TEST(ZeroAllocation, PassingSlowCheckAllocatesNothing)
+{
+    workloads::ServerSpec spec;
+    spec.name = "slow";
+    spec.seed = 22;
+    spec.cr3 = 0x2200;
+    const auto app = workloads::buildServerApp(spec);
+
+    FlowGuardConfig config;
+    config.telemetryOff = true;
+    FlowGuard guard(app.program, config);
+    guard.analyze();
+    guard.trainWithCorpus({workloads::makeBenignStream(
+        4, 3, spec.numHandlers, spec.numParserStates)});
+
+    runtime::MonitorConfig monitor_config;
+    monitor_config.fastPath = config.fastPath;
+    cpu::CycleAccount cycles;
+    runtime::Monitor monitor(app.program, guard.itc(), guard.ocfg(),
+                             guard.typearmor(), monitor_config,
+                             &cycles);
+    const auto load = workloads::makeBenignStream(
+        40, 11, spec.numHandlers, spec.numParserStates);
+
+    const auto run_load = [&] {
+        cpu::Cpu cpu(app.program);
+        trace::Topa topa(config.topaRegions);
+        trace::IptConfig ipt_config;
+        ipt_config.cr3Filter = true;
+        ipt_config.cr3Match = app.program.cr3();
+        ipt_config.psbPeriodBytes = config.psbPeriodBytes;
+        trace::IptEncoder encoder(ipt_config, topa, &cycles);
+        cpu.addTraceSink(&encoder);
+        // The configuration FlowGuardKernel::attachProcess builds.
+        runtime::ServiceConfig service_config;
+        service_config.scheduler.deadlineCycles = UINT64_MAX;
+        runtime::ProtectionService service(service_config);
+        service.addProcess(app.program.cr3(), monitor, encoder, topa,
+                           cpu, &cycles);
+        EXPECT_EQ(service.attachAll().attached, 1u);
+        CountingKernel kernel(service, monitor, topa);
+        kernel.escalate = &monitor;
+        kernel.setInput(load);
+        cpu.setSyscallHandler(&kernel);
+        EXPECT_EQ(cpu.run(50'000'000), cpu::Cpu::Stop::Halted);
+        return kernel.checks;
+    };
+
+    // The first pass sizes the scratch and learns the load's pairs.
+    const auto sizing = run_load();
+    ASSERT_FALSE(sizing.empty());
+    const uint64_t slow_before = monitor.stats().slowPass;
+    const auto measured = run_load();
+    ASSERT_EQ(measured.size(), sizing.size());
+
+    size_t log_growths = 0;
+    for (size_t i = 0; i < measured.size(); ++i) {
+        SCOPED_TRACE("check " + std::to_string(i));
+        const EndpointCheck &check = measured[i];
+        ASSERT_FALSE(check.kill);
+        EXPECT_EQ(check.allocations, check.logGrew ? 1u : 0u);
+        log_growths += check.logGrew ? 1 : 0;
+    }
+    // Every measured check escalated, passed the slow path and walked
+    // real flow; most of them on a wrapped ring.
+    EXPECT_EQ(monitor.stats().slowPass - slow_before, measured.size());
+    EXPECT_EQ(monitor.stats().slowViolations, 0u);
+    EXPECT_GT(monitor.lastSlow().instructionsWalked, 1000u);
+    EXPECT_GE(measured.size(), 40u);
     EXPECT_LE(log_growths, 1u);
 }
 
