@@ -30,7 +30,7 @@ main()
         // BTS
         {
             cpu::CycleAccount account;
-            trace::Bts bts(4096, &account);
+            trace::Bts bts(&account);
             auto run = workloads::runOnce(app.program, {}, &bts);
             account.app = static_cast<double>(run.instructions) *
                           cpu::cost::app_cpi;

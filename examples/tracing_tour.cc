@@ -29,7 +29,7 @@ main()
     auto app = workloads::buildSpecKernel(spec);
 
     cpu::CycleAccount bts_cost, lbr_cost, ipt_cost;
-    trace::Bts bts(1 << 16, &bts_cost);
+    trace::Bts bts(&bts_cost);
     trace::Lbr lbr(trace::LbrConfig{}, &lbr_cost);
     trace::Topa topa({1 << 20});
     trace::IptEncoder ipt(trace::IptConfig{}, topa, &ipt_cost);

@@ -86,15 +86,4 @@ Cfg::blockContaining(uint64_t addr) const
     return std::nullopt;
 }
 
-size_t
-Cfg::countIndirectTargets() const
-{
-    std::vector<bool> is_target(_blocks.size(), false);
-    for (const Edge &edge : _edges)
-        if (edgeIsIndirect(edge.kind))
-            is_target[edge.to] = true;
-    return static_cast<size_t>(
-        std::count(is_target.begin(), is_target.end(), true));
-}
-
 } // namespace flowguard::analysis

@@ -88,9 +88,6 @@ class Cfg
     /** Block containing `addr`, if any. */
     std::optional<uint32_t> blockContaining(uint64_t addr) const;
 
-    /** Number of blocks that are targets of >= 1 indirect edge. */
-    size_t countIndirectTargets() const;
-
   private:
     const isa::Program &_program;
     std::vector<BasicBlock> _blocks;       ///< sorted by start

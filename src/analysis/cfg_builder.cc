@@ -64,8 +64,7 @@ resolveGotJump(const Program &program, uint32_t jmp_index,
 } // namespace
 
 Cfg
-buildCfg(const Program &program, const TypeArmorInfo *typearmor,
-         const CfgBuildOptions &options)
+buildCfg(const Program &program, const TypeArmorInfo *typearmor)
 {
     TypeArmorInfo local_ta;
     if (!typearmor) {
@@ -186,8 +185,6 @@ buildCfg(const Program &program, const TypeArmorInfo *typearmor,
     auto call_ind_targets = [&](uint32_t inst_index)
         -> std::vector<uint64_t> {
         const uint64_t addr = program.instAddr(inst_index);
-        if (!options.useTypeArmor)
-            return ta.addressTakenEntries;
         uint8_t prepared = 6;
         if (auto it = ta.preparedCount.find(addr);
             it != ta.preparedCount.end())
@@ -303,21 +300,16 @@ buildCfg(const Program &program, const TypeArmorInfo *typearmor,
     // --- call/return matching with tail-call closure ----------------------
     // closure(F) = F plus everything transitively tail-called from F.
     std::vector<std::set<uint32_t>> closure(funcs.size());
-    if (options.resolveTailCalls) {
-        for (uint32_t f = 0; f < funcs.size(); ++f) {
-            std::deque<uint32_t> work{f};
-            while (!work.empty()) {
-                uint32_t g = work.front();
-                work.pop_front();
-                if (!closure[f].insert(g).second)
-                    continue;
-                for (uint32_t h : tail_calls[g])
-                    work.push_back(h);
-            }
+    for (uint32_t f = 0; f < funcs.size(); ++f) {
+        std::deque<uint32_t> work{f};
+        while (!work.empty()) {
+            uint32_t g = work.front();
+            work.pop_front();
+            if (!closure[f].insert(g).second)
+                continue;
+            for (uint32_t h : tail_calls[g])
+                work.push_back(h);
         }
-    } else {
-        for (uint32_t f = 0; f < funcs.size(); ++f)
-            closure[f].insert(f);
     }
 
     // Return sites per function.

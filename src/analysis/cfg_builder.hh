@@ -20,22 +20,12 @@
 
 namespace flowguard::analysis {
 
-struct CfgBuildOptions
-{
-    /** Narrow indirect-call targets by arity matching; when false,
-     *  every address-taken function is allowed (binCFI-style). */
-    bool useTypeArmor = true;
-    /** Propagate returns through tail-call chains. */
-    bool resolveTailCalls = true;
-};
-
 /**
  * Builds the O-CFG. `typearmor` may be null, in which case the
  * analysis is run internally.
  */
 Cfg buildCfg(const isa::Program &program,
-             const TypeArmorInfo *typearmor = nullptr,
-             const CfgBuildOptions &options = {});
+             const TypeArmorInfo *typearmor = nullptr);
 
 } // namespace flowguard::analysis
 

@@ -2,6 +2,7 @@
 
 #include <chrono>
 
+#include "analysis/cfg_builder.hh"
 #include "cpu/basic_kernel.hh"
 #include "fuzz/trainer.hh"
 #include "runtime/service.hh"
@@ -24,13 +25,12 @@ FlowGuard::analyze()
     const auto start = std::chrono::steady_clock::now();
     _typearmor = std::make_unique<analysis::TypeArmorInfo>(
         analysis::analyzeTypeArmor(_program));
-    _ocfg = std::make_unique<analysis::Cfg>(analysis::buildCfg(
-        _program, _typearmor.get(), _config.cfgOptions));
+    _ocfg = std::make_unique<analysis::Cfg>(
+        analysis::buildCfg(_program, _typearmor.get()));
     _itc = std::make_unique<analysis::ItcCfg>(
         analysis::ItcCfg::build(*_ocfg));
     if (_config.pathSensitive)
-        _paths = std::make_unique<analysis::PathIndex>(
-            _config.pathLength);
+        _paths = std::make_unique<analysis::PathIndex>();
     const auto end = std::chrono::steady_clock::now();
     _analyzeSeconds =
         std::chrono::duration<double>(end - start).count();
@@ -58,8 +58,7 @@ FlowGuard::train(uint64_t budget, std::vector<fuzz::Input> seeds)
 {
     analyze();
     if (!_fuzzer)
-        _fuzzer = std::make_unique<fuzz::Fuzzer>(defaultRunner(),
-                                                 _config.fuzzSeed);
+        _fuzzer = std::make_unique<fuzz::Fuzzer>(defaultRunner());
     for (auto &seed : seeds)
         _fuzzer->addSeed(std::move(seed));
     _fuzzer->run(budget);
@@ -163,7 +162,7 @@ FlowGuard::run(const std::vector<uint8_t> &input, uint64_t max_insts)
         service.armPmi(_program.cr3());
 
     std::unique_ptr<dynamic::DynamicGuard> dyn;
-    if (_config.dynamicTracking || !_config.dynamicModules.empty()) {
+    if (!_config.dynamicModules.empty()) {
         dyn = std::make_unique<dynamic::DynamicGuard>(
             _program, *_itc, _config.jitPolicy);
         dyn->startUnloaded(_config.dynamicModules);
@@ -243,8 +242,7 @@ FlowGuard::makeProcessHarness(const isa::Program &program)
     // would let one process's dlclose convict a peer whose copy of
     // the module is still live.
     analysis::ItcCfg *graph = _itc.get();
-    const bool dynamic_on =
-        _config.dynamicTracking || !_config.dynamicModules.empty();
+    const bool dynamic_on = !_config.dynamicModules.empty();
     if (dynamic_on) {
         harness->itc = std::make_unique<analysis::ItcCfg>(*_itc);
         graph = harness->itc.get();

@@ -32,7 +32,6 @@
 
 #include "analysis/aia.hh"
 #include "analysis/path_index.hh"
-#include "analysis/cfg_builder.hh"
 #include "analysis/itc_cfg.hh"
 #include "dynamic/dynamic_guard.hh"
 #include "fuzz/fuzzer.hh"
@@ -49,8 +48,6 @@ struct FlowGuardConfig
     /** Intercepted security-sensitive syscalls. */
     std::set<int64_t> endpoints =
         runtime::FlowGuardKernel::defaultEndpoints();
-    /** O-CFG construction knobs. */
-    analysis::CfgBuildOptions cfgOptions;
     /** Cache negative slow-path verdicts into the fast path. */
     bool cacheSlowPathVerdicts = true;
     /** §7.1.2 fallback: also check every buffer-full PMI window,
@@ -58,8 +55,6 @@ struct FlowGuardConfig
     bool pmiChecking = false;
     /** §7.1.2 future-work mode: path-sensitive fast checking. */
     bool pathSensitive = false;
-    /** TIP targets per matched path in path-sensitive mode. */
-    size_t pathLength = 3;
     /** ToPA geometry (the paper uses one ToPA with two regions). */
     std::vector<size_t> topaRegions = {8192, 8192};
     /** PSB sync-point period in trace bytes. */
@@ -71,8 +66,6 @@ struct FlowGuardConfig
      *  loss); positive values drop that much trace per buffer-full
      *  overflow episode, exercising the loss machinery. */
     size_t pmiServiceLatencyBytes = 0;
-    /** Fuzzer seed. */
-    uint64_t fuzzSeed = 1;
     /** Instruction budget for each fuzz execution. */
     uint64_t fuzzRunMaxInsts = 2'000'000;
 
@@ -81,13 +74,10 @@ struct FlowGuardConfig
     dynamic::JitPolicy jitPolicy = dynamic::JitPolicy::Allowlist;
     /**
      * Module indices that start unloaded and come and go at runtime
-     * through the dlopen/dlclose syscalls. Non-empty implies dynamic
+     * through the dlopen/dlclose syscalls. Non-empty turns on dynamic
      * tracking.
      */
     std::vector<uint32_t> dynamicModules;
-    /** Enable the dynamic-code subsystem even with no initially
-     *  unloaded modules (JIT-only workloads). */
-    bool dynamicTracking = false;
 
     // --- observability (src/telemetry) ------------------------------------
     /**

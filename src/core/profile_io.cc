@@ -1,12 +1,9 @@
 #include "core/profile_io.hh"
 
-#include <fstream>
 #include <istream>
 #include <ostream>
-#include <sstream>
 
 #include "core/profile_wire.hh"
-#include "support/fsio.hh"
 #include "support/logging.hh"
 #include "support/random.hh"
 
@@ -25,19 +22,6 @@ constexpr uint32_t profile_version_v3 = 3;
 /** v3 edge-endpoint sentinel: the address is absolute, not
  *  module-relative (an endpoint outside every module's code range). */
 constexpr uint64_t module_absolute = ~0ULL;
-
-/** Renders via the stream writer, then lands atomically: the final
- *  path never holds a torn profile, whatever kills the writer. */
-template <typename SaveFn>
-void
-saveAtomically(const SaveFn &save, const FlowGuard &guard,
-               const std::string &path)
-{
-    std::ostringstream out(std::ios::binary);
-    save(guard, out);
-    if (!writeFileAtomic(path, out.str()))
-        fg_fatal("cannot write profile to ", path);
-}
 
 /** Mixes a value into a running hash. */
 void
@@ -258,16 +242,6 @@ saveProfile(const FlowGuard &guard, std::ostream &out)
         writeEdgeRecord(out, record);
 
     writePathSection(guard, out);
-}
-
-void
-saveProfile(const FlowGuard &guard, const std::string &path)
-{
-    saveAtomically(
-        [](const FlowGuard &g, std::ostream &o) {
-            saveProfile(g, o);
-        },
-        guard, path);
 }
 
 namespace {
@@ -495,19 +469,6 @@ tryLoadProfile(FlowGuard &guard, std::istream &in)
                     ProfileLoadResult::Status::BadVersion,
                     "unsupported FlowGuard profile version " +
                         std::to_string(version));
-}
-
-ProfileLoadResult
-tryLoadProfile(FlowGuard &guard, const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        ProfileLoadResult result;
-        return failWith(std::move(result),
-                        ProfileLoadResult::Status::IoError,
-                        "cannot read profile from " + path);
-    }
-    return tryLoadProfile(guard, in);
 }
 
 void

@@ -74,11 +74,8 @@ struct ProfileLoadResult
 const char *profileStatusName(ProfileLoadResult::Status status);
 
 /** Writes the guard's training state (v3 format). Requires
- *  analyze(). The path overloads land atomically (temp + rename):
- *  a save that dies mid-write never leaves a torn file under the
- *  final name. */
+ *  analyze(). */
 void saveProfile(const FlowGuard &guard, std::ostream &out);
-void saveProfile(const FlowGuard &guard, const std::string &path);
 
 /**
  * Loads training state into `guard` (analyze() is run if needed),
@@ -86,8 +83,6 @@ void saveProfile(const FlowGuard &guard, const std::string &path);
  * mode comes back as a ProfileLoadResult.
  */
 ProfileLoadResult tryLoadProfile(FlowGuard &guard, std::istream &in);
-ProfileLoadResult tryLoadProfile(FlowGuard &guard,
-                                 const std::string &path);
 
 /**
  * Historical strict API: tryLoadProfile, but any non-Ok outcome is

@@ -6,17 +6,6 @@
 
 namespace flowguard::dynamic {
 
-const char *
-jitPolicyName(JitPolicy policy)
-{
-    switch (policy) {
-      case JitPolicy::Deny: return "deny";
-      case JitPolicy::AuditOnly: return "audit-only";
-      case JitPolicy::Allowlist: return "allowlist";
-    }
-    return "unknown";
-}
-
 ModuleMap::ModuleMap(const isa::Program &program)
 {
     _mods.reserve(program.modules().size());

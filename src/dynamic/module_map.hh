@@ -36,8 +36,6 @@ enum class JitPolicy : uint8_t {
                 ///< unregistered unknowns still convict
 };
 
-const char *jitPolicyName(JitPolicy policy);
-
 /** What kind of code an address resolves to. */
 enum class AddrClass : uint8_t {
     LiveModule,

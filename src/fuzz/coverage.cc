@@ -30,15 +30,6 @@ hashLocation(uint64_t addr)
 
 } // namespace
 
-size_t
-CoverageMap::populatedCells() const
-{
-    size_t count = 0;
-    for (uint8_t cell : _map)
-        count += cell != 0;
-    return count;
-}
-
 bool
 GlobalCoverage::mergeAndCheckNew(const CoverageMap &map)
 {

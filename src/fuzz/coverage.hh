@@ -46,9 +46,6 @@ class CoverageMap
         return _map;
     }
 
-    /** Number of non-zero cells. */
-    size_t populatedCells() const;
-
   private:
     std::array<uint8_t, coverage_map_size> _map;
 };

@@ -23,26 +23,6 @@ Instruction::isCofi() const
     }
 }
 
-bool
-Instruction::isIndirect() const
-{
-    return op == Opcode::JmpInd || op == Opcode::CallInd ||
-           op == Opcode::Ret;
-}
-
-bool
-Instruction::isConditional() const
-{
-    return op == Opcode::Jcc;
-}
-
-bool
-Instruction::endsFlow() const
-{
-    return op == Opcode::Jmp || op == Opcode::JmpInd ||
-           op == Opcode::Ret || op == Opcode::Halt;
-}
-
 const char *
 opcodeName(Opcode op)
 {

@@ -79,15 +79,6 @@ struct Instruction
 
     /** True for every control-flow instruction (CoFI). */
     bool isCofi() const;
-
-    /** True for indirect jmp/call and ret — the TIP-producing set. */
-    bool isIndirect() const;
-
-    /** True for Jcc — the TNT-producing set. */
-    bool isConditional() const;
-
-    /** True if execution cannot fall through (jmp/ret/halt). */
-    bool endsFlow() const;
 };
 
 namespace detail {

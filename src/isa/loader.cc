@@ -122,13 +122,6 @@ Loader::addVdso(Module mod)
 }
 
 Loader &
-Loader::entryFunction(std::string name)
-{
-    _entryName = std::move(name);
-    return *this;
-}
-
-Loader &
 Loader::cr3(uint64_t value)
 {
     _cr3 = value;
@@ -493,10 +486,9 @@ Loader::link()
 
     // --- entry point ------------------------------------------------------
     const Module &exec = mods[0];
-    const Function *entry_fn = exec.findFunction(_entryName);
+    const Function *entry_fn = exec.findFunction("main");
     if (!entry_fn)
-        fg_fatal("entry function '", _entryName, "' not found in ",
-                 exec.name);
+        fg_fatal("entry function 'main' not found in ", exec.name);
     prog._entry = _codeBases[0] + entry_fn->offset;
 
     return prog;

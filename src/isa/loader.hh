@@ -58,7 +58,8 @@ class Loader
   public:
     Loader() = default;
 
-    /** Sets the executable module (exactly one, required). */
+    /** Sets the executable module (exactly one, required); its
+     *  `main` is the entry point. */
     Loader &addExecutable(Module mod);
 
     /** Adds a shared library; load order defines interposition order. */
@@ -66,9 +67,6 @@ class Loader
 
     /** Sets the VDSO module (optional; at most one). */
     Loader &addVdso(Module mod);
-
-    /** Name of the entry function in the executable (default "main"). */
-    Loader &entryFunction(std::string name);
 
     /** Distinguishes processes for CR3 trace filtering (default 1). */
     Loader &cr3(uint64_t value);
@@ -97,7 +95,6 @@ class Loader
     std::vector<size_t> _order;      ///< resolution order into _mods
     int _vdsoIndex = -1;
     bool _haveExecutable = false;
-    std::string _entryName = "main";
     uint64_t _cr3 = 1;
     LayoutPolicy _layout;
 

@@ -34,37 +34,4 @@ kbouncerCheck(const isa::Program &program,
     return true;
 }
 
-bool
-ropeckerCheck(const isa::Program &program,
-              const std::vector<trace::LbrEntry> &snapshot,
-              size_t max_chain)
-{
-    auto gadget_like = [&](uint64_t target) {
-        uint64_t addr = target;
-        for (int i = 0; i < 5; ++i) {
-            const Instruction *inst = program.fetch(addr);
-            if (!inst)
-                return false;
-            if (inst->isCofi())
-                return true;    // reaches a CoFI quickly: gadget-like
-            addr += isa::instSize(inst->op);
-        }
-        return false;
-    };
-
-    size_t chain = 0;
-    for (const auto &entry : snapshot) {
-        const bool indirect = entry.kind == BranchKind::Return ||
-            entry.kind == BranchKind::IndirectJump ||
-            entry.kind == BranchKind::IndirectCall;
-        if (indirect && gadget_like(entry.to)) {
-            if (++chain >= max_chain)
-                return false;
-        } else {
-            chain = 0;
-        }
-    }
-    return true;
-}
-
 } // namespace flowguard::runtime

@@ -1,12 +1,10 @@
 /**
  * @file
- * LBR-heuristic baseline defenses (kBouncer [18] / ROPecker [19]
- * style), used by the security comparison experiments.
+ * LBR-heuristic baseline defense (kBouncer [18] style), used by the
+ * security comparison experiments.
  *
- * kBouncer-style: at an endpoint, every return recorded in the LBR
- * must target a call-preceded address. ROPecker-style adds a chain
- * heuristic: too many consecutive indirect transfers into short
- * gadget-like snippets is flagged. Both are exactly the checks the
+ * At an endpoint, every return recorded in the LBR must target a
+ * call-preceded address. That is exactly the check the
  * history-flushing attack of Carlini & Wagner [35] evades, because
  * the LBR only holds the most recent 16 branches.
  */
@@ -31,16 +29,6 @@ bool isCallPreceded(const isa::Program &program, uint64_t target);
  */
 bool kbouncerCheck(const isa::Program &program,
                    const std::vector<trace::LbrEntry> &snapshot);
-
-/**
- * ROPecker-style chain heuristic: flags `max_chain` or more
- * consecutive indirect branches whose targets begin gadget-like
- * snippets (a CoFI within a few instructions).
- * @retval true benign
- */
-bool ropeckerCheck(const isa::Program &program,
-                   const std::vector<trace::LbrEntry> &snapshot,
-                   size_t max_chain = 6);
 
 } // namespace flowguard::runtime
 

@@ -5,21 +5,15 @@ namespace flowguard::runtime {
 using cpu::BranchEvent;
 using cpu::BranchKind;
 
-CetMonitor::CetMonitor(const isa::Program &program, CetConfig config)
-    : _program(program), _config(config)
+CetMonitor::CetMonitor(const isa::Program &program)
+    : _program(program)
 {
-    // ENDBRANCH placement: every function entry, plus jump-table
-    // landing pads (here: table contents), mirroring what compilers
-    // emit with -fcf-protection.
+    // ENDBRANCH placement: every function entry, mirroring what
+    // compilers emit with -fcf-protection. Jump-table landing pads
+    // need no marks of their own: table contents are function entries
+    // in our programs.
     for (const auto &fn : program.functions())
         _legalTargets.insert(fn.entry);
-    for (const auto &table : program.jumpTables()) {
-        for (uint32_t k = 0; k < table.count; ++k) {
-            // Table contents are function entries in our programs;
-            // inserting them again is harmless.
-            (void)k;
-        }
-    }
 }
 
 bool
@@ -34,13 +28,10 @@ CetMonitor::onBranch(const BranchEvent &event)
     switch (event.kind) {
       case BranchKind::DirectCall:
       case BranchKind::IndirectCall: {
-        if (_config.shadowStack) {
-            const uint64_t ret_addr = _program.isCode(event.source)
-                ? _program.nextAddr(event.source) : 0;
-            _shadowStack.push_back(ret_addr);
-        }
-        if (_config.indirectBranchTracking &&
-            event.kind == BranchKind::IndirectCall &&
+        const uint64_t ret_addr = _program.isCode(event.source)
+            ? _program.nextAddr(event.source) : 0;
+        _shadowStack.push_back(ret_addr);
+        if (event.kind == BranchKind::IndirectCall &&
             !endbranchMarked(event.target)) {
             _violations.push_back({event.source, event.target,
                                    "indirect call to non-ENDBRANCH"});
@@ -49,16 +40,13 @@ CetMonitor::onBranch(const BranchEvent &event)
       }
 
       case BranchKind::IndirectJump:
-        if (_config.indirectBranchTracking &&
-            !endbranchMarked(event.target)) {
+        if (!endbranchMarked(event.target)) {
             _violations.push_back({event.source, event.target,
                                    "indirect jump to non-ENDBRANCH"});
         }
         break;
 
       case BranchKind::Return: {
-        if (!_config.shadowStack)
-            break;
         if (_shadowStack.empty()) {
             _violations.push_back({event.source, event.target,
                                    "shadow stack underflow"});

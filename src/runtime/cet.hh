@@ -30,12 +30,6 @@
 
 namespace flowguard::runtime {
 
-struct CetConfig
-{
-    bool shadowStack = true;
-    bool indirectBranchTracking = true;
-};
-
 /** One CET exception record. */
 struct CetViolation
 {
@@ -47,7 +41,7 @@ struct CetViolation
 class CetMonitor : public cpu::TraceSink
 {
   public:
-    CetMonitor(const isa::Program &program, CetConfig config = {});
+    explicit CetMonitor(const isa::Program &program);
 
     void onBranch(const cpu::BranchEvent &event) override;
 
@@ -61,7 +55,6 @@ class CetMonitor : public cpu::TraceSink
     bool endbranchMarked(uint64_t target) const;
 
     const isa::Program &_program;
-    CetConfig _config;
     std::unordered_set<uint64_t> _legalTargets;
     std::vector<uint64_t> _shadowStack;
     std::vector<CetViolation> _violations;

@@ -126,6 +126,7 @@ struct MonitorStats
      *   lossWindows == lossViolations + lossEscalations
      *                  + lossAccepted
      *   highCreditEdges <= edgesChecked
+     *   lossEscalations <= escalations
      *
      * Returns false and describes the first broken identity in
      * `why` (when given). Called from tests and from the service

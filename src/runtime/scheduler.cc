@@ -6,6 +6,13 @@
 
 namespace flowguard::runtime {
 
+namespace {
+
+/** Deferred age (cycles) that raises backpressure like a deep queue. */
+constexpr uint64_t age_high_watermark_cycles = 8'000'000;
+
+} // namespace
+
 const char *
 overloadPolicyName(OverloadPolicy policy)
 {
@@ -304,7 +311,7 @@ CheckScheduler::updateBackpressure(uint64_t now)
         std::max(_stats.maxQueueDepth, _queue.size());
     const bool pressured =
         _queue.size() > _config.depthHighWatermark ||
-        oldestAge(now) > _config.ageHighWatermarkCycles;
+        oldestAge(now) > age_high_watermark_cycles;
     if (pressured) {
         if (_batchFactor < _config.maxBatchFactor) {
             _batchFactor =

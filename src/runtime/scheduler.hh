@@ -117,8 +117,6 @@ struct SchedulerConfig
     uint64_t deadlineCycles = 2'000'000;
     /** Queue depth above which batching rises and audit work sheds. */
     size_t depthHighWatermark = 8;
-    /** Deferred-age (cycles) with the same effect. */
-    uint64_t ageHighWatermarkCycles = 8'000'000;
     /** Upper bound on the adaptive batch factor. */
     size_t maxBatchFactor = 8;
 };
@@ -158,11 +156,21 @@ struct SchedulerStats
 
     /**
      * balances() plus the per-counter identities the queue mechanics
-     * imply: every deadline miss resolves to exactly one of
-     * {conviction, waiver, deferral}, deliveries never exceed
-     * enqueues, forced (queue-full) deliveries are deliveries, and
-     * the depth high-water mark covers the live queue. Returns false
-     * and describes the first broken identity in `why` (when given).
+     * imply:
+     *
+     *   timeouts          == timeoutConvictions + auditWaived
+     *                        + deferred
+     *   deferredDelivered <= deferred
+     *   forcedRuns        <= deferredDelivered
+     *   deferredDelivered == deferralAges.count()
+     *   maxQueueDepth     >= pending
+     *
+     * Every deadline miss resolves to exactly one of {conviction,
+     * waiver, deferral}, deliveries never exceed enqueues, forced
+     * (queue-full) deliveries are deliveries, each delivery records
+     * its age, and the depth high-water mark covers the live queue.
+     * Returns false and describes the first broken identity in `why`
+     * (when given).
      */
     bool checkInvariants(size_t pending,
                          std::string *why = nullptr) const;

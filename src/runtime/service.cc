@@ -12,6 +12,17 @@ namespace {
 /** The window width that takes in every TIP in the ring. */
 constexpr size_t whole_ring = SIZE_MAX;
 
+/** Attach backoff in cycles: doubles from the base, up to the cap. */
+constexpr uint64_t backoff_base_cycles = 1'000;
+constexpr uint64_t backoff_cap_cycles = 64'000;
+
+/** Trace bytes per unit of batch factor below which a widened window
+ *  coalesces (skips) an endpoint check. */
+constexpr uint64_t coalesce_bytes_per_batch = 64;
+
+/** Seed for the backoff-jitter Rng. */
+constexpr uint64_t jitter_seed = 0x5e41ce;
+
 } // namespace
 
 const char *
@@ -58,7 +69,7 @@ ProtectionService::ProtectionService(ServiceConfig config)
                  const CheckExecution &exec, uint64_t age) {
               deliver(request, exec, age);
           }),
-      _rng(config.rngSeed)
+      _rng(jitter_seed)
 {}
 
 void
@@ -123,8 +134,8 @@ ProtectionService::attachOne(ProcessRecord &proc)
 {
     if (proc.attached)
         return true;
-    const RetryConfig &retry = _config.retry;
-    for (uint32_t attempt = 0; attempt < retry.maxAttempts; ++attempt) {
+    const uint32_t max_attempts = _config.retry.maxAttempts;
+    for (uint32_t attempt = 0; attempt < max_attempts; ++attempt) {
         ++proc.attachAttempts;
         ++_stats.attachAttempts;
         // Two fallible steps in order: the syscall-table
@@ -136,16 +147,14 @@ ProtectionService::attachOne(ProcessRecord &proc)
             proc.attached = true;
             return true;
         }
-        if (attempt + 1 < retry.maxAttempts) {
+        if (attempt + 1 < max_attempts) {
             ++_stats.attachRetries;
             // Exponential backoff, capped, plus seeded jitter so a
             // fleet of retries never thunders in lockstep.
             const uint64_t shift = std::min<uint32_t>(attempt, 32);
-            const uint64_t exponential =
-                std::min(retry.backoffCapCycles,
-                         retry.backoffBaseCycles << shift);
-            const uint64_t jitter = _rng.below(
-                std::max<uint64_t>(1, retry.backoffBaseCycles));
+            const uint64_t exponential = std::min(
+                backoff_cap_cycles, backoff_base_cycles << shift);
+            const uint64_t jitter = _rng.below(backoff_base_cycles);
             _stats.attachBackoffCycles += exponential + jitter;
         }
     }
@@ -173,13 +182,6 @@ ProtectionService::recoveryGatePending(uint64_t cr3) const
 {
     return _recovery && _recovery->checkerDown() &&
         _processes.count(cr3) != 0;
-}
-
-bool
-ProtectionService::quarantined(uint64_t cr3) const
-{
-    auto it = _processes.find(cr3);
-    return it != _processes.end() && it->second.quarantined;
 }
 
 uint64_t
@@ -443,7 +445,7 @@ ProtectionService::onEndpoint(cpu::Cpu &cpu, int64_t syscall)
     const uint64_t written = proc.topa->totalWritten();
     if (batch > 1 &&
         written - proc.lastCheckedWritten <
-            _config.coalesceBytesPerBatch * batch) {
+            coalesce_bytes_per_batch * batch) {
         ++_stats.coalesced;
         return decision;
     }
@@ -853,71 +855,6 @@ ProtectionService::restartStream(ProcessRecord &proc, bool bank)
     proc.topa->clear();
     proc.encoder->restartStream();
     proc.lastCheckedWritten = proc.topa->totalWritten();
-}
-
-void
-registerServiceMetrics(telemetry::MetricRegistry &registry,
-                       const ServiceStats &stats,
-                       const std::string &prefix)
-{
-    registry.addSource(prefix, [&stats, prefix](
-                                   telemetry::MetricRegistry &r) {
-        auto c = [&](const char *name, uint64_t value) {
-            r.counter(prefix + "." + name).set(value);
-        };
-        c("endpoint_checks", stats.endpointChecks);
-        c("barrier_checks", stats.barrierChecks);
-        c("coalesced", stats.coalesced);
-        c("inline_fast_pass", stats.inlineFastPass);
-        c("inline_fast_violations", stats.inlineFastViolations);
-        c("escalations", stats.escalations);
-        c("deferred_kills", stats.deferredKills);
-        c("audit_violations", stats.auditViolations);
-        c("quarantines", stats.quarantines);
-        c("pmi_storm_checks", stats.pmiStormChecks);
-        c("pmi_checks", stats.pmiChecks);
-        c("attach_attempts", stats.attachAttempts);
-        c("attach_retries", stats.attachRetries);
-        c("attach_failures", stats.attachFailures);
-        c("attach_backoff_cycles", stats.attachBackoffCycles);
-        c("gap_skipped", stats.gapSkipped);
-        c("crash_wiped_kills", stats.crashWipedKills);
-        c("requeued_kills", stats.requeuedKills);
-        c("resync_checks", stats.resyncChecks);
-    });
-}
-
-void
-registerSchedulerMetrics(telemetry::MetricRegistry &registry,
-                         const SchedulerStats &stats,
-                         const std::string &prefix)
-{
-    registry.addSource(prefix, [&stats, prefix](
-                                   telemetry::MetricRegistry &r) {
-        auto c = [&](const char *name, uint64_t value) {
-            r.counter(prefix + "." + name).set(value);
-        };
-        c("submitted", stats.submitted);
-        c("inline_pass", stats.inlinePass);
-        c("inline_violations", stats.inlineViolations);
-        c("timeout_convictions", stats.timeoutConvictions);
-        c("audit_waived", stats.auditWaived);
-        c("deferred", stats.deferred);
-        c("deferred_delivered", stats.deferredDelivered);
-        c("forced_runs", stats.forcedRuns);
-        c("shed_audit", stats.shedAudit);
-        c("dropped_quarantined", stats.droppedQuarantined);
-        c("lost_to_crash", stats.lostToCrash);
-        c("timeouts", stats.timeouts);
-        c("batch_raises", stats.batchRaises);
-        c("max_queue_depth", stats.maxQueueDepth);
-        if (!stats.deferralAges.empty()) {
-            r.gauge(prefix + ".deferral_age_mean")
-                .set(stats.deferralAges.mean());
-            r.gauge(prefix + ".deferral_age_p99")
-                .set(stats.deferralAges.quantile(0.99));
-        }
-    });
 }
 
 } // namespace flowguard::runtime

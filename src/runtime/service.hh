@@ -67,12 +67,11 @@ enum class QuarantineAction : uint8_t {
 
 const char *quarantineActionName(QuarantineAction action);
 
-/** Exponential backoff with jitter for attach / trace-start. */
+/** Attach / trace-start retries, with exponential backoff and
+ *  jitter between them. */
 struct RetryConfig
 {
     uint32_t maxAttempts = 6;
-    uint64_t backoffBaseCycles = 1'000;
-    uint64_t backoffCapCycles = 64'000;
 };
 
 struct ServiceConfig
@@ -82,11 +81,6 @@ struct ServiceConfig
     /** Consecutive deadline misses before the breaker trips. */
     uint32_t breakerThreshold = 4;
     QuarantineAction quarantineAction = QuarantineAction::Suspend;
-    /** Trace bytes per unit of batch factor below which a widened
-     *  window coalesces (skips) an endpoint check. */
-    uint64_t coalesceBytesPerBatch = 64;
-    /** Seed for the backoff-jitter Rng. */
-    uint64_t rngSeed = 0x5e41ce;
 };
 
 struct ServiceStats
@@ -116,9 +110,10 @@ struct ServiceStats
     /**
      * The service-level accounting identities, as code:
      *
-     *   endpointChecks == coalesced + inlineFastPass
-     *                   + inlineFastViolations + escalations
-     *   attachAttempts >= attachRetries + attachFailures
+     *   endpointChecks  == coalesced + inlineFastPass
+     *                    + inlineFastViolations + escalations
+     *   attachAttempts  >= attachRetries + attachFailures
+     *   crashWipedKills >= requeuedKills
      *
      * Every endpoint hit the service accepted is either coalesced
      * into a later window, resolved by the inline fast phase (pass or
@@ -346,8 +341,6 @@ class ProtectionService
      */
     void drain();
 
-    bool quarantined(uint64_t cr3) const;
-
     /** Control-plane reports: attach failures, quarantines, waived
      *  or post-mortem violations. Kills are in kernel.violations(). */
     const std::vector<ViolationReport> &reports() const
@@ -498,18 +491,6 @@ class ProtectionService
     ServiceStats _stats;
     bool _drained = false;
 };
-
-/**
- * Publishes a ServiceStats / SchedulerStats into a MetricRegistry as
- * live sources (re-read at every collect()), same contract as
- * registerMonitorMetrics. The structs must outlive the registry.
- */
-void registerServiceMetrics(telemetry::MetricRegistry &registry,
-                            const ServiceStats &stats,
-                            const std::string &prefix);
-void registerSchedulerMetrics(telemetry::MetricRegistry &registry,
-                              const SchedulerStats &stats,
-                              const std::string &prefix);
 
 } // namespace flowguard::runtime
 

@@ -32,10 +32,4 @@ writeFileAtomic(const std::string &path, const void *data,
     return true;
 }
 
-bool
-writeFileAtomic(const std::string &path, const std::string &bytes)
-{
-    return writeFileAtomic(path, bytes.data(), bytes.size());
-}
-
 } // namespace flowguard

@@ -26,9 +26,6 @@ namespace flowguard {
 bool writeFileAtomic(const std::string &path, const void *data,
                      size_t size);
 
-bool writeFileAtomic(const std::string &path,
-                     const std::string &bytes);
-
 } // namespace flowguard
 
 #endif // FLOWGUARD_SUPPORT_FSIO_HH

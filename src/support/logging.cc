@@ -10,7 +10,6 @@ namespace {
 bool errors_throw = true;
 bool log_verbose = false;
 
-LogHook log_hook;
 uint64_t log_repeat_every = 100;
 uint64_t log_suppressed = 0;
 /** message -> occurrences; bounded by periodic reset (see emitLog). */
@@ -41,12 +40,6 @@ bool
 logVerbose()
 {
     return log_verbose;
-}
-
-void
-setLogHook(LogHook hook)
-{
-    log_hook = std::move(hook);
 }
 
 void
@@ -91,20 +84,9 @@ raiseError(SimError::Kind kind, const std::string &msg,
     std::exit(1);
 }
 
-bool
-logHookActive()
-{
-    return static_cast<bool>(log_hook);
-}
-
 void
 emitLog(const char *prefix, const std::string &msg)
 {
-    if (log_hook)
-        log_hook(prefix, msg);
-    if (!log_verbose)
-        return;
-
     // Duplicate suppression: first occurrence plus every Nth after
     // that, so a fault-injection sweep repeating one warning ten
     // thousand times prints it ~100 times, each stamped with the

@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <cstdlib>
-#include <functional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -46,9 +45,6 @@ namespace detail {
 
 void emitLog(const char *prefix, const std::string &msg);
 
-/** True when a telemetry log hook is installed (see setLogHook). */
-bool logHookActive();
-
 /** Builds a message from stream-formattable pieces. */
 template <typename... Args>
 std::string
@@ -69,17 +65,6 @@ bool errorsThrow();
 /** Verbosity control for warn()/inform(). */
 void setLogVerbose(bool verbose);
 bool logVerbose();
-
-/**
- * Optional observer for warn()/inform() traffic — the telemetry
- * layer's tap. When set, every message reaches the hook (regardless
- * of verbosity and before any rate limiting); stderr emission is
- * unchanged apart from duplicate suppression. Pass an empty function
- * to detach.
- */
-using LogHook =
-    std::function<void(const char *prefix, const std::string &msg)>;
-void setLogHook(LogHook hook);
 
 /**
  * Duplicate-message rate limit for the stderr path: a message that
@@ -118,7 +103,7 @@ template <typename... Args>
 void
 warn(Args &&...args)
 {
-    if (logVerbose() || detail::logHookActive()) {
+    if (logVerbose()) {
         detail::emitLog("warn",
                         detail::formatPieces(std::forward<Args>(args)...));
     }
@@ -128,7 +113,7 @@ template <typename... Args>
 void
 inform(Args &&...args)
 {
-    if (logVerbose() || detail::logHookActive()) {
+    if (logVerbose()) {
         detail::emitLog("info",
                         detail::formatPieces(std::forward<Args>(args)...));
     }

@@ -15,12 +15,7 @@ namespace flowguard {
 void
 Accumulator::add(double sample)
 {
-    if (_count == 0) {
-        _min = _max = sample;
-    } else {
-        _min = std::min(_min, sample);
-        _max = std::max(_max, sample);
-    }
+    _max = _count == 0 ? sample : std::max(_max, sample);
     ++_count;
     _sum += sample;
     if (sample > 0.0)
@@ -35,13 +30,6 @@ Accumulator::mean() const
 }
 
 double
-Accumulator::min() const
-{
-    fg_assert(_count > 0, "min of empty accumulator");
-    return _min;
-}
-
-double
 Accumulator::max() const
 {
     fg_assert(_count > 0, "max of empty accumulator");
@@ -53,15 +41,6 @@ Accumulator::geomean() const
 {
     fg_assert(_count > 0, "geomean of empty accumulator");
     return std::exp(_logSum / static_cast<double>(_count));
-}
-
-double
-geomean(const std::vector<double> &values)
-{
-    Accumulator acc;
-    for (double v : values)
-        acc.add(v);
-    return acc.geomean();
 }
 
 void
@@ -323,20 +302,6 @@ JsonWriter::value(uint64_t number)
     beforeValue();
     raw(std::to_string(number));
     return *this;
-}
-
-JsonWriter &
-JsonWriter::value(int64_t number)
-{
-    beforeValue();
-    raw(std::to_string(number));
-    return *this;
-}
-
-JsonWriter &
-JsonWriter::value(int number)
-{
-    return value(static_cast<int64_t>(number));
 }
 
 JsonWriter &

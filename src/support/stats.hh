@@ -14,7 +14,7 @@
 
 namespace flowguard {
 
-/** Accumulates samples; exposes count/sum/mean/min/max and geomean. */
+/** Accumulates samples; exposes count/sum/mean/max and geomean. */
 class Accumulator
 {
   public:
@@ -23,7 +23,6 @@ class Accumulator
     uint64_t count() const { return _count; }
     double sum() const { return _sum; }
     double mean() const;
-    double min() const;
     double max() const;
 
     /**
@@ -36,12 +35,8 @@ class Accumulator
     uint64_t _count = 0;
     double _sum = 0.0;
     double _logSum = 0.0;
-    double _min = 0.0;
     double _max = 0.0;
 };
-
-/** Geometric mean of a vector of positive values. */
-double geomean(const std::vector<double> &values);
 
 /**
  * Sample-retaining accumulator for latency-style metrics (deferral
@@ -127,8 +122,6 @@ class JsonWriter
     JsonWriter &value(const char *text);
     JsonWriter &value(double number);
     JsonWriter &value(uint64_t number);
-    JsonWriter &value(int64_t number);
-    JsonWriter &value(int number);
     JsonWriter &value(bool flag);
 
     /** key() + value() in one call. */

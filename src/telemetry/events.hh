@@ -50,7 +50,6 @@ enum class EventKind : uint8_t {
     CheckerCrash,     ///< checker process died (a = 1 when hang)
     CheckerRestart,   ///< warm restart completed
     FaultInjected,    ///< control-plane fault fired (a = FaultMode)
-    LogMessage,       ///< warn()/inform() routed through the hook
 };
 
 const char *eventKindName(EventKind kind);

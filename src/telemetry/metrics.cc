@@ -120,14 +120,6 @@ MetricRegistry::writeJson(JsonWriter &json) const
     json.endObject();
 }
 
-std::string
-MetricRegistry::toJson() const
-{
-    JsonWriter json;
-    writeJson(json);
-    return json.str();
-}
-
 void
 writeBenchJson(const std::string &path, const std::string &bench,
                bool smoke, MetricRegistry &registry)

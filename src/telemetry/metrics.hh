@@ -123,9 +123,6 @@ class MetricRegistry
      */
     void writeJson(JsonWriter &json) const;
 
-    /** Whole registry as one standalone JSON document. */
-    std::string toJson() const;
-
   private:
     // std::map: sorted iteration is the determinism contract.
     std::map<std::string, std::unique_ptr<Counter>> _counters;

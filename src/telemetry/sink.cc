@@ -39,7 +39,6 @@ eventKindName(EventKind kind)
       case EventKind::CheckerCrash: return "checker-crash";
       case EventKind::CheckerRestart: return "checker-restart";
       case EventKind::FaultInjected: return "fault-injected";
-      case EventKind::LogMessage: return "log";
     }
     return "?";
 }

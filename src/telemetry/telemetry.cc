@@ -1,40 +1,8 @@
 #include "telemetry/telemetry.hh"
 
 #include <algorithm>
-#include <cstring>
-
-#include "support/logging.hh"
 
 namespace flowguard::telemetry {
-
-Telemetry::Telemetry(TelemetryConfig config)
-    : _config(config)
-{}
-
-Telemetry::~Telemetry()
-{
-    detachLogHook();
-}
-
-void
-Telemetry::attachLogHook()
-{
-    setLogHook([this](const char *prefix, const std::string &msg) {
-        const bool warning = std::strcmp(prefix, "warn") == 0;
-        _metrics.counter(warning ? "log.warn" : "log.inform").inc();
-        instant(EventKind::LogMessage, 0, 0, msg.size());
-    });
-    _logHookAttached = true;
-}
-
-void
-Telemetry::detachLogHook()
-{
-    if (_logHookAttached) {
-        setLogHook(LogHook{});
-        _logHookAttached = false;
-    }
-}
 
 void
 Telemetry::setSink(TelemetrySink *sink)
@@ -54,9 +22,7 @@ Telemetry::recorder(uint64_t cr3)
 {
     auto it = _recorders.find(cr3);
     if (it == _recorders.end()) {
-        it = _recorders
-                 .emplace(cr3, FlightRecorder(_config.flightCapacity))
-                 .first;
+        it = _recorders.emplace(cr3, FlightRecorder()).first;
     }
     return it->second;
 }

@@ -31,18 +31,9 @@
 
 namespace flowguard::telemetry {
 
-struct TelemetryConfig
-{
-    /** Events each per-process flight ring retains. */
-    size_t flightCapacity = FlightRecorder::kDefaultCapacity;
-};
-
 class Telemetry
 {
   public:
-    explicit Telemetry(TelemetryConfig config = {});
-    ~Telemetry();
-
     /** Non-owning; null restores the internal NullSink. */
     void setSink(TelemetrySink *sink);
     TelemetrySink &sink() { return *_sink; }
@@ -103,17 +94,6 @@ class Telemetry
     /** Number of processes with a live flight ring. */
     size_t processCount() const { return _recorders.size(); }
 
-    // --- logging tap --------------------------------------------------------
-
-    /**
-     * Routes warn()/inform() into this hub: each message bumps the
-     * "log.warn"/"log.inform" counter and emits a LogMessage instant
-     * (a = message length). The hook is process-global — one hub at
-     * a time — and is detached by the destructor.
-     */
-    void attachLogHook();
-    void detachLogHook();
-
   private:
     struct OpenSpan
     {
@@ -127,7 +107,6 @@ class Telemetry
 
     void emit(const FlightEvent &event);
 
-    TelemetryConfig _config;
     NullSink _null;
     TelemetrySink *_sink = &_null;
     bool _sinkEnabled = false;
@@ -136,7 +115,6 @@ class Telemetry
     std::map<uint64_t, FlightRecorder> _recorders;
     std::vector<OpenSpan> _open;
     uint64_t _nextSpanId = 1;
-    bool _logHookAttached = false;
 };
 
 /**

@@ -261,9 +261,6 @@ IptEncoder::passesFilters(const BranchEvent &event) const
 void
 IptEncoder::onBranch(const BranchEvent &event)
 {
-    if (!_config.traceEn || !_config.branchEn)
-        return;
-
     maybeOvfResync();
 
     if (!passesFilters(event)) {

@@ -33,13 +33,14 @@ class MetricRegistry;
 
 namespace flowguard::trace {
 
-/** The IA32_RTIT_* configuration surface we model. */
+/**
+ * The IA32_RTIT_* configuration surface we model. Tracing is always
+ * enabled and always user-only, as FlowGuard programs RTIT: the
+ * encoder pauses with FUP + TIP.PGD at each syscall entry and resumes
+ * with TIP.PGE on return.
+ */
 struct IptConfig
 {
-    bool traceEn = true;
-    bool branchEn = true;
-    bool user = true;           ///< trace CPL > 0
-    bool os = false;            ///< trace CPL 0 (FlowGuard clears this)
     bool cr3Filter = false;
     uint64_t cr3Match = 0;
     /**

@@ -16,9 +16,6 @@ Lbr::Lbr(LbrConfig config, cpu::CycleAccount *account)
 void
 Lbr::onBranch(const BranchEvent &event)
 {
-    if (_config.cr3Filter && event.cr3 != _config.cr3Match)
-        return;
-
     bool record;
     switch (event.kind) {
       case BranchKind::CondTaken:
@@ -75,14 +72,6 @@ Lbr::snapshot() const
     out.insert(out.end(), _ring.begin(),
                _ring.begin() + static_cast<int64_t>(_cursor));
     return out;
-}
-
-void
-Lbr::clear()
-{
-    _cursor = 0;
-    _wrapped = false;
-    _total = 0;
 }
 
 } // namespace flowguard::trace

@@ -37,8 +37,6 @@ struct LbrConfig
     bool recordDirect = true;   ///< direct jmp/call
     bool recordIndirect = true; ///< indirect jmp/call
     bool recordReturns = true;
-    bool cr3Filter = false;
-    uint64_t cr3Match = 0;
 };
 
 class Lbr : public cpu::TraceSink
@@ -53,8 +51,6 @@ class Lbr : public cpu::TraceSink
     std::vector<LbrEntry> snapshot() const;
 
     uint64_t totalRecorded() const { return _total; }
-
-    void clear();
 
   private:
     LbrConfig _config;

@@ -123,25 +123,6 @@ TEST(CfgBuilder, TailCallClosureIsTransitive)
                         EdgeKind::Return));
 }
 
-TEST(CfgBuilder, TailCallsDisabledByOption)
-{
-    ModuleBuilder mod("m", ModuleKind::Executable);
-    mod.function("main");
-    mod.call("b");
-    mod.halt();
-    mod.function("b");
-    mod.jmp("c");
-    mod.function("c");
-    mod.ret();
-    Program prog = Loader().addExecutable(mod.build()).link();
-    CfgBuildOptions options;
-    options.resolveTailCalls = false;
-    Cfg cfg = buildCfg(prog, nullptr, options);
-    const uint64_t ret_site = prog.funcAddr("m", "main") + 5;
-    EXPECT_FALSE(hasEdge(cfg, prog.funcAddr("m", "c"), ret_site,
-                         EdgeKind::Return));
-}
-
 TEST(CfgBuilder, PltJumpResolvesExactly)
 {
     ModuleBuilder exe("exe", ModuleKind::Executable);

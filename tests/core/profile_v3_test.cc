@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
 
 #include "core/flowguard.hh"
@@ -187,7 +188,8 @@ TEST(ProfileV3, LegacyV2StillReadable)
     FlowGuard trained = trainedGuard(prog);
 
     FlowGuard fresh(prog);
-    auto result = tryLoadProfile(fresh, v2_fixture);
+    std::ifstream in(v2_fixture, std::ios::binary);
+    auto result = tryLoadProfile(fresh, in);
     EXPECT_TRUE(result.ok()) << result.message;
     EXPECT_EQ(result.version, 2u);
     EXPECT_EQ(fresh.itc().highCreditCount(),
@@ -198,7 +200,8 @@ TEST(ProfileV3, V2WrongProgramIsRecoverable)
 {
     Program patched = makeProgram(/*liby_variant=*/true);
     FlowGuard fresh(patched);
-    auto result = tryLoadProfile(fresh, v2_fixture);
+    std::ifstream in(v2_fixture, std::ios::binary);
+    auto result = tryLoadProfile(fresh, in);
     // v2 is all-or-nothing: any module change invalidates it.
     EXPECT_FALSE(result.ok());
     EXPECT_TRUE(result.status ==
@@ -239,8 +242,9 @@ TEST(ProfileV3, CorruptStreamsAreRecoverable)
     }
     {
         FlowGuard guard(prog);
-        auto result =
-            tryLoadProfile(guard, "/nonexistent/profile.bin");
+        std::ifstream missing("/nonexistent/profile.bin",
+                              std::ios::binary);
+        auto result = tryLoadProfile(guard, missing);
         EXPECT_FALSE(result.ok());
         EXPECT_EQ(result.status, ProfileLoadResult::Status::IoError);
     }

@@ -110,11 +110,4 @@ TEST(ModuleMap, RebaseMovesRangePreservingOffsets)
     EXPECT_EQ(map.classify(old_base + 1).cls, AddrClass::Unknown);
 }
 
-TEST(ModuleMap, JitPolicyNames)
-{
-    EXPECT_STREQ(jitPolicyName(JitPolicy::Deny), "deny");
-    EXPECT_STREQ(jitPolicyName(JitPolicy::AuditOnly), "audit-only");
-    EXPECT_STREQ(jitPolicyName(JitPolicy::Allowlist), "allowlist");
-}
-
 } // namespace

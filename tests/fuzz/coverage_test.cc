@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "fuzz/coverage.hh"
 
 namespace {
@@ -12,14 +14,23 @@ namespace {
 using namespace flowguard;
 using namespace flowguard::fuzz;
 
+/** Number of non-zero cells. */
+size_t
+populatedCells(const CoverageMap &map)
+{
+    return coverage_map_size -
+        static_cast<size_t>(
+            std::count(map.raw().begin(), map.raw().end(), 0));
+}
+
 TEST(CoverageMap, HitCountsAccumulate)
 {
     CoverageMap map;
-    EXPECT_EQ(map.populatedCells(), 0u);
+    EXPECT_EQ(populatedCells(map), 0u);
     map.hit(5);
     map.hit(5);
     map.hit(9);
-    EXPECT_EQ(map.populatedCells(), 2u);
+    EXPECT_EQ(populatedCells(map), 2u);
     EXPECT_EQ(map.raw()[5], 2);
     EXPECT_EQ(map.raw()[9], 1);
 }

@@ -182,18 +182,6 @@ TEST(Loader, MissingEntryIsFatal)
     EXPECT_THROW(loader.link(), SimError);
 }
 
-TEST(Loader, CustomEntryFunction)
-{
-    ModuleBuilder exe("exe", ModuleKind::Executable);
-    exe.function("boot");
-    exe.halt();
-    Program prog = Loader()
-        .addExecutable(exe.build())
-        .entryFunction("boot")
-        .link();
-    EXPECT_EQ(prog.entry(), prog.funcAddr("exe", "boot"));
-}
-
 TEST(Loader, ProgramQueries)
 {
     Program prog = Loader()

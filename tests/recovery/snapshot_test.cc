@@ -20,6 +20,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -241,11 +242,10 @@ TEST(RecoverySnapshot, AtomicSaveLeavesNoTempAndRoundTrips)
 
 TEST(RecoverySnapshot, TruncatedProfileOnDiskIsRecoverable)
 {
-    // Satellite S1: the SAME recoverable-status vocabulary covers
-    // training profiles. A profile saved atomically, then truncated
-    // on disk (simulating a crashed copy), must come back Truncated
-    // from tryLoadProfile — never an abort, never a half-applied
-    // credit state presented as Ok.
+    // The same recoverable-status vocabulary covers training
+    // profiles. A profile truncated on disk (simulating a crashed
+    // copy) must come back Truncated from tryLoadProfile — never an
+    // abort, never a half-applied credit state presented as Ok.
     workloads::ServerSpec spec;
     spec.numHandlers = 2;
     spec.numFillerFuncs = 4;
@@ -257,12 +257,9 @@ TEST(RecoverySnapshot, TruncatedProfileOnDiskIsRecoverable)
         {workloads::makeBenignStream(6, 1, 2, 2)});
 
     const std::string path = "recovery_profile_trunc.bin";
-    saveProfile(guard, path);
-
-    std::ifstream in(path, std::ios::binary);
-    std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
-                            std::istreambuf_iterator<char>());
-    in.close();
+    std::ostringstream saved(std::ios::binary);
+    saveProfile(guard, saved);
+    const std::string bytes = saved.str();
     ASSERT_GT(bytes.size(), 16u);
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(),
@@ -270,7 +267,8 @@ TEST(RecoverySnapshot, TruncatedProfileOnDiskIsRecoverable)
     out.close();
 
     FlowGuard fresh(app.program);
-    const auto result = tryLoadProfile(fresh, path);
+    std::ifstream in(path, std::ios::binary);
+    const auto result = tryLoadProfile(fresh, in);
     EXPECT_EQ(result.status, Status::Truncated)
         << profileStatusName(result.status) << ": "
         << result.message;

@@ -1,10 +1,9 @@
 /**
  * @file
- * Stats accounting identities as code (ISSUE satellite): the
- * partition identities documented on MonitorStats, ServiceStats and
- * SchedulerStats are checkable, broken books are caught with a
- * message naming the identity, and real runs — inline, service-mode,
- * overloaded, lossy — keep them intact.
+ * Stats accounting identities as code: every identity documented on
+ * MonitorStats, ServiceStats and SchedulerStats is checked, each
+ * broken book is caught with a message naming the identity, and real
+ * runs — inline, service-mode, overloaded, lossy — keep them intact.
  */
 
 #include <gtest/gtest.h>
@@ -40,10 +39,27 @@ TEST(MonitorInvariants, DefaultIsConsistentAndBreaksAreNamed)
     EXPECT_NE(why.find("violations !="), std::string::npos);
 
     stats = MonitorStats{};
+    stats.slowChecks = 1;   // neither passed nor convicted
+    EXPECT_FALSE(stats.checkInvariants(&why));
+    EXPECT_EQ(why, "slowChecks != slowPass + slowViolations");
+
+    stats = MonitorStats{};
+    stats.lossWindows = 1;  // a lossy window with no outcome
+    EXPECT_FALSE(stats.checkInvariants(&why));
+    EXPECT_EQ(why, "lossWindows != lossViolations + lossEscalations "
+                   "+ lossAccepted");
+
+    stats = MonitorStats{};
     stats.highCreditEdges = 2;
     stats.edgesChecked = 1;
     EXPECT_FALSE(stats.checkInvariants(&why));
     EXPECT_NE(why.find("highCreditEdges"), std::string::npos);
+
+    stats = MonitorStats{};
+    stats.lossWindows = 1;  // a lossy escalation that never escalated
+    stats.lossEscalations = 1;
+    EXPECT_FALSE(stats.checkInvariants(&why));
+    EXPECT_EQ(why, "lossEscalations > escalations");
 }
 
 TEST(ServiceInvariants, EndpointPartitionIsEnforced)
@@ -100,6 +116,12 @@ TEST(SchedulerInvariants, TimeoutPartitionAndQueueBounds)
     EXPECT_TRUE(stats.checkInvariants(/*pending=*/0));
 
     std::string why;
+    // A submitted check that left by no counted route.
+    ++stats.submitted;
+    EXPECT_FALSE(stats.checkInvariants(0, &why));
+    EXPECT_EQ(why.rfind("submitted != ", 0), 0u) << why;
+    --stats.submitted;
+
     ++stats.timeouts;
     EXPECT_FALSE(stats.checkInvariants(0, &why));
     EXPECT_NE(why.find("timeouts"), std::string::npos);
@@ -109,6 +131,12 @@ TEST(SchedulerInvariants, TimeoutPartitionAndQueueBounds)
     ++stats.deferredDelivered;
     EXPECT_FALSE(stats.checkInvariants(0, &why));
     --stats.deferredDelivered;
+
+    // Forced (queue-full) deliveries are deliveries.
+    stats.forcedRuns = 2;
+    EXPECT_FALSE(stats.checkInvariants(0, &why));
+    EXPECT_EQ(why, "forcedRuns > deferredDelivered");
+    stats.forcedRuns = 0;
 
     // The deferral-age distribution records exactly the deliveries.
     stats.deferralAges.add(20.0);

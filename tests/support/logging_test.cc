@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <string>
-#include <vector>
 
 #include "support/logging.hh"
 
@@ -94,7 +93,6 @@ class LogHookTest : public ::testing::Test
     void
     TearDown() override
     {
-        setLogHook(LogHook{});
         setLogVerbose(_verbose);
         setLogRepeatEvery(_repeat);
         resetLogDedup();
@@ -104,25 +102,11 @@ class LogHookTest : public ::testing::Test
     uint64_t _repeat = 100;
 };
 
-TEST_F(LogHookTest, HookReceivesMessagesEvenWhenQuiet)
-{
-    setLogVerbose(false);
-    std::vector<std::string> seen;
-    setLogHook([&](const char *prefix, const std::string &msg) {
-        seen.push_back(std::string(prefix) + ":" + msg);
-    });
-    warn("disk ", 87, "% full");
-    inform("attach ok");
-    ASSERT_EQ(seen.size(), 2u);
-    EXPECT_EQ(seen[0], "warn:disk 87% full");
-    EXPECT_EQ(seen[1], "info:attach ok");
-}
-
 TEST_F(LogHookTest, WithoutHookOrVerbosityNothingIsFormatted)
 {
     setLogVerbose(false);
-    // No hook, not verbose: suppression bookkeeping must not even
-    // see the message (the fast bail is before formatting).
+    // Not verbose: suppression bookkeeping must not even see the
+    // message (the fast bail is before formatting).
     warn("nobody listens");
     EXPECT_EQ(logSuppressed(), 0u);
 }
@@ -131,14 +115,8 @@ TEST_F(LogHookTest, DuplicatesPrintFirstThenEveryNth)
 {
     setLogVerbose(true);
     setLogRepeatEvery(3);
-    uint64_t hook_calls = 0;
-    setLogHook([&](const char *, const std::string &) {
-        ++hook_calls;
-    });
     for (int i = 0; i < 7; ++i)
         warn("same message");
-    // The hook sees everything — rate limiting is stderr-only.
-    EXPECT_EQ(hook_calls, 7u);
     // Occurrences 1, 4 and 7 print; 2, 3, 5 and 6 are suppressed.
     EXPECT_EQ(logSuppressed(), 4u);
 }

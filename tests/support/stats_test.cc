@@ -16,7 +16,7 @@ namespace {
 
 using namespace flowguard;
 
-TEST(Accumulator, TracksCountSumMeanMinMax)
+TEST(Accumulator, TracksCountSumMeanMax)
 {
     Accumulator acc;
     acc.add(2.0);
@@ -25,7 +25,6 @@ TEST(Accumulator, TracksCountSumMeanMinMax)
     EXPECT_EQ(acc.count(), 3u);
     EXPECT_DOUBLE_EQ(acc.sum(), 15.0);
     EXPECT_DOUBLE_EQ(acc.mean(), 5.0);
-    EXPECT_DOUBLE_EQ(acc.min(), 2.0);
     EXPECT_DOUBLE_EQ(acc.max(), 8.0);
 }
 
@@ -42,14 +41,7 @@ TEST(Accumulator, EmptyAccumulatorPanics)
     Accumulator acc;
     EXPECT_THROW(acc.mean(), SimError);
     EXPECT_THROW(acc.geomean(), SimError);
-    EXPECT_THROW(acc.min(), SimError);
     EXPECT_THROW(acc.max(), SimError);
-}
-
-TEST(Geomean, FreeFunctionMatchesAccumulator)
-{
-    EXPECT_NEAR(geomean({2.0, 8.0}), 4.0, 1e-9);
-    EXPECT_NEAR(geomean({3.0, 3.0, 3.0}), 3.0, 1e-9);
 }
 
 TEST(TablePrinter, RendersAlignedColumns)
@@ -85,7 +77,7 @@ TEST(JsonWriter, NestedDocument)
         .field("count", static_cast<uint64_t>(3))
         .key("items")
         .beginArray()
-        .value(1)
+        .value(uint64_t{1})
         .value(2.5)
         .value(true)
         .endArray()
@@ -131,7 +123,7 @@ TEST(JsonWriter, MisuseIsFatal)
     {
         JsonWriter json;
         json.beginObject();
-        EXPECT_THROW(json.value(1), SimError);  // value without key
+        EXPECT_THROW(json.value(uint64_t{1}), SimError);  // no key
     }
     {
         JsonWriter json;
@@ -181,7 +173,7 @@ TEST(JsonWriter, SurvivesDeepNesting)
         json.beginObject().key("d");
         json.beginArray();
     }
-    json.value(1);
+    json.value(uint64_t{1});
     for (int i = 0; i < depth; ++i) {
         json.endArray();
         json.endObject();
@@ -207,7 +199,7 @@ TEST(JsonWriter, WritesFile)
     const std::string path =
         ::testing::TempDir() + "flowguard_json_writer_test.json";
     JsonWriter json;
-    json.beginObject().field("answer", 42).endObject();
+    json.beginObject().field("answer", uint64_t{42}).endObject();
     json.writeFile(path);
 
     std::ifstream in(path);

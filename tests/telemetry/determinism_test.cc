@@ -63,7 +63,9 @@ traceOneRun(const workloads::SyntheticApp &app, size_t handlers,
                                     "monitor");
     trace::registerIptMetrics(registry, outcome.trace, "ipt");
     registry.collect();
-    out.metrics = registry.toJson();
+    JsonWriter json;
+    registry.writeJson(json);
+    out.metrics = json.str();
     return out;
 }
 

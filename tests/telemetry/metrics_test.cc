@@ -125,17 +125,12 @@ TEST(MetricRegistry, AllStatsStructsRegister)
 {
     MetricRegistry registry;
     runtime::MonitorStats monitor;
-    runtime::ServiceStats service;
-    runtime::SchedulerStats scheduler;
     trace::IptStats ipt;
     runtime::registerMonitorMetrics(registry, monitor, "monitor");
-    runtime::registerServiceMetrics(registry, service, "service");
-    runtime::registerSchedulerMetrics(registry, scheduler, "sched");
     trace::registerIptMetrics(registry, ipt, "ipt");
     registry.collect();
-    EXPECT_GT(registry.size(), 40u);
-    EXPECT_EQ(registry.counter("service.endpoint_checks").value(), 0u);
-    EXPECT_EQ(registry.counter("sched.submitted").value(), 0u);
+    EXPECT_GT(registry.size(), 30u);
+    EXPECT_EQ(registry.counter("monitor.checks").value(), 0u);
     EXPECT_EQ(registry.counter("ipt.tnt_packets").value(), 0u);
 }
 
@@ -146,7 +141,9 @@ TEST(MetricRegistry, JsonIsSortedAndComplete)
     registry.counter("a.count").set(1);
     registry.gauge("m.ratio").set(0.5);
     registry.histogram("h.cycles").record(100);
-    const std::string json = registry.toJson();
+    JsonWriter writer;
+    registry.writeJson(writer);
+    const std::string json = writer.str();
     // Sorted by name regardless of creation order.
     EXPECT_LT(json.find("\"a.count\":1"), json.find("\"z.count\":2"));
     EXPECT_NE(json.find("\"m.ratio\":0.5"), std::string::npos);

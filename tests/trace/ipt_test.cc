@@ -388,17 +388,6 @@ TEST(IptEncoder, IpRangeFilterRestrictsSources)
     EXPECT_EQ(encoder.stats().tipPackets, tips_in);  // filtered out
 }
 
-TEST(IptEncoder, TraceEnGatesEverything)
-{
-    Topa topa({4096});
-    IptConfig config;
-    config.traceEn = false;
-    IptEncoder encoder(config, topa);
-    encoder.onBranch(event(BranchKind::IndirectJump, 0x400000,
-                           0x400100));
-    EXPECT_EQ(encoder.stats().bytes, 0u);
-}
-
 TEST(IptEncoder, ChargesTraceCycles)
 {
     cpu::CycleAccount account;

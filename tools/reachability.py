@@ -1,21 +1,26 @@
 #!/usr/bin/env python3
 """Reachability census: finds the flowguard:: functions that src/
-defines and no binary reaches.
+defines and no binary reaches, and those that only tests reach.
 
 Builds the repository (every bench, example and test binary) and
 perfbench's own package at -O0 with one section per function, links
 with --gc-sections, and compares nm's view of the libraries with
 nm's view of the linked binaries. A function the libraries define
 that is in no binary is unreachable from every entry point the
-project ships or tests. Inline functions that nothing calls are never
-emitted, so nm cannot see them; review those by hand.
+project ships or tests. A function that only test binaries keep is a
+test hook: it must be named in tools/test_hooks.txt, one line per
+hook, as `<demangled function> | <test that needs it>`. Inline
+functions that nothing calls are never emitted, so nm cannot see
+them; review those by hand.
 
 Run from anywhere:
 
     python3 tools/reachability.py [--build-dir DIR] [--jobs N]
 
-Exit codes: 0 every function is reached, 1 some are not (listed on
-stdout), 2 a build or tool step failed.
+Exit codes: 0 every function is reached and every test-only function
+is a listed hook, 1 otherwise (unreached functions, unlisted test-only
+functions and listed hooks that are no longer test-only are printed
+on stdout), 2 a build or tool step failed.
 """
 
 import argparse
@@ -32,6 +37,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 # left out: they are reached with the function that holds them.
 PREFIXES = ("_ZN9flowguard", "_ZNK9flowguard")
 TEXT_TYPES = {"T", "t", "W"}
+HOOKS = ROOT / "tools" / "test_hooks.txt"
 
 
 def log(*parts):
@@ -81,6 +87,16 @@ def demangle(symbols):
     return dict(zip(ordered, out))
 
 
+def read_hooks():
+    """Function names listed in tools/test_hooks.txt."""
+    hooks = set()
+    for line in HOOKS.read_text().splitlines():
+        line = line.strip()
+        if line and not line.startswith("#"):
+            hooks.add(line.rsplit(" | ", 1)[0].strip())
+    return hooks
+
+
 def executables(directory):
     for path in sorted(directory.iterdir()):
         if path.is_file() and os.access(path, os.X_OK) and \
@@ -106,24 +122,35 @@ def main():
     build(ROOT / "perfbench", out / "perfbench", args.jobs)
 
     libraries = sorted((out / "main" / "src").glob("libfg_*.a"))
-    binaries = [path for sub in ("bench", "examples", "tests")
-                for path in executables(out / "main" / sub)]
-    binaries.append(out / "perfbench" / "flowguard_perfbench")
-    if not libraries or len(binaries) < 2:
+    shipped = [path for sub in ("bench", "examples")
+               for path in executables(out / "main" / sub)]
+    shipped.append(out / "perfbench" / "flowguard_perfbench")
+    tests = list(executables(out / "main" / "tests"))
+    if not libraries or len(shipped) < 2 or not tests:
         log("no libraries or binaries found under", out)
         return 2
 
-    defined = demangle(text_symbols(libraries))
-    reached = set(demangle(text_symbols(binaries)).values())
+    defined = set(demangle(text_symbols(libraries)).values())
     # Constructor and destructor variants (C1/C2, D0/D1/D2) demangle
     # alike: a function counts as reached when any variant is.
-    unreached = sorted({name for name in defined.values()
-                        if name not in reached})
-    log(f"{len(set(defined.values()))} functions defined in src/, "
-        f"{len(binaries)} binaries, {len(unreached)} unreachable")
-    for name in unreached:
-        print(name)
-    return 1 if unreached else 0
+    by_shipped = set(demangle(text_symbols(shipped)).values())
+    by_tests = set(demangle(text_symbols(tests)).values())
+    unreached = sorted(defined - by_shipped - by_tests)
+    test_only = (defined & by_tests) - by_shipped
+    hooks = read_hooks()
+    unlisted = sorted(test_only - hooks)
+    stale = sorted(hooks - test_only)
+    log(f"{len(defined)} functions defined in src/, "
+        f"{len(shipped) + len(tests)} binaries, {len(unreached)} "
+        f"unreachable, {len(test_only)} test-only "
+        f"({len(unlisted)} not in {HOOKS.name}), {len(stale)} listed "
+        f"hooks not test-only")
+    for title, names in (("unreachable", unreached),
+                         (f"test-only, not in {HOOKS.name}", unlisted),
+                         (f"in {HOOKS.name}, not test-only", stale)):
+        for name in names:
+            print(f"{title}: {name}")
+    return 1 if unreached or unlisted or stale else 0
 
 
 if __name__ == "__main__":
