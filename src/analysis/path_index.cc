@@ -2,22 +2,15 @@
 
 #include <algorithm>
 
-#include "support/logging.hh"
 #include "support/random.hh"
 
 namespace flowguard::analysis {
 
-PathIndex::PathIndex(size_t length)
-    : _length(length)
-{
-    fg_assert(length >= 2, "paths need at least two TIP targets");
-}
-
 uint64_t
-PathIndex::hashPath(const uint64_t *targets) const
+PathIndex::hashPath(const uint64_t *targets)
 {
     uint64_t state = 0x9e3779b97f4a7c15ULL;
-    for (size_t i = 0; i < _length; ++i) {
+    for (size_t i = 0; i < kLength; ++i) {
         state ^= targets[i];
         state = splitmix64(state);
     }
@@ -27,9 +20,9 @@ PathIndex::hashPath(const uint64_t *targets) const
 void
 PathIndex::observe(const std::vector<uint64_t> &targets)
 {
-    if (targets.size() < _length)
+    if (targets.size() < kLength)
         return;
-    for (size_t i = 0; i + _length <= targets.size(); ++i)
+    for (size_t i = 0; i + kLength <= targets.size(); ++i)
         insertHash(hashPath(targets.data() + i));
 }
 
@@ -45,7 +38,7 @@ void
 PathIndex::learn(std::span<const uint64_t> targets,
                  std::vector<uint64_t> &fresh)
 {
-    for (size_t i = 0; i + _length <= targets.size(); ++i) {
+    for (size_t i = 0; i + kLength <= targets.size(); ++i) {
         const uint64_t hash = hashPath(targets.data() + i);
         if (_paths.insert(hash).second) {
             _runtime.push_back(hash);
@@ -78,9 +71,9 @@ PathIndex::containsPath(const uint64_t *targets) const
 bool
 PathIndex::covers(const std::vector<uint64_t> &targets) const
 {
-    if (targets.size() < _length)
+    if (targets.size() < kLength)
         return true;
-    for (size_t i = 0; i + _length <= targets.size(); ++i)
+    for (size_t i = 0; i + kLength <= targets.size(); ++i)
         if (!containsPath(targets.data() + i))
             return false;
     return true;

@@ -5,7 +5,7 @@
  * context-sensitive by matching the high-credit paths, each of which
  * consisting of multiple consecutive high-credit edges").
  *
- * During training, every run of `length` consecutive TIP targets is
+ * During training, every run of kLength consecutive TIP targets is
  * hashed into the index. At check time a window passes the path test
  * only if each of its n-grams was observed — individually-trained
  * edges chained in a novel order (mimicry) no longer slip through the
@@ -28,10 +28,10 @@ namespace flowguard::analysis {
 class PathIndex
 {
   public:
-    /** `length` = TIP targets per matched path (n-gram size). */
-    explicit PathIndex(size_t length = 3);
+    /** TIP targets per matched path (n-gram size). */
+    static constexpr size_t kLength = 3;
 
-    size_t length() const { return _length; }
+    size_t length() const { return kLength; }
     size_t size() const { return _paths.size(); }
 
     /** Records every n-gram of a training TIP-target sequence. */
@@ -41,8 +41,8 @@ class PathIndex
      *  Sequences shorter than the path length pass vacuously. */
     bool covers(const std::vector<uint64_t> &targets) const;
 
-    /** True if this single n-gram (exactly `length` targets,
-     *  oldest first) was observed. */
+    /** True if this single n-gram (exactly kLength targets, oldest
+     *  first) was observed. */
     bool containsPath(const uint64_t *targets) const;
 
     /** Approximate resident bytes. */
@@ -75,9 +75,8 @@ class PathIndex
     void clearRuntime();
 
   private:
-    uint64_t hashPath(const uint64_t *targets) const;
+    static uint64_t hashPath(const uint64_t *targets);
 
-    size_t _length;
     /** Trained and runtime hashes in one set: one lookup per n-gram. */
     std::unordered_set<uint64_t> _paths;
     /** The members of _paths learned at runtime. */

@@ -133,6 +133,8 @@ parse(std::span<const uint8_t> data, size_t start, size_t end,
     // the bit pool.
     size_t pending = result.tntBits.size();
     bool loss_pending = false;
+    // Steps before the first PSB carry IPs no PSB anchored.
+    bool synced = false;
     // A loss breaks adjacency: outcomes before the first one since the
     // last step stay in the pool, ahead of the next slice, and those
     // between two losses pair with nothing.
@@ -184,8 +186,7 @@ parse(std::span<const uint8_t> data, size_t start, size_t end,
           case PacketKind::PsbEnd:
             break;
           case PacketKind::Psb:
-            result.psbs.push_back(
-                {pkt.offset, static_cast<uint32_t>(result.steps.size())});
+            synced = true;
             break;
           case PacketKind::Ovf:
             // The hardware dropped packets here.
@@ -221,7 +222,7 @@ parse(std::span<const uint8_t> data, size_t start, size_t end,
             pending = result.tntBits.size();
             step.lossBefore = loss_pending;
             loss_pending = false;
-            result.unsyncedSteps += result.psbs.empty();
+            result.unsyncedSteps += !synced;
             result.steps.push_back(step);
             break;
           }
@@ -282,7 +283,6 @@ void
 FastDecodeResult::clear()
 {
     steps.clear();
-    psbs.clear();
     tntBits.clear();
     trailingOffset = 0;
     lossAtEnd = false;
@@ -361,63 +361,11 @@ decodeRecentTipsInto(FastDecodeResult &out,
 }
 
 void
-decodeRingInto(FastDecodeResult &out, std::span<const uint8_t> data,
-               cpu::CycleAccount *account,
-               telemetry::Telemetry *telemetry, uint64_t cr3)
-{
-    // The backward search's earliest sync point is the forward scan's
-    // first one.
-    const size_t anchor = trace::findNextPsb(data.data(), data.size(), 0);
-    if (anchor == SIZE_MAX) {
-        decodeAll(out, data, account, telemetry, cr3);
-        return;
-    }
-    const uint64_t begin = telemetry ? telemetry->now() : 0;
-    decodeFrom(out, data, anchor);
-    countOverflowBeforeAnchor(out, data, anchor);
-    charge(account, out.bytesScanned);
-    report(telemetry, cr3, begin, out);
-}
-
-size_t
-recentTipsStep(const FastDecodeResult &ring,
-               std::span<const uint8_t> data, size_t min_tips)
-{
-    // decodeRecentTips' search, with each segment's TIPs counted from
-    // the ring's steps instead of a parse: the sync points it meets,
-    // latest first, must be the ring's PSBs, latest first.
-    size_t limit = data.size();
-    size_t mark = ring.psbs.size();
-    size_t step = ring.steps.size();
-    size_t tips = 0;
-    size_t first = SIZE_MAX;
-    while (true) {
-        const size_t sync = previousPsb(data.data(), data.size(), limit);
-        if (sync == SIZE_MAX)
-            break;
-        if (mark == 0 || ring.psbs[--mark].offset != sync)
-            return SIZE_MAX;
-        for (; step > ring.psbs[mark].step; --step)
-            tips += ring.steps[step - 1].kind == StepKind::Tip;
-        first = ring.psbs[mark].step;
-        if (tips >= min_tips)
-            return first;
-    }
-    // Every sync point was met: the suffix is the whole ring, which
-    // must have started at the earliest of them (or, with none, at
-    // byte 0, as decodeRecentTips then decodes).
-    if (mark != 0)
-        return SIZE_MAX;
-    return first == SIZE_MAX ? 0 : first;
-}
-
-void
 extractTransitionViews(const FastDecodeResult &flow,
-                       std::vector<TransitionView> &out,
-                       size_t first_step)
+                       std::vector<TransitionView> &out)
 {
     out.clear();
-    if (first_step >= flow.steps.size())
+    if (flow.steps.empty())
         return;
     const std::span<const uint8_t> pool(flow.tntBits);
     uint64_t prev = 0;
@@ -425,9 +373,8 @@ extractTransitionViews(const FastDecodeResult &flow,
     // transition are the contiguous run from `from` to its TIP. (A
     // decode's first step starts the pool, unless a loss kept
     // outcomes ahead of it; those pair with nothing.)
-    size_t from = flow.steps[first_step].tntOffset;
-    for (const auto &step :
-         std::span<const FlowStep>(flow.steps).subspan(first_step)) {
+    size_t from = flow.steps.front().tntOffset;
+    for (const auto &step : flow.steps) {
         if (step.lossBefore) {
             // Trace gap: the previous TIP is not this step's true
             // predecessor. Restart the window as if at its head.

@@ -65,22 +65,10 @@ struct FlowStep
     uint32_t tntLength = 0;
 };
 
-/** A PSB packet the decode parsed: where, and how many steps came
- *  before it. */
-struct PsbMark
-{
-    uint64_t offset = 0;
-    uint32_t step = 0;      ///< steps.size() when the PSB was parsed
-};
-
 /** Result of a packet-layer decode. */
 struct FastDecodeResult
 {
     std::vector<FlowStep> steps;        ///< chronological
-    /** Every PSB packet parsed, in stream order. A PSB resets the
-     *  last-IP state, so the steps from one on are what a decode
-     *  started at that PSB would return (see recentTipsStep()). */
-    std::vector<PsbMark> psbs;
     /**
      * Conditional outcomes in stream order, one byte per bit
      * (1 = taken). Each step's slice starts where the previous one
@@ -182,33 +170,6 @@ void decodeRecentTipsInto(FastDecodeResult &out,
                           uint64_t cr3 = 0);
 
 /**
- * Decodes the whole ring forward from its first sync point into `out`:
- * what decodeRecentTipsInto(out, data, SIZE_MAX) returns, without that
- * search's counting pass. A buffer without any PSB is decoded whole,
- * from byte 0. This is the slow path's one decode of an escalated
- * ring: the walk reads the suffix recentTipsStep() selects, and the
- * verdict cache stages the whole.
- */
-void decodeRingInto(FastDecodeResult &out, std::span<const uint8_t> data,
-                    cpu::CycleAccount *account = nullptr,
-                    telemetry::Telemetry *telemetry = nullptr,
-                    uint64_t cr3 = 0);
-
-/**
- * The index into `ring.steps` where the suffix decodeRecentTips(data,
- * min_tips) would return begins, read off `ring`, a decodeRingInto()
- * result of `data`: the steps from there on carry the same kind, IP,
- * suppression and outcomes (the first step's loss flag and the
- * outcomes before it aside). The backward PSB search still runs, but
- * only probes for sync points; the TIPs between them are counted from
- * the ring's steps. Returns SIZE_MAX when a sync point that search
- * meets is not a PSB the forward decode parsed there (the two decodes
- * then need not agree; decode the suffix on its own).
- */
-size_t recentTipsStep(const FastDecodeResult &ring,
-                      std::span<const uint8_t> data, size_t min_tips);
-
-/**
  * One ITC-CFG-level transition: consecutive TIP targets with the
  * conditional outcomes observed between them. PGE/PGD/FUP context
  * markers (syscalls, context switches) are transparent: they do not
@@ -236,12 +197,10 @@ struct TransitionView
     std::span<const uint8_t> tnt;
 };
 
-/** Folds a packet-layer decode, from step `first_step` on, into
- *  transition views, replacing the contents of `out` (its capacity is
- *  reused). The first transition's outcomes start at that step's. */
+/** Folds a packet-layer decode into transition views, replacing the
+ *  contents of `out` (its capacity is reused). */
 void extractTransitionViews(const FastDecodeResult &flow,
-                            std::vector<TransitionView> &out,
-                            size_t first_step = 0);
+                            std::vector<TransitionView> &out);
 
 /** Folds a packet-layer decode into owned TIP transitions. */
 std::vector<TipTransition>

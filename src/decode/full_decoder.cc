@@ -116,7 +116,7 @@ anchors(const FlowStep &step)
 void
 decodeInstructionFlowInto(FullDecodeResult &result,
                           const isa::Program &program,
-                          const FastDecodeResult &flow, size_t first_step,
+                          const FastDecodeResult &flow,
                           cpu::CycleAccount *account,
                           telemetry::Telemetry *telemetry, uint64_t cr3)
 {
@@ -133,7 +133,7 @@ decodeInstructionFlowInto(FullDecodeResult &result,
 
     // IP compression cannot be trusted before a PSB, and the sync
     // step itself is not replayed.
-    size_t start = std::max<size_t>(first_step, flow.unsyncedSteps);
+    size_t start = flow.unsyncedSteps;
     while (start < flow.steps.size() && !anchors(flow.steps[start]))
         ++start;
     if (start == flow.steps.size()) {
@@ -379,8 +379,8 @@ decodeInstructionFlow(const isa::Program &program,
                       telemetry::Telemetry *telemetry, uint64_t cr3)
 {
     FullDecodeResult result;
-    decodeInstructionFlowInto(result, program, flow, 0, account,
-                              telemetry, cr3);
+    decodeInstructionFlowInto(result, program, flow, account, telemetry,
+                              cr3);
     return result;
 }
 

@@ -12,8 +12,8 @@
  * It sits on the packet layer, as libipt's instruction-flow decoder
  * sits on its query decoder: it never parses bytes itself, but walks
  * the steps and TNT slices of a fast_decoder.hh decode. The slow path
- * hands it the suffix of the ring it already decoded; the byte form
- * below decodes the packet layer first.
+ * hands it the window it already decoded; the byte form below decodes
+ * the packet layer first.
  *
  * Like libipt's block decoder, the walk moves a straight-line run at a
  * time: between two control-flow instructions nothing reads the trace,
@@ -114,16 +114,10 @@ FullDecodeResult decodeInstructionFlow(
     cpu::CycleAccount *account = nullptr,
     telemetry::Telemetry *telemetry = nullptr, uint64_t cr3 = 0);
 
-/**
- * decodeInstructionFlow() over flow.steps[first_step, end) into `out`,
- * reusing its capacity: the walk of a decode started at the PSB
- * before `first_step` (see recentTipsStep()). The loss counters are
- * the whole decode's.
- */
+/** decodeInstructionFlow() into `out`, reusing its capacity. */
 void decodeInstructionFlowInto(FullDecodeResult &out,
                                const isa::Program &program,
                                const FastDecodeResult &flow,
-                               size_t first_step,
                                cpu::CycleAccount *account = nullptr,
                                telemetry::Telemetry *telemetry = nullptr,
                                uint64_t cr3 = 0);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <utility>
 
 #include "decode/fast_decoder.hh"
 
@@ -251,19 +250,11 @@ CheckVerdict
 Monitor::slowPhase(std::span<const uint8_t> packets, bool loss)
 {
     // Suspicious (or loss escalation): upcall into the slow-path engine.
-    // A window whose verdict may be cached is decoded once, whole: the
-    // slow path walks its suffix and staging reads all of it. Never
-    // cache verdicts from a lossy window (edges extracted from a
-    // damaged buffer must not earn durable high credit), so a lossy
-    // window decodes only what the walk needs. The ring is decoded
-    // straight into the staged decode unless a stage it would clobber
-    // is still pending.
+    // A pass stages the window the check decoded, so a stage still
+    // pending would outlive the decode it points into: drop it.
+    discardCache();
     ++_stats.slowChecks;
-    const bool stage = _config.cacheSlowPathVerdicts && !loss;
-    decode::FastDecodeResult &ring =
-        _cachePending ? _pendingRingFlow : _stagedFlow;
-    _lastSlow = stage ? _slow.checkRing(packets, ring)
-                      : _slow.check(packets);
+    _lastSlow = _slow.check(packets);
     _lastSource = VerdictSource::SlowPath;
     if (_lastSlow.degraded)
         ++_stats.jitDegradedChecks;
@@ -284,9 +275,9 @@ Monitor::slowPhase(std::span<const uint8_t> packets, bool loss)
     }
     ++_stats.slowPass;
     _verdictLog.push_back(static_cast<uint8_t>(CheckVerdict::Pass));
-    if (stage) {
-        if (&ring != &_stagedFlow)
-            std::swap(_stagedFlow, _pendingRingFlow);
+    // Never cache verdicts from a lossy window: edges extracted from a
+    // damaged buffer must not earn durable high credit.
+    if (_config.cacheSlowPathVerdicts && !loss) {
         stageCache();
         if (_config.autoCommitCache)
             commitCache();
@@ -297,10 +288,10 @@ Monitor::slowPhase(std::span<const uint8_t> packets, bool loss)
 void
 Monitor::stageCache()
 {
-    // The slow path vouched for this window; stage its edges for
-    // promotion so the fast path handles recurrences alone (§7.1.1).
-    // A stage still pending from an earlier pass is replaced.
-    decode::extractTransitionViews(_stagedFlow, _staged);
+    // The slow path vouched for the window it walked; stage that
+    // window's edges, and nothing before it, for promotion so the
+    // fast path handles recurrences alone (§7.1.1).
+    decode::extractTransitionViews(_slow.window(), _staged);
     _cachePending = true;
 }
 
@@ -311,10 +302,9 @@ Monitor::commitCache()
         return;
     // A commit is a set union: learn() tells the pairs the overlay did
     // not hold from the ones it did, and only those are new. A staged
-    // ring repeats itself (on cold-fleet ~590 transitions hold ~90
-    // distinct pairs), and a repeat cannot be new once its first copy
-    // was learned, so an open-addressed table of first copies keeps
-    // repeats away from the graph.
+    // window repeats itself, and a repeat cannot be new once its first
+    // copy was learned, so an open-addressed table of first copies
+    // keeps repeats away from the graph.
     _deltaPairs.clear();
     _deltaPaths.clear();
     const int bits = std::bit_width(2 * _staged.size());

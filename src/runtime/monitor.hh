@@ -176,8 +176,9 @@ class Monitor
 
     /**
      * Resolves a window fastPhase escalated. `loss` must be the flag
-     * fastPhase returned for the same packets. Stages the verdict
-     * cache per the config; commits it only under autoCommitCache.
+     * fastPhase returned for the same packets. Drops any stage still
+     * pending, then, on a pass, stages the window the slow path walked
+     * per the config; commits it only under autoCommitCache.
      */
     CheckVerdict slowPhase(std::span<const uint8_t> packets, bool loss);
 
@@ -321,7 +322,7 @@ class Monitor
     telemetry::Telemetry *telemetry() const { return _telemetry; }
 
   private:
-    /** Stages _stagedFlow, the ring the last slow-path pass decoded. */
+    /** Stages the window the last slow-path pass decoded and walked. */
     void stageCache();
 
     /** Which engine produced the most recent verdict. */
@@ -341,12 +342,8 @@ class Monitor
     SlowPathResult _lastSlow;
     VerdictSource _lastSource = VerdictSource::FastPath;
 
-    /** Staged (uncommitted) verdict-cache material: the ring's decode
-     *  and its transitions, which slice its TNT pool. The slow path
-     *  decodes the ring under check into it, or, while a stage is
-     *  pending, into _pendingRingFlow. */
-    decode::FastDecodeResult _stagedFlow;
-    decode::FastDecodeResult _pendingRingFlow;
+    /** Staged (uncommitted) verdict-cache material: the transitions of
+     *  the slow path's window, which slice its decode's TNT pool. */
     std::vector<decode::TransitionView> _staged;
     bool _cachePending = false;
     /** Commit scratch: a table of the first copy of each staged pair

@@ -63,55 +63,20 @@ SlowPathChecker::indirectCallAllowed(uint64_t source,
         prepared, _ta.consumedCount[index]);
 }
 
-namespace {
-
-/** The ≥100-TIP window both check forms walk. */
-constexpr size_t slow_window_tips = 100;
-
-} // namespace
-
 SlowPathResult
 SlowPathChecker::check(std::span<const uint8_t> packets)
-{
-    return checkImpl(packets, nullptr);
-}
-
-SlowPathResult
-SlowPathChecker::checkRing(std::span<const uint8_t> packets,
-                           decode::FastDecodeResult &ring)
-{
-    return checkImpl(packets, &ring);
-}
-
-SlowPathResult
-SlowPathChecker::checkImpl(std::span<const uint8_t> packets,
-                           decode::FastDecodeResult *ring)
 {
     telemetry::ScopedSpan span(_telemetry,
                                telemetry::SpanKind::SlowCheck,
                                _telemetryCr3);
-    // One decode emits the FastDecode span: the ring's when there is
-    // one, else the window's.
-    telemetry::Telemetry *window_telemetry = _telemetry;
-    size_t first = SIZE_MAX;
-    if (ring) {
-        decode::decodeRingInto(*ring, packets, nullptr, _telemetry,
-                               _telemetryCr3);
-        first = decode::recentTipsStep(*ring, packets, slow_window_tips);
-        window_telemetry = nullptr;
-    }
-    SlowPathResult result;
-    if (first != SIZE_MAX) {
-        result = checkFlow(*ring, first);
-    } else {
-        // No ring, or its PSBs are not the sync points the window
-        // search meets, so its suffix need not be the window: decode
-        // the window alone.
-        decode::decodeRecentTipsInto(_window, packets, slow_window_tips,
-                                     nullptr, window_telemetry,
-                                     _telemetryCr3);
-        result = checkFlow(_window, 0);
-    }
+    // Anchor the expensive instruction-flow decode at the most recent
+    // PSB whose suffix still covers ~100 TIP packets (the paper's
+    // §7.2.2 context-sensitive analysis window), instead of paying
+    // for the entire ToPA buffer.
+    constexpr size_t slow_window_tips = 100;
+    decode::decodeRecentTipsInto(_window, packets, slow_window_tips,
+                                 nullptr, _telemetry, _telemetryCr3);
+    SlowPathResult result = checkFlow(_window);
     span.setVerdict(static_cast<uint8_t>(result.verdict));
     if (result.verdict == CheckVerdict::Violation)
         span.setPayload(result.violatingSource, result.violatingTarget);
@@ -119,8 +84,7 @@ SlowPathChecker::checkImpl(std::span<const uint8_t> packets,
 }
 
 SlowPathResult
-SlowPathChecker::checkFlow(const decode::FastDecodeResult &window,
-                           size_t first_step)
+SlowPathChecker::checkFlow(const decode::FastDecodeResult &window)
 {
     SlowPathResult result;
 
@@ -130,7 +94,7 @@ SlowPathChecker::checkFlow(const decode::FastDecodeResult &window,
     // windows cannot be instruction-walked (no image of JIT code), so
     // they fall back to a packet-level ITC membership check.
     if (_map) {
-        decode::extractTransitionViews(window, _transitions, first_step);
+        decode::extractTransitionViews(window, _transitions);
         bool jit_seen = false;
         for (const auto &transition : _transitions) {
             const auto to_class = _map->classify(transition.to).cls;
@@ -192,8 +156,7 @@ SlowPathChecker::checkFlow(const decode::FastDecodeResult &window,
 
     // The walk reads the window decoded above; no byte is parsed twice.
     decode::decodeInstructionFlowInto(_walk, _ocfg.program(), window,
-                                      first_step, _account, _telemetry,
-                                      _telemetryCr3);
+                                      _account, _telemetry, _telemetryCr3);
     const decode::FullDecodeResult &flow = _walk;
     result.instructionsWalked = flow.instructionsWalked;
 

@@ -56,20 +56,15 @@ class SlowPathChecker
      * Full-decodes and checks a ToPA snapshot. Only the window is
      * decoded: the suffix from the most recent PSB that still covers
      * ~100 TIP packets (the paper's §7.2.2 context-sensitive analysis
-     * window), not the entire ToPA buffer.
+     * window), not the entire ToPA buffer. Allocates nothing once the
+     * checker's scratch has grown, unless it convicts.
      */
     SlowPathResult check(std::span<const uint8_t> packets);
 
-    /**
-     * check(packets) for a caller that wants the whole ring decoded
-     * too: decodes all of `packets` once (decode::decodeRingInto) into
-     * `ring`, and walks the suffix of that decode check(packets) would
-     * have decoded (decode::recentTipsStep). `ring` keeps the decode,
-     * which the monitor stages for its verdict cache. Either form
-     * allocates nothing once its scratch has grown, unless it convicts.
-     */
-    SlowPathResult checkRing(std::span<const uint8_t> packets,
-                             decode::FastDecodeResult &ring);
+    /** The window the last check() decoded and walked, valid until the
+     *  next check(): what a pass vouches for, and so what the monitor
+     *  stages for its verdict cache. */
+    const decode::FastDecodeResult &window() const { return _window; }
 
     /**
      * Attaches the dynamic-code view. Windows containing stale-range
@@ -98,13 +93,8 @@ class SlowPathChecker
     }
 
   private:
-    /** Both forms: decodes `packets` (whole into `ring`, when given)
-     *  and checks the window. */
-    SlowPathResult checkImpl(std::span<const uint8_t> packets,
-                             decode::FastDecodeResult *ring);
-    /** The check of flow.steps[first_step, end). */
-    SlowPathResult checkFlow(const decode::FastDecodeResult &flow,
-                             size_t first_step);
+    /** The check of the decoded window. */
+    SlowPathResult checkFlow(const decode::FastDecodeResult &window);
     bool returnAllowedByCfg(uint64_t source, uint64_t target) const;
     bool indirectJumpAllowed(uint64_t source, uint64_t target) const;
     bool indirectCallAllowed(uint64_t source, uint64_t target) const;
@@ -118,8 +108,8 @@ class SlowPathChecker
     telemetry::Telemetry *_telemetry = nullptr;
     uint64_t _telemetryCr3 = 0;
 
-    // Scratch, reused across checks: the byte form's window decode,
-    // the walk, the shadow stack and the JIT pre-scan's transitions.
+    // Scratch, reused across checks: the window decode, the walk, the
+    // shadow stack and the JIT pre-scan's transitions.
     decode::FastDecodeResult _window;
     decode::FullDecodeResult _walk;
     std::vector<uint64_t> _shadow;

@@ -29,9 +29,7 @@ class FlightRecorder
   public:
     static constexpr size_t kDefaultCapacity = 64;
 
-    explicit FlightRecorder(size_t capacity = kDefaultCapacity)
-        : _ring(capacity ? capacity : 1)
-    {}
+    FlightRecorder() : _ring(kDefaultCapacity) {}
 
     void
     push(const FlightEvent &event)

@@ -49,7 +49,7 @@ TEST(FastDecoder, ExtractsFlowStepsInOrder)
 {
     auto result = decodePacketLayer(sampleStream());
     EXPECT_FALSE(result.malformed);
-    EXPECT_EQ(result.psbs.size(), 1u);
+    EXPECT_EQ(result.unsyncedSteps, 0u);
     ASSERT_EQ(result.steps.size(), 6u);
     EXPECT_EQ(result.steps[0].kind, StepKind::Tip);
     EXPECT_EQ(result.steps[0].ip, 0x400100u);
@@ -135,70 +135,6 @@ TEST(FastDecoder, RecentTipsPicksLatestSufficientSync)
     auto all = decodeRecentTips({bytes.data(), bytes.size()}, 100);
     EXPECT_EQ(all.startOffset, psb_offsets[0]);
     EXPECT_EQ(all.steps.size(), 6u);
-}
-
-TEST(FastDecoder, RingDecodeRecordsPsbsAndSelectsTheRecentSuffix)
-{
-    // Three PSB segments with 2 TIPs each, behind a partial packet.
-    std::vector<uint8_t> bytes = {0x4D, 0x12};
-    uint64_t last_ip = 0;
-    std::vector<uint64_t> psb_offsets;
-    uint64_t ip = 0x400000;
-    for (int seg = 0; seg < 3; ++seg) {
-        psb_offsets.push_back(bytes.size());
-        appendPsb(bytes);
-        last_ip = 0;
-        for (int t = 0; t < 2; ++t) {
-            appendTipClass(bytes, opcode::tip, ip, last_ip);
-            ip += 0x10;
-        }
-    }
-
-    FastDecodeResult ring;
-    decodeRingInto(ring, bytes);
-    EXPECT_EQ(ring.startOffset, psb_offsets[0]);
-    ASSERT_EQ(ring.psbs.size(), 3u);
-    for (size_t i = 0; i < 3; ++i) {
-        EXPECT_EQ(ring.psbs[i].offset, psb_offsets[i]);
-        EXPECT_EQ(ring.psbs[i].step, 2 * i);
-    }
-    // The suffix each window would decode on its own starts at the
-    // step its PSB recorded; with too few TIPs, at the first PSB.
-    EXPECT_EQ(recentTipsStep(ring, bytes, 2), 4u);
-    EXPECT_EQ(recentTipsStep(ring, bytes, 3), 2u);
-    EXPECT_EQ(recentTipsStep(ring, bytes, 100), 0u);
-
-    // Without any PSB the window and the ring are the whole buffer.
-    std::vector<uint8_t> bare;
-    last_ip = 0;
-    appendTipClass(bare, opcode::tip, 0x400000, last_ip);
-    decodeRingInto(ring, bare);
-    EXPECT_EQ(ring.steps.size(), 1u);
-    EXPECT_EQ(recentTipsStep(ring, bare, 5), 0u);
-}
-
-TEST(FastDecoder, RecentTipsStepDeclinesAPsbOffItsSyncPoint)
-{
-    // A PSB pattern two bytes longer than a PSB: the forward parse
-    // reads a PSB at the start of the run, but the sync point is its
-    // last 16 bytes. The suffix of the ring is then not the window.
-    std::vector<uint8_t> bytes;
-    uint64_t last_ip = 0;
-    appendPsb(bytes);
-    appendTipClass(bytes, opcode::tip, 0x400000, last_ip);
-    const size_t run = bytes.size();
-    appendPsb(bytes);
-    bytes.push_back(0x02);
-    bytes.push_back(0x82);
-    last_ip = 0;
-    appendTipClass(bytes, opcode::tip, 0x400010, last_ip);
-
-    FastDecodeResult ring;
-    decodeRingInto(ring, bytes);
-    ASSERT_GE(ring.psbs.size(), 2u);
-    EXPECT_EQ(ring.psbs[1].offset, run);
-    EXPECT_EQ(recentTipsStep(ring, bytes, 1), SIZE_MAX);
-    EXPECT_EQ(decodeRecentTips(bytes, 1).startOffset, run + 2);
 }
 
 TEST(FastDecoder, RecentTipsWithoutPsbDecodesWholeBuffer)

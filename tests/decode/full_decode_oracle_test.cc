@@ -31,12 +31,9 @@
  * a run left off mapped code, and a PGD/PGE pause at a run's first
  * instruction followed by a loss or by the end of the trace.
  *
- * The slow path decodes an escalated ring once, whole
- * (decodeRingInto), and walks the suffix recentTipsStep() selects. The
- * suffix oracle holds that suffix to the window decodeRecentTips(…,
- * 100) decodes on its own, step by step and outcome by outcome, and
- * the walk over it to the reference; and holds the ring decode to the
- * whole-ring decodeRecentTips() the verdict cache staged from before.
+ * The anchored window below is the slow path's only decode: it walks
+ * decodeRecentTips(…, 100), and a pass stages that same decode for the
+ * verdict cache.
  */
 
 #include <gtest/gtest.h>
@@ -441,11 +438,6 @@ struct Coverage
     size_t unsyncedSteps = 0;
     /** Windows anchored right after an OVF. */
     size_t preAnchorOverflows = 0;
-    /** Rings whose suffix recentTipsStep() selected. */
-    size_t ringSuffixes = 0;
-    /** Rings it declined (their sync points are not the ring's PSBs):
-     *  the slow path decodes those windows on their own. */
-    size_t ringFallbacks = 0;
 };
 
 /** True when the pool holds outcomes that precede a loss. */
@@ -482,102 +474,10 @@ expectSameFlow(const FullDecodeResult &got, const FullDecodeResult &want,
     }
 }
 
-/** The walk's own outputs agree (loss counters aside, which a ring
- *  walk reports for the whole ring). */
-void
-expectSameWalk(const FullDecodeResult &got, const FullDecodeResult &want)
-{
-    EXPECT_EQ(got.status, want.status);
-    EXPECT_EQ(got.error, want.error);
-    EXPECT_EQ(got.startIp, want.startIp);
-    EXPECT_EQ(got.instructionsWalked, want.instructionsWalked);
-    EXPECT_EQ(got.lossBranchIndices, want.lossBranchIndices);
-    ASSERT_EQ(got.branches.size(), want.branches.size());
-    for (size_t i = 0; i < want.branches.size(); ++i) {
-        SCOPED_TRACE("branch " + std::to_string(i));
-        EXPECT_EQ(got.branches[i].kind, want.branches[i].kind);
-        EXPECT_EQ(got.branches[i].source, want.branches[i].source);
-        EXPECT_EQ(got.branches[i].target, want.branches[i].target);
-    }
-}
-
-/**
- * The suffix oracle: from step `first` on, `ring` reads as `window`
- * does, as the walk consumes it. Every step after the first has the
- * same kind, IP, suppression and loss flag, and sits at the same place
- * in the outcomes that follow the first step, which are the same
- * outcomes; so do the trailing outcomes and the final loss.
- */
-void
-expectSameSuffix(const decode::FastDecodeResult &ring, size_t first,
-                 const decode::FastDecodeResult &window)
-{
-    ASSERT_LE(first, ring.steps.size());
-    ASSERT_EQ(ring.steps.size() - first, window.steps.size());
-    if (window.steps.empty())
-        return;
-    const auto after = [](const decode::FastDecodeResult &flow,
-                          size_t step) {
-        return flow.steps[step].tntOffset + flow.steps[step].tntLength;
-    };
-    const size_t ring_base = after(ring, first);
-    const size_t window_base = after(window, 0);
-    for (size_t i = 1; i < window.steps.size(); ++i) {
-        SCOPED_TRACE("suffix step " + std::to_string(i));
-        const auto &got = ring.steps[first + i];
-        const auto &want = window.steps[i];
-        EXPECT_EQ(got.kind, want.kind);
-        EXPECT_EQ(got.ip, want.ip);
-        EXPECT_EQ(got.ipSuppressed, want.ipSuppressed);
-        EXPECT_EQ(got.lossBefore, want.lossBefore);
-        EXPECT_EQ(got.tntOffset - ring_base, want.tntOffset - window_base);
-        EXPECT_EQ(got.tntLength, want.tntLength);
-    }
-    EXPECT_EQ(ring.trailingOffset - ring_base,
-              window.trailingOffset - window_base);
-    EXPECT_EQ(ring.lossAtEnd, window.lossAtEnd);
-    EXPECT_TRUE(std::ranges::equal(
-        std::span<const uint8_t>(ring.tntBits).subspan(ring_base),
-        std::span<const uint8_t>(window.tntBits).subspan(window_base)));
-}
-
-/** decodeRingInto() is the whole-ring decodeRecentTips() the verdict
- *  cache staged, without its counting pass. */
-void
-expectSameRing(const decode::FastDecodeResult &got,
-               const decode::FastDecodeResult &want)
-{
-    ASSERT_EQ(got.steps.size(), want.steps.size());
-    for (size_t i = 0; i < want.steps.size(); ++i) {
-        SCOPED_TRACE("ring step " + std::to_string(i));
-        EXPECT_EQ(got.steps[i].kind, want.steps[i].kind);
-        EXPECT_EQ(got.steps[i].ip, want.steps[i].ip);
-        EXPECT_EQ(got.steps[i].ipSuppressed, want.steps[i].ipSuppressed);
-        EXPECT_EQ(got.steps[i].lossBefore, want.steps[i].lossBefore);
-        EXPECT_EQ(got.steps[i].tntOffset, want.steps[i].tntOffset);
-        EXPECT_EQ(got.steps[i].tntLength, want.steps[i].tntLength);
-    }
-    EXPECT_EQ(got.tntBits, want.tntBits);
-    EXPECT_EQ(got.trailingOffset, want.trailingOffset);
-    EXPECT_EQ(got.lossAtEnd, want.lossAtEnd);
-    EXPECT_EQ(got.unsyncedSteps, want.unsyncedSteps);
-    EXPECT_EQ(got.startOffset, want.startOffset);
-    ASSERT_EQ(got.psbs.size(), want.psbs.size());
-    for (size_t i = 0; i < want.psbs.size(); ++i) {
-        EXPECT_EQ(got.psbs[i].offset, want.psbs[i].offset);
-        EXPECT_EQ(got.psbs[i].step, want.psbs[i].step);
-    }
-    EXPECT_EQ(got.malformed, want.malformed);
-    EXPECT_EQ(got.overflows, want.overflows);
-    EXPECT_EQ(got.resyncs, want.resyncs);
-    EXPECT_EQ(got.bytesSkipped, want.bytesSkipped);
-}
-
 /**
  * Asserts the walk reproduces the reference on `bytes`, whole and as
  * the slow path's anchored window (decodeRecentTips(…, 100)), with
- * the same modeled charge; and that the ring decode's suffix is that
- * window (or is declined).
+ * the same modeled charge.
  */
 void
 expectSameDecode(const isa::Program &program,
@@ -616,29 +516,6 @@ expectSameDecode(const isa::Program &program,
         EXPECT_DOUBLE_EQ(got_cost.decode, want_cost.decode);
         coverage.preAnchorOverflows += ovf_before;
         coverage.preLossOutcomes += keepsPreLossOutcomes(window);
-    }
-    {
-        SCOPED_TRACE("ring suffix");
-        decode::FastDecodeResult ring;
-        decode::decodeRingInto(ring, bytes);
-        expectSameRing(ring, decode::decodeRecentTips(bytes, bytes.size()));
-        const size_t first = decode::recentTipsStep(ring, bytes, 100);
-        if (first == SIZE_MAX) {
-            ++coverage.ringFallbacks;
-            return;
-        }
-        ++coverage.ringSuffixes;
-        const auto window = decode::decodeRecentTips(bytes, 100);
-        expectSameSuffix(ring, first, window);
-        cpu::CycleAccount got_cost;
-        cpu::CycleAccount want_cost;
-        FullDecodeResult got;
-        decode::decodeInstructionFlowInto(got, program, ring, first,
-                                          &got_cost);
-        const auto want =
-            decode::decodeInstructionFlow(program, window, &want_cost);
-        expectSameWalk(got, want);
-        EXPECT_DOUBLE_EQ(got_cost.decode, want_cost.decode);
     }
 }
 
@@ -740,7 +617,6 @@ TEST_P(FullDecodeOracle, PropertyTraceMatchesFlatteningDecoder)
     // work.
     const auto full =
         decode::decodeInstructionFlow(trace.app.program, trace.bytes);
-    EXPECT_EQ(coverage.ringSuffixes, 1u);
     ASSERT_TRUE(full.ok()) << full.error;
     EXPECT_GT(full.branches.size(), 100u);
 }
@@ -773,9 +649,6 @@ TEST(FullDecodeOracleFaults, EveryBufferFaultModeMatches)
     }
     // Resyncs after kept outcomes: the walk replays them first.
     EXPECT_GT(coverage.preLossOutcomes, 0u);
-    // No input here declines the ring's suffix.
-    EXPECT_EQ(coverage.ringFallbacks, 0u);
-    EXPECT_GT(coverage.ringSuffixes, 0u);
 }
 
 TEST(FullDecodeOracleRings, WrappedRingsMatch)
@@ -797,9 +670,6 @@ TEST(FullDecodeOracleRings, WrappedRingsMatch)
     }
     // A wrapped ring starts mid-packet: steps before its first PSB.
     EXPECT_GT(coverage.unsyncedSteps, 0u);
-    // No input here declines the ring's suffix.
-    EXPECT_EQ(coverage.ringFallbacks, 0u);
-    EXPECT_GT(coverage.ringSuffixes, 0u);
 }
 
 TEST(FullDecodeOracleRings, DelayedPmiEpisodesMatch)
@@ -822,9 +692,6 @@ TEST(FullDecodeOracleRings, DelayedPmiEpisodesMatch)
     // anchor there; outcomes before an OVF are kept for the walk.
     EXPECT_GT(coverage.preAnchorOverflows, 0u);
     EXPECT_GT(coverage.preLossOutcomes, 0u);
-    // No input here declines the ring's suffix.
-    EXPECT_EQ(coverage.ringFallbacks, 0u);
-    EXPECT_GT(coverage.ringSuffixes, 0u);
 }
 
 // --- the run walk's edges ---------------------------------------------------

@@ -6,26 +6,32 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "isa/insts.hh"
 
 namespace {
 
 using namespace flowguard::isa;
 
-/**
- * One opcode's Table 3 row. Only `cofi` has a predicate to check
- * (Instruction::isCofi); the other columns stay because gtest names
- * each instance by the bytes of its parameter, so they keep every
- * test ID stable.
- */
+/** One opcode and its Table 3 CoFI column (Instruction::isCofi). */
 struct OpcodeTraits
 {
     Opcode op;
     bool cofi;
-    bool indirect;      ///< indirect jmp/call and ret: TIP-producing
-    bool conditional;   ///< Jcc: TNT-producing
-    bool endsFlow;      ///< no fall-through (jmp/ret/halt)
 };
+
+/** Names the test after its opcode ("call*" becomes "call_ind").
+ *  Without it the test ID is a byte dump of the parameter, so any
+ *  change to the struct renames every instance. */
+void
+PrintTo(const OpcodeTraits &traits, std::ostream *os)
+{
+    const std::string name = opcodeName(traits.op);
+    *os << (name.back() == '*' ? name.substr(0, name.size() - 1) + "_ind"
+                               : name);
+}
 
 class OpcodeClassification
     : public ::testing::TestWithParam<OpcodeTraits>
@@ -49,23 +55,23 @@ TEST_P(OpcodeClassification, SizeIsPositiveAndSmall)
 INSTANTIATE_TEST_SUITE_P(
     AllOpcodes, OpcodeClassification,
     ::testing::Values(
-        OpcodeTraits{Opcode::Nop, false, false, false, false},
-        OpcodeTraits{Opcode::Alu, false, false, false, false},
-        OpcodeTraits{Opcode::AluImm, false, false, false, false},
-        OpcodeTraits{Opcode::MovImm, false, false, false, false},
-        OpcodeTraits{Opcode::MovReg, false, false, false, false},
-        OpcodeTraits{Opcode::Load, false, false, false, false},
-        OpcodeTraits{Opcode::Store, false, false, false, false},
-        OpcodeTraits{Opcode::Cmp, false, false, false, false},
-        OpcodeTraits{Opcode::CmpImm, false, false, false, false},
-        OpcodeTraits{Opcode::Jcc, true, false, true, false},
-        OpcodeTraits{Opcode::Jmp, true, false, false, true},
-        OpcodeTraits{Opcode::JmpInd, true, true, false, true},
-        OpcodeTraits{Opcode::Call, true, false, false, false},
-        OpcodeTraits{Opcode::CallInd, true, true, false, false},
-        OpcodeTraits{Opcode::Ret, true, true, false, true},
-        OpcodeTraits{Opcode::Syscall, true, false, false, false},
-        OpcodeTraits{Opcode::Halt, false, false, false, true}));
+        OpcodeTraits{Opcode::Nop, false},
+        OpcodeTraits{Opcode::Alu, false},
+        OpcodeTraits{Opcode::AluImm, false},
+        OpcodeTraits{Opcode::MovImm, false},
+        OpcodeTraits{Opcode::MovReg, false},
+        OpcodeTraits{Opcode::Load, false},
+        OpcodeTraits{Opcode::Store, false},
+        OpcodeTraits{Opcode::Cmp, false},
+        OpcodeTraits{Opcode::CmpImm, false},
+        OpcodeTraits{Opcode::Jcc, true},
+        OpcodeTraits{Opcode::Jmp, true},
+        OpcodeTraits{Opcode::JmpInd, true},
+        OpcodeTraits{Opcode::Call, true},
+        OpcodeTraits{Opcode::CallInd, true},
+        OpcodeTraits{Opcode::Ret, true},
+        OpcodeTraits{Opcode::Syscall, true},
+        OpcodeTraits{Opcode::Halt, false}));
 
 TEST(Insts, VariableSizesDiffer)
 {

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <vector>
 
 #include "analysis/cfg_builder.hh"
@@ -134,21 +135,65 @@ TEST(CachePolicy, TimedOutOrDeferredWindowNeverCaches)
     EXPECT_GT(fixture.itc.highCreditCount(), before);
 }
 
-TEST(CachePolicy, PendingStageSurvivesALaterConviction)
+TEST(CachePolicy, OnlyTheWalkedWindowEarnsCredit)
 {
-    // A stage stays as it was while a later slow check of another
-    // window runs and convicts: the caller's commit still applies the
-    // window it staged, not the one decoded since.
+    // The slow path walks the suffix from its ≥100-TIP anchor, so a
+    // pass vouches for that window alone: an edge the ring holds only
+    // before the anchor was never checked and must earn no credit,
+    // while every edge of the walked window earns it.
+    TraceFixture fixture({1 << 20}, /*pmi_latency=*/0, /*requests=*/30);
+    const auto edgesOf = [&](const decode::FastDecodeResult &flow) {
+        std::vector<int64_t> edges;
+        for (const auto &transition : decode::extractTipTransitions(flow)) {
+            const int64_t edge =
+                fixture.itc.findEdge(transition.from, transition.to);
+            if (transition.from != 0 && edge >= 0)
+                edges.push_back(edge);
+        }
+        std::ranges::sort(edges);
+        const auto [first, last] = std::ranges::unique(edges);
+        edges.erase(first, last);
+        return edges;
+    };
+    const auto window = decode::decodeRecentTips(fixture.packets, 100);
+    ASSERT_GT(window.startOffset, 0u);
+    const std::vector<int64_t> walked = edgesOf(window);
+    std::vector<int64_t> unwalked;
+    std::ranges::set_difference(
+        edgesOf(decode::decodePacketLayer(fixture.packets)), walked,
+        std::back_inserter(unwalked));
+    ASSERT_FALSE(walked.empty());
+    ASSERT_FALSE(unwalked.empty());
+
+    MonitorConfig config;
+    config.autoCommitCache = false;
+    Monitor monitor = fixture.makeMonitor(config);
+    ASSERT_EQ(monitor.slowPhase(fixture.packets, false),
+              CheckVerdict::Pass);
+    monitor.commitCache();
+    for (const int64_t edge : walked)
+        EXPECT_TRUE(fixture.itc.runtimeCredit(edge)) << "edge " << edge;
+    for (const int64_t edge : unwalked)
+        EXPECT_FALSE(fixture.itc.runtimeCredit(edge)) << "edge " << edge;
+}
+
+TEST(CachePolicy, ASlowCheckDropsAPendingStage)
+{
+    // A stage points into the slow path's decode of its window, so the
+    // next slow check drops it, whatever its verdict: callers commit
+    // or discard right after slowPhase, and a later commit learns
+    // nothing.
     TraceFixture fixture({1 << 20});
     MonitorConfig config;
     config.autoCommitCache = false;
     Monitor monitor = fixture.makeMonitor(config);
+    size_t commits = 0;
+    monitor.setCommitObserver(
+        [&](const Monitor::CreditDelta &) { ++commits; });
+    const size_t before = fixture.itc.highCreditCount();
     ASSERT_EQ(monitor.slowPhase(fixture.packets, false), CheckVerdict::Pass);
     ASSERT_TRUE(monitor.cachePending());
-    std::vector<decode::TipTransition> staged;
-    for (const auto &view : monitor.staged())
-        staged.push_back({view.from, view.to, {view.tnt.begin(), view.tnt.end()}});
-    ASSERT_GT(staged.size(), 10u);
+    ASSERT_GT(monitor.staged().size(), 10u);
 
     // A window that enters unmapped code and carries an outcome on.
     std::vector<uint8_t> wild;
@@ -158,14 +203,11 @@ TEST(CachePolicy, PendingStageSurvivesALaterConviction)
     trace::appendTnt(wild, 1, 1);
     EXPECT_EQ(monitor.slowPhase(wild, false), CheckVerdict::Violation);
 
-    EXPECT_TRUE(monitor.cachePending());
-    ASSERT_EQ(monitor.staged().size(), staged.size());
-    for (size_t i = 0; i < staged.size(); ++i) {
-        const auto &view = monitor.staged()[i];
-        EXPECT_EQ(view.from, staged[i].from);
-        EXPECT_EQ(view.to, staged[i].to);
-        EXPECT_TRUE(std::ranges::equal(view.tnt, staged[i].tnt));
-    }
+    EXPECT_FALSE(monitor.cachePending());
+    EXPECT_TRUE(monitor.staged().empty());
+    monitor.commitCache();
+    EXPECT_EQ(commits, 0u);
+    EXPECT_EQ(fixture.itc.highCreditCount(), before);
 }
 
 TEST(CachePolicy, LegacyAutoCommitStillCaches)

@@ -36,7 +36,7 @@ vulnSpec()
 
 TEST(PathIndex, ObserveAndCover)
 {
-    analysis::PathIndex index(3);
+    analysis::PathIndex index;
     index.observe({1, 2, 3, 4});
     EXPECT_EQ(index.size(), 2u);        // (1,2,3) and (2,3,4)
     EXPECT_TRUE(index.covers({1, 2, 3}));
@@ -51,16 +51,11 @@ TEST(PathIndex, MimicryReorderingRejected)
 {
     // Both edges (A,B) and (B,C) and (C,B), (B,A) trained, but the
     // n-gram (C,B,A) only appears if that ordering was observed.
-    analysis::PathIndex index(3);
+    analysis::PathIndex index;
     index.observe({10, 20, 30});
     EXPECT_FALSE(index.covers({30, 20, 10}));
     index.observe({30, 20, 10});
     EXPECT_TRUE(index.covers({30, 20, 10}));
-}
-
-TEST(PathIndex, RejectsTooShortLength)
-{
-    EXPECT_THROW(analysis::PathIndex(1), SimError);
 }
 
 TEST(PathIndex, PathSensitiveModeRaisesSlowRateButNoFalseKills)

@@ -2,9 +2,7 @@
  * @file
  * Unit tests for the slow-path checker: shadow-stack enforcement,
  * underflow fallback to call/return matching, TypeArmor forward
- * edges, indirect jump validation, decode-failure handling; and the
- * ring form (checkRing), which decodes the whole ring once and must
- * reach the window check's result on every window.
+ * edges, indirect jump validation and decode-failure handling.
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +15,6 @@
 #include "runtime/slow_path.hh"
 #include "trace/ipt.hh"
 #include "workloads/apps.hh"
-#include "../decode/storm_ring.hh"
 
 namespace {
 
@@ -277,109 +274,6 @@ TEST(SlowPath, EmptyWindowPasses)
     SlowPathChecker checker(cfg, ta);
     auto result = checker.check({});
     EXPECT_EQ(result.verdict, CheckVerdict::Pass);
-}
-
-/** The two check forms agree on `bytes`, modeled cycles included,
- *  and the ring form leaves the whole ring's decode behind. */
-void
-expectRingCheckMatches(const analysis::Cfg &cfg,
-                       const analysis::TypeArmorInfo &ta,
-                       const std::vector<uint8_t> &bytes)
-{
-    cpu::CycleAccount want_cost;
-    cpu::CycleAccount got_cost;
-    SlowPathChecker window_checker(cfg, ta, &want_cost);
-    SlowPathChecker ring_checker(cfg, ta, &got_cost);
-    const SlowPathResult want = window_checker.check(bytes);
-    decode::FastDecodeResult ring;
-    const SlowPathResult got = ring_checker.checkRing(bytes, ring);
-    EXPECT_EQ(got.verdict, want.verdict);
-    EXPECT_EQ(got.reason, want.reason);
-    EXPECT_EQ(got.branchesChecked, want.branchesChecked);
-    EXPECT_EQ(got.instructionsWalked, want.instructionsWalked);
-    EXPECT_EQ(got.violatingSource, want.violatingSource);
-    EXPECT_EQ(got.violatingTarget, want.violatingTarget);
-    EXPECT_DOUBLE_EQ(got_cost.decode, want_cost.decode);
-    EXPECT_DOUBLE_EQ(got_cost.check, want_cost.check);
-    EXPECT_EQ(ring.steps.size(),
-              decode::decodeRecentTips(bytes, bytes.size()).steps.size());
-}
-
-TEST(SlowPath, RingCheckMatchesWindowCheckOnWrappedRings)
-{
-    workloads::ServerSpec spec;
-    spec.name = "ring";
-    spec.seed = 5;
-    const auto app = workloads::buildServerApp(spec);
-    const analysis::TypeArmorInfo ta = analysis::analyzeTypeArmor(app.program);
-    const analysis::Cfg cfg = analysis::buildCfg(app.program, &ta);
-
-    // Rings of several sizes and PSB periods, sampled as they fill
-    // and wrap, so windows anchor at every depth of the ring.
-    size_t windows = 0;
-    for (uint32_t psb_period : {64u, 512u}) {
-        for (size_t ring : {size_t{1024}, size_t{8192}}) {
-            SCOPED_TRACE("psb period " + std::to_string(psb_period) +
-                         ", ring " + std::to_string(ring));
-            trace::Topa topa({ring / 2, ring - ring / 2});
-            trace::IptConfig config;
-            config.psbPeriodBytes = psb_period;
-            trace::IptEncoder encoder(config, topa);
-            test::RingSampler sampler(topa, 397);
-            cpu::Cpu cpu(app.program);
-            cpu::BasicKernel kernel;
-            kernel.setInput(workloads::makeBenignStream(
-                20, 9, spec.numHandlers, spec.numParserStates));
-            cpu.setSyscallHandler(&kernel);
-            cpu.addTraceSink(&encoder);
-            cpu.addTraceSink(&sampler);
-            cpu.run(5'000'000);
-            for (const auto &bytes : sampler.samples)
-                expectRingCheckMatches(cfg, ta, bytes);
-            windows += sampler.samples.size();
-        }
-    }
-    EXPECT_GT(windows, 20u);
-}
-
-TEST(SlowPath, RingCheckDeclinesAPsbOffItsSyncPoint)
-{
-    // A benign call and a hijacked one, each followed by a PSB pattern
-    // two bytes too long: the ring's PSBs are not the window search's
-    // sync points, so the ring form decodes the window on its own.
-    ModuleBuilder mod("m", ModuleKind::Executable);
-    mod.function("gadget", /*exported=*/false);
-    mod.halt();
-    mod.function("victim", /*exported=*/false);
-    mod.ret();
-    mod.function("main");
-    mod.call("victim");
-    mod.halt();
-    Program prog = Loader().addExecutable(mod.build()).link();
-    analysis::TypeArmorInfo ta = analysis::analyzeTypeArmor(prog);
-    analysis::Cfg cfg = analysis::buildCfg(prog, &ta);
-
-    const uint64_t main = prog.funcAddr("m", "main");
-    for (uint64_t target :
-         {main + instSize(Opcode::Call), prog.funcAddr("m", "gadget")}) {
-        SCOPED_TRACE("return to " + std::to_string(target));
-        std::vector<uint8_t> bytes;
-        uint64_t last_ip = 0;
-        trace::appendPsb(bytes);
-        trace::appendTipClass(bytes, trace::opcode::tip_pge, main,
-                              last_ip);
-        trace::appendTipClass(bytes, trace::opcode::tip, target, last_ip);
-        trace::appendPsb(bytes);
-        bytes.push_back(0x02);
-        bytes.push_back(0x82);
-        last_ip = 0;
-        trace::appendTipClass(bytes, trace::opcode::tip_pge, main,
-                              last_ip);
-        decode::FastDecodeResult ring;
-        decode::decodeRingInto(ring, bytes);
-        ASSERT_EQ(decode::recentTipsStep(ring, bytes, 100), SIZE_MAX);
-        expectRingCheckMatches(cfg, ta, bytes);
-    }
 }
 
 } // namespace

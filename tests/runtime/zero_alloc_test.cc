@@ -19,10 +19,10 @@
  * which is told apart by watching the log's capacity.
  *
  * A second test drives the same service with every check forced onto
- * the slow path: once the slow path's scratch (the ring's one decode,
- * the run walk's branches, the shadow stack) and the staged views have
- * grown, and the overlay holds every pair the load stages, an
- * escalation that passes allocates nothing, from the ring decode
+ * the slow path: once the slow path's scratch (the window's one
+ * decode, the run walk's branches, the shadow stack) and the staged
+ * views have grown, and the overlay holds every pair the load stages,
+ * an escalation that passes allocates nothing, from the window decode
  * through the walk, staging and the commit, and the synchronous
  * service copies no window.
  *

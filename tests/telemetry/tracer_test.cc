@@ -190,20 +190,21 @@ TEST(Tracer, CreditCommitCarriesTheCommitDelta)
 
 TEST(FlightRing, WrapsKeepingMostRecent)
 {
-    FlightRecorder ring(4);
-    for (uint64_t i = 1; i <= 10; ++i) {
+    FlightRecorder ring;
+    ASSERT_EQ(ring.capacity(), 64u);
+    for (uint64_t i = 1; i <= 70; ++i) {
         FlightEvent event;
         event.kind = EventKind::CreditCommit;
         event.a = i;
         ring.push(event);
     }
-    EXPECT_EQ(ring.size(), 4u);
-    EXPECT_EQ(ring.pushed(), 10u);
+    EXPECT_EQ(ring.size(), 64u);
+    EXPECT_EQ(ring.pushed(), 70u);
     EXPECT_EQ(ring.dropped(), 6u);
     const auto events = ring.snapshot();
-    ASSERT_EQ(events.size(), 4u);
+    ASSERT_EQ(events.size(), 64u);
     EXPECT_EQ(events.front().a, 7u);  // oldest survivor
-    EXPECT_EQ(events.back().a, 10u);  // newest
+    EXPECT_EQ(events.back().a, 70u);  // newest
 }
 
 TEST(Tracer, DumpRecorderReEmitsRingToSink)
