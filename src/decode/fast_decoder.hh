@@ -9,13 +9,16 @@
  * sync points, so decoding can start at any PSB and independent
  * segments can be processed in parallel.
  *
- * The runtime fast path decodes only the tail of the buffer: the PSB
- * search runs backward from the end, one segment at a time, and stops
- * once the suffix holds enough TIPs, so a check never touches the
- * bytes in front of its window. Conditional outcomes live in one bit
- * pool per result that steps and transitions slice into, and the
- * in-place forms (decodeRecentTipsInto, extractTransitionViews) reuse
- * a caller's scratch, so a repeated check allocates nothing.
+ * A window is anchored at a PSB: the PSB search runs backward from the
+ * end, one segment at a time, and stops once the suffix holds enough
+ * TIPs, so a decode never touches the bytes in front of its window.
+ * On a live ToPA stream the runtime fast path keeps that decode in a
+ * TraceCursor and parses only the bytes written since its last check;
+ * the anchored decode becomes the cursor's cold start. Conditional
+ * outcomes live in one bit pool per result that steps and transitions
+ * slice into, and the in-place forms (decodeRecentTipsInto,
+ * TraceCursor, extractTransitionViews) reuse their scratch, so a
+ * repeated check allocates nothing.
  *
  * The decoder never trusts its input: malformed bytes and hardware
  * OVF markers both trigger a resynchronization to the next validated
@@ -140,8 +143,8 @@ FastDecodeResult decodePacketLayer(std::span<const uint8_t> data,
 /**
  * Decodes only enough of the tail of the buffer to recover at least
  * `min_tips` TIP packets (not counting PGE/PGD/FUP), starting from the
- * latest possible PSB sync point. This is what the runtime fast path
- * uses: it never pays for the whole ToPA buffer.
+ * latest possible PSB sync point. This is the anchored decode every
+ * check's window comes from: it never pays for the whole ToPA buffer.
  *
  * The PSB search runs backward from the end of the buffer. Each
  * segment between two sync points is first only counted (its TIPs,
@@ -154,7 +157,12 @@ FastDecodeResult decodePacketLayer(std::span<const uint8_t> data,
  * The returned steps are chronological and cover the suffix of the
  * trace from the chosen sync point. If the buffer holds fewer TIPs,
  * everything available is returned. A buffer without any PSB is
- * decoded whole, from byte 0.
+ * decoded whole, from byte 0, when it starts its stream
+ * (`stream_offset` 0, what a bare buffer is taken to do); cut from
+ * further on, it yields no steps and one sync loss (a resync that
+ * skipped every byte), which the loss policy handles as it does an
+ * OVF: no PSB anchors its IPs, so any edge read from it would be
+ * fabricated.
  */
 FastDecodeResult decodeRecentTips(std::span<const uint8_t> data,
                                   size_t min_tips,
@@ -162,12 +170,142 @@ FastDecodeResult decodeRecentTips(std::span<const uint8_t> data,
                                   telemetry::Telemetry *telemetry = nullptr,
                                   uint64_t cr3 = 0);
 
-/** decodeRecentTips() into `out`, reusing its capacity. */
+/** decodeRecentTips() into `out`, reusing its capacity, for a buffer
+ *  that starts `stream_offset` bytes into its stream. */
 void decodeRecentTipsInto(FastDecodeResult &out,
                           std::span<const uint8_t> data, size_t min_tips,
                           cpu::CycleAccount *account = nullptr,
                           telemetry::Telemetry *telemetry = nullptr,
-                          uint64_t cr3 = 0);
+                          uint64_t cr3 = 0, uint64_t stream_offset = 0);
+
+namespace detail {
+
+/** Where an emit pass stopped: what a later pass over the same
+ *  stream needs to go on from there as if it had never stopped. */
+struct ParseState
+{
+    uint64_t lastIp = 0;
+    /** Pool offset where the outcomes since the last step (and its
+     *  last loss) start. */
+    size_t pending = 0;
+    bool lossPending = false;
+    bool synced = false;
+    /** Buffer offset of the first byte not parsed: the end, or the
+     *  start of a packet the buffer cuts. */
+    size_t stop = 0;
+};
+
+/** What a counting pass saw: TIPs, plus the step and outcome totals
+ *  an emit pass over the same bytes reserves room for. */
+struct Counts
+{
+    size_t tips = 0;
+    size_t steps = 0;
+    size_t bits = 0;
+};
+
+/** How far the anchored search walked back from a buffer's end. */
+struct AnchorSearch
+{
+    /** A search that has not left the end of a `size`-byte buffer. */
+    explicit AnchorSearch(size_t size) : limit(size), segEnd(size) {}
+
+    /** Where the walk over sync points goes on from. */
+    size_t limit;
+    /** End of the next segment to count. */
+    size_t segEnd;
+    /** The last sync point counted (SIZE_MAX: none yet). */
+    size_t anchor = SIZE_MAX;
+    Counts counts;
+    /** Bytes the counting read. */
+    uint64_t scanned = 0;
+};
+
+/** A PSB an emit pass crossed, and what the decode held there. */
+struct PsbRecord
+{
+    uint64_t offset = 0;        ///< stream offset of the PSB
+    size_t firstStep = 0;       ///< steps decoded before it
+    size_t bitsAt = 0;          ///< outcomes pooled before it
+    uint64_t overflowsAt = 0;   ///< OVF packets parsed before it
+    uint64_t packetsAt = 0;     ///< packets parsed before it
+    /** Trace was lost between it and the next step. */
+    bool lossAfter = false;
+};
+
+} // namespace detail
+
+/**
+ * A decode kept over one live trace stream, so that a check parses
+ * only the bytes written since the last one (§5.3: the fast path
+ * decodes only the tail of the ToPA buffer).
+ *
+ * It holds the steps and outcome pool from the current window's
+ * anchor up to the last whole packet in the stream, a record of each
+ * PSB in that span (its stream offset, and the step, outcome, OVF and
+ * packet counts at it), and the parser's last-IP, pending-outcome and
+ * loss state at that byte. A decode parses [cursor, end of view),
+ * then picks the anchor the anchored search would pick (the latest
+ * PSB still in the view whose suffix holds `min_tips` TIPs) from the
+ * records, trims the front to it, and re-slices the first step as a
+ * decode starting there would have it.
+ *
+ * The anchored decode is its cold start. It runs on the first decode;
+ * on a new stream identity (a new Topa, or one cleared since); when
+ * the anchor may lie further back than the records go (a wider
+ * window, or a whole-buffer one, `min_tips` SIZE_MAX, unless the first
+ * record is known to be the oldest sync point left in the view);
+ * when a wrap has overwritten the resume point; when the new bytes
+ * alone hold the window (its anchor is found among them by the same
+ * backward search, which the cold start then goes on with); and after
+ * bytes that would not parse. So the window equals
+ * decodeRecentTipsInto(·, view.bytes, min_tips, …, view.offset) in
+ * every field but bytesScanned, which counts the bytes this decode
+ * read, is what it is charged for, and is never more than the fresh
+ * decode's unless a wider window cold-starts after parsing. A view
+ * whose stream identity is 0 stands alone: it always cold-starts.
+ */
+class TraceCursor
+{
+  public:
+    /** The window of `view`, valid until the next decode. */
+    const FastDecodeResult &decode(const trace::StreamView &view,
+                                   size_t min_tips,
+                                   cpu::CycleAccount *account = nullptr,
+                                   telemetry::Telemetry *telemetry =
+                                       nullptr,
+                                   uint64_t cr3 = 0);
+
+  private:
+    /** The anchored decode, going on with `search`. */
+    void coldStart(const trace::StreamView &view, size_t min_tips,
+                   const detail::AnchorSearch &search);
+    /** Parses the new bytes and picks the window; false when only a
+     *  cold start can. `search` holds what of the anchored search it
+     *  did, and `parsed` what else it read. */
+    bool resume(const trace::StreamView &view, size_t min_tips,
+                uint64_t &parsed, detail::AnchorSearch &search);
+    bool selectWindow(const trace::StreamView &view, size_t min_tips);
+    /** Forgets what precedes the `index`th PSB record. */
+    void dropBefore(size_t index);
+
+    /** The decode from the first record's PSB; between decodes its
+     *  counters are the window's. */
+    FastDecodeResult _flow;
+    std::vector<detail::PsbRecord> _psbs;
+    detail::ParseState _state;
+    uint64_t _stream = 0;
+    /** Stream offset where parsing goes on. */
+    uint64_t _end = 0;
+    /** OVF packets and packets parsed since the first record. */
+    uint64_t _overflows = 0;
+    uint64_t _packets = 0;
+    /** False until a clean cold start: then a decode may go on. */
+    bool _live = false;
+    /** The first record is the oldest sync point its view holds: the
+     *  search that picked it ran out of older ones. */
+    bool _oldest = false;
+};
 
 /**
  * One ITC-CFG-level transition: consecutive TIP targets with the

@@ -12,15 +12,14 @@ FastPathChecker::FastPathChecker(const analysis::ItcCfg &itc,
 {}
 
 FastPathResult
-FastPathChecker::check(std::span<const uint8_t> packets,
+FastPathChecker::check(const trace::StreamView &window,
                        size_t pkt_count) const
 {
     telemetry::ScopedSpan span(_telemetry,
                                telemetry::SpanKind::FastCheck,
                                _telemetryCr3);
-    decode::FastDecodeResult &flow = _scratch.flow;
-    decode::decodeRecentTipsInto(flow, packets, pkt_count, _account,
-                                 _telemetry, _telemetryCr3);
+    const decode::FastDecodeResult &flow = _scratch.cursor.decode(
+        window, pkt_count, _account, _telemetry, _telemetryCr3);
     decode::extractTransitionViews(flow, _scratch.transitions);
     FastPathResult result = checkWindow(_scratch.transitions, pkt_count);
     result.overflows = flow.overflows;

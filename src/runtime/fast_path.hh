@@ -10,6 +10,15 @@
  * from the training data — makes the window suspicious and defers to
  * the slow path.
  *
+ * The decode is kept in a decode::TraceCursor over the process's live
+ * ToPA stream, so a check parses only the trace written since the
+ * last one and cold-starts the anchored decode only when it must (see
+ * TraceCursor). Only decoding is memoised: every check still matches
+ * all of its window's transitions against the graph as it is now, and
+ * its window is the one the anchored decode returns, so no verdict and
+ * no statistic depends on what the cursor kept. Only the modeled
+ * decode charge does: it counts the bytes each check parsed.
+ *
  * Window policy per §7.1.1: at least `pkt_count` (default 30) TIPs
  * are checked, the window must stride more than one module, and at
  * least one checked TIP must land in the executable — defeating
@@ -111,14 +120,22 @@ class FastPathChecker
                     const analysis::PathIndex *paths = nullptr);
 
     /**
-     * Checks a ToPA window: the live ring (Topa::view()) or an owned
-     * snapshot. The window holds at least `pkt_count` TIPs (SIZE_MAX:
-     * every TIP in the buffer). Decode and transition state live in
-     * the checker's scratch, so once its capacity has grown a check
-     * allocates nothing. Not reentrant.
+     * Checks a ToPA window: the live ring (Topa::streamView()) or,
+     * with stream identity 0, bytes that stand alone (an owned
+     * snapshot). The window holds at least `pkt_count` TIPs
+     * (SIZE_MAX: every TIP in the buffer). Decode and transition state
+     * live in the checker's scratch, so once its capacity has grown a
+     * check allocates nothing. Not reentrant.
      */
-    FastPathResult check(std::span<const uint8_t> packets,
+    FastPathResult check(const trace::StreamView &window,
                          size_t pkt_count) const;
+
+    /** check() of bytes that stand alone, always decoded afresh. */
+    FastPathResult
+    check(std::span<const uint8_t> packets, size_t pkt_count) const
+    {
+        return check(trace::StreamView{packets}, pkt_count);
+    }
 
     /** check() at the configured pkt_count. */
     FastPathResult
@@ -162,7 +179,7 @@ class FastPathChecker
     /** Per-check working state, reused across checks. */
     struct Scratch
     {
-        decode::FastDecodeResult flow;
+        decode::TraceCursor cursor;
         std::vector<decode::TransitionView> transitions;
         std::vector<uint64_t> targets;
     };

@@ -163,12 +163,12 @@ Monitor::violationReport(uint64_t cr3, uint64_t seq,
 }
 
 Monitor::FastPhaseOutcome
-Monitor::fastPhase(std::span<const uint8_t> packets, size_t pkt_count)
+Monitor::fastPhase(const trace::StreamView &window, size_t pkt_count)
 {
     const bool force_slow = _forceSlowNext;
     _forceSlowNext = false;
     ++_stats.checks;
-    _lastFast = _fast.check(packets, pkt_count);
+    _lastFast = _fast.check(window, pkt_count);
     _lastSource = VerdictSource::FastPath;
     _stats.tipsChecked += _lastFast.tipsChecked;
     _stats.edgesChecked += _lastFast.edgesChecked;

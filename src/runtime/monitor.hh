@@ -150,7 +150,8 @@ class Monitor
     /**
      * A check, split in two phases: the fast path always runs inline
      * (it is cheap and bounded) over a ToPA window — the live ring
-     * (Topa::view()) — while a slow-path escalation becomes
+     * (Topa::streamView(), whose decode the fast checker keeps across
+     * checks) — while a slow-path escalation becomes
      * schedulable work that a CheckScheduler can queue, deadline and
      * defer. A fast pass allocates nothing once the checker's scratch
      * has grown.
@@ -171,8 +172,15 @@ class Monitor
      * SIZE_MAX for everything in the buffer — the §5.2 PMI window,
      * which is about to be overwritten, and the code barrier.
      */
-    FastPhaseOutcome fastPhase(std::span<const uint8_t> packets,
+    FastPhaseOutcome fastPhase(const trace::StreamView &window,
                                size_t pkt_count);
+
+    /** fastPhase() of bytes that stand alone (stream identity 0). */
+    FastPhaseOutcome
+    fastPhase(std::span<const uint8_t> packets, size_t pkt_count)
+    {
+        return fastPhase(trace::StreamView{packets}, pkt_count);
+    }
 
     /**
      * Resolves a window fastPhase escalated. `loss` must be the flag

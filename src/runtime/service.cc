@@ -471,13 +471,14 @@ ProtectionService::onEndpoint(cpu::Cpu &cpu, int64_t syscall)
     }
 
     proc.encoder->flushTnt();
-    const std::span<const uint8_t> packets = proc.topa->view();
+    const trace::StreamView live = proc.topa->streamView();
     proc.lastCheckedWritten = written;
 
     // The fast phase always runs inline on the live ring: it is cheap
-    // and bounded. Only an escalation the scheduler queues is copied.
+    // and bounded, and it parses only what is new since the last
+    // check. Only an escalation the scheduler queues is copied.
     const Monitor::FastPhaseOutcome fast =
-        proc.monitor->fastPhase(packets, proc.monitor->pktCount() * batch);
+        proc.monitor->fastPhase(live, proc.monitor->pktCount() * batch);
     if (!fast.needSlow) {
         noteWindow(proc, fast.loss ? ProtectionWindowClass::Lossy
                                    : ProtectionWindowClass::Checked);
@@ -502,7 +503,7 @@ ProtectionService::onEndpoint(cpu::Cpu &cpu, int64_t syscall)
     request.loss = fast.loss;
     request.audit = proc.quarantined &&
         _config.quarantineAction == QuarantineAction::Audit;
-    request.packets = packets;
+    request.packets = live.bytes;
     const auto outcome = _scheduler.submit(std::move(request), now);
     return resolve(proc, syscall, outcome, fast.loss, now);
 }
@@ -836,12 +837,12 @@ ProtectionService::resyncCheck(uint64_t cr3)
 ProtectionService::SyncCheck
 ProtectionService::checkNow(ProcessRecord &proc, size_t pkt_count)
 {
-    const std::span<const uint8_t> packets = proc.topa->view();
+    const trace::StreamView live = proc.topa->streamView();
     const Monitor::FastPhaseOutcome fast =
-        proc.monitor->fastPhase(packets, pkt_count);
+        proc.monitor->fastPhase(live, pkt_count);
     SyncCheck check{fast.verdict, fast.loss};
     if (fast.needSlow)
-        check.verdict = proc.monitor->slowPhase(packets, fast.loss);
+        check.verdict = proc.monitor->slowPhase(live.bytes, fast.loss);
     return check;
 }
 

@@ -1,6 +1,7 @@
 #include "trace/ipt.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 
 #include "support/logging.hh"
@@ -10,6 +11,18 @@ namespace flowguard::trace {
 
 using cpu::BranchEvent;
 using cpu::BranchKind;
+
+namespace {
+
+/** A stream identity no Topa has used (0 is never handed out). */
+uint64_t
+newStream()
+{
+    static std::atomic<uint64_t> last{0};
+    return last.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
+} // namespace
 
 Topa::Topa(std::vector<size_t> region_sizes)
 {
@@ -22,6 +35,7 @@ Topa::Topa(std::vector<size_t> region_sizes)
     }
     _capacity = total;
     _storage.assign(total, 0);
+    _stream = newStream();
 }
 
 void
@@ -120,6 +134,7 @@ Topa::clear()
     _cursor = 0;
     _wrapped = false;
     _totalWritten = 0;
+    _stream = newStream();
     _overflowing = false;
     _ovfResyncPending = false;
     _latencyRemaining = 0;

@@ -83,6 +83,11 @@ class Topa
   public:
     explicit Topa(std::vector<size_t> region_sizes);
 
+    /** The encoder and the PMI callback hold its address, and a copy
+     *  would be a second stream under the same identity. */
+    Topa(const Topa &) = delete;
+    Topa &operator=(const Topa &) = delete;
+
     /** Appends bytes, spilling across regions and wrapping. */
     void write(const uint8_t *data, size_t len);
 
@@ -118,6 +123,18 @@ class Topa
     /** An owned copy of view(), for callers that keep the bytes. */
     std::vector<uint8_t> snapshot() const;
 
+    /**
+     * view() with its place in the stream: the offset of its oldest
+     * byte (totalWritten() minus its size) and the stream's identity,
+     * which is new at construction and at every clear(). A decode kept
+     * across checks reads only the bytes past where it stopped.
+     */
+    StreamView streamView() const
+    {
+        const std::span<const uint8_t> bytes = view();
+        return {bytes, _totalWritten - bytes.size(), _stream};
+    }
+
     /** Total bytes ever written (not capped by capacity). */
     uint64_t totalWritten() const { return _totalWritten; }
 
@@ -146,6 +163,7 @@ class Topa
         return pending;
     }
 
+    /** Empties the ring and starts a new stream (a new identity). */
     void clear();
 
   private:
@@ -161,6 +179,8 @@ class Topa
     size_t _cursor = 0;
     bool _wrapped = false;
     uint64_t _totalWritten = 0;
+    /** The stream's identity (StreamView::stream). */
+    uint64_t _stream = 0;
     std::function<void()> _pmi;
 
     size_t _pmiLatencyBytes = 0;

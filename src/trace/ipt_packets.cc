@@ -78,10 +78,10 @@ PacketParser::PacketParser(const std::vector<uint8_t> &data)
 {}
 
 void
-PacketParser::seek(uint64_t offset)
+PacketParser::seek(uint64_t offset, uint64_t last_ip)
 {
     _pos = offset;
-    _lastIp = 0;
+    _lastIp = last_ip;
     _bad = false;
     _truncated = false;
 }

@@ -35,6 +35,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -279,13 +280,17 @@ class PacketParser
     /** Current byte offset. */
     uint64_t offset() const { return _pos; }
 
+    /** The last-IP decompression state at offset(). */
+    uint64_t lastIp() const { return _lastIp; }
+
     /**
-     * Repositions to `offset`, which must be a PSB boundary for the
-     * last-IP state to be correct (used for parallel decode from sync
-     * points and for resynchronization after malformed bytes). Clears
-     * the bad() flag.
+     * Repositions to `offset` with last-IP state `last_ip`: 0 at a PSB
+     * boundary (parallel decode from sync points, resynchronization
+     * after malformed bytes), or what lastIp() read at that offset
+     * when a decode goes on where an earlier one stopped. Clears the
+     * bad() and truncated() flags.
      */
-    void seek(uint64_t offset);
+    void seek(uint64_t offset, uint64_t last_ip = 0);
 
   private:
     const uint8_t *_data;
@@ -414,6 +419,19 @@ PacketParser::next(Packet &out)
     _pos += out.size;
     return true;
 }
+
+/**
+ * A window of a packet stream: its bytes, the stream offset of the
+ * first one, and which stream it was cut from. Stream identities are
+ * never reused, so two windows with the same identity agree on every
+ * offset both hold. Identity 0 names no stream: the bytes stand alone.
+ */
+struct StreamView
+{
+    std::span<const uint8_t> bytes;
+    uint64_t offset = 0;
+    uint64_t stream = 0;
+};
 
 /**
  * Scans the buffer for PSB boundaries (for parallel fast decode and

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "core/flowguard.hh"
 #include "workloads/apps.hh"
 
@@ -24,6 +26,15 @@ struct SweepParam
     size_t fillers;
     size_t slots;
 };
+
+/** Names each instance after its parameters ("seed101_h2_s2_f8_t3");
+ *  without it the test ID is a byte dump of the struct. */
+void
+PrintTo(const SweepParam &p, std::ostream *os)
+{
+    *os << "seed" << p.seed << "_h" << p.handlers << "_s" << p.states
+        << "_f" << p.fillers << "_t" << p.slots;
+}
 
 class NoFalsePositiveSweep
     : public ::testing::TestWithParam<SweepParam>

@@ -358,11 +358,11 @@ TEST_P(FastDecodeGroundTruth, TipTargetsMatchRetiredIndirectBranches)
     spec.workPerRequest = 40;
     const auto app = workloads::buildServerApp(spec);
 
-    for (uint64_t psb_period : {32, 96, 256}) {
+    // 1024 exceeds the small ring: once it wraps, it may hold no PSB.
+    for (uint64_t psb_period : {32, 96, 256, 1024}) {
         SCOPED_TRACE("psb period " + std::to_string(psb_period));
         // A ring big enough for the whole run, and one that wraps many
-        // times (without loss: the PMI is serviced instantly) but
-        // still holds PSBs to sync at.
+        // times (without loss: the PMI is serviced instantly).
         for (size_t ring : {size_t{1} << 22, size_t{512}}) {
             SCOPED_TRACE("ring " + std::to_string(ring));
             Recorder recorder;
@@ -385,11 +385,32 @@ TEST_P(FastDecodeGroundTruth, TipTargetsMatchRetiredIndirectBranches)
 
             const auto retired = retiredTipTargets(recorder.events);
             const auto packets = topa.snapshot();
+            // Where the ring's oldest byte sits in the stream.
+            const uint64_t offset = topa.totalWritten() - packets.size();
+            const auto recent_tips = [&](size_t min_tips) {
+                FastDecodeResult result;
+                decodeRecentTipsInto(result, packets, min_tips, nullptr,
+                                     nullptr, 0, offset);
+                return result;
+            };
             // Everything from the oldest PSB in the ring: the whole
             // run when nothing wrapped, otherwise its newest part.
-            const auto synced = decodeRecentTips(packets, SIZE_MAX);
-            EXPECT_FALSE(synced.lossDetected());
+            const auto synced = recent_tips(SIZE_MAX);
             const auto decoded = decodedTipTargets(synced);
+            if (trace::findPsbOffsets(packets.data(), packets.size())
+                    .empty()) {
+                // Cut mid-stream with no PSB to anchor at: nothing is
+                // decoded, and the window reports a sync loss instead
+                // of edges read from unanchored IPs.
+                ASSERT_TRUE(wraps);
+                EXPECT_TRUE(synced.steps.empty());
+                EXPECT_TRUE(synced.lossDetected());
+                EXPECT_EQ(synced.resyncs, 1u);
+                EXPECT_EQ(synced.bytesSkipped, packets.size());
+                EXPECT_TRUE(recent_tips(30).steps.empty());
+                continue;
+            }
+            EXPECT_FALSE(synced.lossDetected());
             if (!wraps) {
                 EXPECT_EQ(decoded, retired);
                 EXPECT_EQ(decodedTipTargets(decodePacketLayer(packets)),
@@ -401,8 +422,7 @@ TEST_P(FastDecodeGroundTruth, TipTargetsMatchRetiredIndirectBranches)
 
             // The hot path decodes only the newest TIPs it needs.
             for (size_t min_tips : {1, 30, 400}) {
-                const auto recent = decodedTipTargets(
-                    decodeRecentTips(packets, min_tips));
+                const auto recent = decodedTipTargets(recent_tips(min_tips));
                 EXPECT_GE(recent.size(),
                           std::min(min_tips, decoded.size()))
                     << "min_tips " << min_tips;

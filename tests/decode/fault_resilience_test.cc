@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "cpu/cpu.hh"
 #include "decode/fast_decoder.hh"
 #include "decode/full_decoder.hh"
@@ -18,6 +20,20 @@
 #include "support/logging.hh"
 #include "trace/faults.hh"
 #include "trace/ipt.hh"
+
+namespace flowguard::trace {
+
+/** Names each instance after its mode ("corrupt-bytes" becomes
+ *  "corrupt_bytes"); without it the test ID is a byte dump of the
+ *  enum, which renumbering the modes would rename. */
+void
+PrintTo(FaultMode mode, std::ostream *os)
+{
+    for (const char *c = faultModeName(mode); *c; ++c)
+        *os << (*c == '-' ? '_' : *c);
+}
+
+} // namespace flowguard::trace
 
 namespace {
 
@@ -143,16 +159,7 @@ INSTANTIATE_TEST_SUITE_P(Modes, FaultResilience,
                          ::testing::Values(FaultMode::CorruptBytes,
                                            FaultMode::FlipBits,
                                            FaultMode::TruncateTail,
-                                           FaultMode::DropRegion),
-                         [](const auto &info) {
-                             // gtest names allow [A-Za-z0-9_] only.
-                             std::string name =
-                                 faultModeName(info.param);
-                             for (char &c : name)
-                                 if (c == '-')
-                                     c = '_';
-                             return name;
-                         });
+                                           FaultMode::DropRegion));
 
 TEST(FaultResilience, CleanBaselineDecodesWithoutLoss)
 {

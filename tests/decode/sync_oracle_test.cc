@@ -11,7 +11,13 @@
  * produce the same steps, outcomes, loss counters and bytesScanned
  * (so the same modeled decode charge) on every input.
  *
- * The same suite checks that Topa::view(), the in-place window the
+ * The same suite holds the fast path's TraceCursor to that decode:
+ * on the storm server's live rings, through wraps, overflow episodes,
+ * PMI checks that cut a packet, clears and a switch of rings, and
+ * windows that widen and narrow, each window the cursor returns must
+ * equal a fresh decodeRecentTipsInto of the same view.
+ *
+ * It also checks that Topa::view(), the in-place window the
  * synchronous checks read, always equals snapshot(), which is
  * assembled from the ring's primary half without the mirror.
  */
@@ -19,6 +25,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <string>
 
 #include "cpu/basic_kernel.hh"
@@ -152,6 +159,7 @@ decodeRecentTips(const std::vector<uint8_t> &bytes, size_t min_tips)
     const uint8_t *data = bytes.data();
     const size_t size = bytes.size();
     std::vector<uint64_t> syncs = trace::findPsbOffsets(data, size);
+    // A bare buffer is taken to start its stream.
     if (syncs.empty())
         return decodeFrom(data, size, 0);
 
@@ -464,6 +472,340 @@ TEST(SyncOracle, WrappedRingsMatchForwardScan)
                  sampleRing(ring, psb_period, 60, 1013))
                 expectSameDecodeSweep(bytes);
         }
+    }
+}
+
+// --- the cursor --------------------------------------------------------
+
+/**
+ * Asserts the cursor's window of `view` equals a fresh anchored decode
+ * of it, and that it is charged for what it read. Returns true when it
+ * read less than the fresh decode.
+ */
+bool
+expectCursorMatchesFresh(TraceCursor &cursor, const trace::StreamView &view,
+                         size_t min_tips)
+{
+    SCOPED_TRACE("min_tips " + std::to_string(min_tips) + ", view [" +
+                 std::to_string(view.offset) + ", +" +
+                 std::to_string(view.bytes.size()) + ")");
+    FastDecodeResult fresh;
+    decodeRecentTipsInto(fresh, view.bytes, min_tips, nullptr, nullptr, 0,
+                         view.offset);
+    cpu::CycleAccount account;
+    const FastDecodeResult &got = cursor.decode(view, min_tips, &account);
+
+    EXPECT_DOUBLE_EQ(account.decode,
+                     static_cast<double>(got.bytesScanned) *
+                         cpu::cost::sw_packet_decode_per_byte);
+    EXPECT_EQ(got.startOffset, fresh.startOffset);
+    EXPECT_EQ(got.overflows, fresh.overflows);
+    EXPECT_EQ(got.resyncs, fresh.resyncs);
+    EXPECT_EQ(got.bytesSkipped, fresh.bytesSkipped);
+    EXPECT_EQ(got.malformed, fresh.malformed);
+    EXPECT_EQ(got.unsyncedSteps, fresh.unsyncedSteps);
+    EXPECT_EQ(got.packetCount, fresh.packetCount);
+    EXPECT_EQ(got.lossAtEnd, fresh.lossAtEnd);
+    EXPECT_EQ(bitsOf(got.trailingTnt()), bitsOf(fresh.trailingTnt()));
+    EXPECT_EQ(got.steps.size(), fresh.steps.size());
+    const size_t steps = std::min(got.steps.size(), fresh.steps.size());
+    for (size_t i = 0; i < steps; ++i) {
+        const FlowStep &step = got.steps[i];
+        const FlowStep &want = fresh.steps[i];
+        if (step.kind == want.kind &&
+            step.ipSuppressed == want.ipSuppressed && step.ip == want.ip &&
+            bitsOf(got.tntBefore(step)) == bitsOf(fresh.tntBefore(want)) &&
+            step.lossBefore == want.lossBefore)
+            continue;
+        ADD_FAILURE() << "step " << i << " of " << steps << " differs";
+        break;
+    }
+
+    std::vector<TransitionView> got_views, want_views;
+    extractTransitionViews(got, got_views);
+    extractTransitionViews(fresh, want_views);
+    EXPECT_EQ(got_views.size(), want_views.size());
+    for (size_t i = 0; i < std::min(got_views.size(), want_views.size());
+         ++i) {
+        if (got_views[i].from == want_views[i].from &&
+            got_views[i].to == want_views[i].to &&
+            bitsOf(got_views[i].tnt) == bitsOf(want_views[i].tnt))
+            continue;
+        ADD_FAILURE() << "transition " << i << " differs";
+        break;
+    }
+    return got.bytesScanned < fresh.bytesScanned;
+}
+
+/** What one run of the cursor oracle exercised. */
+struct CursorTally
+{
+    size_t checks = 0;
+    /** Checks that read less than the fresh decode. */
+    size_t cheaper = 0;
+    /** Windows whose fresh decode saw an OVF. */
+    size_t overflowWindows = 0;
+    /** Windows whose view ended inside a packet. */
+    size_t cutWindows = 0;
+    /** Windows of a view with no PSB, cut mid-stream. */
+    size_t unsyncedWindows = 0;
+    size_t pmiChecks = 0;
+};
+
+/** How the storm server's trace reaches the cursor. */
+struct CursorRun
+{
+    size_t ring = 16384;
+    uint32_t psbPeriod = 1024;
+    /** PMI service latency in bytes (DelayedPmi); 0 is instant. */
+    size_t pmiLatency = 0;
+    /** Also check at every PMI, alternating pkt_count 30 and the
+     *  whole ring. */
+    bool checkAtPmi = false;
+    /** Clear the ring and restart the stream every so many samples. */
+    size_t clearEvery = 0;
+    /** Check a second ring, fed by its own encoder with a different
+     *  PSB period, every other run of 50 samples. */
+    bool secondRing = false;
+    size_t requests = 1500;
+    /** Retired branches between samples. */
+    size_t every = 29;
+};
+
+/** pkt_count at the `sample`th check: mostly 30, then 120, 30, the
+ *  whole ring and 30 again, over and over. */
+size_t
+pktCountAt(size_t sample)
+{
+    switch (sample % 40) {
+      case 13: return 120;
+      case 27: return SIZE_MAX;
+      default: return 30;
+    }
+}
+
+/** True when `view`, decoded from the fresh window's anchor, ends
+ *  inside a packet. */
+bool
+endsInsidePacket(const trace::StreamView &view, const FastDecodeResult &fresh)
+{
+    if (fresh.steps.empty() && fresh.startOffset == 0)
+        return false;
+    PacketParser parser(view.bytes.data(), view.bytes.size());
+    parser.seek(fresh.startOffset);
+    Packet pkt;
+    while (parser.next(pkt)) {
+    }
+    return parser.truncated();
+}
+
+CursorTally
+runCursorOracle(const CursorRun &run)
+{
+    const auto spec = stormSpec();
+    const auto app = workloads::buildServerApp(spec);
+    const auto regions = std::vector<size_t>{run.ring / 2,
+                                             run.ring - run.ring / 2};
+    trace::Topa topa(regions);
+    trace::Topa second(regions);
+    trace::IptConfig config;
+    config.psbPeriodBytes = run.psbPeriod;
+    trace::IptEncoder encoder(config, topa);
+    trace::IptConfig second_config;
+    second_config.psbPeriodBytes = run.psbPeriod / 2 + 48;
+    trace::IptEncoder second_encoder(second_config, second);
+    trace::FaultInjector faults(5);
+    if (run.pmiLatency > 0)
+        faults.delayPmi(topa, run.pmiLatency);
+
+    TraceCursor cursor;
+    CursorTally tally;
+    const auto check = [&](const trace::Topa &ring, size_t min_tips) {
+        const trace::StreamView view = ring.streamView();
+        FastDecodeResult fresh;
+        decodeRecentTipsInto(fresh, view.bytes, min_tips, nullptr,
+                             nullptr, 0, view.offset);
+        ++tally.checks;
+        tally.overflowWindows += fresh.overflows > 0 ? 1 : 0;
+        tally.cutWindows += endsInsidePacket(view, fresh) ? 1 : 0;
+        tally.unsyncedWindows +=
+            fresh.resyncs > 0 && fresh.bytesSkipped == view.bytes.size()
+                ? 1 : 0;
+        tally.cheaper +=
+            expectCursorMatchesFresh(cursor, view, min_tips) ? 1 : 0;
+    };
+    if (run.checkAtPmi) {
+        topa.setPmiCallback([&] {
+            check(topa, tally.pmiChecks++ % 2 == 0 ? 30 : SIZE_MAX);
+        });
+    }
+
+    struct Sampler : cpu::TraceSink
+    {
+        std::function<void()> sample;
+        size_t every = 1;
+        size_t seen = 0;
+
+        void
+        onBranch(const cpu::BranchEvent &) override
+        {
+            if (++seen % every == 0)
+                sample();
+        }
+    } sampler;
+    sampler.every = run.every;
+    size_t samples = 0;
+    sampler.sample = [&] {
+        ++samples;
+        // An endpoint flushes the pending outcomes first; a PMI does
+        // not.
+        if (samples % 3 != 0)
+            encoder.flushTnt();
+        const size_t min_tips = pktCountAt(samples);
+        if (run.secondRing && samples / 50 % 2 == 1) {
+            second_encoder.flushTnt();
+            check(second, min_tips);
+        } else {
+            check(topa, min_tips);
+        }
+        if (run.clearEvery > 0 && samples % run.clearEvery == 0) {
+            topa.clear();
+            encoder.restartStream();
+        }
+    };
+
+    cpu::Cpu cpu(app.program);
+    cpu::BasicKernel kernel;
+    kernel.setInput(workloads::makeBenignStream(
+        run.requests, 7, spec.numHandlers, spec.numParserStates));
+    cpu.setSyscallHandler(&kernel);
+    cpu.addTraceSink(&encoder);
+    if (run.secondRing)
+        cpu.addTraceSink(&second_encoder);
+    cpu.addTraceSink(&sampler);
+    EXPECT_EQ(cpu.run(5'000'000), cpu::Cpu::Stop::Halted);
+    if (run.clearEvery == 0) {
+        EXPECT_TRUE(topa.wrapped());
+    }
+    return tally;
+}
+
+TEST(CursorOracle, StormRingWindowsMatchFreshDecode)
+{
+    // perfbench's ring: 16 KiB, a PSB every KiB, wrapped several times.
+    const CursorTally tally = runCursorOracle({});
+    EXPECT_GT(tally.checks, 1000u);
+    // Most checks read only what is new.
+    EXPECT_GT(tally.cheaper, tally.checks * 3 / 4);
+}
+
+TEST(CursorOracle, OverflowEpisodesMatchFreshDecode)
+{
+    // DelayedPmi: each wrap drops trace, then OVF + PSB, so windows
+    // anchor right after an OVF; the PMI checks run at the end of
+    // each episode.
+    CursorRun run;
+    run.ring = 4096;
+    run.pmiLatency = 700;
+    run.checkAtPmi = true;
+    const CursorTally tally = runCursorOracle(run);
+    EXPECT_GT(tally.pmiChecks, 5u);
+    EXPECT_GT(tally.overflowWindows, 50u);
+    EXPECT_GT(tally.cheaper, tally.checks / 2);
+}
+
+TEST(CursorOracle, PmiChecksInsideWrapsMatchFreshDecode)
+{
+    // An instant PMI runs inside the write that wraps the ring, so its
+    // view ends inside the packet being written.
+    CursorRun run;
+    run.ring = 4096;
+    run.checkAtPmi = true;
+    run.every = 53;
+    const CursorTally tally = runCursorOracle(run);
+    EXPECT_GT(tally.pmiChecks, 5u);
+    EXPECT_GT(tally.cutWindows, 0u);
+    EXPECT_GT(tally.cheaper, tally.checks / 2);
+}
+
+TEST(CursorOracle, ClearsAndASecondRingMatchFreshDecode)
+{
+    // Each clear starts a new stream whose offsets restart at 0, and
+    // the two rings hold different bytes at the same offsets: only the
+    // stream identity tells the cursor it cannot go on.
+    CursorRun run;
+    run.clearEvery = 97;
+    run.secondRing = true;
+    const CursorTally tally = runCursorOracle(run);
+    EXPECT_GT(tally.checks, 1000u);
+    EXPECT_GT(tally.cheaper, tally.checks / 2);
+}
+
+TEST(CursorOracle, RingsWithoutPsbMatchFreshDecode)
+{
+    // A PSB period longer than the ring: after a wrap, some views hold
+    // no PSB and report a sync loss.
+    CursorRun run;
+    run.ring = 1024;
+    run.psbPeriod = 2048;
+    run.every = 11;
+    run.requests = 200;
+    const CursorTally tally = runCursorOracle(run);
+    EXPECT_GT(tally.unsyncedWindows, 0u);
+    EXPECT_GT(tally.cheaper, 0u);
+}
+
+/**
+ * A stream whose packet layout does not depend on `seed`: PSB + PSBEND
+ * every 16 TIPs, and before each TIP one 6-outcome TNT. The TIPs
+ * alternate between two 64 KiB pages, so each carries a 4-byte IP.
+ * Streams of two seeds thus differ in every outcome and IP while their
+ * packets start at the same offsets.
+ */
+std::vector<uint8_t>
+alignedStream(uint64_t seed, size_t tips)
+{
+    Rng rng(seed);
+    std::vector<uint8_t> out;
+    uint64_t last_ip = 0;
+    for (size_t i = 0; i < tips; ++i) {
+        if (i % 16 == 0) {
+            trace::appendPsb(out);
+            trace::appendPsbEnd(out);
+            last_ip = 0;
+        }
+        trace::appendTnt(out, static_cast<uint8_t>(rng.next()), 6);
+        const uint64_t ip =
+            0x400000 + ((i % 2) << 16) + rng.below(0x10000);
+        trace::appendTipClass(out, trace::opcode::tip, ip, last_ip);
+    }
+    return out;
+}
+
+TEST(CursorOracle, AClearedOrSecondRingIsANewStream)
+{
+    // The second view holds other bytes at the offsets the cursor
+    // stopped at, on a packet boundary: only the stream identity says
+    // the records do not describe it.
+    const auto first = alignedStream(1, 200);
+    const auto other = alignedStream(2, 200);
+    ASSERT_EQ(first.size(), other.size());
+    const size_t cut = alignedStream(1, 100).size();
+    for (bool clear : {true, false}) {
+        SCOPED_TRACE(clear ? "cleared ring" : "second ring");
+        trace::Topa ring({8192});
+        trace::Topa second({8192});
+        TraceCursor cursor;
+        ring.write(first.data(), cut);
+        expectCursorMatchesFresh(cursor, ring.streamView(), 30);
+        if (clear)
+            ring.clear();
+        trace::Topa &next = clear ? ring : second;
+        next.write(other.data(), cut + 60);
+        expectCursorMatchesFresh(cursor, next.streamView(), 30);
+        // The same stream goes on from where it stopped.
+        next.write(other.data() + cut + 60, 60);
+        EXPECT_TRUE(expectCursorMatchesFresh(cursor, next.streamView(), 30));
     }
 }
 

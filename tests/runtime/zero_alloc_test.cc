@@ -16,7 +16,12 @@
  * windows are the same sizes, must then allocate nothing on any
  * check. The one allocation a check may still make is the verdict
  * log's amortized growth (one byte per check, capacity doubling),
- * which is told apart by watching the log's capacity.
+ * which is told apart by watching the log's capacity. The same pass
+ * counts what the fast path's decode cursor saves: a check parses no
+ * more than the trace written since the previous one, plus one packet
+ * that check's view may have cut, and now and then the newest PSB
+ * segment once more, except the one check that must cold-start an
+ * anchored decode.
  *
  * A second test drives the same service with every check forced onto
  * the slow path: once the slow path's scratch (the window's one
@@ -89,6 +94,10 @@ struct EndpointCheck
     bool logGrew = false;
     /** The ring had wrapped: the view spanned its mirror. */
     bool wrapped = false;
+    /** Modeled decode cycles the check was charged. */
+    double decodeCycles = 0.0;
+    /** Trace bytes written since the previous check. */
+    uint64_t written = 0;
 };
 
 /** Runs the service's endpoint check at every endpoint syscall,
@@ -99,8 +108,10 @@ class CountingKernel : public cpu::BasicKernel
   public:
     CountingKernel(runtime::ProtectionService &service,
                    const runtime::Monitor &monitor,
-                   const trace::Topa &topa)
+                   const trace::Topa &topa,
+                   const cpu::CycleAccount &account)
         : _service(service), _monitor(monitor), _topa(topa),
+          _account(account),
           _endpoints(runtime::FlowGuardKernel::defaultEndpoints())
     {}
 
@@ -114,9 +125,13 @@ class CountingKernel : public cpu::BasicKernel
             check.wrapped = _topa.wrapped();
             const size_t log_capacity =
                 _monitor.verdictLog().capacity();
+            const double decode_before = _account.decode;
             const uint64_t before = heap_allocations.load();
             check.kill = _service.onEndpoint(cpu, number).kill;
             check.allocations = heap_allocations.load() - before;
+            check.decodeCycles = _account.decode - decode_before;
+            check.written = _topa.totalWritten() - _writtenBefore;
+            _writtenBefore = _topa.totalWritten();
             check.logGrew =
                 _monitor.verdictLog().capacity() != log_capacity;
             checks.push_back(check);
@@ -132,6 +147,8 @@ class CountingKernel : public cpu::BasicKernel
     runtime::ProtectionService &_service;
     const runtime::Monitor &_monitor;
     const trace::Topa &_topa;
+    const cpu::CycleAccount &_account;
+    uint64_t _writtenBefore = 0;
     std::set<int64_t> _endpoints;
 };
 
@@ -187,7 +204,7 @@ TEST(ZeroAllocation, PassingChecksOnLiveViewsAllocateNothing)
         service.addProcess(app.program.cr3(), monitor, encoder, topa,
                            cpu, &cycles);
         EXPECT_EQ(service.attachAll().attached, 1u);
-        CountingKernel kernel(service, monitor, topa);
+        CountingKernel kernel(service, monitor, topa, cycles);
         kernel.setInput(load);
         cpu.setSyscallHandler(&kernel);
         EXPECT_EQ(cpu.run(50'000'000), cpu::Cpu::Stop::Halted);
@@ -201,6 +218,9 @@ TEST(ZeroAllocation, PassingChecksOnLiveViewsAllocateNothing)
 
     size_t on_wrapped_ring = 0;
     size_t log_growths = 0;
+    size_t cold_starts = 0;
+    size_t counted_segments = 0;
+    double decode_cycles = 0.0;
     for (size_t i = 0; i < measured.size(); ++i) {
         SCOPED_TRACE("check " + std::to_string(i));
         const EndpointCheck &check = measured[i];
@@ -208,7 +228,29 @@ TEST(ZeroAllocation, PassingChecksOnLiveViewsAllocateNothing)
         EXPECT_EQ(check.allocations, check.logGrew ? 1u : 0u);
         on_wrapped_ring += check.wrapped ? 1 : 0;
         log_growths += check.logGrew ? 1 : 0;
+        // What is new since the previous check, and at most one packet
+        // whose tail that check's view had not yet held. A check whose
+        // new bytes hold a PSB in their newer half also counts that
+        // PSB's segment once, to rule out a window lying wholly among
+        // them; anything beyond is a cold start.
+        const auto cycles_for = [](double bytes) {
+            return bytes * cpu::cost::sw_packet_decode_per_byte;
+        };
+        const double written = static_cast<double>(check.written);
+        const double packet = trace::detail::psb_len;
+        if (check.decodeCycles > cycles_for(written + packet))
+            ++counted_segments;
+        if (check.decodeCycles > cycles_for(1.5 * written + packet))
+            ++cold_starts;
+        decode_cycles += check.decodeCycles;
     }
+    // Only the first check on the new ring cold-starts: its stream is
+    // not the one the cursor decoded in the sizing pass. A PSB every
+    // KiB, ~150 bytes of trace per check: a segment is counted on
+    // about one check in eight.
+    EXPECT_LE(cold_starts, 1u);
+    EXPECT_LE(counted_segments, measured.size() / 4);
+    EXPECT_GT(decode_cycles, 0.0);
     // Every check resolved on the fast path, most of them on a ring
     // that had wrapped, so their view spanned the mirror.
     EXPECT_EQ(monitor.stats().escalations, 0u);
@@ -258,7 +300,7 @@ TEST(ZeroAllocation, PassingSlowCheckAllocatesNothing)
         service.addProcess(app.program.cr3(), monitor, encoder, topa,
                            cpu, &cycles);
         EXPECT_EQ(service.attachAll().attached, 1u);
-        CountingKernel kernel(service, monitor, topa);
+        CountingKernel kernel(service, monitor, topa, cycles);
         kernel.escalate = &monitor;
         kernel.setInput(load);
         cpu.setSyscallHandler(&kernel);
