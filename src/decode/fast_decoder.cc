@@ -498,6 +498,7 @@ TraceCursor::coldStart(const trace::StreamView &view, size_t min_tips,
                        const AnchorSearch &search)
 {
     _psbs.clear();
+    _origin = {_origin.coldStart + 1, 0, 0};
     // Bytes that stand alone are never resumed: keep no records.
     PsbLog log{_psbs, view.offset};
     const size_t anchor = decodeAnchored(
@@ -652,6 +653,8 @@ TraceCursor::dropBefore(size_t index)
     }
     _overflows -= anchor.overflowsAt;
     _packets -= anchor.packetsAt;
+    _origin.steps += first;
+    _origin.bits += bit;
 }
 
 void

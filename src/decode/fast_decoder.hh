@@ -276,6 +276,29 @@ class TraceCursor
                                        nullptr,
                                    uint64_t cr3 = 0);
 
+    /** The window the last decode returned. */
+    const FastDecodeResult &window() const { return _flow; }
+
+    /** The PSBs from the window's anchor (the first) to the end of the
+     *  decode; none for bytes that stand alone. */
+    std::span<const detail::PsbRecord> records() const { return _psbs; }
+
+    /**
+     * Where the window sits in the decode kept since the last cold
+     * start: which cold start that was (new at every one), and how
+     * many steps and outcomes have been dropped from the front since.
+     * A walk of an earlier window of the same cold start finds its
+     * steps and outcomes that many places further down.
+     */
+    struct Origin
+    {
+        uint64_t coldStart = 0;
+        uint64_t steps = 0;
+        uint64_t bits = 0;
+    };
+
+    const Origin &origin() const { return _origin; }
+
   private:
     /** The anchored decode, going on with `search`. */
     void coldStart(const trace::StreamView &view, size_t min_tips,
@@ -305,6 +328,7 @@ class TraceCursor
     /** The first record is the oldest sync point its view holds: the
      *  search that picked it ran out of older ones. */
     bool _oldest = false;
+    Origin _origin;
 };
 
 /**

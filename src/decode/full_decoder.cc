@@ -23,13 +23,35 @@ class StepCursor
   public:
     enum class At : uint8_t { Bit, Loss, Step, End };
 
-    /** Positioned just past step `from`. */
-    StepCursor(const FastDecodeResult &flow, size_t from)
-        : _flow(flow), _step(from + 1),
-          _bit(flow.steps[from].tntOffset + flow.steps[from].tntLength)
+    /** Positioned at `point`'s place in the steps. */
+    StepCursor(const FastDecodeResult &flow,
+               const detail::WalkPoint &point)
+        : _flow(flow), _step(point.step), _bit(point.bit),
+          _lossPassed(point.lossPassed)
     {
         refresh();
     }
+
+    /** Stores the cursor's place into `point`. */
+    void
+    save(detail::WalkPoint &point) const
+    {
+        point.step = _step;
+        point.bit = _bit;
+        point.lossPassed = _lossPassed;
+    }
+
+    /** True when nothing has been read since step `index`. */
+    bool
+    justPast(size_t index) const
+    {
+        const FlowStep &step = _flow.steps[index];
+        return _step == index + 1 &&
+               _bit == step.tntOffset + step.tntLength && !_lossPassed;
+    }
+
+    /** The next step to read (steps.size() in the trailing outcomes). */
+    size_t stepIndex() const { return _step; }
 
     At at() const { return _at; }
     bool done() const { return _at == At::End; }
@@ -111,16 +133,36 @@ anchors(const FlowStep &step)
            !step.ipSuppressed;
 }
 
-} // namespace
-
-void
-decodeInstructionFlowInto(FullDecodeResult &result,
-                          const isa::Program &program,
-                          const FastDecodeResult &flow,
-                          cpu::CycleAccount *account,
-                          telemetry::Telemetry *telemetry, uint64_t cr3)
+/** The first step at or after `from` that anchors (steps.size(): none). */
+size_t
+firstAnchor(const FastDecodeResult &flow, size_t from)
 {
-    const uint64_t span_begin = telemetry ? telemetry->now() : 0;
+    while (from < flow.steps.size() && !anchors(flow.steps[from]))
+        ++from;
+    return from;
+}
+
+/** Makes `counts` count from `base` on. */
+void
+rebase(detail::WalkCounts &counts, const detail::WalkCounts &base)
+{
+    counts.branches -= base.branches;
+    counts.instructions -= base.instructions;
+    counts.tips -= base.tips;
+    counts.losses -= base.losses;
+}
+
+/**
+ * Empties `result` for a walk of `flow` and sets `start` to where that
+ * walk starts: just past the first addressable step after the sync
+ * point. IP compression cannot be trusted before a PSB, and the sync
+ * step itself is not replayed. Returns false (NoSync) when no step
+ * anchors.
+ */
+bool
+beginWalk(FullDecodeResult &result, const isa::Program &program,
+          const FastDecodeResult &flow, detail::WalkPoint &start)
+{
     result.status = FullDecodeResult::Status::Ok;
     result.branches.clear();
     result.instructionsWalked = 0;
@@ -131,18 +173,40 @@ decodeInstructionFlowInto(FullDecodeResult &result,
     result.bytesSkipped = flow.bytesSkipped;
     result.lossBranchIndices.clear();
 
-    // IP compression cannot be trusted before a PSB, and the sync
-    // step itself is not replayed.
-    size_t start = flow.unsyncedSteps;
-    while (start < flow.steps.size() && !anchors(flow.steps[start]))
-        ++start;
-    if (start == flow.steps.size()) {
+    const size_t first = firstAnchor(flow, flow.unsyncedSteps);
+    if (first == flow.steps.size()) {
         result.status = FullDecodeResult::Status::NoSync;
         result.error = "no PSB-anchored TIP/PGE to start from";
-        return;
+        return false;
     }
-    result.startIp = flow.steps[start].ip;
-    StepCursor stream(flow, start);
+    const FlowStep &step = flow.steps[first];
+    result.startIp = step.ip;
+    start = {};
+    start.ip = step.ip;
+    start.index = program.instIndexAt(step.ip);
+    start.step = first + 1;
+    start.bit = step.tntOffset + step.tntLength;
+    return true;
+}
+
+/** Where a walk notes the PSB records it passes (see WalkMark). */
+struct MarkLog
+{
+    std::span<const detail::PsbRecord> records;
+    std::vector<detail::WalkMark> &marks;
+};
+
+/**
+ * The walk loop: walks `flow` on from `at`, appending to `result`, and
+ * leaves `at` where the walk stood at the top of its last iteration.
+ * With `log`, notes each record it passes. Returns the TIPs consumed.
+ */
+uint64_t
+walkOn(FullDecodeResult &result, const isa::Program &program,
+       const FastDecodeResult &flow, detail::WalkPoint &at,
+       MarkLog *log)
+{
+    StepCursor stream(flow, at);
 
     // --- run-by-run walk -------------------------------------------------
     bool walking = true;
@@ -159,9 +223,34 @@ decodeInstructionFlowInto(FullDecodeResult &result,
     // The instruction at `ip` and its flat index (no_inst off mapped
     // code). Direct successors come from the link-time table; only a
     // packet's address needs a lookup.
-    uint64_t ip = result.startIp;
-    uint32_t index = program.instIndexAt(ip);
-    uint64_t tips = 0;
+    uint64_t ip = at.ip;
+    uint32_t index = at.index;
+    uint64_t tips = at.counts.tips;
+
+    const auto counts = [&] {
+        return detail::WalkCounts{result.branches.size(),
+                                  result.instructionsWalked, tips,
+                                  result.lossBranchIndices.size()};
+    };
+    // A record is passed at the first loop top past its first anchoring
+    // step; reached if the walk stands just past that step, at its
+    // address, as a fresh walk from the record starts.
+    const auto note = [&] {
+        while (log->marks.size() < log->records.size()) {
+            const detail::PsbRecord &record =
+                log->records[log->marks.size()];
+            const size_t first = firstAnchor(flow, record.firstStep);
+            if (first == flow.steps.size() || stream.stepIndex() <= first)
+                return;
+            detail::WalkMark mark;
+            mark.offset = record.offset;
+            mark.reached = stream.justPast(first) &&
+                           ip == flow.steps[first].ip &&
+                           index == program.instIndexAt(ip);
+            mark.counts = counts();
+            log->marks.push_back(mark);
+        }
+    };
 
     // Resumes the walk at a trace gap: everything up to the next step
     // naming an address was orphaned by the loss, and the anchor
@@ -184,7 +273,17 @@ decodeInstructionFlowInto(FullDecodeResult &result,
         return false;
     };
 
+    // Where the loop goes on, the walk stands at a top: what follows
+    // depends on nothing but the state `at` holds. An iteration the
+    // trace ended inside of leaves no top; a walk over a longer trace
+    // goes on from the top of that iteration.
     while (walking && !stream.done()) {
+        if (log)
+            note();
+        at.counts = counts();
+        at.ip = ip;
+        at.index = index;
+        stream.save(at);
         if (stream.atLoss()) {
             // Nothing between here and the next addressable packet
             // can be verified; resume the walk on the far side.
@@ -354,7 +453,15 @@ decodeInstructionFlowInto(FullDecodeResult &result,
             break;
         }
     }
+    return tips;
+}
 
+/** Charges and traces a finished walk. */
+void
+finishWalk(const FullDecodeResult &result, uint64_t tips,
+           cpu::CycleAccount *account, telemetry::Telemetry *telemetry,
+           uint64_t cr3, uint64_t span_begin)
+{
     if (account) {
         account->decode +=
             static_cast<double>(result.instructionsWalked) *
@@ -370,6 +477,92 @@ decodeInstructionFlowInto(FullDecodeResult &result,
                                 result.instructionsWalked,
                                 result.branches.size());
     }
+}
+
+} // namespace
+
+void
+decodeInstructionFlowInto(FullDecodeResult &result,
+                          const isa::Program &program,
+                          const FastDecodeResult &flow,
+                          cpu::CycleAccount *account,
+                          telemetry::Telemetry *telemetry, uint64_t cr3)
+{
+    const uint64_t span_begin = telemetry ? telemetry->now() : 0;
+    detail::WalkPoint at;
+    if (!beginWalk(result, program, flow, at))
+        return;
+    const uint64_t tips = walkOn(result, program, flow, at, nullptr);
+    finishWalk(result, tips, account, telemetry, cr3, span_begin);
+}
+
+const FullDecodeResult &
+FlowWalk::walk(const isa::Program &program, const TraceCursor &cursor,
+               cpu::CycleAccount *account, telemetry::Telemetry *telemetry,
+               uint64_t cr3)
+{
+    const uint64_t span_begin = telemetry ? telemetry->now() : 0;
+    const FastDecodeResult &flow = cursor.window();
+    if (!resume(cursor)) {
+        _marks.clear();
+        _resumable = false;
+        if (!beginWalk(_result, program, flow, _top))
+            return _result;
+    }
+    MarkLog log{cursor.records(), _marks};
+    const uint64_t tips = walkOn(_result, program, flow, _top, &log);
+    _origin = cursor.origin();
+    _resumable = _result.ok();
+    finishWalk(_result, tips, account, telemetry, cr3, span_begin);
+    return _result;
+}
+
+bool
+FlowWalk::resume(const TraceCursor &cursor)
+{
+    const std::span<const detail::PsbRecord> records = cursor.records();
+    const TraceCursor::Origin &origin = cursor.origin();
+    if (!_resumable || records.empty() ||
+        origin.coldStart != _origin.coldStart)
+        return false;
+    // A fresh walk of the window starts where the kept walk stood at
+    // its anchor's mark; everything the kept walk did from there on is
+    // that walk's.
+    const auto mark = std::ranges::find(_marks, records.front().offset,
+                                        &detail::WalkMark::offset);
+    if (mark == _marks.end() || !mark->reached)
+        return false;
+    const detail::WalkCounts base = mark->counts;
+    _marks.erase(_marks.begin(), mark);
+    for (detail::WalkMark &kept : _marks)
+        rebase(kept.counts, base);
+
+    // Roll back to the top of the last iteration, which the trace may
+    // have ended inside of, then drop what precedes the mark.
+    FullDecodeResult &result = _result;
+    result.branches.resize(_top.counts.branches);
+    result.lossBranchIndices.resize(_top.counts.losses);
+    result.branches.erase(result.branches.begin(),
+                          result.branches.begin() +
+                              static_cast<ptrdiff_t>(base.branches));
+    result.lossBranchIndices.erase(
+        result.lossBranchIndices.begin(),
+        result.lossBranchIndices.begin() +
+            static_cast<ptrdiff_t>(base.losses));
+    for (uint64_t &loss : result.lossBranchIndices)
+        loss -= base.branches;
+    rebase(_top.counts, base);
+    result.instructionsWalked = _top.counts.instructions;
+    // The cursor has dropped steps and outcomes from its front since.
+    _top.step -= origin.steps - _origin.steps;
+    _top.bit -= origin.bits - _origin.bits;
+
+    const FastDecodeResult &flow = cursor.window();
+    result.startIp = flow.steps[firstAnchor(flow, flow.unsyncedSteps)].ip;
+    result.overflows = flow.overflows;
+    result.resyncs = flow.resyncs;
+    result.bytesSkipped = flow.bytesSkipped;
+    return true;
 }
 
 FullDecodeResult

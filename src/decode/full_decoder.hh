@@ -12,8 +12,9 @@
  * It sits on the packet layer, as libipt's instruction-flow decoder
  * sits on its query decoder: it never parses bytes itself, but walks
  * the steps and TNT slices of a fast_decoder.hh decode. The slow path
- * hands it the window it already decoded; the byte form below decodes
- * the packet layer first.
+ * hands it the window its TraceCursor decoded, through a FlowWalk that
+ * keeps the walk across windows and walks only the steps appended
+ * since; the byte form below decodes the packet layer first.
  *
  * Like libipt's block decoder, the walk moves a straight-line run at a
  * time: between two control-flow instructions nothing reads the trace,
@@ -128,6 +129,96 @@ FullDecodeResult decodeInstructionFlow(
     const isa::Program &program, std::span<const uint8_t> data,
     cpu::CycleAccount *account = nullptr,
     telemetry::Telemetry *telemetry = nullptr, uint64_t cr3 = 0);
+
+namespace detail {
+
+/** What a walk had produced at some point of it. */
+struct WalkCounts
+{
+    size_t branches = 0;
+    uint64_t instructions = 0;
+    /** TIPs the walk consumed at indirect branches (each is priced). */
+    uint64_t tips = 0;
+    /** Entries of lossBranchIndices. */
+    size_t losses = 0;
+};
+
+/** Where a walk stood at the top of a loop iteration: what it had
+ *  produced, the instruction it was at and its place in the steps. */
+struct WalkPoint
+{
+    WalkCounts counts;
+    uint64_t ip = 0;
+    uint32_t index = 0;
+    /** The next step, the next outcome, and whether the loss in front
+     *  of them was passed. */
+    size_t step = 0;
+    size_t bit = 0;
+    bool lossPassed = false;
+};
+
+/**
+ * A PSB record as the walk passed it: `reached` when, at the first loop
+ * top past the first TIP/PGE after that PSB, the walk stood just past
+ * that step at its address, where a fresh walk of a window anchored at
+ * that PSB starts; `counts` is what the walk had produced there.
+ */
+struct WalkMark
+{
+    uint64_t offset = 0;    ///< stream offset of the PSB
+    bool reached = false;
+    WalkCounts counts;
+};
+
+} // namespace detail
+
+/**
+ * An instruction walk kept beside a TraceCursor, so that a walk of the
+ * cursor's next window walks only the steps appended since (the slow
+ * path's window of ~100 TIPs was otherwise re-walked from its anchor,
+ * though the previous check had walked most of it).
+ *
+ * It keeps the last walk's branches, loss indices and counts, where
+ * the walk stood at the top of its last loop iteration (the trace can
+ * end inside one, e.g. between a syscall's entry and its exit), and a
+ * mark for each of the cursor's PSB records it passed. A fresh walk of
+ * a window anchored at a record starts just past the record's first
+ * TIP/PGE, at its address; from a loop top where the kept walk stood
+ * there, the two walks are one. So a window anchored at a reached
+ * record keeps the branches from its mark on, rebased, rolls back to
+ * the top of the last iteration and walks on over the new steps.
+ *
+ * The fresh walk is its cold start: on a new cursor cold start, an
+ * anchor whose record the kept walk did not reach, or after a walk
+ * that did not end Ok. So walk() equals decodeInstructionFlowInto()
+ * of the cursor's window in every field, and is charged and traced as
+ * that walk: for the window's whole walk, not for the steps it walked.
+ */
+class FlowWalk
+{
+  public:
+    /** The walk of cursor.window(), valid until the next walk. */
+    const FullDecodeResult &walk(const isa::Program &program,
+                                 const TraceCursor &cursor,
+                                 cpu::CycleAccount *account = nullptr,
+                                 telemetry::Telemetry *telemetry = nullptr,
+                                 uint64_t cr3 = 0);
+
+  private:
+    /** Trims the kept walk to the window's anchor and rolls it back to
+     *  its last loop top; false when only a fresh walk can go on. */
+    bool resume(const TraceCursor &cursor);
+
+    FullDecodeResult _result;
+    /** Where the kept walk stood at the top of its last iteration. */
+    detail::WalkPoint _top;
+    /** One per cursor record the kept walk passed, in record order. */
+    std::vector<detail::WalkMark> _marks;
+    /** The cursor origin _top's step and outcome places count from. */
+    TraceCursor::Origin _origin;
+    /** The kept walk ended Ok, so a later window may go on with it. */
+    bool _resumable = false;
+};
 
 } // namespace flowguard::decode
 

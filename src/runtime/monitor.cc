@@ -247,14 +247,14 @@ Monitor::fastPhase(const trace::StreamView &window, size_t pkt_count)
 }
 
 CheckVerdict
-Monitor::slowPhase(std::span<const uint8_t> packets, bool loss)
+Monitor::slowPhase(const trace::StreamView &window, bool loss)
 {
     // Suspicious (or loss escalation): upcall into the slow-path engine.
     // A pass stages the window the check decoded, so a stage still
     // pending would outlive the decode it points into: drop it.
     discardCache();
     ++_stats.slowChecks;
-    _lastSlow = _slow.check(packets);
+    _lastSlow = _slow.check(window);
     _lastSource = VerdictSource::SlowPath;
     if (_lastSlow.degraded)
         ++_stats.jitDegradedChecks;

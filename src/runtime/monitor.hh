@@ -183,12 +183,21 @@ class Monitor
     }
 
     /**
-     * Resolves a window fastPhase escalated. `loss` must be the flag
-     * fastPhase returned for the same packets. Drops any stage still
-     * pending, then, on a pass, stages the window the slow path walked
-     * per the config; commits it only under autoCommitCache.
+     * Resolves a window fastPhase escalated: the live ring (whose
+     * decode and walk the slow checker keeps across checks) or a copy
+     * that stands alone. `loss` must be the flag fastPhase returned for
+     * the same packets. Drops any stage still pending, then, on a
+     * pass, stages the window the slow path walked per the config;
+     * commits it only under autoCommitCache.
      */
-    CheckVerdict slowPhase(std::span<const uint8_t> packets, bool loss);
+    CheckVerdict slowPhase(const trace::StreamView &window, bool loss);
+
+    /** slowPhase() of bytes that stand alone (stream identity 0). */
+    CheckVerdict
+    slowPhase(std::span<const uint8_t> packets, bool loss)
+    {
+        return slowPhase(trace::StreamView{packets}, loss);
+    }
 
     /**
      * Applies the staged verdict cache from the last slow-path pass

@@ -199,10 +199,13 @@ CheckScheduler::enqueueDeferred(CheckRequest request,
     _queue.push_back(std::move(item));
     // The one copy of a window: the ring moves on before this request
     // runs or is delivered. The deque never moves what it holds, so
-    // the view stays on the copy.
+    // the view stays on the copy. The copy is no longer the live
+    // stream (identity 0), but its bytes still start where the
+    // window's did, so a window cut mid-stream is decoded as one.
     CheckRequest &queued = _queue.back().request;
-    queued.owned.assign(queued.packets.begin(), queued.packets.end());
-    queued.packets = queued.owned;
+    queued.owned.assign(queued.window.bytes.begin(),
+                        queued.window.bytes.end());
+    queued.window = {queued.owned, queued.window.offset, 0};
     ++_stats.deferred;
     _stats.maxQueueDepth =
         std::max(_stats.maxQueueDepth, _queue.size());

@@ -70,7 +70,8 @@ const char *overloadPolicyName(OverloadPolicy policy);
  * One slow-path escalation. Its window views the live ToPA ring while
  * the check runs within submit(); a request that is queued keeps its
  * own copy of the bytes (CheckScheduler copies them as it enqueues),
- * so only deferred work pays for a copy.
+ * so only deferred work pays for a copy. The copy keeps the window's
+ * stream offset but no stream identity: it stands alone.
  */
 struct CheckRequest
 {
@@ -80,7 +81,7 @@ struct CheckRequest
     bool loss = false;          ///< window had trace loss
     bool audit = false;         ///< audit-class: sheddable first
     /** The window: the ring at submit, or `owned` once queued. */
-    std::span<const uint8_t> packets;
+    trace::StreamView window;
     std::vector<uint8_t> owned;
     uint64_t enqueuedAt = 0;    ///< virtual cycles at submit
     uint32_t attempts = 0;      ///< executor invocations so far

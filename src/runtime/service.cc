@@ -205,7 +205,7 @@ ProtectionService::execute(const CheckRequest &request)
         return exec;
     }
     Monitor &monitor = *it->second.monitor;
-    exec.verdict = monitor.slowPhase(request.packets, request.loss);
+    exec.verdict = monitor.slowPhase(request.window, request.loss);
     if (exec.verdict == CheckVerdict::Violation)
         exec.report = monitor.violationReport(request.cr3, request.seq,
                                               request.syscall);
@@ -460,7 +460,7 @@ ProtectionService::onEndpoint(cpu::Cpu &cpu, int64_t syscall)
             spurious.seq = proc.seq;
             spurious.syscall = syscall;
             spurious.audit = true;
-            spurious.packets = proc.topa->view();
+            spurious.window = proc.topa->streamView();
             ++_stats.pmiStormChecks;
             const auto outcome =
                 _scheduler.submit(std::move(spurious), now);
@@ -503,7 +503,7 @@ ProtectionService::onEndpoint(cpu::Cpu &cpu, int64_t syscall)
     request.loss = fast.loss;
     request.audit = proc.quarantined &&
         _config.quarantineAction == QuarantineAction::Audit;
-    request.packets = live.bytes;
+    request.window = live;
     const auto outcome = _scheduler.submit(std::move(request), now);
     return resolve(proc, syscall, outcome, fast.loss, now);
 }
@@ -842,7 +842,7 @@ ProtectionService::checkNow(ProcessRecord &proc, size_t pkt_count)
         proc.monitor->fastPhase(live, pkt_count);
     SyncCheck check{fast.verdict, fast.loss};
     if (fast.needSlow)
-        check.verdict = proc.monitor->slowPhase(live.bytes, fast.loss);
+        check.verdict = proc.monitor->slowPhase(live, fast.loss);
     return check;
 }
 

@@ -64,7 +64,7 @@ SlowPathChecker::indirectCallAllowed(uint64_t source,
 }
 
 SlowPathResult
-SlowPathChecker::check(std::span<const uint8_t> packets)
+SlowPathChecker::check(const trace::StreamView &window)
 {
     telemetry::ScopedSpan span(_telemetry,
                                telemetry::SpanKind::SlowCheck,
@@ -74,9 +74,8 @@ SlowPathChecker::check(std::span<const uint8_t> packets)
     // §7.2.2 context-sensitive analysis window), instead of paying
     // for the entire ToPA buffer.
     constexpr size_t slow_window_tips = 100;
-    decode::decodeRecentTipsInto(_window, packets, slow_window_tips,
-                                 nullptr, _telemetry, _telemetryCr3);
-    SlowPathResult result = checkFlow(_window);
+    SlowPathResult result = checkFlow(_cursor.decode(
+        window, slow_window_tips, nullptr, _telemetry, _telemetryCr3));
     span.setVerdict(static_cast<uint8_t>(result.verdict));
     if (result.verdict == CheckVerdict::Violation)
         span.setPayload(result.violatingSource, result.violatingTarget);
@@ -154,10 +153,10 @@ SlowPathChecker::checkFlow(const decode::FastDecodeResult &window)
         }
     }
 
-    // The walk reads the window decoded above; no byte is parsed twice.
-    decode::decodeInstructionFlowInto(_walk, _ocfg.program(), window,
-                                      _account, _telemetry, _telemetryCr3);
-    const decode::FullDecodeResult &flow = _walk;
+    // The walk reads the window decoded above; no byte is parsed twice,
+    // and steps the previous check walked are not walked again.
+    const decode::FullDecodeResult &flow = _walk.walk(
+        _ocfg.program(), _cursor, _account, _telemetry, _telemetryCr3);
     result.instructionsWalked = flow.instructionsWalked;
 
     using Status = decode::FullDecodeResult::Status;

@@ -53,18 +53,35 @@ class SlowPathChecker
                     cpu::CycleAccount *account = nullptr);
 
     /**
-     * Full-decodes and checks a ToPA snapshot. Only the window is
-     * decoded: the suffix from the most recent PSB that still covers
-     * ~100 TIP packets (the paper's §7.2.2 context-sensitive analysis
-     * window), not the entire ToPA buffer. Allocates nothing once the
-     * checker's scratch has grown, unless it convicts.
+     * Full-decodes and checks a ToPA window: the live ring
+     * (Topa::streamView()) or, with stream identity 0, bytes that stand
+     * alone (a deferred copy). Only the window is decoded: the suffix
+     * from the most recent PSB that still covers ~100 TIP packets (the
+     * paper's §7.2.2 context-sensitive analysis window), not the entire
+     * ToPA buffer. On the live ring the decode and the instruction walk
+     * are kept across checks (decode::TraceCursor, decode::FlowWalk),
+     * so a check parses and walks only the trace written since the
+     * previous one; the check itself runs over the window's whole walk
+     * from an empty shadow stack, so the verdict is the one a fresh
+     * checker gives. Allocates nothing once the checker's scratch has
+     * grown, unless it convicts.
      */
-    SlowPathResult check(std::span<const uint8_t> packets);
+    SlowPathResult check(const trace::StreamView &window);
+
+    /** check() of bytes that stand alone, always decoded afresh. */
+    SlowPathResult
+    check(std::span<const uint8_t> packets)
+    {
+        return check(trace::StreamView{packets});
+    }
 
     /** The window the last check() decoded and walked, valid until the
      *  next check(): what a pass vouches for, and so what the monitor
      *  stages for its verdict cache. */
-    const decode::FastDecodeResult &window() const { return _window; }
+    const decode::FastDecodeResult &window() const
+    {
+        return _cursor.window();
+    }
 
     /**
      * Attaches the dynamic-code view. Windows containing stale-range
@@ -108,10 +125,10 @@ class SlowPathChecker
     telemetry::Telemetry *_telemetry = nullptr;
     uint64_t _telemetryCr3 = 0;
 
-    // Scratch, reused across checks: the window decode, the walk, the
-    // shadow stack and the JIT pre-scan's transitions.
-    decode::FastDecodeResult _window;
-    decode::FullDecodeResult _walk;
+    // Scratch, reused across checks: the window's decode cursor, the
+    // kept walk, the shadow stack and the JIT pre-scan's transitions.
+    decode::TraceCursor _cursor;
+    decode::FlowWalk _walk;
     std::vector<uint64_t> _shadow;
     std::vector<decode::TransitionView> _transitions;
 };

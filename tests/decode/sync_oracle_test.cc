@@ -15,7 +15,14 @@
  * on the storm server's live rings, through wraps, overflow episodes,
  * PMI checks that cut a packet, clears and a switch of rings, and
  * windows that widen and narrow, each window the cursor returns must
- * equal a fresh decodeRecentTipsInto of the same view.
+ * equal a fresh decodeRecentTipsInto of the same view. Beside it, the
+ * slow path's cursor at 100 TIPs asks every few checks.
+ *
+ * The walk oracle holds the slow path's kept walk (FlowWalk) to a
+ * fresh decodeInstructionFlowInto of a fresh decode of each view, in
+ * every field, and a slow checker kept across checks to a fresh
+ * checker of the same bytes, on benign rings and on rings that carry a
+ * ROP or SROP hijack.
  *
  * It also checks that Topa::view(), the in-place window the
  * synchronous checks read, always equals snapshot(), which is
@@ -28,9 +35,14 @@
 #include <functional>
 #include <string>
 
+#include "attacks/chains.hh"
+#include "attacks/gadgets.hh"
+#include "core/flowguard.hh"
 #include "cpu/basic_kernel.hh"
 #include "cpu/cpu.hh"
 #include "decode/fast_decoder.hh"
+#include "decode/full_decoder.hh"
+#include "runtime/slow_path.hh"
 #include "support/random.hh"
 #include "trace/faults.hh"
 #include "trace/ipt.hh"
@@ -550,6 +562,10 @@ struct CursorTally
     /** Windows of a view with no PSB, cut mid-stream. */
     size_t unsyncedWindows = 0;
     size_t pmiChecks = 0;
+    /** The slow leg's checks, and those that read less than the fresh
+     *  decode. */
+    size_t slowChecks = 0;
+    size_t slowCheaper = 0;
 };
 
 /** How the storm server's trace reaches the cursor. */
@@ -570,6 +586,8 @@ struct CursorRun
     size_t requests = 1500;
     /** Retired branches between samples. */
     size_t every = 29;
+    /** A request sent after the benign ones (an exploit), if any. */
+    std::vector<uint8_t> attack;
 };
 
 /** pkt_count at the `sample`th check: mostly 30, then 120, 30, the
@@ -599,11 +617,17 @@ endsInsidePacket(const trace::StreamView &view, const FastDecodeResult &fresh)
     return parser.truncated();
 }
 
-CursorTally
-runCursorOracle(const CursorRun &run)
+/**
+ * Runs the storm server under IPT as `run` says and hands `check` each
+ * ring view the checks read, with the window's TIP count: at every
+ * sampled endpoint, and with `checkAtPmi` at every PMI. Returns the
+ * PMI checks.
+ */
+size_t
+driveStormRing(const workloads::SyntheticApp &app, const CursorRun &run,
+               const std::function<void(const trace::Topa &, size_t)> &check)
 {
     const auto spec = stormSpec();
-    const auto app = workloads::buildServerApp(spec);
     const auto regions = std::vector<size_t>{run.ring / 2,
                                              run.ring - run.ring / 2};
     trace::Topa topa(regions);
@@ -618,26 +642,10 @@ runCursorOracle(const CursorRun &run)
     if (run.pmiLatency > 0)
         faults.delayPmi(topa, run.pmiLatency);
 
-    TraceCursor cursor;
-    CursorTally tally;
-    const auto check = [&](const trace::Topa &ring, size_t min_tips) {
-        const trace::StreamView view = ring.streamView();
-        FastDecodeResult fresh;
-        decodeRecentTipsInto(fresh, view.bytes, min_tips, nullptr,
-                             nullptr, 0, view.offset);
-        ++tally.checks;
-        tally.overflowWindows += fresh.overflows > 0 ? 1 : 0;
-        tally.cutWindows += endsInsidePacket(view, fresh) ? 1 : 0;
-        tally.unsyncedWindows +=
-            fresh.resyncs > 0 && fresh.bytesSkipped == view.bytes.size()
-                ? 1 : 0;
-        tally.cheaper +=
-            expectCursorMatchesFresh(cursor, view, min_tips) ? 1 : 0;
-    };
+    size_t pmis = 0;
     if (run.checkAtPmi) {
-        topa.setPmiCallback([&] {
-            check(topa, tally.pmiChecks++ % 2 == 0 ? 30 : SIZE_MAX);
-        });
+        topa.setPmiCallback(
+            [&] { check(topa, pmis++ % 2 == 0 ? 30 : SIZE_MAX); });
     }
 
     struct Sampler : cpu::TraceSink
@@ -676,8 +684,10 @@ runCursorOracle(const CursorRun &run)
 
     cpu::Cpu cpu(app.program);
     cpu::BasicKernel kernel;
-    kernel.setInput(workloads::makeBenignStream(
-        run.requests, 7, spec.numHandlers, spec.numParserStates));
+    auto input = workloads::makeBenignStream(
+        run.requests, 7, spec.numHandlers, spec.numParserStates);
+    input.insert(input.end(), run.attack.begin(), run.attack.end());
+    kernel.setInput(input);
     cpu.setSyscallHandler(&kernel);
     cpu.addTraceSink(&encoder);
     if (run.secondRing)
@@ -687,6 +697,56 @@ runCursorOracle(const CursorRun &run)
     if (run.clearEvery == 0) {
         EXPECT_TRUE(topa.wrapped());
     }
+    return pmis;
+}
+
+/** The slow leg's pace: it asks after 1, 2, 3, 4, 5, 1, ... checks. */
+struct SlowPace
+{
+    size_t gap = 1;
+    size_t since = 0;
+
+    bool
+    due()
+    {
+        if (++since < gap)
+            return false;
+        since = 0;
+        gap = gap % 5 + 1;
+        return true;
+    }
+};
+
+CursorTally
+runCursorOracle(const CursorRun &run)
+{
+    const auto app = workloads::buildServerApp(stormSpec());
+    // The fast path's cursor at each check's pkt_count, and beside it
+    // the slow path's at 100 TIPs over the same ring, asking less often.
+    TraceCursor cursor;
+    TraceCursor slow;
+    SlowPace pace;
+    CursorTally tally;
+    const auto check = [&](const trace::Topa &ring, size_t min_tips) {
+        const trace::StreamView view = ring.streamView();
+        FastDecodeResult fresh;
+        decodeRecentTipsInto(fresh, view.bytes, min_tips, nullptr,
+                             nullptr, 0, view.offset);
+        ++tally.checks;
+        tally.overflowWindows += fresh.overflows > 0 ? 1 : 0;
+        tally.cutWindows += endsInsidePacket(view, fresh) ? 1 : 0;
+        tally.unsyncedWindows +=
+            fresh.resyncs > 0 && fresh.bytesSkipped == view.bytes.size()
+                ? 1 : 0;
+        tally.cheaper +=
+            expectCursorMatchesFresh(cursor, view, min_tips) ? 1 : 0;
+        if (pace.due()) {
+            ++tally.slowChecks;
+            tally.slowCheaper +=
+                expectCursorMatchesFresh(slow, view, 100) ? 1 : 0;
+        }
+    };
+    tally.pmiChecks = driveStormRing(app, run, check);
     return tally;
 }
 
@@ -695,8 +755,10 @@ TEST(CursorOracle, StormRingWindowsMatchFreshDecode)
     // perfbench's ring: 16 KiB, a PSB every KiB, wrapped several times.
     const CursorTally tally = runCursorOracle({});
     EXPECT_GT(tally.checks, 1000u);
-    // Most checks read only what is new.
+    // Most checks read only what is new, at either window.
     EXPECT_GT(tally.cheaper, tally.checks * 3 / 4);
+    EXPECT_GT(tally.slowChecks, tally.checks / 4);
+    EXPECT_GT(tally.slowCheaper, tally.slowChecks * 3 / 4);
 }
 
 TEST(CursorOracle, OverflowEpisodesMatchFreshDecode)
@@ -712,6 +774,7 @@ TEST(CursorOracle, OverflowEpisodesMatchFreshDecode)
     EXPECT_GT(tally.pmiChecks, 5u);
     EXPECT_GT(tally.overflowWindows, 50u);
     EXPECT_GT(tally.cheaper, tally.checks / 2);
+    EXPECT_GT(tally.slowCheaper, tally.slowChecks / 2);
 }
 
 TEST(CursorOracle, PmiChecksInsideWrapsMatchFreshDecode)
@@ -726,6 +789,7 @@ TEST(CursorOracle, PmiChecksInsideWrapsMatchFreshDecode)
     EXPECT_GT(tally.pmiChecks, 5u);
     EXPECT_GT(tally.cutWindows, 0u);
     EXPECT_GT(tally.cheaper, tally.checks / 2);
+    EXPECT_GT(tally.slowCheaper, tally.slowChecks / 2);
 }
 
 TEST(CursorOracle, ClearsAndASecondRingMatchFreshDecode)
@@ -739,6 +803,7 @@ TEST(CursorOracle, ClearsAndASecondRingMatchFreshDecode)
     const CursorTally tally = runCursorOracle(run);
     EXPECT_GT(tally.checks, 1000u);
     EXPECT_GT(tally.cheaper, tally.checks / 2);
+    EXPECT_GT(tally.slowCheaper, tally.slowChecks / 2);
 }
 
 TEST(CursorOracle, RingsWithoutPsbMatchFreshDecode)
@@ -753,6 +818,7 @@ TEST(CursorOracle, RingsWithoutPsbMatchFreshDecode)
     const CursorTally tally = runCursorOracle(run);
     EXPECT_GT(tally.unsyncedWindows, 0u);
     EXPECT_GT(tally.cheaper, 0u);
+    EXPECT_GT(tally.slowCheaper, 0u);
 }
 
 /**
@@ -806,6 +872,203 @@ TEST(CursorOracle, AClearedOrSecondRingIsANewStream)
         // The same stream goes on from where it stopped.
         next.write(other.data() + cut + 60, 60);
         EXPECT_TRUE(expectCursorMatchesFresh(cursor, next.streamView(), 30));
+    }
+}
+
+// --- the kept walk ------------------------------------------------------
+
+/** What one run of the walk oracle exercised. */
+struct WalkTally
+{
+    size_t walks = 0;
+    /** Windows anchored at a PSB of the previous window, decoded since
+     *  the same cold start: the walks the kept one may go on with. */
+    size_t continued = 0;
+    /** Walks whose fresh twin reset at a trace gap. */
+    size_t lossWalks = 0;
+    /** Slow checks the fresh checker convicted. */
+    size_t violations = 0;
+};
+
+/** Asserts two walks agree in every field. */
+void
+expectSameWalk(const FullDecodeResult &got, const FullDecodeResult &want)
+{
+    EXPECT_EQ(got.status, want.status);
+    EXPECT_EQ(got.error, want.error);
+    EXPECT_EQ(got.startIp, want.startIp);
+    EXPECT_EQ(got.instructionsWalked, want.instructionsWalked);
+    EXPECT_EQ(got.lossBranchIndices, want.lossBranchIndices);
+    EXPECT_EQ(got.overflows, want.overflows);
+    EXPECT_EQ(got.resyncs, want.resyncs);
+    EXPECT_EQ(got.bytesSkipped, want.bytesSkipped);
+    EXPECT_EQ(got.branches.size(), want.branches.size());
+    const size_t branches = std::min(got.branches.size(),
+                                     want.branches.size());
+    for (size_t i = 0; i < branches; ++i) {
+        const DecodedBranch &branch = got.branches[i];
+        const DecodedBranch &expect = want.branches[i];
+        if (branch.kind == expect.kind && branch.source == expect.source &&
+            branch.target == expect.target)
+            continue;
+        ADD_FAILURE() << "branch " << i << " of " << branches
+                      << " differs";
+        break;
+    }
+}
+
+/** Asserts two slow-path results agree in every field. */
+void
+expectSameSlowResult(const runtime::SlowPathResult &got,
+                     const runtime::SlowPathResult &want)
+{
+    EXPECT_EQ(got.verdict, want.verdict);
+    EXPECT_EQ(got.branchesChecked, want.branchesChecked);
+    EXPECT_EQ(got.instructionsWalked, want.instructionsWalked);
+    EXPECT_EQ(got.violatingSource, want.violatingSource);
+    EXPECT_EQ(got.violatingTarget, want.violatingTarget);
+    EXPECT_EQ(got.reason, want.reason);
+    EXPECT_EQ(got.degraded, want.degraded);
+    EXPECT_EQ(got.staleHit, want.staleHit);
+}
+
+/**
+ * Drives the storm server's ring as `run` says and, at the slow leg's
+ * pace, holds the kept walk of a 100-TIP cursor to a fresh walk of a
+ * fresh decode of the same view, and a slow checker kept across
+ * checks to a fresh checker of the same bytes, charges included.
+ */
+WalkTally
+runWalkOracle(const CursorRun &run)
+{
+    const auto app = workloads::buildServerApp(stormSpec());
+    FlowGuard guard(app.program);
+    guard.analyze();
+    const isa::Program &program = app.program;
+
+    TraceCursor cursor;
+    FlowWalk walk;
+    cpu::CycleAccount kept_cycles;
+    runtime::SlowPathChecker kept(guard.ocfg(), guard.typearmor(),
+                                  &kept_cycles);
+    SlowPace pace;
+    WalkTally tally;
+    // The previous window's PSBs and the cold start it went on from.
+    std::vector<uint64_t> previous;
+    uint64_t previous_start = 0;
+    const auto check = [&](const trace::Topa &ring, size_t) {
+        if (!pace.due())
+            return;
+        const trace::StreamView view = ring.streamView();
+        SCOPED_TRACE("walk " + std::to_string(tally.walks) + ", view [" +
+                     std::to_string(view.offset) + ", +" +
+                     std::to_string(view.bytes.size()) + ")");
+        ++tally.walks;
+
+        cursor.decode(view, 100);
+        const auto records = cursor.records();
+        tally.continued +=
+            !records.empty() &&
+                cursor.origin().coldStart == previous_start &&
+                std::ranges::find(previous, records.front().offset) !=
+                    previous.end()
+            ? 1 : 0;
+        previous.clear();
+        for (const auto &record : records)
+            previous.push_back(record.offset);
+        previous_start = cursor.origin().coldStart;
+
+        cpu::CycleAccount got_cycles, want_cycles;
+        const FullDecodeResult &got = walk.walk(program, cursor, &got_cycles);
+        FastDecodeResult window;
+        decodeRecentTipsInto(window, view.bytes, 100, nullptr, nullptr, 0,
+                             view.offset);
+        FullDecodeResult want;
+        decodeInstructionFlowInto(want, program, window, &want_cycles);
+        expectSameWalk(got, want);
+        EXPECT_DOUBLE_EQ(got_cycles.decode, want_cycles.decode);
+        tally.lossWalks += want.lossBranchIndices.empty() ? 0 : 1;
+
+        const cpu::CycleAccount kept_before = kept_cycles;
+        const runtime::SlowPathResult slow = kept.check(view);
+        cpu::CycleAccount fresh_cycles;
+        runtime::SlowPathChecker fresh(guard.ocfg(), guard.typearmor(),
+                                       &fresh_cycles);
+        const runtime::SlowPathResult expect =
+            fresh.check(trace::StreamView{view.bytes, view.offset});
+        expectSameSlowResult(slow, expect);
+        EXPECT_DOUBLE_EQ(kept_cycles.decode - kept_before.decode,
+                         fresh_cycles.decode);
+        EXPECT_DOUBLE_EQ(kept_cycles.check - kept_before.check,
+                         fresh_cycles.check);
+        tally.violations +=
+            expect.verdict == runtime::CheckVerdict::Violation ? 1 : 0;
+    };
+    driveStormRing(app, run, check);
+    return tally;
+}
+
+TEST(WalkOracle, StormRingWalksMatchFreshWalk)
+{
+    const WalkTally tally = runWalkOracle({});
+    EXPECT_GT(tally.walks, 500u);
+    // Nearly every window is anchored where the previous one walked.
+    EXPECT_GT(tally.continued, tally.walks * 3 / 4);
+    EXPECT_EQ(tally.violations, 0u);
+}
+
+TEST(WalkOracle, OverflowEpisodesMatchFreshWalk)
+{
+    // OVF episodes inside the windows: the walk resets at each gap. A
+    // PSB every 256 bytes splits a 100-TIP window into several
+    // segments, so its anchor moves past PSBs in front of an OVF it
+    // still holds, and the loss indices it keeps must be rebased.
+    CursorRun run;
+    run.ring = 4096;
+    run.psbPeriod = 256;
+    run.pmiLatency = 700;
+    run.checkAtPmi = true;
+    const WalkTally tally = runWalkOracle(run);
+    EXPECT_GT(tally.lossWalks, 50u);
+    EXPECT_GT(tally.continued, tally.walks / 2);
+}
+
+TEST(WalkOracle, CutWindowsClearsAndASecondRingMatchFreshWalk)
+{
+    CursorRun cut;
+    cut.ring = 4096;
+    cut.checkAtPmi = true;
+    cut.every = 53;
+    EXPECT_GT(runWalkOracle(cut).continued, 0u);
+    CursorRun rings;
+    rings.clearEvery = 97;
+    rings.secondRing = true;
+    EXPECT_GT(runWalkOracle(rings).continued, 0u);
+}
+
+TEST(WalkOracle, RopAndSropRingsMatchFreshChecker)
+{
+    // The exploits ride the storm server's implanted overflow after a
+    // run of benign requests; the windows that hold the hijack are
+    // convicted, and the walk must not go on wrongly past them.
+    const auto app = workloads::buildServerApp(stormSpec());
+    const auto catalog = attacks::scanGadgets(app.program);
+    const attacks::AttackInfo attacks[] = {
+        attacks::buildRopWriteAttack(app.program, catalog),
+        attacks::buildSropAttack(app.program, catalog),
+    };
+    for (const attacks::AttackInfo &attack : attacks) {
+        SCOPED_TRACE(attack.description);
+        // Checks after every few branches, so some windows end inside
+        // the short chain.
+        CursorRun run;
+        run.ring = 4096;
+        run.requests = 100;
+        run.every = 1;
+        run.attack = attack.request;
+        const WalkTally tally = runWalkOracle(run);
+        EXPECT_GT(tally.violations, 0u);
+        EXPECT_GT(tally.continued, tally.walks / 2);
     }
 }
 

@@ -325,6 +325,8 @@ struct WindowProbe
 {
     std::vector<const uint8_t *> data;
     std::vector<std::vector<uint8_t>> bytes;
+    std::vector<uint64_t> offsets;
+    std::vector<uint64_t> streams;
 };
 
 CheckScheduler
@@ -334,9 +336,11 @@ makeWindowScheduler(SchedulerConfig config, WindowProbe &probe,
     return CheckScheduler(
         config,
         [&probe, cost](const CheckRequest &req) {
-            probe.data.push_back(req.packets.data());
-            probe.bytes.emplace_back(req.packets.begin(),
-                                     req.packets.end());
+            probe.data.push_back(req.window.bytes.data());
+            probe.bytes.emplace_back(req.window.bytes.begin(),
+                                     req.window.bytes.end());
+            probe.offsets.push_back(req.window.offset);
+            probe.streams.push_back(req.window.stream);
             CheckExecution exec;
             exec.verdict = CheckVerdict::Pass;
             exec.costCycles = cost;
@@ -354,11 +358,13 @@ TEST(Scheduler, InlineCheckReadsTheRingInPlace)
     auto sched = makeWindowScheduler(config, probe, 100);
     const std::vector<uint8_t> ring = {1, 2, 3, 4};
     CheckRequest req = request(1);
-    req.packets = ring;
+    req.window = {ring, 4096, 7};
     EXPECT_EQ(sched.submit(std::move(req), 0).resolution,
               CheckResolution::InlinePass);
     ASSERT_EQ(probe.data.size(), 1u);
     EXPECT_EQ(probe.data[0], ring.data());
+    EXPECT_EQ(probe.offsets[0], 4096u);
+    EXPECT_EQ(probe.streams[0], 7u);
 }
 
 TEST(Scheduler, QueuedCheckOwnsItsWindow)
@@ -373,11 +379,11 @@ TEST(Scheduler, QueuedCheckOwnsItsWindow)
     // Runs late (deferred executed), then queued unexecuted; the ring
     // moves on before the second runs at delivery.
     CheckRequest late = request(1);
-    late.packets = ring;
+    late.window = {ring, 4096, 7};
     EXPECT_EQ(sched.submit(std::move(late), 0).resolution,
               CheckResolution::Deferred);
     CheckRequest backlog = request(2);
-    backlog.packets = ring;
+    backlog.window = {ring, 4096, 7};
     EXPECT_EQ(sched.submit(std::move(backlog), 0).resolution,
               CheckResolution::Deferred);
     ASSERT_EQ(probe.data.size(), 1u);
@@ -388,6 +394,10 @@ TEST(Scheduler, QueuedCheckOwnsItsWindow)
     ASSERT_EQ(probe.bytes.size(), 2u);
     EXPECT_NE(probe.data[1], ring.data());
     EXPECT_EQ(probe.bytes[1], std::vector<uint8_t>({1, 2, 3, 4}));
+    // The copy starts where the window did in its stream, but is no
+    // longer the live stream.
+    EXPECT_EQ(probe.offsets[1], 4096u);
+    EXPECT_EQ(probe.streams[1], 0u);
     EXPECT_TRUE(sched.accountingBalances());
 }
 

@@ -2,16 +2,20 @@
  * @file
  * Unit tests for the slow-path checker: shadow-stack enforcement,
  * underflow fallback to call/return matching, TypeArmor forward
- * edges, indirect jump validation and decode-failure handling.
+ * edges, indirect jump validation and decode-failure handling, and
+ * the window of a ring cut mid-stream with no PSB in it.
  */
 
 #include <gtest/gtest.h>
+
+#include <functional>
 
 #include "analysis/cfg_builder.hh"
 #include "cpu/basic_kernel.hh"
 #include "cpu/cpu.hh"
 #include "isa/builder.hh"
 #include "isa/loader.hh"
+#include "runtime/scheduler.hh"
 #include "runtime/slow_path.hh"
 #include "trace/ipt.hh"
 #include "workloads/apps.hh"
@@ -263,6 +267,110 @@ TEST(SlowPath, IndirectCallMidFunctionViolates)
     EXPECT_EQ(result.verdict, CheckVerdict::Violation);
 }
 
+TEST(SlowPath, RingCutMidStreamWithoutPsbWalksNothing)
+{
+    // A 512-byte ring and a PSB every 1024 bytes: once the ring wraps,
+    // most views hold no PSB. Their bytes start mid-stream, so no PSB
+    // anchors an IP in them, and the slow path must report a sync loss
+    // and walk nothing rather than decode them from byte 0: on the
+    // live ring, and from the copy the scheduler queues, which keeps
+    // the window's stream offset.
+    workloads::ServerSpec spec;
+    spec.name = "cut";
+    spec.seed = 24;
+    spec.cr3 = 0x2400;
+    const auto app = workloads::buildServerApp(spec);
+    const analysis::TypeArmorInfo ta =
+        analysis::analyzeTypeArmor(app.program);
+    const analysis::Cfg cfg = analysis::buildCfg(app.program, &ta);
+
+    // The window holds no step, only a sync loss over all its bytes.
+    const auto expect_sync_loss = [](const SlowPathResult &result,
+                                     const SlowPathChecker &checker,
+                                     size_t size) {
+        EXPECT_EQ(result.verdict, CheckVerdict::Pass);
+        EXPECT_EQ(result.reason, "no sync point in window");
+        EXPECT_EQ(result.instructionsWalked, 0u);
+        EXPECT_EQ(result.branchesChecked, 0u);
+        EXPECT_TRUE(checker.window().steps.empty());
+        EXPECT_EQ(checker.window().resyncs, 1u);
+        EXPECT_EQ(checker.window().bytesSkipped, size);
+    };
+
+    SlowPathChecker live(cfg, ta);
+    SlowPathChecker queued(cfg, ta);
+    std::vector<SlowPathResult> from_copies;
+    SchedulerConfig config;
+    config.policy = OverloadPolicy::DeferAndRecheck;
+    config.deadlineCycles = 100;
+    CheckScheduler scheduler(
+        config,
+        [&](const CheckRequest &request) {
+            CheckExecution exec;
+            exec.verdict = CheckVerdict::Pass;
+            exec.costCycles = 1'000;
+            if (request.window.stream == 0) {
+                from_copies.push_back(queued.check(request.window));
+                expect_sync_loss(from_copies.back(), queued,
+                                 request.window.bytes.size());
+            }
+            return exec;
+        },
+        [](const CheckRequest &, bool) {},
+        [](const CheckRequest &, const CheckExecution &, uint64_t) {});
+
+    trace::Topa topa({256, 256});
+    trace::IptConfig ipt;
+    ipt.psbPeriodBytes = 1024;
+    trace::IptEncoder encoder(ipt, topa);
+    size_t unsynced = 0;
+    uint64_t now = 0;
+    struct Sampler : cpu::TraceSink
+    {
+        std::function<void()> sample;
+        size_t seen = 0;
+
+        void
+        onBranch(const cpu::BranchEvent &) override
+        {
+            if (++seen % 37 == 0)
+                sample();
+        }
+    } sampler;
+    sampler.sample = [&] {
+        const trace::StreamView view = topa.streamView();
+        if (view.offset == 0 ||
+            trace::findNextPsb(view.bytes.data(), view.bytes.size(), 0) !=
+                SIZE_MAX)
+            return;
+        ++unsynced;
+        SCOPED_TRACE("view at " + std::to_string(view.offset));
+        expect_sync_loss(live.check(view), live, view.bytes.size());
+        // The first request occupies the core past its deadline, so the
+        // second is queued unexecuted and runs from its copy.
+        CheckRequest late;
+        late.window = view;
+        CheckRequest copied;
+        copied.window = view;
+        scheduler.submit(std::move(late), now);
+        scheduler.submit(std::move(copied), now);
+        now += 10'000;
+        scheduler.drain(now);
+    };
+
+    cpu::Cpu cpu(app.program);
+    cpu::BasicKernel kernel;
+    kernel.setInput(workloads::makeBenignStream(
+        20, 5, spec.numHandlers, spec.numParserStates));
+    cpu.setSyscallHandler(&kernel);
+    cpu.addTraceSink(&encoder);
+    cpu.addTraceSink(&sampler);
+    EXPECT_EQ(cpu.run(5'000'000), cpu::Cpu::Stop::Halted);
+
+    EXPECT_GT(unsynced, 10u);
+    EXPECT_EQ(from_copies.size(), unsynced);
+}
+
 TEST(SlowPath, EmptyWindowPasses)
 {
     ModuleBuilder mod("m", ModuleKind::Executable);
@@ -272,7 +380,7 @@ TEST(SlowPath, EmptyWindowPasses)
     analysis::TypeArmorInfo ta = analysis::analyzeTypeArmor(prog);
     analysis::Cfg cfg = analysis::buildCfg(prog, &ta);
     SlowPathChecker checker(cfg, ta);
-    auto result = checker.check({});
+    auto result = checker.check(std::span<const uint8_t>{});
     EXPECT_EQ(result.verdict, CheckVerdict::Pass);
 }
 

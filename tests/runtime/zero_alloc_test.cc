@@ -24,12 +24,14 @@
  * anchored decode.
  *
  * A second test drives the same service with every check forced onto
- * the slow path: once the slow path's scratch (the window's one
- * decode, the run walk's branches, the shadow stack) and the staged
+ * the slow path: once the slow path's scratch (its decode cursor, the
+ * kept walk's branches and marks, the shadow stack) and the staged
  * views have grown, and the overlay holds every pair the load stages,
  * an escalation that passes allocates nothing, from the window decode
  * through the walk, staging and the commit, and the synchronous
- * service copies no window.
+ * service copies no window. Its decode, read from the telemetry spans,
+ * parses no more than the trace written since the previous slow check
+ * plus one PSB segment, except the one check that must cold-start.
  *
  * A third test counts the allocations of a verdict-cache commit whose
  * staged pairs and n-grams the runtime overlay already holds: none.
@@ -52,6 +54,7 @@
 #include "cpu/cpu.hh"
 #include "runtime/monitor.hh"
 #include "runtime/service.hh"
+#include "telemetry/telemetry.hh"
 #include "trace/ipt.hh"
 #include "workloads/apps.hh"
 
@@ -98,6 +101,27 @@ struct EndpointCheck
     double decodeCycles = 0.0;
     /** Trace bytes written since the previous check. */
     uint64_t written = 0;
+    /** Trace bytes the slow path's window decode read. */
+    uint64_t slowParsed = 0;
+};
+
+/** Counts the bytes each slow check's window decode reads: the
+ *  FastDecode span closed last before a SlowCheck span is its own. */
+struct SlowDecodeSink : telemetry::TelemetrySink
+{
+    uint64_t lastDecode = 0;
+    uint64_t parsed = 0;
+
+    void
+    onEvent(const telemetry::FlightEvent &event) override
+    {
+        if (event.kind != telemetry::EventKind::Span)
+            return;
+        if (event.span == telemetry::SpanKind::FastDecode)
+            lastDecode = event.b;
+        else if (event.span == telemetry::SpanKind::SlowCheck)
+            parsed += lastDecode;
+    }
 };
 
 /** Runs the service's endpoint check at every endpoint syscall,
@@ -126,9 +150,12 @@ class CountingKernel : public cpu::BasicKernel
             const size_t log_capacity =
                 _monitor.verdictLog().capacity();
             const double decode_before = _account.decode;
+            const uint64_t parsed_before = slowSink ? slowSink->parsed : 0;
             const uint64_t before = heap_allocations.load();
             check.kill = _service.onEndpoint(cpu, number).kill;
             check.allocations = heap_allocations.load() - before;
+            check.slowParsed =
+                (slowSink ? slowSink->parsed : 0) - parsed_before;
             check.decodeCycles = _account.decode - decode_before;
             check.written = _topa.totalWritten() - _writtenBefore;
             _writtenBefore = _topa.totalWritten();
@@ -142,6 +169,8 @@ class CountingKernel : public cpu::BasicKernel
     std::vector<EndpointCheck> checks;
     /** When set, every check is forced onto this monitor's slow path. */
     runtime::Monitor *escalate = nullptr;
+    /** When set, what each check's slow path decode read. */
+    const SlowDecodeSink *slowSink = nullptr;
 
   private:
     runtime::ProtectionService &_service;
@@ -281,6 +310,11 @@ TEST(ZeroAllocation, PassingSlowCheckAllocatesNothing)
     runtime::Monitor monitor(app.program, guard.itc(), guard.ocfg(),
                              guard.typearmor(), monitor_config,
                              &cycles);
+    // Spans only to count what each slow check's decode reads.
+    SlowDecodeSink sink;
+    telemetry::Telemetry telemetry;
+    telemetry.setSink(&sink);
+    monitor.setTelemetry(&telemetry, app.program.cr3());
     const auto load = workloads::makeBenignStream(
         40, 11, spec.numHandlers, spec.numParserStates);
 
@@ -302,6 +336,7 @@ TEST(ZeroAllocation, PassingSlowCheckAllocatesNothing)
         EXPECT_EQ(service.attachAll().attached, 1u);
         CountingKernel kernel(service, monitor, topa, cycles);
         kernel.escalate = &monitor;
+        kernel.slowSink = &sink;
         kernel.setInput(load);
         cpu.setSyscallHandler(&kernel);
         EXPECT_EQ(cpu.run(50'000'000), cpu::Cpu::Stop::Halted);
@@ -316,13 +351,29 @@ TEST(ZeroAllocation, PassingSlowCheckAllocatesNothing)
     ASSERT_EQ(measured.size(), sizing.size());
 
     size_t log_growths = 0;
+    size_t cold_starts = 0;
+    size_t counted_segments = 0;
+    uint64_t parsed = 0;
     for (size_t i = 0; i < measured.size(); ++i) {
         SCOPED_TRACE("check " + std::to_string(i));
         const EndpointCheck &check = measured[i];
         ASSERT_FALSE(check.kill);
         EXPECT_EQ(check.allocations, check.logGrew ? 1u : 0u);
         log_growths += check.logGrew ? 1 : 0;
+        // The slow path's window decode reads what is new since the
+        // previous slow check, at most one PSB segment more (to rule out
+        // a window lying wholly among the new bytes); anything beyond
+        // is a cold start.
+        if (check.slowParsed > check.written + trace::detail::psb_len)
+            ++counted_segments;
+        if (check.slowParsed > check.written + config.psbPeriodBytes)
+            ++cold_starts;
+        parsed += check.slowParsed;
     }
+    // Only the first check on the new ring cold-starts.
+    EXPECT_LE(cold_starts, 1u);
+    EXPECT_LE(counted_segments, measured.size() / 4);
+    EXPECT_GT(parsed, 0u);
     // Every measured check escalated, passed the slow path and walked
     // real flow; most of them on a wrapped ring.
     EXPECT_EQ(monitor.stats().slowPass - slow_before, measured.size());
