@@ -1,6 +1,7 @@
 #include "analysis/itc_cfg.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 
 #include "support/logging.hh"
@@ -124,6 +125,15 @@ condenseDirect(const Cfg &cfg)
 }
 
 } // namespace
+
+uint64_t
+ItcCfg::Version::next()
+{
+    // Shared by every graph, so no two states of any two graphs share
+    // a value (0 is never handed out).
+    static std::atomic<uint64_t> last{0};
+    return last.fetch_add(1, std::memory_order_relaxed) + 1;
+}
 
 ItcCfg
 ItcCfg::build(const Cfg &cfg)
@@ -261,12 +271,16 @@ ItcCfg::learn(int64_t edge, std::span<const uint8_t> tnt)
         _runtimeCredit.resize(_targets.size(), 0);
     const bool fresh = _runtimeCredit[e] == 0;
     _runtimeCredit[e] = 1;
-    if (_tntVaried[e])
-        return fresh;
     auto &seqs = _tntSeqs[e];
-    for (const auto &seq : seqs)
-        if (std::ranges::equal(seq, tnt))
-            return fresh;
+    const bool held = _tntVaried[e] ||
+        std::ranges::any_of(seqs, [&](const TntSequence &seq) {
+            return std::ranges::equal(seq, tnt);
+        });
+    // Only a new pair changes the graph.
+    if (fresh || !held)
+        _version.bump();
+    if (held)
+        return fresh;
     if (seqs.size() >= max_tnt_variants) {
         // Saturated at runtime: the trained sequences stay behind the
         // varied mark, for clearRuntime() to restore.
@@ -292,6 +306,7 @@ ItcCfg::edgeFromNode(size_t edge) const
 size_t
 ItcCfg::revokeRuntimeCreditsInRange(uint64_t begin, uint64_t end)
 {
+    _version.bump();
     size_t dropped = 0;
     for (size_t e = 0; e < _runtimeCredit.size(); ++e) {
         if (!_runtimeCredit[e])
@@ -311,6 +326,7 @@ ItcCfg::revokeRuntimeCreditsInRange(uint64_t begin, uint64_t end)
 size_t
 ItcCfg::clearRuntime()
 {
+    _version.bump();
     size_t dropped = 0;
     for (auto &credit : _runtimeCredit) {
         dropped += credit != 0;
@@ -327,6 +343,7 @@ ItcCfg::clearRuntime()
 void
 ItcCfg::enableLiveness()
 {
+    _version.bump();
     _livenessEnabled = true;
     _liveNode.assign(numNodes(), 1);
     if (_runtimeCredit.size() != _targets.size())
@@ -366,6 +383,7 @@ ItcCfg::RangeUpdate
 ItcCfg::setRangeLive(uint64_t begin, uint64_t end, bool live)
 {
     fg_assert(_livenessEnabled, "call enableLiveness() first");
+    _version.bump();
     RangeUpdate update;
     const size_t lo = static_cast<size_t>(
         std::lower_bound(_nodeAddrs.begin(), _nodeAddrs.end(), begin) -
@@ -414,6 +432,7 @@ ItcCfg::edgeLive(int64_t edge) const
 void
 ItcCfg::applyRebase(uint64_t begin, uint64_t end, int64_t delta)
 {
+    _version.bump();
     const size_t n = numNodes();
     const size_t m = _targets.size();
     auto shift = [&](uint64_t addr) {
@@ -497,6 +516,7 @@ ItcCfg::addTntSequence(int64_t edge, const TntSequence &seq)
     const auto held = std::find(seqs.begin(), seqs.end(), seq);
     if (held < seqs.begin() + trained)
         return;
+    _version.bump();
     if (trained >= max_tnt_variants) {
         _tntVaried[e] = 1;
         trained = trained_varied;

@@ -73,6 +73,18 @@ class ItcCfg
      */
     int64_t findEdgeCached(uint64_t from, uint64_t to);
 
+    /**
+     * What the graph holds, as a stamp: every mutation takes a fresh
+     * value from a process-wide counter, so equal versions mean equal
+     * graphs. A copy keeps its source's version; a move passes it on
+     * and re-stamps the moved-from graph. findEdgeCached() leaves it
+     * alone, and so does a call that finds the graph as it would leave
+     * it (a learn() or addTntSequence() of a pair the graph holds, a
+     * setHighCredit() of a credited edge). What the fast path keeps
+     * about a transition holds while the version does.
+     */
+    uint64_t version() const { return _version.value(); }
+
     // --- training annotations ---------------------------------------------
     /** Trained OR runtime (verdict-cache) credit. */
     bool highCredit(int64_t edge) const
@@ -83,7 +95,10 @@ class ItcCfg
     }
     void setHighCredit(int64_t edge)
     {
-        _credits[static_cast<size_t>(edge)] = 1;
+        uint8_t &credit = _credits[static_cast<size_t>(edge)];
+        if (credit == 0)
+            _version.bump();
+        credit = 1;
     }
 
     // --- runtime overlay (verdict cache) -----------------------------------
@@ -214,6 +229,7 @@ class ItcCfg
         _tntVaried[static_cast<size_t>(edge)] = 1;
         _tntTrained[static_cast<size_t>(edge)] = trained_varied;
         _tntSeqs[static_cast<size_t>(edge)].clear();
+        _version.bump();
     }
 
     /** Fraction of edges labeled high-credit. */
@@ -241,6 +257,35 @@ class ItcCfg
     };
     static constexpr int edge_cache_bits = 10;
 
+    /** version(): fresh when made, kept by a copy, passed on by a
+     *  move, which leaves the moved-from one fresh. */
+    class Version
+    {
+      public:
+        Version() : _value(next()) {}
+        Version(const Version &) = default;
+        Version &operator=(const Version &) = default;
+        Version(Version &&other) noexcept : _value(other._value)
+        {
+            other.bump();
+        }
+        Version &
+        operator=(Version &&other) noexcept
+        {
+            _value = other._value;
+            other.bump();
+            return *this;
+        }
+
+        void bump() { _value = next(); }
+        uint64_t value() const { return _value; }
+
+      private:
+        static uint64_t next();
+
+        uint64_t _value;
+    };
+
     RangeUpdate setRangeLive(uint64_t begin, uint64_t end, bool live);
     void buildLivenessIndex();
     size_t edgeFromNode(size_t edge) const;
@@ -266,6 +311,7 @@ class ItcCfg
     /** findEdgeCached() slots, sized on first use; a rebase empties
      *  it. */
     std::vector<EdgeCacheSlot> _edgeCache;
+    Version _version;
 };
 
 } // namespace flowguard::analysis

@@ -110,15 +110,34 @@ using detail::AnchorSearch;
 using detail::Counts;
 
 /** Where an emit pass records the PSBs it crosses, and what makes
- *  those records unsafe to anchor a later window at. */
+ *  those records unsafe to anchor a later window at; and the views
+ *  that slice the outcome pool it appends to. */
 struct PsbLog
 {
     std::vector<detail::PsbRecord> &records;
     /** Stream offset of the parsed buffer's first byte. */
     uint64_t base = 0;
+    /** Views into the pool, kept pointing at it when it grows. */
+    std::vector<TransitionView> *views = nullptr;
     /** A PSB ran into the next one, so the later one is the sync
      *  point the anchored search finds, not both. */
     bool adjacent = false;
+
+    /** Moves `pool` to a buffer that holds `need` outcomes, and the
+     *  views with it. */
+    void
+    grow(std::vector<uint8_t> &pool, size_t need)
+    {
+        std::vector<uint8_t> grown;
+        grown.reserve(std::max(need, 2 * pool.capacity()));
+        grown.assign(pool.begin(), pool.end());
+        if (views) {
+            for (TransitionView &view : *views)
+                view.tnt = {grown.data() + (view.tnt.data() - pool.data()),
+                            view.tnt.size()};
+        }
+        pool.swap(grown);
+    }
 
     void
     psb(uint64_t at, const FastDecodeResult &result)
@@ -252,6 +271,8 @@ parse(std::span<const uint8_t> data, size_t start, size_t end,
             // vector, whose pointers are then reloaded every time.
             auto &bits = result.tntBits;
             const size_t at = bits.size();
+            if (log && at + pkt.tntCount > bits.capacity())
+                log->grow(bits, at + pkt.tntCount);
             bits.resize(at + pkt.tntCount);
             uint8_t *out = bits.data() + at;
             for (int i = 0; i < pkt.tntCount; ++i)
@@ -410,6 +431,49 @@ decodeAnchored(FastDecodeResult &out, std::span<const uint8_t> data,
     return anchor;
 }
 
+/**
+ * Folds flow.steps from `begin` on into transitions, from where `fold`
+ * stands, and hands each to `emit`; stops after the first one `emit`
+ * returns false for.
+ *
+ * Steps slice the pool back to back, so the outcomes of one transition
+ * are the contiguous run from `fold.from` to its TIP. (A window's
+ * first step starts the pool, unless a loss kept outcomes ahead of it;
+ * those pair with nothing.)
+ */
+template <typename Emit>
+void
+foldSteps(const FastDecodeResult &flow, size_t begin, detail::Fold &fold,
+          Emit &&emit)
+{
+    const std::span<const uint8_t> pool(flow.tntBits);
+    for (size_t i = begin; i < flow.steps.size(); ++i) {
+        const FlowStep &step = flow.steps[i];
+        if (step.lossBefore) {
+            // Trace gap: the previous TIP is not this step's true
+            // predecessor. Restart the window as if at its head.
+            fold.prev = 0;
+            fold.from = step.tntOffset;
+        }
+        if (step.kind != StepKind::Tip || step.ipSuppressed)
+            continue;   // context markers are transparent
+        const size_t end = step.tntOffset + step.tntLength;
+        const TransitionView view{fold.prev, step.ip,
+                                  pool.subspan(fold.from, end - fold.from)};
+        fold.from = end;
+        fold.prev = step.ip;
+        if (!emit(view))
+            return;
+    }
+}
+
+/** A fold from the head of `flow`'s window. */
+detail::Fold
+headFold(const FastDecodeResult &flow)
+{
+    return {0, flow.steps.empty() ? 0 : flow.steps.front().tntOffset};
+}
+
 } // namespace
 
 void
@@ -488,6 +552,7 @@ TraceCursor::decode(const trace::StreamView &view, size_t min_tips,
         coldStart(view, min_tips, search);
         _flow.bytesScanned += resumed;
     }
+    foldViews();
     charge(account, _flow.bytesScanned);
     report(telemetry, cr3, begin, _flow);
     return _flow;
@@ -498,9 +563,11 @@ TraceCursor::coldStart(const trace::StreamView &view, size_t min_tips,
                        const AnchorSearch &search)
 {
     _psbs.clear();
-    _origin = {_origin.coldStart + 1, 0, 0};
+    _origin = {_origin.coldStart + 1, 0, 0, 0};
+    _views.clear();
+    _folded = 0;
     // Bytes that stand alone are never resumed: keep no records.
-    PsbLog log{_psbs, view.offset};
+    PsbLog log{_psbs, view.offset, &_views};
     const size_t anchor = decodeAnchored(
         _flow, view.bytes, min_tips, view.offset, _state,
         view.stream != 0 ? &log : nullptr, search, &_oldest);
@@ -548,7 +615,7 @@ TraceCursor::resume(const trace::StreamView &view, size_t min_tips,
     // The window's counters stand in for the running ones.
     _flow.overflows = _overflows;
     _flow.packetCount = _packets;
-    PsbLog log{_psbs, view.offset};
+    PsbLog log{_psbs, view.offset, &_views};
     Counts unused;
     parsed = parse<true>(view.bytes, start, SIZE_MAX, _flow, unused,
                          _state, &log);
@@ -635,11 +702,34 @@ TraceCursor::dropBefore(size_t index)
         anchor.bitsAt,
         first < steps.size() ? size_t{steps[first].tntOffset}
                              : _state.pending);
+    // The views of the dropped steps go with them; the next fold
+    // rebuilds the one that then leads as the head, or, with none
+    // left, folds what is left from the head.
+    const size_t folded = std::min(first, _folded);
+    size_t views = 0;
+    for (size_t i = 0; i < folded; ++i)
+        views += steps[i].kind == StepKind::Tip && !steps[i].ipSuppressed;
+    _views.erase(_views.begin(),
+                 _views.begin() + static_cast<ptrdiff_t>(views));
+    _folded = _views.empty() ? 0 : _folded - folded;
+    _fold.from -= _folded > 0 ? bit : 0;
+    _origin.views += views;
+    _trimmed = true;
     steps.erase(steps.begin(),
                 steps.begin() + static_cast<ptrdiff_t>(first));
     _flow.tntBits.erase(_flow.tntBits.begin(),
                         _flow.tntBits.begin() +
                             static_cast<ptrdiff_t>(bit));
+    // The outcomes moved down in place. The head's may have started in
+    // front of the kept ones; the next fold rebuilds it.
+    const uint8_t *pool = _flow.tntBits.data();
+    for (size_t i = 1; i < _views.size(); ++i) {
+        const std::span<const uint8_t> tnt = _views[i].tnt;
+        const size_t at = static_cast<size_t>(tnt.data() - pool) - bit;
+        _views[i].tnt = {pool + at, tnt.size()};
+    }
+    if (!_views.empty())
+        _views.front().tnt = {};
     for (FlowStep &step : steps)
         step.tntOffset -= static_cast<uint32_t>(bit);
     _state.pending -= bit;
@@ -658,33 +748,37 @@ TraceCursor::dropBefore(size_t index)
 }
 
 void
+TraceCursor::foldViews()
+{
+    if (_folded == 0) {
+        _fold = headFold(_flow);
+    } else if (_trimmed) {
+        // The view that now leads lost its source TIP, and the first
+        // step was re-sliced.
+        detail::Fold head = headFold(_flow);
+        foldSteps(_flow, 0, head, [&](const TransitionView &view) {
+            _views.front() = view;
+            return false;
+        });
+    }
+    foldSteps(_flow, _folded, _fold, [&](const TransitionView &view) {
+        _views.push_back(view);
+        return true;
+    });
+    _folded = _flow.steps.size();
+    _trimmed = false;
+}
+
+void
 extractTransitionViews(const FastDecodeResult &flow,
                        std::vector<TransitionView> &out)
 {
     out.clear();
-    if (flow.steps.empty())
-        return;
-    const std::span<const uint8_t> pool(flow.tntBits);
-    uint64_t prev = 0;
-    // Steps slice the pool back to back, so the outcomes of one
-    // transition are the contiguous run from `from` to its TIP. (A
-    // decode's first step starts the pool, unless a loss kept
-    // outcomes ahead of it; those pair with nothing.)
-    size_t from = flow.steps.front().tntOffset;
-    for (const auto &step : flow.steps) {
-        if (step.lossBefore) {
-            // Trace gap: the previous TIP is not this step's true
-            // predecessor. Restart the window as if at its head.
-            prev = 0;
-            from = step.tntOffset;
-        }
-        if (step.kind != StepKind::Tip || step.ipSuppressed)
-            continue;   // context markers are transparent
-        const size_t end = step.tntOffset + step.tntLength;
-        out.push_back({prev, step.ip, pool.subspan(from, end - from)});
-        from = end;
-        prev = step.ip;
-    }
+    detail::Fold fold = headFold(flow);
+    foldSteps(flow, 0, fold, [&](const TransitionView &view) {
+        out.push_back(view);
+        return true;
+    });
 }
 
 std::vector<TipTransition>

@@ -233,7 +233,29 @@ struct PsbRecord
     bool lossAfter = false;
 };
 
+/** Where folding steps into transitions stands: the previous TIP's
+ *  address (0 at a window's head and after a loss), and where the next
+ *  transition's outcomes start in the pool. */
+struct Fold
+{
+    uint64_t prev = 0;
+    size_t from = 0;
+};
+
 } // namespace detail
+
+/**
+ * One ITC-CFG-level transition read in place: consecutive TIP targets
+ * with the conditional outcomes observed between them (see
+ * TipTransition). `tnt` slices the bit pool of the decode result it
+ * came from, and is valid while that result lives unchanged.
+ */
+struct TransitionView
+{
+    uint64_t from = 0;      ///< 0 for the first TIP in the window
+    uint64_t to = 0;
+    std::span<const uint8_t> tnt;
+};
 
 /**
  * A decode kept over one live trace stream, so that a check parses
@@ -264,6 +286,14 @@ struct PsbRecord
  * read, is what it is charged for, and is never more than the fresh
  * decode's unless a wider window cold-starts after parsing. A view
  * whose stream identity is 0 stands alone: it always cold-starts.
+ *
+ * Beside the steps it keeps the window's transitions (views()), as
+ * extractTransitionViews() folds them: a decode folds only the steps
+ * it appended, a trim drops the views of the steps it drops, and the
+ * view that then leads the window is rebuilt as a window's head (no
+ * source TIP, outcomes from the re-sliced first step). Every other
+ * view stays as it was, so a consumer may keep what it learned about
+ * a view for as long as the view is kept (see Origin).
  */
 class TraceCursor
 {
@@ -283,18 +313,25 @@ class TraceCursor
      *  decode; none for bytes that stand alone. */
     std::span<const detail::PsbRecord> records() const { return _psbs; }
 
+    /** The window's transitions: extractTransitionViews(window()),
+     *  valid until the next decode. */
+    std::span<const TransitionView> views() const { return _views; }
+
     /**
      * Where the window sits in the decode kept since the last cold
      * start: which cold start that was (new at every one), and how
-     * many steps and outcomes have been dropped from the front since.
-     * A walk of an earlier window of the same cold start finds its
-     * steps and outcomes that many places further down.
+     * many steps, outcomes and views have been dropped from the front
+     * since. A walk of an earlier window of the same cold start finds
+     * its steps and outcomes that many places further down, and
+     * views()[i] is the view views()[i + dropped] of that window was,
+     * except the first, which a decode may rebuild as the head.
      */
     struct Origin
     {
         uint64_t coldStart = 0;
         uint64_t steps = 0;
         uint64_t bits = 0;
+        uint64_t views = 0;
     };
 
     const Origin &origin() const { return _origin; }
@@ -311,6 +348,9 @@ class TraceCursor
     bool selectWindow(const trace::StreamView &view, size_t min_tips);
     /** Forgets what precedes the `index`th PSB record. */
     void dropBefore(size_t index);
+    /** Brings the views up to the steps: rebuilds the head after a
+     *  trim and folds the new steps. */
+    void foldViews();
 
     /** The decode from the first record's PSB; between decodes its
      *  counters are the window's. */
@@ -329,6 +369,15 @@ class TraceCursor
      *  search that picked it ran out of older ones. */
     bool _oldest = false;
     Origin _origin;
+
+    /** The window's transitions; their outcomes point into _flow's
+     *  pool, and move with it when it grows or is trimmed. */
+    std::vector<TransitionView> _views;
+    /** Steps folded into _views, and where the fold stands after them. */
+    size_t _folded = 0;
+    detail::Fold _fold;
+    /** A trim since the last fold: the head must be rebuilt. */
+    bool _trimmed = false;
 };
 
 /**
@@ -345,18 +394,6 @@ struct TipTransition
     uint64_t from = 0;      ///< 0 for the first TIP in the window
     uint64_t to = 0;
     std::vector<uint8_t> tnt;   ///< outcomes between from and to
-};
-
-/**
- * A TipTransition read in place: `tnt` slices the bit pool of the
- * decode result it came from, and is valid while that result lives
- * unchanged.
- */
-struct TransitionView
-{
-    uint64_t from = 0;
-    uint64_t to = 0;
-    std::span<const uint8_t> tnt;
 };
 
 /** Folds a packet-layer decode into transition views, replacing the

@@ -1,5 +1,7 @@
 #include "runtime/fast_path.hh"
 
+#include <algorithm>
+
 namespace flowguard::runtime {
 
 FastPathChecker::FastPathChecker(const analysis::ItcCfg &itc,
@@ -18,10 +20,30 @@ FastPathChecker::check(const trace::StreamView &window,
     telemetry::ScopedSpan span(_telemetry,
                                telemetry::SpanKind::FastCheck,
                                _telemetryCr3);
-    const decode::FastDecodeResult &flow = _scratch.cursor.decode(
+    decode::TraceCursor &cursor = _scratch.cursor;
+    const decode::FastDecodeResult &flow = cursor.decode(
         window, pkt_count, _account, _telemetry, _telemetryCr3);
-    decode::extractTransitionViews(flow, _scratch.transitions);
-    FastPathResult result = checkWindow(_scratch.transitions, pkt_count);
+    const std::span<const decode::TransitionView> views = cursor.views();
+
+    // Keep the classifications of the views the cursor kept: drop those
+    // of the views it dropped, and forget the head's, which it may have
+    // rebuilt. A cold start keeps none.
+    std::vector<Classification> &memo = _scratch.memo;
+    const decode::TraceCursor::Origin &origin = cursor.origin();
+    if (origin.coldStart != _scratch.memoOrigin.coldStart) {
+        memo.clear();
+    } else {
+        const size_t dropped = std::min<uint64_t>(
+            origin.views - _scratch.memoOrigin.views, memo.size());
+        memo.erase(memo.begin(),
+                   memo.begin() + static_cast<ptrdiff_t>(dropped));
+        if (!memo.empty())
+            memo.front() = {};
+    }
+    memo.resize(views.size());
+    _scratch.memoOrigin = origin;
+
+    FastPathResult result = checkWindow(views, memo, pkt_count);
     result.overflows = flow.overflows;
     result.resyncs = flow.resyncs;
     result.bytesSkipped = flow.bytesSkipped;
@@ -40,12 +62,35 @@ FastPathChecker::checkTransitions(
     views.clear();
     for (const auto &transition : all)
         views.push_back({transition.from, transition.to, transition.tnt});
-    return checkWindow(views, _config.pktCount);
+    // These views are not the cursor's: classify them all, and let the
+    // next check() start its memo over.
+    _scratch.memo.assign(views.size(), {});
+    _scratch.memoOrigin = {};
+    return checkWindow(views, _scratch.memo, _config.pktCount);
+}
+
+void
+FastPathChecker::classify(const decode::TransitionView &transition,
+                          Classification &out) const
+{
+    out.matched = true;
+    out.credit = false;
+    out.tnt = false;
+    if (transition.from == 0) {
+        // Window head: only the target can be validated.
+        out.known = _itc.findNode(transition.to) >= 0;
+        return;
+    }
+    const int64_t edge = _itc.findEdge(transition.from, transition.to);
+    out.known = edge >= 0 && _itc.edgeLive(edge);
+    out.credit = out.known && _itc.highCredit(edge);
+    out.tnt = out.credit && _itc.tntCompatible(edge, transition.tnt);
 }
 
 FastPathResult
-FastPathChecker::checkWindow(
-    std::span<const decode::TransitionView> all, size_t pkt_count) const
+FastPathChecker::checkWindow(std::span<const decode::TransitionView> all,
+                             std::span<Classification> memo,
+                             size_t pkt_count) const
 {
     FastPathResult result;
 
@@ -69,7 +114,12 @@ FastPathChecker::checkWindow(
             break;
         --begin;
         ++tips;
-        const int module = _program.moduleIndexAt(all[begin].to);
+        int module = memo[begin].module;
+        if (module == Classification::unresolved) {
+            module = _program.moduleIndexAt(all[begin].to);
+            if (module <= INT8_MAX)
+                memo[begin].module = static_cast<int8_t>(module);
+        }
         if (!any_module) {
             first_module = module;
             any_module = true;
@@ -90,7 +140,9 @@ FastPathChecker::checkWindow(
     //
     // With a module map attached, endpoints are classified first:
     // stale ranges convict outright, JIT/unknown code resolves by the
-    // JitPolicy, and only live-module pairs reach edge matching.
+    // JitPolicy, and only live-module pairs reach edge matching. That
+    // resolution is made afresh at every check; what edge matching
+    // found is kept per view for as long as the graph's version holds.
     enum class Resolution : uint8_t { Check, Waive, Violate };
     auto resolveDynamic = [&](const decode::TransitionView &transition,
                               FastPathResult &res) {
@@ -133,6 +185,13 @@ FastPathChecker::checkWindow(
     };
 
     const size_t tnt_valid_from = 2;
+    // Versions are unique to one state of one graph: matches made
+    // under this one hold, and any others are forgotten.
+    if (_itc.version() != _scratch.graph) {
+        _scratch.graph = _itc.version();
+        for (Classification &match : memo)
+            match.matched = false;
+    }
     for (size_t i = begin; i < all.size(); ++i) {
         const auto &transition = all[i];
         ++result.tipsChecked;
@@ -151,29 +210,22 @@ FastPathChecker::checkWindow(
             break;
         }
 
-        if (transition.from == 0) {
-            // Window head: only the target can be validated.
-            if (_itc.findNode(transition.to) < 0) {
-                result.verdict = CheckVerdict::Violation;
-                result.violatingTo = transition.to;
-                return result;
-            }
-            continue;
-        }
-
-        const int64_t edge =
-            _itc.findEdge(transition.from, transition.to);
-        if (edge < 0 || !_itc.edgeLive(edge)) {
+        Classification &match = memo[i];
+        if (!match.matched)
+            classify(transition, match);
+        if (!match.known) {
+            // A head's source is not a TIP (violatingFrom stays 0).
             result.verdict = CheckVerdict::Violation;
             result.violatingFrom = transition.from;
             result.violatingTo = transition.to;
             return result;
         }
+        if (transition.from == 0)
+            continue;   // a head: only the target can be validated
         ++result.edgesChecked;
 
-        bool credible = _itc.highCredit(edge);
-        if (credible && i >= tnt_valid_from &&
-            !_itc.tntCompatible(edge, transition.tnt)) {
+        bool credible = match.credit;
+        if (credible && i >= tnt_valid_from && !match.tnt) {
             credible = false;
             ++result.tntMismatches;
         }

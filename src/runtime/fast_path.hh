@@ -13,11 +13,20 @@
  * The decode is kept in a decode::TraceCursor over the process's live
  * ToPA stream, so a check parses only the trace written since the
  * last one and cold-starts the anchored decode only when it must (see
- * TraceCursor). Only decoding is memoised: every check still matches
- * all of its window's transitions against the graph as it is now, and
- * its window is the one the anchored decode returns, so no verdict and
- * no statistic depends on what the cursor kept. Only the modeled
- * decode charge does: it counts the bytes each check parsed.
+ * TraceCursor). The cursor also keeps the window's transitions,
+ * folding only the new steps, and beside each kept transition the
+ * checker keeps what matching it against the graph found (node or
+ * edge, live, credit, TNT-compatible, and its target's module).
+ * The matches hold for one ItcCfg::version(); a check that finds
+ * another forgets them all. A check matches only the transitions
+ * that have no match: the new ones, the rebuilt head, and all of
+ * them after the graph changed. Its window
+ * is still the one the anchored decode returns, and every transition
+ * in it is still counted and charged as checked, so no verdict,
+ * statistic or check charge depends on what was kept. Only the
+ * modeled decode charge does: it counts the bytes each check parsed.
+ * The module map's resolution (dynamic code) is not kept; it is made
+ * afresh at every check.
  *
  * Window policy per §7.1.1: at least `pkt_count` (default 30) TIPs
  * are checked, the window must stride more than one module, and at
@@ -172,14 +181,44 @@ class FastPathChecker
     }
 
   private:
+    /** What matching one transition against the graph found: two
+     *  bytes, one per kept view. */
+    struct Classification
+    {
+        static constexpr int8_t unresolved = -2;
+
+        /** Program module of the target (-1: none), once looked up and
+         *  when it fits. */
+        int8_t module = unresolved;
+        /** The match below was made against the graph as it is. */
+        bool matched : 1 = false;
+        /** A head's target is a node; another's edge is in the graph
+         *  and live. */
+        bool known : 1 = false;
+        /** The edge has high credit. */
+        bool credit : 1 = false;
+        /** The edge has high credit and the view's outcomes are
+         *  TNT-compatible with it. */
+        bool tnt : 1 = false;
+    };
+
     FastPathResult
     checkWindow(std::span<const decode::TransitionView> all,
-                size_t pkt_count) const;
+                std::span<Classification> memo, size_t pkt_count) const;
+    /** Matches `transition` against the graph as it is now. */
+    void classify(const decode::TransitionView &transition,
+                  Classification &out) const;
 
     /** Per-check working state, reused across checks. */
     struct Scratch
     {
         decode::TraceCursor cursor;
+        /** One per cursor view, and the cursor origin they align to. */
+        std::vector<Classification> memo;
+        decode::TraceCursor::Origin memoOrigin;
+        /** ItcCfg::version() the memo's matches were made under. */
+        uint64_t graph = 0;
+        /** checkTransitions()' views. */
         std::vector<decode::TransitionView> transitions;
         std::vector<uint64_t> targets;
     };

@@ -107,7 +107,12 @@ Monitor::invalidateStaged(uint64_t begin, uint64_t end)
                            transition.to < end;
         return from_in || to_in;
     };
-    const size_t dropped = std::erase_if(_staged, touches);
+    // The stage reads the slow checker's views in place until the first
+    // invalidation copies what is left of it.
+    if (_staged.data() != _stagedCopy.data())
+        _stagedCopy.assign(_staged.begin(), _staged.end());
+    const size_t dropped = std::erase_if(_stagedCopy, touches);
+    _staged = _stagedCopy;
     if (_staged.empty())
         _cachePending = false;
     _stats.stagedInvalidated += dropped;
@@ -291,7 +296,7 @@ Monitor::stageCache()
     // The slow path vouched for the window it walked; stage that
     // window's edges, and nothing before it, for promotion so the
     // fast path handles recurrences alone (§7.1.1).
-    decode::extractTransitionViews(_slow.window(), _staged);
+    _staged = _slow.views();
     _cachePending = true;
 }
 
@@ -371,7 +376,7 @@ Monitor::replayCommit(const CreditDelta &delta)
 void
 Monitor::discardCache()
 {
-    _staged.clear();
+    _staged = {};
     _cachePending = false;
 }
 

@@ -360,8 +360,11 @@ class Monitor
     VerdictSource _lastSource = VerdictSource::FastPath;
 
     /** Staged (uncommitted) verdict-cache material: the transitions of
-     *  the slow path's window, which slice its decode's TNT pool. */
-    std::vector<decode::TransitionView> _staged;
+     *  the slow path's window, read in place from its cursor (they
+     *  slice its decode's TNT pool), or from _stagedCopy once an
+     *  invalidation dropped some of them. */
+    std::span<const decode::TransitionView> _staged;
+    std::vector<decode::TransitionView> _stagedCopy;
     bool _cachePending = false;
     /** Commit scratch: a table of the first copy of each staged pair
      *  (index + 1, 0 = empty), the staged targets and the delta. */

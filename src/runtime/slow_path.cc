@@ -74,8 +74,9 @@ SlowPathChecker::check(const trace::StreamView &window)
     // §7.2.2 context-sensitive analysis window), instead of paying
     // for the entire ToPA buffer.
     constexpr size_t slow_window_tips = 100;
-    SlowPathResult result = checkFlow(_cursor.decode(
-        window, slow_window_tips, nullptr, _telemetry, _telemetryCr3));
+    _cursor.decode(window, slow_window_tips, nullptr, _telemetry,
+                   _telemetryCr3);
+    SlowPathResult result = checkFlow();
     span.setVerdict(static_cast<uint8_t>(result.verdict));
     if (result.verdict == CheckVerdict::Violation)
         span.setPayload(result.violatingSource, result.violatingTarget);
@@ -83,7 +84,7 @@ SlowPathChecker::check(const trace::StreamView &window)
 }
 
 SlowPathResult
-SlowPathChecker::checkFlow(const decode::FastDecodeResult &window)
+SlowPathChecker::checkFlow()
 {
     SlowPathResult result;
 
@@ -93,9 +94,10 @@ SlowPathChecker::checkFlow(const decode::FastDecodeResult &window)
     // windows cannot be instruction-walked (no image of JIT code), so
     // they fall back to a packet-level ITC membership check.
     if (_map) {
-        decode::extractTransitionViews(window, _transitions);
+        const std::span<const decode::TransitionView> transitions =
+            _cursor.views();
         bool jit_seen = false;
-        for (const auto &transition : _transitions) {
+        for (const auto &transition : transitions) {
             const auto to_class = _map->classify(transition.to).cls;
             auto from_class = dynamic::AddrClass::LiveModule;
             if (transition.from != 0)
@@ -124,7 +126,7 @@ SlowPathChecker::checkFlow(const decode::FastDecodeResult &window)
         }
         if (jit_seen && _itc) {
             result.degraded = true;
-            for (const auto &transition : _transitions) {
+            for (const auto &transition : transitions) {
                 if (transition.from == 0)
                     continue;
                 const bool waived =

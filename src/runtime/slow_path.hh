@@ -76,11 +76,18 @@ class SlowPathChecker
     }
 
     /** The window the last check() decoded and walked, valid until the
-     *  next check(): what a pass vouches for, and so what the monitor
-     *  stages for its verdict cache. */
+     *  next check(). */
     const decode::FastDecodeResult &window() const
     {
         return _cursor.window();
+    }
+
+    /** The transitions of window(), valid until the next check(): what
+     *  a pass vouches for, and so what the monitor stages for its
+     *  verdict cache. */
+    std::span<const decode::TransitionView> views() const
+    {
+        return _cursor.views();
     }
 
     /**
@@ -110,8 +117,8 @@ class SlowPathChecker
     }
 
   private:
-    /** The check of the decoded window. */
-    SlowPathResult checkFlow(const decode::FastDecodeResult &window);
+    /** The check of the window the cursor decoded last. */
+    SlowPathResult checkFlow();
     bool returnAllowedByCfg(uint64_t source, uint64_t target) const;
     bool indirectJumpAllowed(uint64_t source, uint64_t target) const;
     bool indirectCallAllowed(uint64_t source, uint64_t target) const;
@@ -125,12 +132,12 @@ class SlowPathChecker
     telemetry::Telemetry *_telemetry = nullptr;
     uint64_t _telemetryCr3 = 0;
 
-    // Scratch, reused across checks: the window's decode cursor, the
-    // kept walk, the shadow stack and the JIT pre-scan's transitions.
+    // Scratch, reused across checks: the window's decode cursor (whose
+    // transitions the JIT pre-scan reads), the kept walk and the shadow
+    // stack.
     decode::TraceCursor _cursor;
     decode::FlowWalk _walk;
     std::vector<uint64_t> _shadow;
-    std::vector<decode::TransitionView> _transitions;
 };
 
 } // namespace flowguard::runtime

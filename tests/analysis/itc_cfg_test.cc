@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <set>
+#include <utility>
 
 #include "analysis/aia.hh"
 #include "analysis/cfg_builder.hh"
@@ -170,6 +172,107 @@ TEST(ItcCfg, MemoryAccountingGrowsWithAnnotations)
     const size_t before = itc.memoryBytes();
     itc.addTntSequence(0, {1, 0, 1, 0, 1});
     EXPECT_GT(itc.memoryBytes(), before);
+}
+
+/** A graph of the Figure 3 program, with `edge` one of its edges. */
+struct VersionedGraph
+{
+    Program prog = figureProgram();
+    ItcCfg itc = ItcCfg::build(buildCfg(prog));
+    int64_t edge = 0;
+    uint64_t from = 0;
+    uint64_t to = 0;
+
+    VersionedGraph()
+    {
+        from = prog.funcAddr("m", "h0");
+        to = prog.funcAddr("m", "main") + 6 + 4 + 3;
+        edge = itc.findEdge(from, to);
+    }
+};
+
+TEST(ItcCfgVersion, EveryMutationChangesIt)
+{
+    VersionedGraph graph;
+    ItcCfg &itc = graph.itc;
+    ASSERT_GE(graph.edge, 0);
+    ASSERT_LT(static_cast<size_t>(graph.edge) + 1, itc.numEdges());
+    const int64_t edge = graph.edge;
+    const uint8_t outcomes[] = {1, 0};
+    const std::pair<const char *, std::function<void()>> mutations[] = {
+        {"setHighCredit", [&] { itc.setHighCredit(edge); }},
+        {"addTntSequence", [&] { itc.addTntSequence(edge, {1, 1}); }},
+        {"learn credit", [&] { itc.learn(edge + 1, {}); }},
+        {"learn outcomes", [&] { itc.learn(edge, outcomes); }},
+        {"markTntVaried", [&] { itc.markTntVaried(edge); }},
+        {"revokeRuntimeCreditsInRange",
+         [&] { itc.revokeRuntimeCreditsInRange(0, UINT64_MAX); }},
+        {"clearRuntime", [&] { itc.clearRuntime(); }},
+        {"enableLiveness", [&] { itc.enableLiveness(); }},
+        {"deactivateRange",
+         [&] { itc.deactivateRange(graph.from, graph.from + 1); }},
+        {"activateRange",
+         [&] { itc.activateRange(graph.from, graph.from + 1); }},
+        {"applyRebase", [&] { itc.applyRebase(0, UINT64_MAX / 2, 64); }},
+    };
+    // Each mutation takes a value no graph has held.
+    std::set<uint64_t> seen{itc.version()};
+    for (const auto &[name, mutate] : mutations) {
+        SCOPED_TRACE(name);
+        mutate();
+        EXPECT_TRUE(seen.insert(itc.version()).second);
+    }
+    // A graph built afresh takes one too.
+    EXPECT_TRUE(seen.insert(ItcCfg::build(buildCfg(graph.prog)).version())
+                    .second);
+}
+
+TEST(ItcCfgVersion, LookupsAndHeldPairsLeaveIt)
+{
+    VersionedGraph graph;
+    ItcCfg &itc = graph.itc;
+    ASSERT_GE(graph.edge, 0);
+    const uint8_t outcomes[] = {1, 0};
+    EXPECT_TRUE(itc.learn(graph.edge, outcomes));
+    itc.setHighCredit(graph.edge);
+    itc.addTntSequence(graph.edge, {1, 1});
+    const uint64_t version = itc.version();
+    // findEdgeCached() fills its cache, and what the graph holds
+    // already, given again, is no change.
+    EXPECT_EQ(itc.findEdgeCached(graph.from, graph.to), graph.edge);
+    EXPECT_EQ(itc.findEdgeCached(0xdead, 0xbeef), -1);
+    EXPECT_FALSE(itc.learn(graph.edge, outcomes));
+    itc.setHighCredit(graph.edge);
+    itc.addTntSequence(graph.edge, {1, 1});
+    EXPECT_EQ(itc.version(), version);
+}
+
+TEST(ItcCfgVersion, CopyKeepsItAndMoveRestampsTheSource)
+{
+    VersionedGraph graph;
+    ItcCfg &itc = graph.itc;
+    itc.setHighCredit(graph.edge);
+    const uint64_t version = itc.version();
+
+    ItcCfg copy = itc;
+    EXPECT_EQ(copy.version(), version);
+    ItcCfg assigned = ItcCfg::build(buildCfg(graph.prog));
+    assigned = itc;
+    EXPECT_EQ(assigned.version(), version);
+    // Copies part ways at their next mutation.
+    copy.clearRuntime();
+    EXPECT_NE(copy.version(), version);
+    EXPECT_EQ(itc.version(), version);
+
+    ItcCfg moved = std::move(assigned);
+    EXPECT_EQ(moved.version(), version);
+    EXPECT_NE(assigned.version(), version);
+    EXPECT_NE(assigned.version(), copy.version());
+    ItcCfg target = ItcCfg::build(buildCfg(graph.prog));
+    target = std::move(moved);
+    EXPECT_EQ(target.version(), version);
+    EXPECT_NE(moved.version(), version);
+    EXPECT_NE(moved.version(), assigned.version());
 }
 
 TEST(ItcCfg, AiaDerogationOnForkedDispatch)

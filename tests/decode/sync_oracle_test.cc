@@ -15,8 +15,13 @@
  * on the storm server's live rings, through wraps, overflow episodes,
  * PMI checks that cut a packet, clears and a switch of rings, and
  * windows that widen and narrow, each window the cursor returns must
- * equal a fresh decodeRecentTipsInto of the same view. Beside it, the
- * slow path's cursor at 100 TIPs asks every few checks.
+ * equal a fresh decodeRecentTipsInto of the same view, and the
+ * transitions it kept must equal those folded from that decode. Beside
+ * it, the slow path's cursor at 100 TIPs asks every few checks, and a
+ * FastPathChecker kept across checks must give what a fresh checker of
+ * the same bytes gives, in every result field and in its check charge,
+ * while the graph changes between checks (learned credit, revocation,
+ * a cleared overlay, unload and reload, a rebase, a restored copy).
  *
  * The walk oracle holds the slow path's kept walk (FlowWalk) to a
  * fresh decodeInstructionFlowInto of a fresh decode of each view, in
@@ -42,6 +47,7 @@
 #include "cpu/cpu.hh"
 #include "decode/fast_decoder.hh"
 #include "decode/full_decoder.hh"
+#include "runtime/fast_path.hh"
 #include "runtime/slow_path.hh"
 #include "support/random.hh"
 #include "trace/faults.hh"
@@ -533,8 +539,10 @@ expectCursorMatchesFresh(TraceCursor &cursor, const trace::StreamView &view,
         break;
     }
 
-    std::vector<TransitionView> got_views, want_views;
-    extractTransitionViews(got, got_views);
+    // The views the cursor kept, folded step by step across decodes and
+    // trims, against the fresh window's.
+    const std::span<const TransitionView> got_views = cursor.views();
+    std::vector<TransitionView> want_views;
     extractTransitionViews(fresh, want_views);
     EXPECT_EQ(got_views.size(), want_views.size());
     for (size_t i = 0; i < std::min(got_views.size(), want_views.size());
@@ -566,6 +574,15 @@ struct CursorTally
      *  decode. */
     size_t slowChecks = 0;
     size_t slowCheaper = 0;
+    /** The fast leg's verdicts (its fresh checker's), and the checks
+     *  that saw a TNT mismatch. */
+    size_t fastPasses = 0;
+    size_t fastViolations = 0;
+    size_t tntMismatches = 0;
+    /** Violations while the graph held the program where it runs. */
+    size_t placedViolations = 0;
+    /** Graph changes made between checks that changed its version. */
+    size_t graphChanges = 0;
 };
 
 /** How the storm server's trace reaches the cursor. */
@@ -717,16 +734,125 @@ struct SlowPace
     }
 };
 
+/** Asserts two fast-path results agree in every field. */
+void
+expectSameFastResult(const runtime::FastPathResult &got,
+                     const runtime::FastPathResult &want)
+{
+    EXPECT_EQ(got.verdict, want.verdict);
+    EXPECT_EQ(got.tipsChecked, want.tipsChecked);
+    EXPECT_EQ(got.edgesChecked, want.edgesChecked);
+    EXPECT_EQ(got.highCreditEdges, want.highCreditEdges);
+    EXPECT_EQ(got.tntMismatches, want.tntMismatches);
+    EXPECT_EQ(got.pathMisses, want.pathMisses);
+    EXPECT_EQ(got.violatingFrom, want.violatingFrom);
+    EXPECT_EQ(got.violatingTo, want.violatingTo);
+    EXPECT_EQ(got.unknownTips, want.unknownTips);
+    EXPECT_EQ(got.jitTips, want.jitTips);
+    EXPECT_EQ(got.staleHit, want.staleHit);
+    EXPECT_EQ(got.forceSlow, want.forceSlow);
+    EXPECT_EQ(got.overflows, want.overflows);
+    EXPECT_EQ(got.resyncs, want.resyncs);
+    EXPECT_EQ(got.bytesSkipped, want.bytesSkipped);
+    EXPECT_EQ(got.malformed, want.malformed);
+}
+
+/**
+ * Changes the fast leg's graph between checks as the runtime does:
+ * committed credit (every few checks, the last window's pairs), a
+ * revocation, a checker crash, an unload and reload, a rebase and its
+ * undoing, and a copy of the pristine graph assigned back. A kept
+ * checker must notice each of them.
+ */
+struct GraphChurn
+{
+    analysis::ItcCfg &itc;
+    const analysis::ItcCfg pristine;
+    /** The library's code range: what unloads and loses credit. */
+    uint64_t libBegin = 0;
+    uint64_t libEnd = 0;
+    /** What a rebase moves every address by, for one check. */
+    static constexpr int64_t rebase_delta = 0x100000;
+    /** The library is unloaded or every address moved: benign trace
+     *  may convict. */
+    bool displaced = false;
+
+    GraphChurn(analysis::ItcCfg &graph, const isa::Program &program)
+        : itc(graph), pristine(graph)
+    {
+        for (const isa::LoadedModule &mod : program.modules()) {
+            if (mod.kind != isa::ModuleKind::Executable) {
+                libBegin = mod.codeBase;
+                libEnd = mod.codeEnd;
+            }
+        }
+    }
+
+    /** The change after the `check`th check; true when there was one. */
+    bool
+    apply(size_t check, const std::vector<TransitionView> &window)
+    {
+        const uint64_t before = itc.version();
+        switch (check % 60) {
+          case 7:
+            itc.revokeRuntimeCreditsInRange(libBegin, libEnd);
+            break;
+          case 19:
+            itc.clearRuntime();
+            break;
+          case 29:
+            if (!itc.livenessEnabled())
+                itc.enableLiveness();
+            itc.deactivateRange(libBegin, libEnd);
+            displaced = true;
+            break;
+          case 31:
+            itc.activateRange(libBegin, libEnd);
+            displaced = false;
+            break;
+          case 41:
+            itc.applyRebase(0, UINT64_MAX - rebase_delta, rebase_delta);
+            displaced = true;
+            break;
+          case 42:
+            itc.applyRebase(rebase_delta, UINT64_MAX, -rebase_delta);
+            displaced = false;
+            break;
+          case 53:
+            itc = pristine;
+            break;
+          default:
+            if (check % 3 != 0)
+                break;
+            for (const TransitionView &view : window) {
+                const int64_t edge = itc.findEdge(view.from, view.to);
+                if (view.from != 0 && edge >= 0)
+                    itc.learn(edge, view.tnt);
+            }
+        }
+        return itc.version() != before;
+    }
+};
+
 CursorTally
 runCursorOracle(const CursorRun &run)
 {
     const auto app = workloads::buildServerApp(stormSpec());
+    FlowGuard guard(app.program);
+    guard.analyze();
     // The fast path's cursor at each check's pkt_count, and beside it
     // the slow path's at 100 TIPs over the same ring, asking less often.
     TraceCursor cursor;
     TraceCursor slow;
     SlowPace pace;
     CursorTally tally;
+    // The fast leg: a checker kept across checks, held to a fresh one
+    // of the same bytes, over a graph that changes between checks.
+    GraphChurn churn(guard.itc(), app.program);
+    cpu::CycleAccount kept_cycles;
+    runtime::FastPathChecker kept(guard.itc(), app.program, {},
+                                  &kept_cycles);
+    std::vector<TransitionView> window;
     const auto check = [&](const trace::Topa &ring, size_t min_tips) {
         const trace::StreamView view = ring.streamView();
         FastDecodeResult fresh;
@@ -745,6 +871,26 @@ runCursorOracle(const CursorRun &run)
             tally.slowCheaper +=
                 expectCursorMatchesFresh(slow, view, 100) ? 1 : 0;
         }
+
+        const double kept_check = kept_cycles.check;
+        const runtime::FastPathResult got = kept.check(view, min_tips);
+        cpu::CycleAccount fresh_cycles;
+        const runtime::FastPathChecker fresh_checker(
+            guard.itc(), app.program, {}, &fresh_cycles);
+        const runtime::FastPathResult want = fresh_checker.check(
+            trace::StreamView{view.bytes, view.offset}, min_tips);
+        expectSameFastResult(got, want);
+        EXPECT_DOUBLE_EQ(kept_cycles.check - kept_check, fresh_cycles.check);
+        tally.fastPasses += want.verdict == runtime::CheckVerdict::Pass;
+        tally.fastViolations +=
+            want.verdict == runtime::CheckVerdict::Violation;
+        tally.placedViolations +=
+            want.verdict == runtime::CheckVerdict::Violation &&
+            !churn.displaced;
+        tally.tntMismatches += want.tntMismatches > 0 ? 1 : 0;
+
+        extractTransitionViews(fresh, window);
+        tally.graphChanges += churn.apply(tally.checks, window) ? 1 : 0;
     };
     tally.pmiChecks = driveStormRing(app, run, check);
     return tally;
@@ -759,6 +905,14 @@ TEST(CursorOracle, StormRingWindowsMatchFreshDecode)
     EXPECT_GT(tally.cheaper, tally.checks * 3 / 4);
     EXPECT_GT(tally.slowChecks, tally.checks / 4);
     EXPECT_GT(tally.slowCheaper, tally.slowChecks * 3 / 4);
+    // The fast leg passed, saw TNT mismatches and convicted, under a
+    // graph that changed often, but only while the graph had the
+    // library unloaded or the program moved.
+    EXPECT_GT(tally.fastPasses, tally.checks / 5);
+    EXPECT_GT(tally.tntMismatches, tally.checks / 10);
+    EXPECT_GT(tally.fastViolations, 0u);
+    EXPECT_EQ(tally.placedViolations, 0u);
+    EXPECT_GT(tally.graphChanges, tally.checks / 5);
 }
 
 TEST(CursorOracle, OverflowEpisodesMatchFreshDecode)
@@ -804,6 +958,24 @@ TEST(CursorOracle, ClearsAndASecondRingMatchFreshDecode)
     EXPECT_GT(tally.checks, 1000u);
     EXPECT_GT(tally.cheaper, tally.checks / 2);
     EXPECT_GT(tally.slowCheaper, tally.slowChecks / 2);
+}
+
+TEST(CursorOracle, RopRingsMatchFreshChecker)
+{
+    // The ROP chain rides the storm server's implanted overflow after a
+    // run of benign requests; checks after every branch, so some
+    // windows end inside the chain.
+    const auto app = workloads::buildServerApp(stormSpec());
+    const auto catalog = attacks::scanGadgets(app.program);
+    CursorRun run;
+    run.ring = 4096;
+    run.requests = 100;
+    run.every = 1;
+    run.attack =
+        attacks::buildRopWriteAttack(app.program, catalog).request;
+    const CursorTally tally = runCursorOracle(run);
+    EXPECT_GT(tally.placedViolations, 0u);
+    EXPECT_GT(tally.cheaper, tally.checks / 2);
 }
 
 TEST(CursorOracle, RingsWithoutPsbMatchFreshDecode)

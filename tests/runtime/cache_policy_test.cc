@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <span>
 #include <vector>
 
 #include "analysis/cfg_builder.hh"
@@ -208,6 +209,53 @@ TEST(CachePolicy, ASlowCheckDropsAPendingStage)
     monitor.commitCache();
     EXPECT_EQ(commits, 0u);
     EXPECT_EQ(fixture.itc.highCreditCount(), before);
+}
+
+TEST(CachePolicy, AnInvalidationKeepsTheRestOfTheStage)
+{
+    // The stage reads the slow checker's views in place; an unload or
+    // rebase that touches some of them drops exactly those, twice over,
+    // and the commit learns only what is left.
+    TraceFixture fixture({1 << 20});
+    MonitorConfig config;
+    config.autoCommitCache = false;
+    Monitor monitor = fixture.makeMonitor(config);
+    ASSERT_EQ(monitor.slowPhase(fixture.packets, false), CheckVerdict::Pass);
+    ASSERT_GT(monitor.staged().size(), 10u);
+    struct Pair
+    {
+        uint64_t from;
+        uint64_t to;
+        std::vector<uint8_t> tnt;
+        bool operator==(const Pair &) const = default;
+    };
+    const auto pairsOf = [](std::span<const decode::TransitionView> views) {
+        std::vector<Pair> pairs;
+        for (const auto &view : views)
+            pairs.push_back({view.from, view.to,
+                             {view.tnt.begin(), view.tnt.end()}});
+        return pairs;
+    };
+    std::vector<Pair> expect = pairsOf(monitor.staged());
+
+    for (const size_t pick : {size_t{3}, expect.size() / 2}) {
+        const uint64_t at = expect[std::min(pick, expect.size() - 1)].to;
+        const auto touches = [&](const Pair &pair) {
+            return pair.from == at || pair.to == at;
+        };
+        const size_t dropped = std::erase_if(expect, touches);
+        ASSERT_GT(dropped, 0u);
+        EXPECT_EQ(monitor.invalidateStaged(at, at + 1), dropped);
+        EXPECT_EQ(pairsOf(monitor.staged()), expect);
+    }
+    EXPECT_TRUE(monitor.cachePending());
+    monitor.commitCache();
+    for (const Pair &pair : expect) {
+        const int64_t edge = fixture.itc.findEdge(pair.from, pair.to);
+        if (pair.from != 0 && edge >= 0) {
+            EXPECT_TRUE(fixture.itc.runtimeCredit(edge));
+        }
+    }
 }
 
 TEST(CachePolicy, LegacyAutoCommitStillCaches)
