@@ -506,14 +506,17 @@ ItcCfg::applyRebase(uint64_t begin, uint64_t end, int64_t delta)
 }
 
 void
-ItcCfg::addTntSequence(int64_t edge, const TntSequence &seq)
+ItcCfg::addTntSequence(int64_t edge, std::span<const uint8_t> seq)
 {
     const auto e = static_cast<size_t>(edge);
     uint8_t &trained = _tntTrained[e];
     auto &seqs = _tntSeqs[e];
     if (trained == trained_varied)
         return;
-    const auto held = std::find(seqs.begin(), seqs.end(), seq);
+    const auto held =
+        std::ranges::find_if(seqs, [&](const TntSequence &known) {
+            return std::ranges::equal(known, seq);
+        });
     if (held < seqs.begin() + trained)
         return;
     _version.bump();
@@ -527,7 +530,7 @@ ItcCfg::addTntSequence(int64_t edge, const TntSequence &seq)
     // Trained sequences come first; one learned at runtime moves up.
     if (held != seqs.end())
         seqs.erase(held);
-    seqs.insert(seqs.begin() + trained, seq);
+    seqs.emplace(seqs.begin() + trained, seq.begin(), seq.end());
     ++trained;
     if (!_tntVaried[e] && seqs.size() > max_tnt_variants) {
         _tntVaried[e] = 1;

@@ -93,12 +93,36 @@ class ItcCfg
         return _credits[e] != 0 ||
                (!_runtimeCredit.empty() && _runtimeCredit[e] != 0);
     }
-    void setHighCredit(int64_t edge)
+    /** Sets trained credit; true when the edge had none (runtime
+     *  credit does not count). */
+    bool setHighCredit(int64_t edge)
     {
         uint8_t &credit = _credits[static_cast<size_t>(edge)];
-        if (credit == 0)
-            _version.bump();
+        if (credit != 0)
+            return false;
+        _version.bump();
         credit = 1;
+        return true;
+    }
+
+    /** The trained half of each annotation, without the runtime
+     *  overlay: what a profile records. */
+    bool trainedCredit(int64_t edge) const
+    {
+        return _credits[static_cast<size_t>(edge)] != 0;
+    }
+    bool trainedTntVaried(int64_t edge) const
+    {
+        return _tntTrained[static_cast<size_t>(edge)] == trained_varied;
+    }
+    /** The trained sequences, in the order they were first seen;
+     *  none when the edge is trained-varied. */
+    std::span<const TntSequence> trainedTntSequences(int64_t edge) const
+    {
+        const auto e = static_cast<size_t>(edge);
+        const size_t count =
+            trainedTntVaried(edge) ? 0 : size_t{_tntTrained[e]};
+        return {_tntSeqs[e].data(), count};
     }
 
     // --- runtime overlay (verdict cache) -----------------------------------
@@ -193,7 +217,7 @@ class ItcCfg
      * unboundable). A sequence the edge learned at runtime becomes a
      * trained one.
      */
-    void addTntSequence(int64_t edge, const TntSequence &seq);
+    void addTntSequence(int64_t edge, std::span<const uint8_t> seq);
 
     /**
      * True if `observed` is compatible with the edge's TNT training

@@ -34,6 +34,19 @@ PathIndex::insertHash(uint64_t hash)
         std::erase(_runtime, hash);
 }
 
+std::vector<uint64_t>
+PathIndex::trainedHashes() const
+{
+    std::vector<uint64_t> runtime = _runtime;
+    std::ranges::sort(runtime);
+    std::vector<uint64_t> trained;
+    trained.reserve(_paths.size() - runtime.size());
+    for (const uint64_t hash : _paths)
+        if (!std::ranges::binary_search(runtime, hash))
+            trained.push_back(hash);
+    return trained;
+}
+
 void
 PathIndex::learn(std::span<const uint64_t> targets,
                  std::vector<uint64_t> &fresh)

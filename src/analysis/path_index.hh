@@ -31,7 +31,6 @@ class PathIndex
     /** TIP targets per matched path (n-gram size). */
     static constexpr size_t kLength = 3;
 
-    size_t length() const { return kLength; }
     size_t size() const { return _paths.size(); }
 
     /** Records every n-gram of a training TIP-target sequence. */
@@ -48,12 +47,15 @@ class PathIndex
     /** Approximate resident bytes. */
     size_t memoryBytes() const;
 
-    /** Raw path hashes, trained and runtime (profile
-     *  serialization). */
+    /** Raw path hashes, trained and runtime. */
     const std::unordered_set<uint64_t> &hashes() const
     {
         return _paths;
     }
+
+    /** The trained hashes alone, in hashes() order (profile
+     *  serialization). */
+    std::vector<uint64_t> trainedHashes() const;
 
     /** Inserts a previously serialized (trained) hash. */
     void insertHash(uint64_t hash);

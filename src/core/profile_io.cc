@@ -1,37 +1,24 @@
 #include "core/profile_io.hh"
 
 #include <istream>
+#include <iterator>
 #include <ostream>
 
-#include "core/profile_wire.hh"
+#include "support/byte_codec.hh"
 #include "support/logging.hh"
-#include "support/random.hh"
 
 namespace flowguard {
 
 namespace {
 
-using wire::Reader;
-using wire::write64;
-using wire::writeString;
-
 constexpr uint32_t profile_magic = 0x46475046;   // "FGPF"
-constexpr uint32_t profile_version_v2 = 2;
-constexpr uint32_t profile_version_v3 = 3;
+constexpr uint32_t profile_version = 3;
 
-/** v3 edge-endpoint sentinel: the address is absolute, not
+/** Edge-endpoint sentinel: the address is absolute, not
  *  module-relative (an endpoint outside every module's code range). */
 constexpr uint64_t module_absolute = ~0ULL;
 
-/** Mixes a value into a running hash. */
-void
-mix(uint64_t &state, uint64_t value)
-{
-    state ^= value;
-    state = splitmix64(state);
-}
-
-/** One edge's training annotations, as serialized in v3. */
+/** One edge's training annotations, as serialized. */
 struct EdgeRecord
 {
     uint64_t fromModule = module_absolute;
@@ -44,24 +31,43 @@ struct EdgeRecord
 };
 
 void
-writeEdgeRecord(std::ostream &out, const EdgeRecord &record)
+writeString(ByteWriter &w, const std::string &s)
 {
-    write64(out, record.fromModule);
-    write64(out, record.fromOff);
-    write64(out, record.toModule);
-    write64(out, record.toOff);
-    write64(out, record.credit ? 1 : 0);
-    write64(out, record.varied ? 1 : 0);
-    write64(out, record.seqs.size());
+    w.u64(s.size());
+    w.bytes(s.data(), s.size());
+}
+
+std::string
+readString(ByteReader &r)
+{
+    const uint64_t len = r.u64();
+    if (r.truncated || len > (1ULL << 20)) {
+        r.truncated = true;
+        return {};
+    }
+    const uint8_t *chars = r.bytes(len);
+    return chars ? std::string(reinterpret_cast<const char *>(chars), len)
+                 : std::string();
+}
+
+void
+writeEdgeRecord(ByteWriter &w, const EdgeRecord &record)
+{
+    w.u64(record.fromModule);
+    w.u64(record.fromOff);
+    w.u64(record.toModule);
+    w.u64(record.toOff);
+    w.u64(record.credit ? 1 : 0);
+    w.u64(record.varied ? 1 : 0);
+    w.u64(record.seqs.size());
     for (const auto &seq : record.seqs) {
-        write64(out, seq.size());
-        for (uint8_t bit : seq)
-            out.put(static_cast<char>(bit));
+        w.u64(seq.size());
+        w.bytes(seq.data(), seq.size());
     }
 }
 
 bool
-readEdgeRecord(Reader &r, EdgeRecord &record)
+readEdgeRecord(ByteReader &r, EdgeRecord &record)
 {
     record.fromModule = r.u64();
     record.fromOff = r.u64();
@@ -77,11 +83,10 @@ readEdgeRecord(Reader &r, EdgeRecord &record)
         const uint64_t len = r.u64();
         if (r.truncated || len > (1ULL << 20))
             return false;
-        analysis::TntSequence seq;
-        seq.reserve(len);
-        for (uint64_t k = 0; k < len; ++k)
-            seq.push_back(r.u8());
-        record.seqs.push_back(std::move(seq));
+        const uint8_t *bits = r.bytes(len);
+        if (!bits)
+            return false;
+        record.seqs.emplace_back(bits, bits + len);
     }
     return !r.truncated;
 }
@@ -100,18 +105,23 @@ moduleContaining(const std::vector<isa::LoadedModule> &mods,
 }
 
 void
-writePathSection(const FlowGuard &guard, std::ostream &out)
+writePathSection(const FlowGuard &guard, ByteWriter &w)
 {
     const analysis::PathIndex *paths = guard.paths();
-    write64(out, paths ? paths->length() : 0);
-    write64(out, paths ? paths->hashes().size() : 0);
-    if (paths)
-        for (uint64_t hash : paths->hashes())
-            write64(out, hash);
+    if (!paths) {
+        w.u64(0);
+        w.u64(0);
+        return;
+    }
+    const std::vector<uint64_t> hashes = paths->trainedHashes();
+    w.u64(analysis::PathIndex::kLength);
+    w.u64(hashes.size());
+    for (const uint64_t hash : hashes)
+        w.u64(hash);
 }
 
 void
-readPathSection(FlowGuard &guard, Reader &r)
+readPathSection(FlowGuard &guard, ByteReader &r)
 {
     const uint64_t path_length = r.u64();
     const uint64_t path_count = r.u64();
@@ -122,7 +132,7 @@ readPathSection(FlowGuard &guard, Reader &r)
         const uint64_t hash = r.u64();
         if (r.truncated)
             return;
-        if (paths && paths->length() == path_length)
+        if (paths && path_length == analysis::PathIndex::kLength)
             paths->insertHash(hash);
     }
 }
@@ -136,185 +146,8 @@ failWith(ProfileLoadResult result, ProfileLoadResult::Status status,
     return result;
 }
 
-ProfileLoadResult loadProfileV2(FlowGuard &guard, Reader &r,
-                                ProfileLoadResult result);
-ProfileLoadResult loadProfileV3(FlowGuard &guard, Reader &r,
-                                ProfileLoadResult result);
-
-} // namespace
-
-const char *
-profileStatusName(ProfileLoadResult::Status status)
-{
-    using Status = ProfileLoadResult::Status;
-    switch (status) {
-      case Status::Ok: return "ok";
-      case Status::IoError: return "io-error";
-      case Status::BadMagic: return "bad-magic";
-      case Status::BadVersion: return "bad-version";
-      case Status::FingerprintMismatch: return "fingerprint-mismatch";
-      case Status::ShapeMismatch: return "shape-mismatch";
-      case Status::Truncated: return "truncated";
-      case Status::ModuleMismatch: return "module-mismatch";
-      case Status::BadChecksum: return "bad-checksum";
-    }
-    return "?";
-}
-
-uint64_t
-programFingerprint(const isa::Program &program)
-{
-    uint64_t state = 0xF10460A4DF10460AULL;
-    mix(state, program.numInsts());
-    for (size_t i = 0; i < program.numInsts(); ++i) {
-        const isa::Instruction &inst = program.inst(i);
-        mix(state, program.instAddr(i));
-        mix(state, static_cast<uint64_t>(inst.op));
-        mix(state,
-            (static_cast<uint64_t>(inst.rd) << 32) | inst.rs);
-        mix(state, static_cast<uint64_t>(inst.imm));
-        mix(state, inst.target);
-    }
-    return state;
-}
-
-void
-saveProfile(const FlowGuard &guard, std::ostream &out)
-{
-    fg_assert(guard.analyzed(), "analyze() before saving a profile");
-    const analysis::ItcCfg &itc = guard.itc();
-    const isa::Program &program = guard.program();
-    const auto &mods = program.modules();
-
-    // Group edge ids by the module owning the edge's source node.
-    // CSR order: edge ids increase monotonically across nodes.
-    std::vector<std::vector<EdgeRecord>> sections(mods.size());
-    std::vector<EdgeRecord> orphans;
-    size_t edge_id = 0;
-    for (size_t node = 0; node < itc.numNodes(); ++node) {
-        const uint64_t from = itc.nodeAddr(node);
-        const uint64_t from_mod = moduleContaining(mods, from);
-        for (const uint64_t *t = itc.targetsBegin(node);
-             t != itc.targetsEnd(node); ++t, ++edge_id) {
-            const int64_t edge = static_cast<int64_t>(edge_id);
-            EdgeRecord record;
-            record.fromModule = from_mod;
-            record.fromOff = from_mod == module_absolute
-                ? from
-                : from - mods[from_mod].codeBase;
-            const uint64_t to_mod = moduleContaining(mods, *t);
-            record.toModule = to_mod;
-            record.toOff = to_mod == module_absolute
-                ? *t
-                : *t - mods[to_mod].codeBase;
-            record.credit = itc.highCredit(edge);
-            record.varied = itc.tntVaried(edge);
-            if (!record.varied)
-                record.seqs = itc.tntSequences(edge);
-            // Untrained edges carry no information; the loader
-            // re-derives the graph from the binary anyway.
-            if (!record.credit && !record.varied &&
-                record.seqs.empty())
-                continue;
-            if (from_mod == module_absolute)
-                orphans.push_back(std::move(record));
-            else
-                sections[from_mod].push_back(std::move(record));
-        }
-    }
-
-    write64(out, profile_magic);
-    write64(out, profile_version_v3);
-    write64(out, mods.size());
-    // Module table first, so cross-module edge references resolve
-    // no matter which section they appear in.
-    for (const auto &mod : mods) {
-        writeString(out, mod.name);
-        write64(out, mod.fingerprint);
-    }
-    for (const auto &section : sections) {
-        write64(out, section.size());
-        for (const auto &record : section)
-            writeEdgeRecord(out, record);
-    }
-    write64(out, orphans.size());
-    for (const auto &record : orphans)
-        writeEdgeRecord(out, record);
-
-    writePathSection(guard, out);
-}
-
-namespace {
-
 ProfileLoadResult
-loadProfileV2(FlowGuard &guard, Reader &r, ProfileLoadResult result)
-{
-    analysis::ItcCfg &itc = guard.itc();
-
-    if (r.u64() != programFingerprint(guard.program()))
-        return failWith(std::move(result),
-                        ProfileLoadResult::Status::FingerprintMismatch,
-                        "profile belongs to a different program");
-    const uint64_t nodes = r.u64();
-    const uint64_t edges = r.u64();
-    if (r.truncated)
-        return failWith(std::move(result),
-                        ProfileLoadResult::Status::Truncated,
-                        "truncated profile header");
-    if (nodes != itc.numNodes() || edges != itc.numEdges())
-        return failWith(std::move(result),
-                        ProfileLoadResult::Status::ShapeMismatch,
-                        "profile ITC-CFG shape mismatch");
-
-    for (size_t e = 0; e < itc.numEdges(); e += 64) {
-        const uint64_t word = r.u64();
-        if (r.truncated)
-            return failWith(std::move(result),
-                            ProfileLoadResult::Status::Truncated,
-                            "truncated credit bitset");
-        for (size_t b = 0; b < 64 && e + b < itc.numEdges(); ++b) {
-            if ((word >> b) & 1) {
-                itc.setHighCredit(static_cast<int64_t>(e + b));
-                ++result.edgesApplied;
-            }
-        }
-    }
-
-    for (size_t e = 0; e < itc.numEdges(); ++e) {
-        const int64_t edge = static_cast<int64_t>(e);
-        const bool varied = r.u64() != 0;
-        const uint64_t num_seqs = r.u64();
-        if (r.truncated || num_seqs > (1ULL << 20))
-            return failWith(std::move(result),
-                            ProfileLoadResult::Status::Truncated,
-                            "truncated TNT annotations");
-        for (uint64_t s = 0; s < num_seqs; ++s) {
-            const uint64_t len = r.u64();
-            if (r.truncated || len > (1ULL << 20))
-                return failWith(std::move(result),
-                                ProfileLoadResult::Status::Truncated,
-                                "truncated TNT sequence");
-            analysis::TntSequence seq;
-            seq.reserve(len);
-            for (uint64_t k = 0; k < len; ++k)
-                seq.push_back(r.u8());
-            itc.addTntSequence(edge, seq);
-        }
-        if (varied)
-            itc.markTntVaried(edge);
-    }
-
-    readPathSection(guard, r);
-    if (r.truncated)
-        return failWith(std::move(result),
-                        ProfileLoadResult::Status::Truncated,
-                        "truncated path section");
-    result.modulesLoaded = guard.program().modules().size();
-    return result;
-}
-
-ProfileLoadResult
-loadProfileV3(FlowGuard &guard, Reader &r, ProfileLoadResult result)
+loadSections(FlowGuard &guard, ByteReader &r, ProfileLoadResult result)
 {
     analysis::ItcCfg &itc = guard.itc();
     const auto &mods = guard.program().modules();
@@ -332,7 +165,7 @@ loadProfileV3(FlowGuard &guard, Reader &r, ProfileLoadResult result)
     std::vector<uint64_t> current_index(num_profile_mods,
                                         module_absolute);
     for (uint64_t m = 0; m < num_profile_mods; ++m) {
-        const std::string name = r.str();
+        const std::string name = readString(r);
         const uint64_t fingerprint = r.u64();
         if (r.truncated)
             return failWith(std::move(result),
@@ -444,6 +277,94 @@ loadProfileV3(FlowGuard &guard, Reader &r, ProfileLoadResult result)
 
 } // namespace
 
+const char *
+profileStatusName(ProfileLoadResult::Status status)
+{
+    using Status = ProfileLoadResult::Status;
+    switch (status) {
+      case Status::Ok: return "ok";
+      case Status::IoError: return "io-error";
+      case Status::BadMagic: return "bad-magic";
+      case Status::BadVersion: return "bad-version";
+      case Status::Truncated: return "truncated";
+      case Status::ModuleMismatch: return "module-mismatch";
+      case Status::BadChecksum: return "bad-checksum";
+    }
+    return "?";
+}
+
+void
+saveProfile(const FlowGuard &guard, std::ostream &out)
+{
+    fg_assert(guard.analyzed(), "analyze() before saving a profile");
+    const analysis::ItcCfg &itc = guard.itc();
+    const isa::Program &program = guard.program();
+    const auto &mods = program.modules();
+
+    // Group edge ids by the module owning the edge's source node.
+    // CSR order: edge ids increase monotonically across nodes.
+    std::vector<std::vector<EdgeRecord>> sections(mods.size());
+    std::vector<EdgeRecord> orphans;
+    size_t edge_id = 0;
+    for (size_t node = 0; node < itc.numNodes(); ++node) {
+        const uint64_t from = itc.nodeAddr(node);
+        const uint64_t from_mod = moduleContaining(mods, from);
+        for (const uint64_t *t = itc.targetsBegin(node);
+             t != itc.targetsEnd(node); ++t, ++edge_id) {
+            const int64_t edge = static_cast<int64_t>(edge_id);
+            // Trained state only: the runtime overlay belongs to the
+            // deployment that learned it.
+            EdgeRecord record;
+            record.credit = itc.trainedCredit(edge);
+            record.varied = itc.trainedTntVaried(edge);
+            const auto seqs = itc.trainedTntSequences(edge);
+            // Untrained edges carry no information; the loader
+            // re-derives the graph from the binary anyway.
+            if (!record.credit && !record.varied && seqs.empty())
+                continue;
+            record.seqs.assign(seqs.begin(), seqs.end());
+            record.fromModule = from_mod;
+            record.fromOff = from_mod == module_absolute
+                ? from
+                : from - mods[from_mod].codeBase;
+            const uint64_t to_mod = moduleContaining(mods, *t);
+            record.toModule = to_mod;
+            record.toOff = to_mod == module_absolute
+                ? *t
+                : *t - mods[to_mod].codeBase;
+            if (from_mod == module_absolute)
+                orphans.push_back(std::move(record));
+            else
+                sections[from_mod].push_back(std::move(record));
+        }
+    }
+
+    std::vector<uint8_t> bytes;
+    {
+        ByteWriter w(bytes);
+        w.u64(profile_magic);
+        w.u64(profile_version);
+        w.u64(mods.size());
+        // Module table first, so cross-module edge references resolve
+        // no matter which section they appear in.
+        for (const auto &mod : mods) {
+            writeString(w, mod.name);
+            w.u64(mod.fingerprint);
+        }
+        for (const auto &section : sections) {
+            w.u64(section.size());
+            for (const auto &record : section)
+                writeEdgeRecord(w, record);
+        }
+        w.u64(orphans.size());
+        for (const auto &record : orphans)
+            writeEdgeRecord(w, record);
+        writePathSection(guard, w);
+    }
+    out.write(reinterpret_cast<const char *>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+}
+
 ProfileLoadResult
 tryLoadProfile(FlowGuard &guard, std::istream &in)
 {
@@ -454,21 +375,21 @@ tryLoadProfile(FlowGuard &guard, std::istream &in)
                         "unreadable profile stream");
     guard.analyze();
 
-    Reader r{in};
+    const std::vector<uint8_t> bytes(std::istreambuf_iterator<char>(in),
+                                     {});
+    ByteReader r{bytes.data(), bytes.size()};
     if (r.u64() != profile_magic || r.truncated)
         return failWith(std::move(result),
                         ProfileLoadResult::Status::BadMagic,
                         "not a FlowGuard profile");
     const uint64_t version = r.u64();
     result.version = static_cast<uint32_t>(version);
-    if (version == profile_version_v2)
-        return loadProfileV2(guard, r, std::move(result));
-    if (version == profile_version_v3)
-        return loadProfileV3(guard, r, std::move(result));
-    return failWith(std::move(result),
-                    ProfileLoadResult::Status::BadVersion,
-                    "unsupported FlowGuard profile version " +
-                        std::to_string(version));
+    if (version != profile_version)
+        return failWith(std::move(result),
+                        ProfileLoadResult::Status::BadVersion,
+                        "unsupported FlowGuard profile version " +
+                            std::to_string(version));
+    return loadSections(guard, r, std::move(result));
 }
 
 void

@@ -10,16 +10,21 @@
  * fingerprints of the code; loading re-runs the cheap static pipeline
  * and replays the annotations, refusing mismatched binaries.
  *
- * Two on-disk formats:
- *  - v2 (legacy, read only): one whole-program section keyed by a
- *    global program fingerprint and the exact ITC-CFG shape. Any
- *    module changing invalidates the entire profile.
- *  - v3: per-module sections. Each module's training data is keyed
- *    by its relocation-invariant fingerprint and its edges are
- *    stored module-relative, so one updated library only skips its
- *    own section (and the cross-module edges touching it) while the
- *    rest of the profile still applies — and the profile is valid
- *    under any ASLR layout.
+ * One on-disk format (version 3), sectioned per module. Each
+ * module's training data is keyed by its relocation-invariant
+ * fingerprint and its edges are stored module-relative, so one
+ * updated library only skips its own section (and the cross-module
+ * edges touching it) while the rest of the profile still applies —
+ * and the profile is valid under any ASLR layout. Any other version
+ * reads as BadVersion. The fields are the journal's little-endian
+ * codec (support/byte_codec.hh): the writer encodes the profile into
+ * a buffer and writes it once, and the loader reads the stream whole
+ * and bound-checks every count in it.
+ *
+ * A profile holds trained state only. Credit, TNT sequences and path
+ * hashes that a protected run learned (the runtime overlay) stay out
+ * of it, so a profile saved after a run holds what one saved before
+ * it held.
  *
  * Loading is recoverable: tryLoadProfile() reports what happened in
  * a ProfileLoadResult instead of aborting, so a deployment can fall
@@ -38,9 +43,6 @@
 
 namespace flowguard {
 
-/** Stable hash over the program's code (addresses + operands). */
-uint64_t programFingerprint(const isa::Program &program);
-
 /** What a profile load did — recoverable, never fatal. */
 struct ProfileLoadResult
 {
@@ -49,10 +51,8 @@ struct ProfileLoadResult
         IoError,                ///< stream unreadable / file missing
         BadMagic,               ///< not a FlowGuard profile
         BadVersion,             ///< version this build cannot read
-        FingerprintMismatch,    ///< v2: different program
-        ShapeMismatch,          ///< v2: ITC-CFG shape differs
         Truncated,              ///< stream ended mid-record
-        ModuleMismatch,         ///< v3: no module section applied
+        ModuleMismatch,         ///< no module section applied
         /** A CRC-framed structure (recovery snapshot) failed its
          *  checksum: bytes are present but cannot be trusted. */
         BadChecksum,
@@ -63,8 +63,8 @@ struct ProfileLoadResult
     std::string message;
     /** Format version encountered (0 when unreadable). */
     uint32_t version = 0;
-    size_t modulesLoaded = 0;   ///< v3 sections applied
-    size_t modulesSkipped = 0;  ///< v3 sections refused (fingerprint)
+    size_t modulesLoaded = 0;   ///< sections applied
+    size_t modulesSkipped = 0;  ///< sections refused (fingerprint)
     size_t edgesApplied = 0;    ///< annotations replayed onto edges
     size_t edgesMissed = 0;     ///< annotations with no current edge
 
@@ -73,14 +73,14 @@ struct ProfileLoadResult
 
 const char *profileStatusName(ProfileLoadResult::Status status);
 
-/** Writes the guard's training state (v3 format). Requires
- *  analyze(). */
+/** Writes the guard's trained state, without the runtime overlay.
+ *  Requires analyze(). */
 void saveProfile(const FlowGuard &guard, std::ostream &out);
 
 /**
- * Loads training state into `guard` (analyze() is run if needed),
- * accepting both v2 and v3 profiles. Never aborts: every failure
- * mode comes back as a ProfileLoadResult.
+ * Loads trained state into `guard` (analyze() is run if needed).
+ * Never aborts: every failure mode comes back as a
+ * ProfileLoadResult.
  */
 ProfileLoadResult tryLoadProfile(FlowGuard &guard, std::istream &in);
 

@@ -5,75 +5,54 @@
 
 namespace flowguard::fuzz {
 
-namespace {
-
-TrainingStats
-labelFromFlow(analysis::ItcCfg &itc,
-              const decode::FastDecodeResult &flow,
-              analysis::PathIndex *paths)
-{
-    TrainingStats stats;
-    auto transitions = decode::extractTipTransitions(flow);
-    if (paths) {
-        std::vector<uint64_t> targets;
-        targets.reserve(transitions.size());
-        for (const auto &transition : transitions)
-            targets.push_back(transition.to);
-        paths->observe(targets);
-    }
-    for (const auto &transition : transitions) {
-        if (transition.from == 0)
-            continue;
-        ++stats.transitionsSeen;
-        const int64_t edge =
-            itc.findEdge(transition.from, transition.to);
-        if (edge < 0) {
-            ++stats.unknownTransitions;
-            continue;
-        }
-        if (!itc.highCredit(edge)) {
-            itc.setHighCredit(edge);
-            ++stats.edgesLabeled;
-        }
-        itc.addTntSequence(edge, transition.tnt);
-    }
-    return stats;
-}
-
-} // namespace
-
-TrainingStats
-labelFromPackets(analysis::ItcCfg &itc,
-                 const std::vector<uint8_t> &packets,
-                 analysis::PathIndex *paths)
-{
-    auto flow = decode::decodePacketLayer(packets);
-    return labelFromFlow(itc, flow, paths);
-}
-
 TrainingStats
 trainItcCfg(analysis::ItcCfg &itc, const RunTarget &target,
             const std::vector<Input> &corpus,
             analysis::PathIndex *paths)
 {
-    TrainingStats total;
+    TrainingStats stats;
+    // One ring for the whole corpus, generously sized so a training
+    // replay never loses history to a wrap.
+    trace::Topa topa({1 << 22});
+    std::vector<decode::TransitionView> views;
+    std::vector<uint64_t> targets;
     for (const Input &input : corpus) {
-        // Capture this input's full trace, generously buffered so the
-        // training replay never loses history to a ToPA wrap.
-        trace::Topa topa({1 << 22});
+        topa.clear();
+        // A fresh encoder per input: each replay is a new process,
+        // whose trace opens with a PSB and a TIP.PGE.
         trace::IptConfig config;
         trace::IptEncoder encoder(config, topa);
         target(input, &encoder);
         encoder.flushTnt();
+        ++stats.inputsReplayed;
 
-        TrainingStats one =
-            labelFromPackets(itc, topa.snapshot(), paths);
-        ++total.inputsReplayed;
-        total.transitionsSeen += one.transitionsSeen;
-        total.edgesLabeled += one.edgesLabeled;
-        total.unknownTransitions += one.unknownTransitions;
+        // Byte 0 is the encoder's opening PSB: one forward pass
+        // decodes the whole input, read in place.
+        const decode::FastDecodeResult flow =
+            decode::decodePacketLayer(topa.view());
+        decode::extractTransitionViews(flow, views);
+        if (paths) {
+            targets.clear();
+            for (const auto &view : views)
+                targets.push_back(view.to);
+            paths->observe(targets);
+        }
+        for (const auto &view : views) {
+            if (view.from == 0)
+                continue;
+            ++stats.transitionsSeen;
+            const int64_t edge = itc.findEdge(view.from, view.to);
+            if (edge < 0) {
+                ++stats.unknownTransitions;
+                continue;
+            }
+            // Trained credit, whatever runtime credit the edge holds.
+            if (itc.setHighCredit(edge))
+                ++stats.edgesLabeled;
+            itc.addTntSequence(edge, view.tnt);
+        }
     }
-    return total;
+    return stats;
 }
 
 } // namespace flowguard::fuzz

@@ -143,8 +143,8 @@ TEST(ItcCfg, TntSequencesDedupAndSaturate)
     ItcCfg itc = ItcCfg::build(buildCfg(prog));
     ASSERT_GT(itc.numEdges(), 0u);
 
-    itc.addTntSequence(0, {1, 0});
-    itc.addTntSequence(0, {1, 0});          // duplicate ignored
+    itc.addTntSequence(0, TntSequence{1, 0});
+    itc.addTntSequence(0, TntSequence{1, 0});   // duplicate ignored
     EXPECT_TRUE(itc.hasTntInfo(0));
     EXPECT_TRUE(itc.tntCompatible(0, TntSequence{1, 0}));
     EXPECT_FALSE(itc.tntCompatible(0, TntSequence{0, 1}));
@@ -152,7 +152,7 @@ TEST(ItcCfg, TntSequencesDedupAndSaturate)
 
     // Saturate past the variant cap: matching gets disabled.
     for (uint8_t i = 0; i < ItcCfg::max_tnt_variants + 2; ++i)
-        itc.addTntSequence(0, {1, 1, i});
+        itc.addTntSequence(0, TntSequence{1, 1, i});
     EXPECT_FALSE(itc.hasTntInfo(0));
     EXPECT_TRUE(itc.tntCompatible(0, TntSequence{0, 1}));   // vacuously true
 }
@@ -170,7 +170,7 @@ TEST(ItcCfg, MemoryAccountingGrowsWithAnnotations)
     Program prog = figureProgram();
     ItcCfg itc = ItcCfg::build(buildCfg(prog));
     const size_t before = itc.memoryBytes();
-    itc.addTntSequence(0, {1, 0, 1, 0, 1});
+    itc.addTntSequence(0, TntSequence{1, 0, 1, 0, 1});
     EXPECT_GT(itc.memoryBytes(), before);
 }
 
@@ -201,7 +201,8 @@ TEST(ItcCfgVersion, EveryMutationChangesIt)
     const uint8_t outcomes[] = {1, 0};
     const std::pair<const char *, std::function<void()>> mutations[] = {
         {"setHighCredit", [&] { itc.setHighCredit(edge); }},
-        {"addTntSequence", [&] { itc.addTntSequence(edge, {1, 1}); }},
+        {"addTntSequence",
+         [&] { itc.addTntSequence(edge, TntSequence{1, 1}); }},
         {"learn credit", [&] { itc.learn(edge + 1, {}); }},
         {"learn outcomes", [&] { itc.learn(edge, outcomes); }},
         {"markTntVaried", [&] { itc.markTntVaried(edge); }},
@@ -235,7 +236,7 @@ TEST(ItcCfgVersion, LookupsAndHeldPairsLeaveIt)
     const uint8_t outcomes[] = {1, 0};
     EXPECT_TRUE(itc.learn(graph.edge, outcomes));
     itc.setHighCredit(graph.edge);
-    itc.addTntSequence(graph.edge, {1, 1});
+    itc.addTntSequence(graph.edge, TntSequence{1, 1});
     const uint64_t version = itc.version();
     // findEdgeCached() fills its cache, and what the graph holds
     // already, given again, is no change.
@@ -243,7 +244,7 @@ TEST(ItcCfgVersion, LookupsAndHeldPairsLeaveIt)
     EXPECT_EQ(itc.findEdgeCached(0xdead, 0xbeef), -1);
     EXPECT_FALSE(itc.learn(graph.edge, outcomes));
     itc.setHighCredit(graph.edge);
-    itc.addTntSequence(graph.edge, {1, 1});
+    itc.addTntSequence(graph.edge, TntSequence{1, 1});
     EXPECT_EQ(itc.version(), version);
 }
 

@@ -7,8 +7,7 @@
  *  - one changed library skips only its own section, the rest of the
  *    profile still applies;
  *  - a changed executable is refused (ModuleMismatch);
- *  - the legacy v2 format remains readable (a committed fixture;
- *    nothing writes v2 any more);
+ *  - a retired v2 header reads as BadVersion;
  *  - every failure mode comes back as a ProfileLoadResult instead of
  *    aborting (the strict loadProfile wrapper still throws).
  */
@@ -177,37 +176,22 @@ TEST(ProfileV3, ChangedExecutableIsModuleMismatch)
     EXPECT_THROW(loadProfile(victim, again), SimError);
 }
 
-/** A v2 profile of makeProgram() trained as trainedGuard() trains it,
- *  written by the v2 writer before that writer was removed. */
-const std::string v2_fixture =
-    std::string(FLOWGUARD_TESTS_DIR) + "/core/fixtures/profile_v2.bin";
-
-TEST(ProfileV3, LegacyV2StillReadable)
+TEST(ProfileV3, V2HeaderReadsAsBadVersion)
 {
+    // Magic + version 2, little-endian u64s: the retired whole-program
+    // format.
+    std::string header(16, '\0');
+    const uint64_t fields[] = {0x46475046, 2};
+    for (size_t i = 0; i < 16; ++i)
+        header[i] = static_cast<char>(fields[i / 8] >> (8 * (i % 8)));
+    std::stringstream in(header);
+
     Program prog = makeProgram();
-    FlowGuard trained = trainedGuard(prog);
-
     FlowGuard fresh(prog);
-    std::ifstream in(v2_fixture, std::ios::binary);
     auto result = tryLoadProfile(fresh, in);
-    EXPECT_TRUE(result.ok()) << result.message;
+    EXPECT_EQ(result.status, ProfileLoadResult::Status::BadVersion);
     EXPECT_EQ(result.version, 2u);
-    EXPECT_EQ(fresh.itc().highCreditCount(),
-              trained.itc().highCreditCount());
-}
-
-TEST(ProfileV3, V2WrongProgramIsRecoverable)
-{
-    Program patched = makeProgram(/*liby_variant=*/true);
-    FlowGuard fresh(patched);
-    std::ifstream in(v2_fixture, std::ios::binary);
-    auto result = tryLoadProfile(fresh, in);
-    // v2 is all-or-nothing: any module change invalidates it.
-    EXPECT_FALSE(result.ok());
-    EXPECT_TRUE(result.status ==
-                    ProfileLoadResult::Status::FingerprintMismatch ||
-                result.status ==
-                    ProfileLoadResult::Status::ShapeMismatch);
+    EXPECT_EQ(fresh.itc().highCreditCount(), 0u);
 }
 
 TEST(ProfileV3, CorruptStreamsAreRecoverable)

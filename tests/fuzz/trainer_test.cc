@@ -116,14 +116,19 @@ TEST(Trainer, AttachesTntSequences)
     EXPECT_TRUE(tnt_found);
 }
 
-TEST(Trainer, LabelFromPacketsHandlesEmptyBuffer)
+TEST(Trainer, TargetWithoutTraceLabelsNothing)
 {
     Program prog = dispatchProgram();
     analysis::Cfg cfg = analysis::buildCfg(prog);
     analysis::ItcCfg itc = analysis::ItcCfg::build(cfg);
-    auto stats = fuzz::labelFromPackets(itc, {});
+    // The target never attaches the sink: the input leaves no trace.
+    const fuzz::RunTarget silent = [](const fuzz::Input &,
+                                      cpu::TraceSink *) {};
+    auto stats = fuzz::trainItcCfg(itc, silent, {{0}});
+    EXPECT_EQ(stats.inputsReplayed, 1u);
     EXPECT_EQ(stats.transitionsSeen, 0u);
     EXPECT_EQ(stats.edgesLabeled, 0u);
+    EXPECT_EQ(itc.highCreditCount(), 0u);
 }
 
 } // namespace

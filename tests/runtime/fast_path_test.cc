@@ -137,7 +137,7 @@ TEST(FastPath, TntMismatchMakesSuspicious)
     Fixture fx;
     const int64_t edge = fx.itc->findEdge(fx.t0, fx.t1);
     fx.itc->setHighCredit(edge);
-    fx.itc->addTntSequence(edge, {1, 0});
+    fx.itc->addTntSequence(edge, analysis::TntSequence{1, 0});
 
     FastPathConfig config;
     config.pktCount = 4;
@@ -156,7 +156,7 @@ TEST(FastPath, WindowHeadTntExemptFromMatching)
     Fixture fx;
     const int64_t edge = fx.itc->findEdge(fx.t0, fx.t1);
     fx.itc->setHighCredit(edge);
-    fx.itc->addTntSequence(edge, {1, 0});
+    fx.itc->addTntSequence(edge, analysis::TntSequence{1, 0});
 
     FastPathConfig config;
     config.pktCount = 2;
