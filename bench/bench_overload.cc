@@ -37,7 +37,7 @@ using namespace flowguard;
 using namespace flowguard::runtime;
 
 workloads::ServerSpec
-fleetSpec(uint64_t cr3)
+fleetSpec()
 {
     workloads::ServerSpec spec;
     spec.name = "overload";
@@ -85,7 +85,7 @@ runFleet(FlowGuard &guard, const workloads::SyntheticApp &base,
     std::vector<workloads::SyntheticApp> apps;
     apps.reserve(n);
     for (size_t i = 0; i < n; ++i) {
-        auto spec = fleetSpec(0);
+        auto spec = fleetSpec();
         spec.cr3 = 0xE000 + i;
         apps.push_back(workloads::buildServerApp(spec));
     }
@@ -247,7 +247,7 @@ main()
 {
     std::printf("=== FlowGuard overload resilience ===\n\n");
 
-    auto spec = fleetSpec(0xE000);
+    auto spec = fleetSpec();
     auto base = workloads::buildServerApp(spec);
     auto catalog = attacks::scanGadgets(base.program);
 

@@ -44,6 +44,7 @@ PathIndex::trainedHashes() const
     for (const uint64_t hash : _paths)
         if (!std::ranges::binary_search(runtime, hash))
             trained.push_back(hash);
+    std::ranges::sort(trained);
     return trained;
 }
 

@@ -53,8 +53,8 @@ class PathIndex
         return _paths;
     }
 
-    /** The trained hashes alone, in hashes() order (profile
-     *  serialization). */
+    /** The trained hashes alone, ascending (profile serialization:
+     *  the bytes depend on the set, not on how it was grown). */
     std::vector<uint64_t> trainedHashes() const;
 
     /** Inserts a previously serialized (trained) hash. */

@@ -1,6 +1,7 @@
 #include "cpu/cpu.hh"
 
-#include "support/logging.hh"
+#include <algorithm>
+#include <iterator>
 
 namespace flowguard::cpu {
 
@@ -72,42 +73,92 @@ Cpu::raiseFault(FaultInfo::Kind kind, uint64_t addr)
     return _state;
 }
 
-bool
+namespace {
+
+uint64_t
+alu(isa::AluOp op, uint64_t a, uint64_t b)
+{
+    switch (op) {
+      case isa::AluOp::Add: return a + b;
+      case isa::AluOp::Sub: return a - b;
+      case isa::AluOp::Mul: return a * b;
+      case isa::AluOp::Xor: return a ^ b;
+      case isa::AluOp::And: return a & b;
+      case isa::AluOp::Or:  return a | b;
+      case isa::AluOp::Shl: return a << (b & 63);
+      case isa::AluOp::Shr: return a >> (b & 63);
+    }
+    return 0;
+}
+
+int
+compare(uint64_t a, uint64_t b)
+{
+    return a < b ? -1 : (a == b ? 0 : 1);
+}
+
+} // namespace
+
+inline bool
 Cpu::evalCond(Cond cond) const
 {
-    switch (cond) {
-      case Cond::Eq: return _cmp == 0;
-      case Cond::Ne: return _cmp != 0;
-      case Cond::Lt: return _cmp < 0;
-      case Cond::Ge: return _cmp >= 0;
-      case Cond::Gt: return _cmp > 0;
-      case Cond::Le: return _cmp <= 0;
-    }
-    fg_panic("bad condition");
+    // Whether each condition holds, by _cmp + 1 (less, equal,
+    // greater): one load instead of a second dispatch per Jcc.
+    static constexpr bool holds[][3] = {
+        {false, true, false},   // Eq
+        {true, false, true},    // Ne
+        {true, false, false},   // Lt
+        {false, true, true},    // Ge
+        {false, false, true},   // Gt
+        {true, true, false},    // Le
+    };
+    static_assert(std::size(holds) == static_cast<size_t>(Cond::Le) + 1,
+                  "one row per condition");
+    return holds[static_cast<size_t>(cond)][_cmp + 1];
 }
 
-Cpu::Stop
-Cpu::run(uint64_t max_insts)
+[[gnu::always_inline]] inline bool
+Cpu::execute(const Instruction &inst)
 {
-    if (_state != Stop::Running)
-        return _state;
-    for (uint64_t i = 0; i < max_insts; ++i) {
-        Stop s = doStep();
-        if (s != Stop::Running)
-            return s;
+    switch (inst.op) {
+      case Opcode::Alu:
+        _regs[inst.rd] = alu(inst.aluOp, _regs[inst.rd], _regs[inst.rs]);
+        break;
+      case Opcode::AluImm:
+        _regs[inst.rd] = alu(inst.aluOp, _regs[inst.rd],
+                             static_cast<uint64_t>(inst.imm));
+        break;
+      case Opcode::MovImm:
+        _regs[inst.rd] = static_cast<uint64_t>(inst.imm);
+        break;
+      case Opcode::MovReg:
+        _regs[inst.rd] = _regs[inst.rs];
+        break;
+      case Opcode::Load:
+        _regs[inst.rd] =
+            _mem.read64(_regs[inst.rs] + static_cast<uint64_t>(inst.imm));
+        break;
+      case Opcode::Store: {
+        const uint64_t addr = storeAddr(inst);
+        if (_prog.isCode(addr)) [[unlikely]]
+            return false;
+        _mem.write64(addr, _regs[inst.rs]);
+        break;
+      }
+      case Opcode::Cmp:
+        _cmp = compare(_regs[inst.rd], _regs[inst.rs]);
+        break;
+      case Opcode::CmpImm:
+        _cmp = compare(_regs[inst.rd], static_cast<uint64_t>(inst.imm));
+        break;
+      default:
+        // Nop; run() and doStep() bring no other opcode here.
+        break;
     }
-    return Stop::InstLimit;
+    return true;
 }
 
-Cpu::Stop
-Cpu::step()
-{
-    if (_state != Stop::Running)
-        return _state;
-    return doStep();
-}
-
-Cpu::Stop
+[[gnu::always_inline]] inline Cpu::Stop
 Cpu::doStep()
 {
     if (_inst == isa::no_inst)
@@ -132,89 +183,18 @@ Cpu::doStep()
 
     switch (inst.op) {
       case Opcode::Nop:
-        fallThrough();
-        break;
-
-      case Opcode::Alu: {
-        uint64_t a = _regs[inst.rd];
-        uint64_t b = _regs[inst.rs];
-        uint64_t r = 0;
-        switch (inst.aluOp) {
-          case isa::AluOp::Add: r = a + b; break;
-          case isa::AluOp::Sub: r = a - b; break;
-          case isa::AluOp::Mul: r = a * b; break;
-          case isa::AluOp::Xor: r = a ^ b; break;
-          case isa::AluOp::And: r = a & b; break;
-          case isa::AluOp::Or:  r = a | b; break;
-          case isa::AluOp::Shl: r = a << (b & 63); break;
-          case isa::AluOp::Shr: r = a >> (b & 63); break;
-        }
-        _regs[inst.rd] = r;
-        fallThrough();
-        break;
-      }
-
-      case Opcode::AluImm: {
-        uint64_t a = _regs[inst.rd];
-        uint64_t b = static_cast<uint64_t>(inst.imm);
-        uint64_t r = 0;
-        switch (inst.aluOp) {
-          case isa::AluOp::Add: r = a + b; break;
-          case isa::AluOp::Sub: r = a - b; break;
-          case isa::AluOp::Mul: r = a * b; break;
-          case isa::AluOp::Xor: r = a ^ b; break;
-          case isa::AluOp::And: r = a & b; break;
-          case isa::AluOp::Or:  r = a | b; break;
-          case isa::AluOp::Shl: r = a << (b & 63); break;
-          case isa::AluOp::Shr: r = a >> (b & 63); break;
-        }
-        _regs[inst.rd] = r;
-        fallThrough();
-        break;
-      }
-
+      case Opcode::Alu:
+      case Opcode::AluImm:
       case Opcode::MovImm:
-        _regs[inst.rd] = static_cast<uint64_t>(inst.imm);
-        fallThrough();
-        break;
-
       case Opcode::MovReg:
-        _regs[inst.rd] = _regs[inst.rs];
-        fallThrough();
-        break;
-
       case Opcode::Load:
-        _regs[inst.rd] =
-            _mem.read64(_regs[inst.rs] +
-                        static_cast<uint64_t>(inst.imm));
+      case Opcode::Store:
+      case Opcode::Cmp:
+      case Opcode::CmpImm:
+        if (!execute(inst))
+            return raiseFault(FaultInfo::Kind::CodeWrite, storeAddr(inst));
         fallThrough();
         break;
-
-      case Opcode::Store: {
-        uint64_t addr =
-            _regs[inst.rd] + static_cast<uint64_t>(inst.imm);
-        if (_prog.isCode(addr))
-            return raiseFault(FaultInfo::Kind::CodeWrite, addr);
-        _mem.write64(addr, _regs[inst.rs]);
-        fallThrough();
-        break;
-      }
-
-      case Opcode::Cmp: {
-        uint64_t a = _regs[inst.rd];
-        uint64_t b = _regs[inst.rs];
-        _cmp = a < b ? -1 : (a == b ? 0 : 1);
-        fallThrough();
-        break;
-      }
-
-      case Opcode::CmpImm: {
-        uint64_t a = _regs[inst.rd];
-        uint64_t b = static_cast<uint64_t>(inst.imm);
-        _cmp = a < b ? -1 : (a == b ? 0 : 1);
-        fallThrough();
-        break;
-      }
 
       case Opcode::Jcc:
         if (evalCond(inst.cond)) {
@@ -271,34 +251,8 @@ Cpu::doStep()
         break;
       }
 
-      case Opcode::Syscall: {
-        emitBranch(BranchKind::SyscallEntry, pc, 0);
-        SyscallResult result;
-        if (_handler)
-            result = _handler->onSyscall(*this, inst.imm);
-        switch (result.action) {
-          case SyscallResult::Action::Continue:
-            _regs[0] = static_cast<uint64_t>(result.retval);
-            fallThrough();
-            emitBranch(BranchKind::SyscallExit, pc, _pc);
-            break;
-          case SyscallResult::Action::PcSet:
-            // Handler installed pc (sigreturn) through setPc(), which
-            // re-resolved the index; resume there.
-            emitBranch(BranchKind::SyscallExit, pc, _pc);
-            if (_inst == isa::no_inst)
-                return raiseFault(FaultInfo::Kind::BadBranch, _pc);
-            break;
-          case SyscallResult::Action::Exit:
-            _exitCode = result.retval;
-            _state = Stop::Halted;
-            return _state;
-          case SyscallResult::Action::Kill:
-            _state = Stop::Killed;
-            return _state;
-        }
-        break;
-      }
+      case Opcode::Syscall:
+        return doSyscall(inst.imm, next, links.next);
 
       case Opcode::Halt:
         _state = Stop::Halted;
@@ -306,6 +260,91 @@ Cpu::doStep()
     }
 
     return Stop::Running;
+}
+
+Cpu::Stop
+Cpu::doSyscall(int64_t number, uint64_t next, uint32_t next_inst)
+{
+    const uint64_t pc = _pc;
+    emitBranch(BranchKind::SyscallEntry, pc, 0);
+    SyscallResult result;
+    if (_handler)
+        result = _handler->onSyscall(*this, number);
+    switch (result.action) {
+      case SyscallResult::Action::Continue:
+        _regs[0] = static_cast<uint64_t>(result.retval);
+        _pc = next;
+        _inst = next_inst;
+        emitBranch(BranchKind::SyscallExit, pc, _pc);
+        break;
+      case SyscallResult::Action::PcSet:
+        // Handler installed pc (sigreturn) through setPc(), which
+        // re-resolved the index; resume there.
+        emitBranch(BranchKind::SyscallExit, pc, _pc);
+        if (_inst == isa::no_inst)
+            return raiseFault(FaultInfo::Kind::BadBranch, _pc);
+        break;
+      case SyscallResult::Action::Exit:
+        _exitCode = result.retval;
+        _state = Stop::Halted;
+        return _state;
+      case SyscallResult::Action::Kill:
+        _state = Stop::Killed;
+        return _state;
+    }
+    return Stop::Running;
+}
+
+Cpu::Stop
+Cpu::run(uint64_t max_insts)
+{
+    if (_state != Stop::Running)
+        return _state;
+    uint64_t left = max_insts;
+    while (left > 0) {
+        if (_inst == isa::no_inst) [[unlikely]]
+            return raiseFault(FaultInfo::Kind::BadFetch, _pc);
+        // Every instruction in [_inst, runEnd) falls through to the
+        // next flat index and none is a CoFI: retire as much of the
+        // run as the budget allows in one loop, with no per-instruction
+        // pc, count or budget bookkeeping.
+        const uint32_t first = _inst;
+        const Instruction *run = &_prog.inst(first);
+        const uint32_t count = static_cast<uint32_t>(
+            std::min<uint64_t>(_prog.runEnd(first) - first, left));
+        for (uint32_t k = 0; k < count; ++k) {
+            if (!execute(run[k])) [[unlikely]] {
+                // A Store into code: the fault names the store, as a
+                // step at a time would.
+                _instCount += k + 1;
+                _inst = first + k;
+                _pc = _prog.instAddr(_inst);
+                return raiseFault(FaultInfo::Kind::CodeWrite,
+                                  storeAddr(run[k]));
+            }
+        }
+        _instCount += count;
+        left -= count;
+        _inst = first + count;
+        _pc = _prog.instAddr(_inst);
+        if (left == 0)
+            break;
+        // The instruction that ends the run: a CoFI, a Halt, or one
+        // whose fall-through leaves flat order.
+        --left;
+        const Stop stop = doStep();
+        if (stop != Stop::Running)
+            return stop;
+    }
+    return Stop::InstLimit;
+}
+
+Cpu::Stop
+Cpu::step()
+{
+    if (_state != Stop::Running)
+        return _state;
+    return doStep();
 }
 
 } // namespace flowguard::cpu

@@ -18,6 +18,13 @@
  * direct branches take the index from the program's link-time
  * InstLinks; only indirect targets and setPc() consult the dense code
  * index, so no instruction is looked up by address on the hot path.
+ *
+ * run() retires a straight-line run (isa::Program::runEnd) at a time:
+ * its non-CoFI instructions in one loop, with the budget clipped and
+ * the pc and instruction count advanced once per run, and only the
+ * instruction that ends the run in a per-instruction step. Every
+ * BranchEvent, fault and budget stop is the same as one step() at a
+ * time would give.
  */
 
 #ifndef FLOWGUARD_CPU_CPU_HH
@@ -149,7 +156,24 @@ class Cpu
     Stop state() const { return _state; }
 
   private:
+    /** Retires one instruction: the run-ending one in run(), every
+     *  one in step(). */
     Stop doStep();
+    /** Enters the kernel for syscall `number` at the pc; `next` and
+     *  `next_inst` are the fall-through a Continue resumes at. */
+    Stop doSyscall(int64_t number, uint64_t next, uint32_t next_inst);
+    /**
+     * Applies a straight-line (non-CoFI, non-Halt) instruction to the
+     * registers, flags and memory; the caller moves the pc. Returns
+     * false, having changed nothing, for a Store into code. The one
+     * executor of run()'s run loop and of doStep().
+     */
+    bool execute(const isa::Instruction &inst);
+    uint64_t
+    storeAddr(const isa::Instruction &inst) const
+    {
+        return _regs[inst.rd] + static_cast<uint64_t>(inst.imm);
+    }
     void emitBranch(BranchKind kind, uint64_t source, uint64_t target);
     Stop raiseFault(FaultInfo::Kind kind, uint64_t addr);
     bool evalCond(isa::Cond cond) const;

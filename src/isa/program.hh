@@ -18,7 +18,8 @@
  * fall-through and direct branches without any lookup. Beside the
  * links, each instruction records where its straight-line run ends
  * (runEnd()), so the slow path's instruction-flow walk jumps a run at
- * once, as libipt's block decoder does.
+ * once, as libipt's block decoder does, and the interpreter retires a
+ * run in one loop.
  */
 
 #ifndef FLOWGUARD_ISA_PROGRAM_HH
@@ -165,6 +166,8 @@ class Program
      * flat order first (off mapped code, or into another module), the
      * last instruction before it does. Every instruction in
      * [index, runEnd(index)) falls through to the next flat index.
+     * The slow path's walk skips a run with it; Cpu::run retires one
+     * in a single loop and steps only the instruction that ends it.
      */
     uint32_t runEnd(size_t index) const { return _runEnds[index]; }
 

@@ -130,7 +130,10 @@ Topa::snapshot() const
 void
 Topa::clear()
 {
-    std::fill(_storage.begin(), _storage.end(), 0);
+    if (_wrapped)
+        std::fill(_storage.begin(), _storage.end(), 0);
+    else
+        std::fill_n(_storage.begin(), _cursor, 0);
     _cursor = 0;
     _wrapped = false;
     _totalWritten = 0;
@@ -160,10 +163,8 @@ IptEncoder::emit(const PacketBytes &bytes)
 }
 
 void
-IptEncoder::maybePsb()
+IptEncoder::emitPsb()
 {
-    if (_started && _bytesSincePsb < _config.psbPeriodBytes)
-        return;
     flushTnt();
     PacketBytes bytes;
     appendPsb(bytes);
@@ -176,10 +177,9 @@ IptEncoder::maybePsb()
 }
 
 void
-IptEncoder::maybeOvfResync()
+IptEncoder::emitOvfResync()
 {
-    if (!_topa.consumeOvfResyncPending())
-        return;
+    _topa.consumeOvfResyncPending();
     // An overflow episode just ended: packets — including any TNT
     // outcomes buffered across the gap — were lost. Mark the loss
     // with OVF and resync the decoder with a fresh PSB; the next
@@ -246,7 +246,7 @@ IptEncoder::reconfigureCr3(uint64_t cr3)
 }
 
 bool
-IptEncoder::passesFilters(const BranchEvent &event) const
+IptEncoder::passesFilterLists(const BranchEvent &event) const
 {
     if (_config.cr3Filter) {
         if (!_config.cr3MatchSet.empty()) {
@@ -276,6 +276,17 @@ IptEncoder::passesFilters(const BranchEvent &event) const
 void
 IptEncoder::onBranch(const BranchEvent &event)
 {
+    // Most events are a conditional outcome in context with nothing
+    // else owed: no resync, no PSB, no context change. Each step of
+    // the general path below is then a no-op but the TNT bit itself.
+    const bool cond = event.kind == BranchKind::CondTaken ||
+                      event.kind == BranchKind::CondNotTaken;
+    if (cond && _contextOn && !psbDue() && !_topa.ovfResyncPending() &&
+        passesFilters(event)) [[likely]] {
+        appendTntBit(event.kind == BranchKind::CondTaken);
+        return;
+    }
+
     maybeOvfResync();
 
     if (!passesFilters(event)) {

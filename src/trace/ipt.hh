@@ -152,6 +152,10 @@ class Topa
     /** Trace bytes discarded across all overflow episodes. */
     uint64_t droppedBytes() const { return _droppedBytes; }
 
+    /** True from the end of an overflow episode until the encoder
+     *  consumes it. */
+    bool ovfResyncPending() const { return _ovfResyncPending; }
+
     /**
      * True exactly once after an overflow episode ends: the encoder
      * consumes this to emit the OVF + PSB resync sequence.
@@ -163,7 +167,12 @@ class Topa
         return pending;
     }
 
-    /** Empties the ring and starts a new stream (a new identity). */
+    /**
+     * Empties the ring and starts a new stream (a new identity). A
+     * ring that never wrapped is zero past its cursor (writes only
+     * advance it, and a torn packet is zeroed only at a wrap), so only
+     * [0, cursor) is zeroed; a wrapped ring is zeroed whole.
+     */
     void clear();
 
   private:
@@ -256,9 +265,39 @@ class IptEncoder : public cpu::TraceSink
     void emit(const PacketBytes &bytes);
     /** Buffers one conditional outcome, flushing a full TNT. */
     void appendTntBit(bool taken);
-    void maybePsb();
-    void maybeOvfResync();
-    bool passesFilters(const cpu::BranchEvent &event) const;
+
+    /** True when the next packet must be preceded by a PSB: the
+     *  stream has not started, or a PSB period has passed. */
+    bool
+    psbDue() const
+    {
+        return !_started || _bytesSincePsb >= _config.psbPeriodBytes;
+    }
+    void
+    maybePsb()
+    {
+        if (psbDue())
+            emitPsb();
+    }
+    void emitPsb();
+
+    void
+    maybeOvfResync()
+    {
+        if (_topa.ovfResyncPending()) [[unlikely]]
+            emitOvfResync();
+    }
+    void emitOvfResync();
+
+    bool
+    passesFilters(const cpu::BranchEvent &event) const
+    {
+        if (_config.cr3MatchSet.empty() && _config.ipRanges.empty())
+            return !_config.cr3Filter || event.cr3 == _config.cr3Match;
+        return passesFilterLists(event);
+    }
+    /** passesFilters() with a CR3 match set or IP ranges. */
+    bool passesFilterLists(const cpu::BranchEvent &event) const;
 
     IptConfig _config;
     Topa &_topa;

@@ -4,8 +4,10 @@
  *
  *  - a profile holds trained state only: a protected run that taught
  *    the graph runtime credit, TNT sequences and n-grams leaves the
- *    profile of a path-insensitive guard byte-identical, and the
- *    profile of a path-sensitive one loads into the trained state;
+ *    profile byte-identical, path-insensitive or path-sensitive (the
+ *    n-grams are written sorted, so the bytes depend on the set and
+ *    not on its history), and the after-run profile of a
+ *    path-sensitive guard loads into the trained state;
  *  - training after a protected run gives every observed edge trained
  *    credit, so dropping the runtime overlay leaves what training
  *    alone leaves;
@@ -136,6 +138,23 @@ TEST(TrainedState, PathSensitiveProfileAfterRunLoadsTrainedState)
     expectSameState(loaded, trained);
 }
 
+TEST(TrainedState, RunLeavesPathSensitiveProfileBytes)
+{
+    // The run grows (and rehashes) the n-gram set; the trained part
+    // it writes is the same set, so the bytes must be the same too.
+    Server server;
+    FlowGuard guard = server.guard(true);
+    guard.trainWithCorpus({server.requests(2, 1)});
+    const std::string before = profileOf(guard);
+    const size_t trained_paths = guard.paths()->size();
+
+    const auto outcome = guard.run(server.requests(30, 7));
+    ASSERT_FALSE(outcome.attackDetected);
+    ASSERT_GT(guard.paths()->size(), trained_paths);
+
+    EXPECT_TRUE(profileOf(guard) == before);
+}
+
 TEST(TrainedState, TrainingAfterRunGivesTrainedCredit)
 {
     Server server;
@@ -161,13 +180,15 @@ TEST(TrainedState, ProfileBytesArePinned)
     FlowGuard pathy = server.guard(true);
     pathy.trainWithCorpus({server.requests(4, 1), server.requests(3, 2)});
 
-    // Recorded from the stream-codec writer that kept a v2 reader.
+    // Recorded from the stream-codec writer that kept a v2 reader; the
+    // path-sensitive digest again once the n-grams were written sorted
+    // (it was 0x7a4bd306c67b94f5 in hash-set order).
     const std::string plain_bytes = profileOf(plain);
     const std::string pathy_bytes = profileOf(pathy);
     EXPECT_EQ(plain_bytes.size(), 3747u);
     EXPECT_EQ(digest(plain_bytes), 0x4e4f0114bba8e289ULL);
     EXPECT_EQ(pathy_bytes.size(), 4235u);
-    EXPECT_EQ(digest(pathy_bytes), 0x7a4bd306c67b94f5ULL);
+    EXPECT_EQ(digest(pathy_bytes), 0xd8aa65ac5712e549ULL);
 }
 
 } // namespace

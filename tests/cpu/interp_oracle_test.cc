@@ -13,6 +13,9 @@
  * indices, page cache and bulk syscall I/O, must retire the same
  * instructions and publish the same BranchEvents on every input, and
  * end in the same registers, memory, fault, exit code and output.
+ * It must do so in one run(), in run() slices that split straight-line
+ * runs anywhere, under budgets that end inside a run, at a run's end
+ * and on a faulting store, and one step() at a time.
  *
  * Inputs: every workloads image under seeded request streams (each
  * run twice across a reset, as training does), the ROP, SROP and
@@ -24,6 +27,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <string>
 #include <unordered_map>
@@ -596,6 +600,11 @@ class Recorder : public cpu::TraceSink
     std::vector<BranchEvent> events;
 };
 
+/** Budgets run() is also given as repeated slices of q instructions:
+ *  each q splits straight-line runs somewhere, and 2000 is the fleet
+ *  Machine's quantum. */
+constexpr std::array<uint64_t, 5> slices = {1, 2, 3, 5, 2000};
+
 /** Runs the production interpreter and the reference side by side. */
 class Pair
 {
@@ -608,33 +617,105 @@ class Pair
         _ref.setKernel(&_refKernel);
     }
 
-    /** Resets both (as training does between inputs), then runs both
-     *  on `input` for at most `max_insts` and compares everything.
-     *  Returns how the production interpreter stopped. */
+    /** Resets both (as training does between inputs), runs the
+     *  reference once on `input` for at most `max_insts`, and holds
+     *  the production interpreter to it in one run and in every
+     *  budget slicing. Returns how the single run stopped. */
     cpu::Cpu::Stop
     run(const std::vector<uint8_t> &input, uint64_t max_insts,
         const std::string &what)
     {
-        _cpu.reset();
-        _kernel.reset();
-        _kernel.setInput(input);
-        _recorder.events.clear();
-        _ref.reset();
-        _refKernel.reset();
-        _refKernel.setInput(input);
-        _ref.events.clear();
-
-        const auto stop = _cpu.run(max_insts);
-        const auto ref_stop = _ref.run(max_insts);
         SCOPED_TRACE(what);
+        resetRef(input);
+        const auto ref_stop = _ref.run(max_insts);
+
+        const auto stop = runSliced(input, max_insts, max_insts);
         EXPECT_EQ(stop, ref_stop);
         expectSame();
+        for (const uint64_t q : slices) {
+            SCOPED_TRACE("slices of " + std::to_string(q));
+            EXPECT_EQ(runSliced(input, max_insts, q), ref_stop);
+            expectSame();
+        }
         return stop;
+    }
+
+    /** Holds step() to the reference one instruction at a time, for
+     *  at most `max_insts` instructions. Returns how the run ended. */
+    cpu::Cpu::Stop
+    stepped(const std::vector<uint8_t> &input, uint64_t max_insts,
+            const std::string &what)
+    {
+        SCOPED_TRACE(what);
+        resetRef(input);
+        resetCpu(input);
+        for (uint64_t i = 0; i < max_insts; ++i) {
+            const auto stop = _cpu.step();
+            const auto ref_stop = _ref.run(1);
+            // A step that retires and goes on is Running; the same
+            // instruction under a budget of one is InstLimit.
+            EXPECT_EQ(stop, ref_stop == cpu::Cpu::Stop::InstLimit
+                                ? cpu::Cpu::Stop::Running
+                                : ref_stop)
+                << "step " << i;
+            EXPECT_EQ(_cpu.pc(), _ref.pc()) << "step " << i;
+            EXPECT_EQ(_cpu.instCount(), _ref.instCount()) << "step " << i;
+            EXPECT_EQ(_recorder.events.size(), _ref.events.size())
+                << "step " << i;
+            for (int r = 0; r < isa::num_regs; ++r)
+                EXPECT_EQ(_cpu.reg(r), _ref.reg(r))
+                    << "r" << r << " after step " << i;
+            if (::testing::Test::HasFailure() ||
+                stop != cpu::Cpu::Stop::Running) {
+                expectSame();
+                return stop;
+            }
+        }
+        expectSame();
+        return cpu::Cpu::Stop::InstLimit;
     }
 
     const cpu::Cpu &cpu() const { return _cpu; }
 
   private:
+    void
+    resetCpu(const std::vector<uint8_t> &input)
+    {
+        _cpu.reset();
+        _kernel.reset();
+        _kernel.setInput(input);
+        _recorder.events.clear();
+    }
+
+    void
+    resetRef(const std::vector<uint8_t> &input)
+    {
+        _ref.reset();
+        _refKernel.reset();
+        _refKernel.setInput(input);
+        _ref.events.clear();
+    }
+
+    /** From a reset, spends `max_insts` in run() calls of at most `q`
+     *  each, until one stops for another reason. */
+    cpu::Cpu::Stop
+    runSliced(const std::vector<uint8_t> &input, uint64_t max_insts,
+              uint64_t q)
+    {
+        resetCpu(input);
+        for (uint64_t left = max_insts; left > 0;) {
+            const uint64_t slice = std::min(q, left);
+            const uint64_t before = _cpu.instCount();
+            const auto stop = _cpu.run(slice);
+            if (stop != cpu::Cpu::Stop::InstLimit)
+                return stop;
+            // A budget stop retires exactly the budget.
+            EXPECT_EQ(_cpu.instCount() - before, slice);
+            left -= slice;
+        }
+        return _cpu.run(0);
+    }
+
     void
     expectSame() const
     {
@@ -950,6 +1031,111 @@ TEST(InterpOracle, SeededWildPrograms)
     EXPECT_GT(faults[static_cast<size_t>(Kind::BadFetch)], 0u);
     EXPECT_GT(faults[static_cast<size_t>(Kind::BadBranch)], 0u);
     EXPECT_GT(faults[static_cast<size_t>(Kind::CodeWrite)], 0u);
+}
+
+/**
+ * The flat index of every instruction a step-at-a-time run retires,
+ * in order, for at most `max_insts`; a faulting instruction is the
+ * last entry.
+ */
+std::vector<uint32_t>
+retiredIndices(const isa::Program &program,
+               const std::vector<uint8_t> &input, uint64_t max_insts)
+{
+    cpu::Cpu cpu(program);
+    cpu::BasicKernel kernel;
+    kernel.setInput(input);
+    cpu.setSyscallHandler(&kernel);
+    std::vector<uint32_t> retired;
+    while (retired.size() < max_insts) {
+        const uint32_t index = program.instIndexAt(cpu.pc());
+        if (index == isa::no_inst)
+            break;
+        retired.push_back(index);
+        if (cpu.step() != cpu::Cpu::Stop::Running)
+            break;
+    }
+    return retired;
+}
+
+TEST(InterpOracle, BudgetsEndingInsideRunsAtRunEndsAndOnStores)
+{
+    // Single runs whose budget runs out inside a straight-line run,
+    // exactly at the end of one (the next instruction is the one that
+    // ends it), and on a Store into code (the store is the budget's
+    // last instruction, or one past it).
+    std::vector<uint8_t> input(600);
+    for (size_t i = 0; i < input.size(); ++i)
+        input[i] = static_cast<uint8_t>(i * 13 + 5);
+    uint64_t inside = 0;
+    uint64_t at_end = 0;
+    uint64_t on_store = 0;
+    for (uint64_t seed = 1; seed <= 120; ++seed) {
+        const isa::Program program = wildProgram(seed);
+        const std::vector<uint32_t> retired =
+            retiredIndices(program, input, 4000);
+        Rng rng(seed * 7919);
+        std::vector<uint64_t> inside_budgets;
+        std::vector<uint64_t> end_budgets;
+        for (size_t n = 1; n < retired.size(); ++n) {
+            // Budget n retires retired[0, n) and stops before
+            // retired[n]; both it and retired[n - 1] in one run.
+            if (retired[n] != retired[n - 1] + 1 ||
+                program.runEnd(retired[n - 1]) != program.runEnd(retired[n]))
+                continue;
+            if (program.runEnd(retired[n]) == retired[n])
+                end_budgets.push_back(n);
+            else
+                inside_budgets.push_back(n);
+        }
+        std::vector<uint64_t> budgets;
+        for (const auto *found : {&inside_budgets, &end_budgets})
+            for (int pick = 0; pick < 2 && !found->empty(); ++pick)
+                budgets.push_back((*found)[rng.below(found->size())]);
+        inside += std::min<size_t>(inside_budgets.size(), 2);
+        at_end += std::min<size_t>(end_budgets.size(), 2);
+
+        Pair pair(program);
+        const auto full = pair.run(input, 4000, "wild seed " +
+                                                    std::to_string(seed));
+        if (full == cpu::Cpu::Stop::Fault &&
+            pair.cpu().fault().kind == cpu::Cpu::FaultInfo::Kind::CodeWrite) {
+            const uint64_t store = pair.cpu().instCount();
+            budgets.push_back(store);
+            budgets.push_back(store - 1);
+            ++on_store;
+        }
+        for (const uint64_t budget : budgets) {
+            pair.run(input, budget,
+                     "wild seed " + std::to_string(seed) + " budget " +
+                         std::to_string(budget));
+            if (::testing::Test::HasFailure())
+                return;
+        }
+    }
+    EXPECT_GT(inside, 20u);
+    EXPECT_GT(at_end, 20u);
+    EXPECT_GT(on_store, 5u);
+}
+
+TEST(InterpOracle, StepMatchesReferenceOneInstructionAtATime)
+{
+    std::vector<uint8_t> input(600);
+    for (size_t i = 0; i < input.size(); ++i)
+        input[i] = static_cast<uint8_t>(i * 13 + 5);
+    for (uint64_t seed = 1; seed <= 60; ++seed) {
+        const isa::Program program = wildProgram(seed);
+        Pair pair(program);
+        pair.stepped(input, 4000, "wild seed " + std::to_string(seed));
+        if (::testing::Test::HasFailure())
+            return;
+    }
+    const auto spec = workloads::serverSuite()[0];
+    const auto app = workloads::buildServerApp(spec);
+    Pair pair(app.program);
+    pair.stepped(workloads::makeBenignStream(2, 11, spec.numHandlers,
+                                             spec.numParserStates),
+                 60'000, spec.name);
 }
 
 } // namespace

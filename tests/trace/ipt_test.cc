@@ -2,14 +2,23 @@
  * @file
  * Unit tests for the IPT hardware model: ToPA output, packet
  * generation rules (Table 3), TNT batching, PSB cadence, CR3 and IP
- * filtering transitions, syscall far-transfer sequences.
+ * filtering transitions, syscall far-transfer sequences; and byte pins
+ * of whole encoded runs, which a change to the encoder or the ToPA
+ * that claims to move no byte must leave as they are.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <span>
+
+#include "cpu/basic_kernel.hh"
+#include "cpu/cpu.hh"
 #include "cpu/events.hh"
 #include "support/logging.hh"
+#include "support/random.hh"
 #include "trace/ipt.hh"
+#include "workloads/apps.hh"
 
 namespace {
 
@@ -399,6 +408,341 @@ TEST(IptEncoder, ChargesTraceCycles)
     EXPECT_DOUBLE_EQ(account.trace,
                      static_cast<double>(encoder.stats().bytes) *
                          cpu::cost::ipt_trace_per_byte);
+}
+
+// --- byte pins of whole encoded runs ----------------------------------------
+
+/** FNV-1a over `bytes`, continued from `hash`. */
+uint64_t
+fnv1a(std::span<const uint8_t> bytes,
+      uint64_t hash = 0xcbf29ce484222325ULL)
+{
+    for (const uint8_t byte : bytes) {
+        hash ^= byte;
+        hash *= 0x100000001b3ULL;
+    }
+    return hash;
+}
+
+/**
+ * What a ring pins: the stream's size (Topa::totalWritten), the FNV-1a
+ * digest of every byte in stream order, the IptStats counters (tnt
+ * packets, tnt bits, tip, pge, pgd, fup, psb, ovf, bytes) and the
+ * overflow accounting (episodes, dropped bytes).
+ */
+using RingPin = std::array<uint64_t, 13>;
+
+/**
+ * A ToPA whose whole stream is digested: the PMI folds in each lap as
+ * it completes (at the PMI the ring holds exactly that lap), and pin()
+ * folds in the bytes of the lap in progress.
+ */
+class DigestedRing
+{
+  public:
+    explicit DigestedRing(std::vector<size_t> regions,
+                          size_t pmi_latency = 0)
+        : topa(std::move(regions))
+    {
+        topa.setPmiServiceLatency(pmi_latency);
+        topa.setPmiCallback([this] {
+            _hash = fnv1a(topa.view(), _hash);
+            _folded += topa.capacity();
+        });
+    }
+
+    /** Clears the ring; the digest starts over with the new stream. */
+    void
+    clear()
+    {
+        topa.clear();
+        _hash = fnv1a({});
+        _folded = 0;
+    }
+
+    RingPin
+    pin(const IptStats &stats) const
+    {
+        const std::span<const uint8_t> view = topa.view();
+        const uint64_t hash =
+            fnv1a(view.last(topa.totalWritten() - _folded), _hash);
+        return {topa.totalWritten(), hash,
+                stats.tntPackets,   stats.tntBits,
+                stats.tipPackets,   stats.pgePackets,
+                stats.pgdPackets,   stats.fupPackets,
+                stats.psbPackets,   stats.ovfPackets,
+                stats.bytes,        topa.overflowEpisodes(),
+                topa.droppedBytes()};
+    }
+
+    Topa topa;
+
+  private:
+    uint64_t _hash = fnv1a({});
+    uint64_t _folded = 0;
+};
+
+/** The production encoder config: CR3 filter on the process. */
+IptConfig
+productionConfig(uint64_t cr3, uint32_t psb_period = 1024)
+{
+    IptConfig config;
+    config.cr3Filter = true;
+    config.cr3Match = cr3;
+    config.psbPeriodBytes = psb_period;
+    return config;
+}
+
+/** A server process under the basic kernel, traced into `encoder`. */
+class TracedServer
+{
+  public:
+    TracedServer(const workloads::ServerSpec &spec, uint64_t seed,
+                 size_t requests)
+        : _app(workloads::buildServerApp(spec)), _cpu(_app.program)
+    {
+        _kernel.setInput(workloads::makeBenignStream(
+            requests, seed, spec.numHandlers, spec.numParserStates));
+        _cpu.setSyscallHandler(&_kernel);
+    }
+
+    void trace(IptEncoder &encoder) { _cpu.addTraceSink(&encoder); }
+    cpu::Cpu::Stop run(uint64_t budget) { return _cpu.run(budget); }
+    uint64_t cr3() const { return _app.program.cr3(); }
+
+  private:
+    workloads::SyntheticApp _app;
+    cpu::Cpu _cpu;
+    cpu::BasicKernel _kernel;
+};
+
+/** Instruction budget of a pinned run: every server halts first. */
+constexpr uint64_t pin_budget = 3'000'000;
+
+/** The inline workloads' endpoint-dense server. */
+workloads::ServerSpec
+stormSpec()
+{
+    workloads::ServerSpec spec;
+    spec.name = "storm";
+    spec.workPerRequest = 1;
+    spec.implantVuln = true;
+    spec.seed = 21;
+    spec.cr3 = 0x2100;
+    return spec;
+}
+
+/** Encodes one server run under the production config into `ring`. */
+RingPin
+encodeServer(const workloads::ServerSpec &spec, size_t requests,
+             DigestedRing &ring, uint32_t psb_period = 1024)
+{
+    TracedServer server(spec, 201, requests);
+    IptEncoder encoder(productionConfig(server.cr3(), psb_period),
+                       ring.topa);
+    server.trace(encoder);
+    EXPECT_EQ(server.run(pin_budget), cpu::Cpu::Stop::Halted)
+        << spec.name;
+    encoder.flushTnt();
+    return ring.pin(encoder.stats());
+}
+
+TEST(IptPins, ProductionServerRings)
+{
+    // The fleet's ToPA geometry, so every ring wraps and mirrors.
+    auto specs = workloads::serverSuite();
+    specs.push_back(stormSpec());
+    const std::vector<RingPin> pins = {
+        {52368, 0x4fcc05909ac0fad5ULL,
+         20049, 120083, 10164, 35, 35, 35, 51, 0, 52368, 0, 0},
+        {65107, 0x2d85babae26542a4ULL,
+         25048, 150089, 12654, 35, 35, 35, 63, 0, 65107, 0, 0},
+        {42107, 0x746ee2d04f10a0dfULL,
+         16046, 96081, 8146, 35, 35, 35, 41, 0, 42107, 0, 0},
+        {58666, 0xfbc2ddb754e95888ULL,
+         22547, 135076, 11396, 35, 35, 35, 57, 0, 58666, 0, 0},
+        {26158, 0x398c3f0f28907240ULL,
+         1118, 2241, 3157, 605, 605, 605, 26, 0, 26158, 0, 0},
+    };
+    ASSERT_EQ(specs.size(), pins.size());
+    for (size_t i = 0; i < specs.size(); ++i) {
+        // storm's requests are short: it needs more to wrap the ring.
+        const size_t requests = i + 1 < specs.size() ? 10 : 200;
+        DigestedRing ring({8192, 8192});
+        EXPECT_EQ(encodeServer(specs[i], requests, ring), pins[i])
+            << specs[i].name;
+        EXPECT_TRUE(ring.topa.wrapped()) << specs[i].name;
+    }
+}
+
+TEST(IptPins, TrainerRing)
+{
+    // As the trainer replays a corpus: one 4 MiB ring cleared between
+    // inputs (it never wraps), a fresh unfiltered encoder per input.
+    const auto spec = workloads::serverSuite()[0];
+    DigestedRing ring({1 << 22});
+    const std::vector<RingPin> pins = {
+        {15816, 0x9d25281f94d87a8eULL,
+         6017, 36029, 3059, 14, 14, 14, 16, 0, 15816, 0, 0},
+        {15791, 0x8e9740e07e76d483ULL,
+         6016, 36030, 3049, 14, 14, 14, 16, 0, 15791, 0, 0},
+        {15788, 0x34628209c1f380f4ULL,
+         6015, 36022, 3051, 14, 14, 14, 16, 0, 15788, 0, 0},
+    };
+    for (uint64_t seed = 1; seed <= pins.size(); ++seed) {
+        ring.clear();
+        TracedServer server(spec, seed, 3);
+        IptEncoder encoder(IptConfig{}, ring.topa);
+        server.trace(encoder);
+        EXPECT_EQ(server.run(pin_budget), cpu::Cpu::Stop::Halted);
+        encoder.flushTnt();
+        EXPECT_EQ(ring.pin(encoder.stats()), pins[seed - 1])
+            << "input " << seed;
+        EXPECT_FALSE(ring.topa.wrapped());
+    }
+}
+
+TEST(IptPins, Psb32Ring)
+{
+    DigestedRing ring({8192, 8192});
+    const RingPin pin =
+        encodeServer(workloads::serverSuite()[1], 4, ring, 32);
+    EXPECT_EQ(pin, (RingPin{42649, 0x2b35f7ac8feb78dbULL, 10021, 60038,
+                            5067, 17, 17, 17, 852, 0, 42649, 0, 0}));
+}
+
+TEST(IptPins, OverflowRing)
+{
+    // A small ring with a slow PMI: the run loses trace in several
+    // overflow episodes, each closed by OVF + PSB. A long loss leaves
+    // a PSB due when the episode ends; a short one does not, so the
+    // next conditional outcome must still wait for the resync.
+    const size_t latencies[] = {700, 40};
+    const RingPin pins[] = {
+        {14868, 0x3c7e7fb5badba8ccULL,
+         6420, 38435, 3264, 20, 17, 17, 18, 3, 16968, 3, 2100},
+        {16785, 0xc1b60d6d31a9877bULL,
+         6420, 38435, 3264, 21, 17, 17, 17, 4, 16949, 4, 169},
+    };
+    for (size_t i = 0; i < std::size(latencies); ++i) {
+        DigestedRing ring({2048, 2048}, latencies[i]);
+        const RingPin pin =
+            encodeServer(workloads::serverSuite()[2], 4, ring);
+        EXPECT_GT(ring.topa.overflowEpisodes(), 2u);
+        EXPECT_EQ(pin, pins[i]) << "latency " << latencies[i];
+    }
+}
+
+TEST(IptPins, OverflowRingUnderSeededEvents)
+{
+    // A seeded mix of branch kinds, so that an overflow episode can end
+    // just before a conditional outcome: it must wait for the resync.
+    // (A server loop with two Jccs per iteration always flushes its
+    // TNT on the same one, and the next event is never a Jcc.)
+    Rng rng(45);
+    DigestedRing ring({512, 512}, 24);
+    IptEncoder encoder(productionConfig(0x1000, 256), ring.topa);
+    uint64_t ip = 0x400000;
+    for (int i = 0; i < 20000; ++i) {
+        const uint64_t next = 0x400000 + 4 * rng.below(4096);
+        switch (rng.below(8)) {
+          case 0:
+            encoder.onBranch(event(BranchKind::IndirectJump, ip, next,
+                                   0x1000));
+            break;
+          case 1:
+            encoder.onBranch(event(BranchKind::DirectJump, ip, next,
+                                   0x1000));
+            break;
+          case 2:
+            encoder.onBranch(event(BranchKind::SyscallEntry, ip, 0,
+                                   0x1000));
+            encoder.onBranch(event(BranchKind::SyscallExit, ip, ip + 2,
+                                   0x1000));
+            break;
+          default:
+            encoder.onBranch(event(rng.chance(0.5)
+                                       ? BranchKind::CondTaken
+                                       : BranchKind::CondNotTaken,
+                                   ip, next, 0x1000));
+            break;
+        }
+        ip = next;
+    }
+    encoder.flushTnt();
+    EXPECT_GT(ring.topa.overflowEpisodes(), 20u);
+    EXPECT_EQ(ring.pin(encoder.stats()),
+              (RingPin{31324, 0x1bc73c7be7c371d2ULL, 4128, 12466, 2551,
+                       2553, 2529, 2529, 123, 30, 32076, 30, 774}));
+}
+
+TEST(IptPins, ClearedRingsRefill)
+{
+    // One process traced into a ring that is cleared mid-run (as at a
+    // code-unload barrier) and then refilled: once before the ring
+    // ever wrapped, once after it did.
+    const auto spec = workloads::serverSuite()[3];
+    // [wrapped before the clear][refilled, finished]
+    const RingPin pins[2][2] = {
+        {{1292, 0xed7f5092fd44610fULL,
+          1005, 6005, 510, 5, 4, 4, 4, 0, 2694, 0, 0},
+         {33849, 0x33af2780888de8f8ULL,
+          13531, 81044, 6841, 23, 23, 23, 35, 0, 35251, 0, 0}},
+        {{1296, 0x2503e87f0d597b20ULL,
+          10539, 63122, 5325, 17, 16, 16, 28, 0, 27429, 0, 0},
+         {9124, 0xa298c66abdbfbafdULL,
+          13531, 81044, 6841, 23, 23, 23, 35, 0, 35257, 0, 0}},
+    };
+    for (const bool wrap_first : {false, true}) {
+        DigestedRing ring({4096, 4096});
+        TracedServer server(spec, 201, 6);
+        IptEncoder encoder(productionConfig(server.cr3()), ring.topa);
+        server.trace(encoder);
+        ASSERT_EQ(server.run(wrap_first ? 400'000 : 20'000),
+                  cpu::Cpu::Stop::InstLimit);
+        ASSERT_EQ(ring.topa.wrapped(), wrap_first);
+        encoder.flushTnt();
+        ring.clear();
+        encoder.restartStream();
+        // Refill part of a lap, pin, then run on through wraps.
+        ASSERT_EQ(server.run(20'000), cpu::Cpu::Stop::InstLimit);
+        encoder.flushTnt();
+        EXPECT_FALSE(ring.topa.wrapped());
+        const RingPin refilled = ring.pin(encoder.stats());
+        EXPECT_EQ(server.run(pin_budget), cpu::Cpu::Stop::Halted);
+        encoder.flushTnt();
+        EXPECT_TRUE(ring.topa.wrapped());
+        const RingPin finished = ring.pin(encoder.stats());
+        EXPECT_EQ(refilled, pins[wrap_first][0]);
+        EXPECT_EQ(finished, pins[wrap_first][1]);
+    }
+}
+
+TEST(IptPins, SharedEncoderAcrossContextSwitches)
+{
+    // Two processes time-sliced on one encoder filtered to the first:
+    // each switch away leaves the context (TIP.PGD), each switch back
+    // re-enters it (TIP.PGE).
+    const auto specs = workloads::serverSuite();
+    TracedServer traced(specs[0], 201, 3);
+    TracedServer other(specs[1], 202, 3);
+    DigestedRing ring({8192, 8192});
+    IptEncoder encoder(productionConfig(traced.cr3()), ring.topa);
+    traced.trace(encoder);
+    other.trace(encoder);
+    bool traced_on = true;
+    bool other_on = true;
+    while (traced_on || other_on) {
+        if (traced_on)
+            traced_on = traced.run(1500) == cpu::Cpu::Stop::InstLimit;
+        if (other_on)
+            other_on = other.run(1100) == cpu::Cpu::Stop::InstLimit;
+    }
+    encoder.flushTnt();
+    const RingPin pin = ring.pin(encoder.stats());
+    EXPECT_GT(encoder.stats().pgdPackets, encoder.stats().fupPackets);
+    EXPECT_EQ(pin, (RingPin{16508, 0xd632ae7f2f8fe56fULL, 6120, 35898,
+                            3044, 171, 171, 14, 16, 0, 16508, 0, 0}));
 }
 
 } // namespace

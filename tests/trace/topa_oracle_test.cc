@@ -244,9 +244,10 @@ runCase(uint64_t seed, uint64_t &pmis, uint64_t &episodes)
         ASSERT_EQ(topa.overflowEpisodes(), want.overflowEpisodes());
         ASSERT_EQ(got_pmis.size(), want_pmis.size()) << "write " << w;
         ASSERT_TRUE(got_pmis == want_pmis) << "write " << w;
-        if (rng.chance(0.3))
+        if (rng.chance(0.3)) {
             ASSERT_EQ(topa.consumeOvfResyncPending(),
                       want.consumeOvfResyncPending());
+        }
         if (rng.chance(0.01)) {
             episodes += topa.overflowEpisodes();
             topa.clear();
