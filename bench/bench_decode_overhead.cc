@@ -38,9 +38,13 @@ main()
         account.app = static_cast<double>(run.instructions) *
                       cpu::cost::app_cpi;
 
+        // Only the walk is charged: the packet layer is not what the
+        // §2 measurement prices.
         auto bytes = topa.snapshot();
-        auto decoded = decode::decodeInstructionFlow(app.program,
-                                                     bytes, &account);
+        decode::TraceCursor cursor;
+        auto decoded = decode::decodeInstructionFlow(
+            app.program, cursor.decode(trace::StreamView{bytes}, SIZE_MAX),
+            &account);
         const double overhead = account.decode / account.app;
         geo.add(overhead);
         if (overhead > 500.0)

@@ -113,8 +113,11 @@ faultDecodeSweep()
     encoder.flushTnt();
     const std::vector<uint8_t> clean = topa.snapshot();
 
+    // The ring has wrapped: each decode reads from its oldest PSB.
+    decode::TraceCursor cursor;
     cpu::CycleAccount clean_account;
-    auto base = decode::decodePacketLayer(clean, &clean_account);
+    const auto base = cursor.decode(trace::StreamView{clean}, SIZE_MAX,
+                                    &clean_account);
 
     TablePrinter table({"fault", "resyncs", "skipped B", "steps kept",
                         "decode cost vs clean"});
@@ -142,7 +145,8 @@ faultDecodeSweep()
             fault.regionBytes = 2048;
             injector.apply(fault, bytes);
             cpu::CycleAccount account;
-            auto result = decode::decodePacketLayer(bytes, &account);
+            const auto &result = cursor.decode(trace::StreamView{bytes},
+                                               SIZE_MAX, &account);
             resyncs += result.resyncs;
             skipped += result.bytesSkipped;
             steps += result.steps.size();

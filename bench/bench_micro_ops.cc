@@ -38,7 +38,9 @@ struct Fixture
         encoder.flushTnt();
         trace_bytes = topa.snapshot();
 
-        auto flow = decode::decodePacketLayer(trace_bytes);
+        decode::TraceCursor cursor;
+        const auto &flow =
+            cursor.decode(trace::StreamView{trace_bytes}, SIZE_MAX);
         for (const auto &step : flow.steps)
             if (step.kind == decode::StepKind::Tip)
                 tips.push_back(step.ip);
@@ -123,9 +125,11 @@ void
 BM_FullDecode(benchmark::State &state)
 {
     const auto &fx = fixture();
+    decode::TraceCursor cursor;
     for (auto _ : state) {
-        auto result = decode::decodeInstructionFlow(fx.app.program,
-                                                    fx.trace_bytes);
+        const auto &flow =
+            cursor.decode(trace::StreamView{fx.trace_bytes}, SIZE_MAX);
+        auto result = decode::decodeInstructionFlow(fx.app.program, flow);
         benchmark::DoNotOptimize(result.instructionsWalked);
     }
     state.SetBytesProcessed(static_cast<int64_t>(

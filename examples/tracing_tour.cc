@@ -83,8 +83,10 @@ main()
     }
 
     cpu::CycleAccount fast_cost, full_cost;
-    auto fast = decode::decodePacketLayer(bytes, &fast_cost);
-    auto full = decode::decodeInstructionFlow(app.program, bytes,
+    decode::TraceCursor cursor;
+    const auto &fast =
+        cursor.decode(trace::StreamView{bytes}, SIZE_MAX, &fast_cost);
+    auto full = decode::decodeInstructionFlow(app.program, fast,
                                               &full_cost);
     std::printf("\npacket-layer decode: %llu packets, %llu flow "
                 "steps, modeled cost %.2f%% of app\n",

@@ -151,7 +151,6 @@ FlowGuard::run(const std::vector<uint8_t> &input, uint64_t max_insts)
 
     runtime::FlowGuardKernel::Config kernel_config;
     kernel_config.endpoints = _config.endpoints;
-    kernel_config.protectedCr3s = {_program.cr3()};
     runtime::FlowGuardKernel kernel(kernel_config);
     kernel.attachProcess(_program.cr3(), monitor, encoder, topa,
                          &outcome.cycles);

@@ -494,48 +494,20 @@ FastDecodeResult::clear()
 }
 
 FastDecodeResult
-decodePacketLayer(std::span<const uint8_t> data,
-                  cpu::CycleAccount *account,
-                  telemetry::Telemetry *telemetry, uint64_t cr3)
-{
-    const uint64_t begin = telemetry ? telemetry->now() : 0;
-    FastDecodeResult result;
-    detail::ParseState state;
-    Counts unused;
-    result.bytesScanned =
-        parse<true>(data, 0, SIZE_MAX, result, unused, state, nullptr);
-    charge(account, result.bytesScanned);
-    report(telemetry, cr3, begin, result);
-    return result;
-}
-
-FastDecodeResult
 decodeRecentTips(std::span<const uint8_t> data, size_t min_tips,
                  cpu::CycleAccount *account,
                  telemetry::Telemetry *telemetry, uint64_t cr3)
 {
-    FastDecodeResult result;
-    decodeRecentTipsInto(result, data, min_tips, account, telemetry,
-                         cr3);
-    return result;
-}
-
-void
-decodeRecentTipsInto(FastDecodeResult &out,
-                     std::span<const uint8_t> data, size_t min_tips,
-                     cpu::CycleAccount *account,
-                     telemetry::Telemetry *telemetry, uint64_t cr3,
-                     uint64_t stream_offset)
-{
     const uint64_t begin = telemetry ? telemetry->now() : 0;
+    FastDecodeResult out;
     detail::ParseState state;
-    const size_t anchor = decodeAnchored(
-        out, data, min_tips, stream_offset, state, nullptr,
-        AnchorSearch(data.size()));
+    const size_t anchor = decodeAnchored(out, data, min_tips, 0, state,
+                                         nullptr, AnchorSearch(data.size()));
     if (anchor != SIZE_MAX)
         countOverflowBeforeAnchor(out, data, anchor);
     charge(account, out.bytesScanned);
     report(telemetry, cr3, begin, out);
+    return out;
 }
 
 const FastDecodeResult &

@@ -4,9 +4,10 @@
  *
  * Parses raw IPT bytes and extracts only the control-flow packets
  * (TIP/TNT plus the PGE/PGD/FUP context markers), without ever
- * consulting the binaries. It is the one packet loop: the full
- * decoder and the trainer consume its result. PSB packets serve as
- * sync points, so decoding can start at any PSB and independent
+ * consulting the binaries. It is the one packet loop, and TraceCursor
+ * is its one way in: the fast and slow paths, the full decoder's
+ * callers and the trainer all decode through one. PSB packets serve
+ * as sync points, so decoding can start at any PSB and independent
  * segments can be processed in parallel.
  *
  * A window is anchored at a PSB: the PSB search runs backward from the
@@ -14,11 +15,12 @@
  * TIPs, so a decode never touches the bytes in front of its window.
  * On a live ToPA stream the runtime fast path keeps that decode in a
  * TraceCursor and parses only the bytes written since its last check;
- * the anchored decode becomes the cursor's cold start. Conditional
- * outcomes live in one bit pool per result that steps and transitions
- * slice into, and the in-place forms (decodeRecentTipsInto,
- * TraceCursor, extractTransitionViews) reuse their scratch, so a
- * repeated check allocates nothing.
+ * the anchored decode is the cursor's cold start, and a one-shot
+ * decode is a cold start on a local cursor. Bytes that do not start at
+ * a PSB are read from their oldest sync point. Conditional outcomes
+ * live in one bit pool per result that steps and transitions slice
+ * into, and the cursor reuses its scratch, so a repeated check
+ * allocates nothing.
  *
  * The decoder never trusts its input: malformed bytes and hardware
  * OVF markers both trigger a resynchronization to the next validated
@@ -128,55 +130,17 @@ struct FastDecodeResult
 };
 
 /**
- * Decodes the entire buffer at the packet layer.
- * Charges cost::sw_packet_decode_per_byte into account->decode.
- *
- * `telemetry`, when given, gets a FastDecode span covering the decode
- * plus Overflow/Resync instants for any loss the window carried —
- * attributed to process `cr3`.
- */
-FastDecodeResult decodePacketLayer(std::span<const uint8_t> data,
-                                   cpu::CycleAccount *account = nullptr,
-                                   telemetry::Telemetry *telemetry = nullptr,
-                                   uint64_t cr3 = 0);
-
-/**
- * Decodes only enough of the tail of the buffer to recover at least
- * `min_tips` TIP packets (not counting PGE/PGD/FUP), starting from the
- * latest possible PSB sync point. This is the anchored decode every
- * check's window comes from: it never pays for the whole ToPA buffer.
- *
- * The PSB search runs backward from the end of the buffer. Each
- * segment between two sync points is first only counted (its TIPs,
- * no steps built); once the suffix holds `min_tips` TIPs it is
- * decoded in one chronological pass. The sync points found are those
- * a forward scan accepts: the last 16 bytes of each run of PSB byte
- * pairs. `bytesScanned` is what both passes read, and is what the
- * decode is charged for.
- *
- * The returned steps are chronological and cover the suffix of the
- * trace from the chosen sync point. If the buffer holds fewer TIPs,
- * everything available is returned. A buffer without any PSB is
- * decoded whole, from byte 0, when it starts its stream
- * (`stream_offset` 0, what a bare buffer is taken to do); cut from
- * further on, it yields no steps and one sync loss (a resync that
- * skipped every byte), which the loss policy handles as it does an
- * OVF: no PSB anchors its IPs, so any edge read from it would be
- * fabricated.
+ * The window a fresh TraceCursor's cold start gives for bytes that
+ * stand alone at their stream's origin, by value. Outside the tests
+ * that hold it to that cold start, only the benchmark's fast-decode
+ * replay calls it; it goes once that replay times the cursor's own
+ * parse (ROADMAP item 30).
  */
 FastDecodeResult decodeRecentTips(std::span<const uint8_t> data,
                                   size_t min_tips,
                                   cpu::CycleAccount *account = nullptr,
                                   telemetry::Telemetry *telemetry = nullptr,
                                   uint64_t cr3 = 0);
-
-/** decodeRecentTips() into `out`, reusing its capacity, for a buffer
- *  that starts `stream_offset` bytes into its stream. */
-void decodeRecentTipsInto(FastDecodeResult &out,
-                          std::span<const uint8_t> data, size_t min_tips,
-                          cpu::CycleAccount *account = nullptr,
-                          telemetry::Telemetry *telemetry = nullptr,
-                          uint64_t cr3 = 0, uint64_t stream_offset = 0);
 
 namespace detail {
 
@@ -260,9 +224,28 @@ struct TransitionView
 /**
  * A decode kept over one live trace stream, so that a check parses
  * only the bytes written since the last one (§5.3: the fast path
- * decodes only the tail of the ToPA buffer).
+ * decodes only the tail of the ToPA buffer). It is also the only way
+ * into the packet loop: a one-shot decode of bytes that stand alone is
+ * a cold start on a local cursor (stream identity 0, offset 0, and
+ * `min_tips` SIZE_MAX for the whole buffer).
  *
- * It holds the steps and outcome pool from the current window's
+ * The cold start is the anchored decode of a window of at least
+ * `min_tips` TIP packets (not counting PGE/PGD/FUP) from the latest
+ * possible PSB sync point. The PSB search runs backward from the end
+ * of the view. Each segment between two sync points is first only
+ * counted (its TIPs, no steps built); once the suffix holds `min_tips`
+ * TIPs it is decoded in one chronological pass. The sync points found
+ * are those a forward scan accepts: the last 16 bytes of each run of
+ * PSB byte pairs. `bytesScanned` is what both passes read, and is what
+ * the decode is charged for. If the view holds fewer TIPs, the window
+ * starts at its oldest sync point: bytes in front of it are never
+ * read. A view without any PSB is decoded whole, from its first byte,
+ * when it starts its stream (offset 0); cut from further on, it yields
+ * no steps and one sync loss (a resync that skipped every byte), which
+ * the loss policy handles as it does an OVF: no PSB anchors its IPs,
+ * so any edge read from it would be fabricated.
+ *
+ * Kept, it holds the steps and outcome pool from the current window's
  * anchor up to the last whole packet in the stream, a record of each
  * PSB in that span (its stream offset, and the step, outcome, OVF and
  * packet counts at it), and the parser's last-IP, pending-outcome and
@@ -272,20 +255,19 @@ struct TransitionView
  * records, trims the front to it, and re-slices the first step as a
  * decode starting there would have it.
  *
- * The anchored decode is its cold start. It runs on the first decode;
- * on a new stream identity (a new Topa, or one cleared since); when
- * the anchor may lie further back than the records go (a wider
- * window, or a whole-buffer one, `min_tips` SIZE_MAX, unless the first
- * record is known to be the oldest sync point left in the view);
- * when a wrap has overwritten the resume point; when the new bytes
- * alone hold the window (its anchor is found among them by the same
- * backward search, which the cold start then goes on with); and after
- * bytes that would not parse. So the window equals
- * decodeRecentTipsInto(·, view.bytes, min_tips, …, view.offset) in
- * every field but bytesScanned, which counts the bytes this decode
- * read, is what it is charged for, and is never more than the fresh
- * decode's unless a wider window cold-starts after parsing. A view
- * whose stream identity is 0 stands alone: it always cold-starts.
+ * The cold start runs on the first decode; on a new stream identity
+ * (a new Topa, or one cleared since); when the anchor may lie further
+ * back than the records go (a wider window, or a whole-buffer one,
+ * `min_tips` SIZE_MAX, unless the first record is known to be the
+ * oldest sync point left in the view); when a wrap has overwritten
+ * the resume point; when the new bytes alone hold the window (its
+ * anchor is found among them by the same backward search, which the
+ * cold start then goes on with); and after bytes that would not
+ * parse. So the window equals a fresh cursor's cold start on the same
+ * view in every field but bytesScanned, which counts the bytes this
+ * decode read, is what it is charged for, and is never more than the
+ * fresh decode's unless a wider window cold-starts after parsing. A
+ * view whose stream identity is 0 stands alone: it always cold-starts.
  *
  * Beside the steps it keeps the window's transitions (views()), as
  * extractTransitionViews() folds them: a decode folds only the steps

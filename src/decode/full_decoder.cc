@@ -481,21 +481,6 @@ finishWalk(const FullDecodeResult &result, uint64_t tips,
 
 } // namespace
 
-void
-decodeInstructionFlowInto(FullDecodeResult &result,
-                          const isa::Program &program,
-                          const FastDecodeResult &flow,
-                          cpu::CycleAccount *account,
-                          telemetry::Telemetry *telemetry, uint64_t cr3)
-{
-    const uint64_t span_begin = telemetry ? telemetry->now() : 0;
-    detail::WalkPoint at;
-    if (!beginWalk(result, program, flow, at))
-        return;
-    const uint64_t tips = walkOn(result, program, flow, at, nullptr);
-    finishWalk(result, tips, account, telemetry, cr3, span_begin);
-}
-
 const FullDecodeResult &
 FlowWalk::walk(const isa::Program &program, const TraceCursor &cursor,
                cpu::CycleAccount *account, telemetry::Telemetry *telemetry,
@@ -571,20 +556,14 @@ decodeInstructionFlow(const isa::Program &program,
                       cpu::CycleAccount *account,
                       telemetry::Telemetry *telemetry, uint64_t cr3)
 {
+    const uint64_t span_begin = telemetry ? telemetry->now() : 0;
     FullDecodeResult result;
-    decodeInstructionFlowInto(result, program, flow, account, telemetry,
-                              cr3);
+    detail::WalkPoint at;
+    if (beginWalk(result, program, flow, at)) {
+        const uint64_t tips = walkOn(result, program, flow, at, nullptr);
+        finishWalk(result, tips, account, telemetry, cr3, span_begin);
+    }
     return result;
-}
-
-FullDecodeResult
-decodeInstructionFlow(const isa::Program &program,
-                      std::span<const uint8_t> data,
-                      cpu::CycleAccount *account,
-                      telemetry::Telemetry *telemetry, uint64_t cr3)
-{
-    return decodeInstructionFlow(program, decodePacketLayer(data),
-                                 account, telemetry, cr3);
 }
 
 } // namespace flowguard::decode

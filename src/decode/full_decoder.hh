@@ -14,7 +14,8 @@
  * the steps and TNT slices of a fast_decoder.hh decode. The slow path
  * hands it the window its TraceCursor decoded, through a FlowWalk that
  * keeps the walk across windows and walks only the steps appended
- * since; the byte form below decodes the packet layer first.
+ * since; any other caller decodes its bytes with a cursor first and
+ * walks cursor.window().
  *
  * Like libipt's block decoder, the walk moves a straight-line run at a
  * time: between two control-flow instructions nothing reads the trace,
@@ -35,7 +36,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -115,21 +115,6 @@ FullDecodeResult decodeInstructionFlow(
     cpu::CycleAccount *account = nullptr,
     telemetry::Telemetry *telemetry = nullptr, uint64_t cr3 = 0);
 
-/** decodeInstructionFlow() into `out`, reusing its capacity. */
-void decodeInstructionFlowInto(FullDecodeResult &out,
-                               const isa::Program &program,
-                               const FastDecodeResult &flow,
-                               cpu::CycleAccount *account = nullptr,
-                               telemetry::Telemetry *telemetry = nullptr,
-                               uint64_t cr3 = 0);
-
-/** The walk over decodePacketLayer(data); the packet decode itself is
- *  neither charged nor traced. */
-FullDecodeResult decodeInstructionFlow(
-    const isa::Program &program, std::span<const uint8_t> data,
-    cpu::CycleAccount *account = nullptr,
-    telemetry::Telemetry *telemetry = nullptr, uint64_t cr3 = 0);
-
 namespace detail {
 
 /** What a walk had produced at some point of it. */
@@ -190,7 +175,7 @@ struct WalkMark
  *
  * The fresh walk is its cold start: on a new cursor cold start, an
  * anchor whose record the kept walk did not reach, or after a walk
- * that did not end Ok. So walk() equals decodeInstructionFlowInto()
+ * that did not end Ok. So walk() equals decodeInstructionFlow()
  * of the cursor's window in every field, and is charged and traced as
  * that walk: for the window's whole walk, not for the steps it walked.
  */

@@ -14,7 +14,7 @@ trainItcCfg(analysis::ItcCfg &itc, const RunTarget &target,
     // One ring for the whole corpus, generously sized so a training
     // replay never loses history to a wrap.
     trace::Topa topa({1 << 22});
-    std::vector<decode::TransitionView> views;
+    decode::TraceCursor cursor;
     std::vector<uint64_t> targets;
     for (const Input &input : corpus) {
         topa.clear();
@@ -26,11 +26,11 @@ trainItcCfg(analysis::ItcCfg &itc, const RunTarget &target,
         encoder.flushTnt();
         ++stats.inputsReplayed;
 
-        // Byte 0 is the encoder's opening PSB: one forward pass
-        // decodes the whole input, read in place.
-        const decode::FastDecodeResult flow =
-            decode::decodePacketLayer(topa.view());
-        decode::extractTransitionViews(flow, views);
+        // Byte 0 is the encoder's opening PSB: a whole-buffer cold
+        // start decodes the whole input, read in place.
+        cursor.decode(trace::StreamView{topa.view()}, SIZE_MAX);
+        const std::span<const decode::TransitionView> views =
+            cursor.views();
         if (paths) {
             targets.clear();
             for (const auto &view : views)

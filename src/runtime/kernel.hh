@@ -42,7 +42,10 @@ class FlowGuardKernel : public cpu::BasicKernel
     {
         std::set<int64_t> endpoints = defaultEndpoints();
         /** CR3s of the guarded processes. Unread: the registry is the
-         *  service's (attachProcess / ProtectionService::addProcess). */
+         *  service's (attachProcess / ProtectionService::addProcess).
+         *  It stays only because the benchmark's harness sets it, and
+         *  goes when the benchmark reads named values (ROADMAP item
+         *  26). */
         std::set<uint64_t> protectedCr3s;
     };
 

@@ -98,7 +98,8 @@ TEST(ItcInvariant, ConsecutiveTipsAreItcEdges)
     ASSERT_GT(itc.numEdges(), 0u);
 
     auto bytes = topa.snapshot();
-    auto flow = decode::decodePacketLayer(bytes);
+    decode::TraceCursor cursor;
+    const auto &flow = cursor.decode(trace::StreamView{bytes}, SIZE_MAX);
     ASSERT_FALSE(flow.malformed);
 
     uint64_t prev_tip = 0;

@@ -18,12 +18,14 @@
 #include "trace/ipt.hh"
 #include "trace/ipt_packets.hh"
 #include "workloads/apps.hh"
+#include "ref/forward_decoder.hh"
 
 namespace {
 
 using namespace flowguard;
 using namespace flowguard::decode;
 using namespace flowguard::trace;
+namespace ref = flowguard::test::ref;
 
 /** Hand-builds a stream: PSB, TIP(a), TNT(1,0), TIP(b), FUP(c),
  *  PGD, PGE(d), TNT(1), TIP(e). */
@@ -45,9 +47,31 @@ sampleStream()
     return bytes;
 }
 
+/** A whole-buffer cold start on bytes that stand alone at their
+ *  stream's origin. */
+FastDecodeResult
+decodeWhole(std::span<const uint8_t> bytes,
+            cpu::CycleAccount *account = nullptr)
+{
+    TraceCursor cursor;
+    return cursor.decode(StreamView{bytes}, SIZE_MAX, account);
+}
+
+/** The TIP targets of a decode, or of the forward-scan reference's. */
+template <typename Result>
+std::vector<uint64_t>
+decodedTipTargets(const Result &result)
+{
+    std::vector<uint64_t> targets;
+    for (const auto &step : result.steps)
+        if (step.kind == StepKind::Tip)
+            targets.push_back(step.ip);
+    return targets;
+}
+
 TEST(FastDecoder, ExtractsFlowStepsInOrder)
 {
-    auto result = decodePacketLayer(sampleStream());
+    auto result = decodeWhole(sampleStream());
     EXPECT_FALSE(result.malformed);
     EXPECT_EQ(result.unsyncedSteps, 0u);
     ASSERT_EQ(result.steps.size(), 6u);
@@ -71,9 +95,12 @@ TEST(FastDecoder, ChargesDecodeCycles)
 {
     cpu::CycleAccount account;
     auto bytes = sampleStream();
-    decodePacketLayer(bytes, &account);
+    const auto result = decodeWhole(bytes, &account);
+    // A whole-buffer cold start counts each segment's TIPs, then emits
+    // it: every byte is read, and the counting pass is charged too.
+    EXPECT_EQ(result.bytesScanned, 2 * bytes.size());
     EXPECT_DOUBLE_EQ(account.decode,
-                     static_cast<double>(bytes.size()) *
+                     static_cast<double>(result.bytesScanned) *
                          cpu::cost::sw_packet_decode_per_byte);
 }
 
@@ -83,14 +110,14 @@ TEST(FastDecoder, TrailingTntSurvives)
     uint64_t last_ip = 0;
     appendTipClass(bytes, opcode::tip, 0x400000, last_ip);
     appendTnt(bytes, 0b11, 2);
-    auto result = decodePacketLayer(bytes);
+    auto result = decodeWhole(bytes);
     ASSERT_EQ(result.trailingTnt().size(), 2u);
 }
 
 TEST(FastDecoder, TransitionsSkipContextMarkers)
 {
     auto transitions =
-        extractTipTransitions(decodePacketLayer(sampleStream()));
+        extractTipTransitions(decodeWhole(sampleStream()));
     // TIPs: 0x400100, 0x400200, 0x400300; PGE/PGD/FUP transparent.
     ASSERT_EQ(transitions.size(), 3u);
     EXPECT_EQ(transitions[0].from, 0u);
@@ -135,6 +162,18 @@ TEST(FastDecoder, RecentTipsPicksLatestSufficientSync)
     auto all = decodeRecentTips({bytes.data(), bytes.size()}, 100);
     EXPECT_EQ(all.startOffset, psb_offsets[0]);
     EXPECT_EQ(all.steps.size(), 6u);
+
+    // Each is the window a fresh cursor's cold start gives.
+    for (const size_t min_tips : {2, 4, 100}) {
+        const auto got = decodeRecentTips(bytes, min_tips);
+        TraceCursor cursor;
+        const auto &want = cursor.decode(StreamView{bytes}, min_tips);
+        EXPECT_EQ(got.startOffset, want.startOffset) << min_tips;
+        EXPECT_EQ(got.bytesScanned, want.bytesScanned) << min_tips;
+        EXPECT_EQ(got.packetCount, want.packetCount) << min_tips;
+        EXPECT_EQ(decodedTipTargets(got), decodedTipTargets(want))
+            << min_tips;
+    }
 }
 
 TEST(FastDecoder, RecentTipsWithoutPsbDecodesWholeBuffer)
@@ -149,7 +188,7 @@ TEST(FastDecoder, RecentTipsWithoutPsbDecodesWholeBuffer)
 TEST(FastDecoder, MalformedStreamFlagged)
 {
     std::vector<uint8_t> bytes{0x02, 0x99};
-    auto result = decodePacketLayer(bytes);
+    auto result = decodeWhole(bytes);
     EXPECT_TRUE(result.malformed);
 }
 
@@ -168,7 +207,7 @@ TEST(FastDecoder, OvfBreaksTipAdjacency)
     appendTipClass(bytes, opcode::tip, 0x400200, last_ip);
     appendTipClass(bytes, opcode::tip, 0x400300, last_ip);
 
-    auto result = decodePacketLayer(bytes);
+    auto result = decodeWhole(bytes);
     EXPECT_FALSE(result.malformed);
     EXPECT_EQ(result.overflows, 1u);
     EXPECT_EQ(result.resyncs, 0u);
@@ -191,6 +230,8 @@ TEST(FastDecoder, PendingTntDroppedAtLoss)
 {
     std::vector<uint8_t> bytes;
     uint64_t last_ip = 0;
+    appendPsb(bytes);
+    appendPsbEnd(bytes);
     appendTipClass(bytes, opcode::tip, 0x400100, last_ip);
     appendTnt(bytes, 0b101, 3);
     appendOvf(bytes);
@@ -198,7 +239,7 @@ TEST(FastDecoder, PendingTntDroppedAtLoss)
     appendPsbEnd(bytes);
     last_ip = 0;
     appendTipClass(bytes, opcode::tip, 0x400200, last_ip);
-    auto result = decodePacketLayer(bytes);
+    auto result = decodeWhole(bytes);
     ASSERT_EQ(result.steps.size(), 2u);
     // Outcomes buffered before the gap no longer pair with anything.
     EXPECT_TRUE(result.tntBefore(result.steps[1]).empty());
@@ -208,6 +249,8 @@ TEST(FastDecoder, BadBytesResyncToNextPsb)
 {
     std::vector<uint8_t> bytes;
     uint64_t last_ip = 0;
+    appendPsb(bytes);
+    appendPsbEnd(bytes);
     appendTipClass(bytes, opcode::tip, 0x400100, last_ip);
     const size_t garbage_at = bytes.size();
     bytes.push_back(0x02);      // 0x02 + invalid second byte
@@ -219,15 +262,16 @@ TEST(FastDecoder, BadBytesResyncToNextPsb)
     last_ip = 0;
     appendTipClass(bytes, opcode::tip, 0x400200, last_ip);
 
-    auto result = decodePacketLayer(bytes);
+    auto result = decodeWhole(bytes);
     EXPECT_TRUE(result.malformed);
     EXPECT_EQ(result.resyncs, 1u);
     EXPECT_EQ(result.bytesSkipped, psb_at - garbage_at);
     ASSERT_EQ(result.steps.size(), 2u);
     EXPECT_EQ(result.steps[1].ip, 0x400200u);
     EXPECT_TRUE(result.steps[1].lossBefore);
-    // The whole buffer was still scanned; decode terminated cleanly.
-    EXPECT_EQ(result.bytesScanned, bytes.size());
+    // The whole buffer was still scanned (counted, then emitted);
+    // decode terminated cleanly.
+    EXPECT_EQ(result.bytesScanned, 2 * bytes.size());
 }
 
 TEST(FastDecoder, BadTailWithoutPsbTerminates)
@@ -239,7 +283,7 @@ TEST(FastDecoder, BadTailWithoutPsbTerminates)
     bytes.push_back(0x02);
     bytes.push_back(0x99);
     bytes.push_back(0x03);
-    auto result = decodePacketLayer(bytes);
+    auto result = decodeWhole(bytes);
     EXPECT_TRUE(result.malformed);
     EXPECT_EQ(result.resyncs, 0u);
     EXPECT_EQ(result.bytesSkipped, bytes.size() - garbage_at);
@@ -258,7 +302,7 @@ TEST(FastDecoder, TruncatedTailIsCleanEofNotLoss)
     appendTipClass(bytes, opcode::tip, 0xAABB0000CCDD1122ULL, last_ip);
     bytes.resize(bytes.size() - 4);
 
-    auto result = decodePacketLayer(bytes);
+    auto result = decodeWhole(bytes);
     EXPECT_FALSE(result.malformed);
     EXPECT_FALSE(result.lossDetected());
     EXPECT_EQ(result.bytesSkipped, 0u);
@@ -274,7 +318,7 @@ TEST(FastDecoder, SuppressedTipsAreNotTransitions)
     appendTipClass(bytes, opcode::tip, 0, last_ip, /*suppress=*/true);
     appendTipClass(bytes, opcode::tip, 0x400200, last_ip);
     auto transitions =
-        extractTipTransitions(decodePacketLayer(bytes));
+        extractTipTransitions(decodeWhole(bytes));
     ASSERT_EQ(transitions.size(), 2u);
     EXPECT_EQ(transitions[1].from, 0x400100u);
     EXPECT_EQ(transitions[1].to, 0x400200u);
@@ -321,16 +365,6 @@ retiredTipTargets(const std::vector<cpu::BranchEvent> &events)
             break;
         }
     }
-    return targets;
-}
-
-std::vector<uint64_t>
-decodedTipTargets(const FastDecodeResult &result)
-{
-    std::vector<uint64_t> targets;
-    for (const auto &step : result.steps)
-        if (step.kind == StepKind::Tip)
-            targets.push_back(step.ip);
     return targets;
 }
 
@@ -388,10 +422,9 @@ TEST_P(FastDecodeGroundTruth, TipTargetsMatchRetiredIndirectBranches)
             // Where the ring's oldest byte sits in the stream.
             const uint64_t offset = topa.totalWritten() - packets.size();
             const auto recent_tips = [&](size_t min_tips) {
-                FastDecodeResult result;
-                decodeRecentTipsInto(result, packets, min_tips, nullptr,
-                                     nullptr, 0, offset);
-                return result;
+                TraceCursor cursor;
+                return cursor.decode(StreamView{packets, offset},
+                                     min_tips);
             };
             // Everything from the oldest PSB in the ring: the whole
             // run when nothing wrapped, otherwise its newest part.
@@ -413,7 +446,8 @@ TEST_P(FastDecodeGroundTruth, TipTargetsMatchRetiredIndirectBranches)
             EXPECT_FALSE(synced.lossDetected());
             if (!wraps) {
                 EXPECT_EQ(decoded, retired);
-                EXPECT_EQ(decodedTipTargets(decodePacketLayer(packets)),
+                EXPECT_EQ(decodedTipTargets(ref::decodeFrom(
+                              packets.data(), packets.size(), 0)),
                           retired);
             } else {
                 ASSERT_FALSE(decoded.empty());

@@ -93,9 +93,14 @@ decodeBothWays(const std::vector<uint8_t> &bytes,
                const std::string &what)
 {
     try {
-        auto fast = decode::decodePacketLayer(bytes);
+        // Whole, then windowed: each decode touches each byte at most
+        // twice (the backwards counting pass plus the chronological
+        // emit pass).
+        decode::TraceCursor cursor;
+        const trace::StreamView view{bytes};
+        const decode::FastDecodeResult fast = cursor.decode(view, SIZE_MAX);
         EXPECT_LE(fast.bytesSkipped, bytes.size()) << what;
-        EXPECT_LE(fast.bytesScanned, bytes.size()) << what;
+        EXPECT_LE(fast.bytesScanned, 2 * bytes.size()) << what;
         if (fast.bytesSkipped > 0) {
             EXPECT_TRUE(fast.malformed) << what;
         }
@@ -103,14 +108,11 @@ decodeBothWays(const std::vector<uint8_t> &bytes,
             EXPECT_TRUE(fast.malformed) << what;
         }
 
-        auto windowed =
-            decode::decodeRecentTips({bytes.data(), bytes.size()}, 30);
-        // The windowed decode touches each byte at most twice (the
-        // backwards counting pass plus the chronological emit pass).
+        const auto &windowed = cursor.decode(view, 30);
         EXPECT_LE(windowed.bytesScanned, 2 * bytes.size()) << what;
 
         const auto &base = baseline();
-        auto full = decode::decodeInstructionFlow(base.program, bytes);
+        auto full = decode::decodeInstructionFlow(base.program, fast);
         EXPECT_LE(full.bytesSkipped, bytes.size()) << what;
         for (size_t i = 0; i < full.lossBranchIndices.size(); ++i) {
             EXPECT_LE(full.lossBranchIndices[i], full.branches.size())
@@ -164,10 +166,12 @@ INSTANTIATE_TEST_SUITE_P(Modes, FaultResilience,
 TEST(FaultResilience, CleanBaselineDecodesWithoutLoss)
 {
     const auto &base = baseline();
-    auto fast = decode::decodePacketLayer(base.trace);
+    decode::TraceCursor cursor;
+    const auto &fast =
+        cursor.decode(trace::StreamView{base.trace}, SIZE_MAX);
     EXPECT_FALSE(fast.malformed);
     EXPECT_FALSE(fast.lossDetected());
-    auto full = decode::decodeInstructionFlow(base.program, base.trace);
+    auto full = decode::decodeInstructionFlow(base.program, fast);
     ASSERT_TRUE(full.ok()) << full.error;
     EXPECT_FALSE(full.lossDetected());
     EXPECT_TRUE(full.lossBranchIndices.empty());

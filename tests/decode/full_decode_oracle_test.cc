@@ -11,13 +11,17 @@
  * the same status, start IP, branches, instruction count, gap
  * indices and loss counters (so the same modeled decode charge), both
  * on whole buffers and on the tail-anchored windows the slow path
- * hands it.
+ * hands it. Each is a TraceCursor cold start on bytes that stand
+ * alone, so it reads from its anchor PSB (a whole buffer's oldest);
+ * the reference is handed the bytes from that PSB on.
  *
  * The two packet loops used to disagree in three places, and the
  * inputs below are chosen to reach each of them:
  *  - outcomes between the last step and an OVF or resync: the walk
  *    consumes them before it re-anchors;
- *  - TIP-class packets before the first PSB: the walk ignores them;
+ *  - TIP-class packets before the first PSB: the walk ignores them.
+ *    Only a buffer with no PSB at all, taken to start its stream, is
+ *    decoded before one;
  *  - the OVF right before a window's anchor PSB. This is the one
  *    stated difference: the packet layer counts it in `overflows`
  *    (the gap lies inside the history the window covers), while the
@@ -31,9 +35,9 @@
  * a run left off mapped code, and a PGD/PGE pause at a run's first
  * instruction followed by a loss or by the end of the trace.
  *
- * The anchored window below is the slow path's only decode: it walks
- * decodeRecentTips(…, 100), and a pass stages that same decode for the
- * verdict cache.
+ * The anchored window below is the slow path's cold start: its cursor
+ * decodes 100 TIPs, and a pass stages that same decode for the verdict
+ * cache.
  */
 
 #include <gtest/gtest.h>
@@ -475,47 +479,55 @@ expectSameFlow(const FullDecodeResult &got, const FullDecodeResult &want,
 }
 
 /**
- * Asserts the walk reproduces the reference on `bytes`, whole and as
- * the slow path's anchored window (decodeRecentTips(…, 100)), with
- * the same modeled charge.
+ * Asserts the walk of `window`, a cold start on `bytes`, reproduces the
+ * reference fed the bytes from the window's sync point on, with the
+ * same modeled charge. Returns the walk.
+ */
+FullDecodeResult
+expectSameWindowWalk(const isa::Program &program,
+                     const std::vector<uint8_t> &bytes,
+                     const decode::FastDecodeResult &window,
+                     Coverage &coverage)
+{
+    const size_t start = static_cast<size_t>(window.startOffset);
+    cpu::CycleAccount got_cost;
+    cpu::CycleAccount want_cost;
+    const auto want = ref::decodeInstructionFlow(
+        program, bytes.data() + start, bytes.size() - start, &want_cost,
+        nullptr, 0);
+    auto got = decode::decodeInstructionFlow(program, window, &got_cost);
+    const bool ovf_before = start >= 2 && bytes[start - 2] == 0x02 &&
+        bytes[start - 1] == 0xF3;
+    expectSameFlow(got, want, ovf_before ? 1 : 0);
+    EXPECT_DOUBLE_EQ(got_cost.decode, want_cost.decode);
+    coverage.preAnchorOverflows += ovf_before;
+    coverage.preLossOutcomes += keepsPreLossOutcomes(window);
+    return got;
+}
+
+/**
+ * Asserts the walk reproduces the reference on `bytes`, whole (from
+ * the oldest sync point, or from byte 0 when no PSB is left) and as
+ * the slow path's anchored window (100 TIPs), each a cold start on the
+ * bytes standing alone.
  */
 void
 expectSameDecode(const isa::Program &program,
                  const std::vector<uint8_t> &bytes, Coverage &coverage)
 {
     SCOPED_TRACE(std::to_string(bytes.size()) + " bytes");
+    decode::TraceCursor cursor;
+    const trace::StreamView view{bytes};
     {
         SCOPED_TRACE("whole buffer");
-        cpu::CycleAccount got_cost;
-        cpu::CycleAccount want_cost;
-        const auto want = ref::decodeInstructionFlow(
-            program, bytes.data(), bytes.size(), &want_cost, nullptr,
-            0);
-        const auto got =
-            decode::decodeInstructionFlow(program, bytes, &got_cost);
-        expectSameFlow(got, want, 0);
-        EXPECT_DOUBLE_EQ(got_cost.decode, want_cost.decode);
-        const auto flow = decode::decodePacketLayer(bytes);
-        coverage.unsyncedSteps += flow.unsyncedSteps > 0;
-        coverage.preLossOutcomes += keepsPreLossOutcomes(flow);
+        const auto &whole = cursor.decode(view, SIZE_MAX);
+        coverage.unsyncedSteps += whole.unsyncedSteps > 0;
+        expectSameWindowWalk(program, bytes, whole, coverage);
     }
     {
         SCOPED_TRACE("anchored window");
-        const auto window = decode::decodeRecentTips(bytes, 100);
-        const size_t start = static_cast<size_t>(window.startOffset);
-        cpu::CycleAccount got_cost;
-        cpu::CycleAccount want_cost;
-        const auto want = ref::decodeInstructionFlow(
-            program, bytes.data() + start, bytes.size() - start,
-            &want_cost, nullptr, 0);
-        const auto got =
-            decode::decodeInstructionFlow(program, window, &got_cost);
-        const bool ovf_before = start >= 2 &&
-            bytes[start - 2] == 0x02 && bytes[start - 1] == 0xF3;
-        expectSameFlow(got, want, ovf_before ? 1 : 0);
-        EXPECT_DOUBLE_EQ(got_cost.decode, want_cost.decode);
-        coverage.preAnchorOverflows += ovf_before;
-        coverage.preLossOutcomes += keepsPreLossOutcomes(window);
+        expectSameWindowWalk(program, bytes, cursor.decode(view, 100),
+                             coverage);
     }
 }
 
@@ -615,8 +627,10 @@ TEST_P(FullDecodeOracle, PropertyTraceMatchesFlatteningDecoder)
     expectSameDecode(trace.app.program, trace.bytes, coverage);
     // The clean trace walks end to end, so the comparison saw real
     // work.
-    const auto full =
-        decode::decodeInstructionFlow(trace.app.program, trace.bytes);
+    decode::TraceCursor cursor;
+    const auto full = decode::decodeInstructionFlow(
+        trace.app.program,
+        cursor.decode(trace::StreamView{trace.bytes}, SIZE_MAX));
     ASSERT_TRUE(full.ok()) << full.error;
     EXPECT_GT(full.branches.size(), 100u);
 }
@@ -664,11 +678,21 @@ TEST(FullDecodeOracleRings, WrappedRingsMatch)
             SCOPED_TRACE("ring " + std::to_string(ring));
             for (const auto &bytes :
                  sampleRing(spec, app.program, {ring / 2, ring - ring / 2},
-                            psb_period, 60, 1013))
+                            psb_period, 60, 1013)) {
                 expectSameDecode(app.program, bytes, coverage);
+                // The bytes in front of its first PSB hold none: at
+                // their stream's origin they are decoded from byte 0.
+                const size_t psb =
+                    trace::findNextPsb(bytes.data(), bytes.size(), 0);
+                if (psb != SIZE_MAX && psb > 0)
+                    expectSameDecode(app.program,
+                                     {bytes.begin(), bytes.begin() +
+                                          static_cast<ptrdiff_t>(psb)},
+                                     coverage);
+            }
         }
     }
-    // A wrapped ring starts mid-packet: steps before its first PSB.
+    // A PSB-free buffer at its stream's origin: steps before any PSB.
     EXPECT_GT(coverage.unsyncedSteps, 0u);
 }
 
@@ -759,19 +783,16 @@ struct TraceBytes
     }
 };
 
-/** Walks `bytes` and checks the reference agrees, charge included. */
+/** Walks `bytes` whole and checks the reference agrees, charge
+ *  included. */
 FullDecodeResult
 walkBoth(const isa::Program &program, const std::vector<uint8_t> &bytes)
 {
-    cpu::CycleAccount got_cost;
-    cpu::CycleAccount want_cost;
-    const auto got = decode::decodeInstructionFlow(program, bytes,
-                                                   &got_cost);
-    const auto want = ref::decodeInstructionFlow(
-        program, bytes.data(), bytes.size(), &want_cost, nullptr, 0);
-    expectSameFlow(got, want, 0);
-    EXPECT_DOUBLE_EQ(got_cost.decode, want_cost.decode);
-    return got;
+    decode::TraceCursor cursor;
+    Coverage unused;
+    return expectSameWindowWalk(
+        program, bytes, cursor.decode(trace::StreamView{bytes}, SIZE_MAX),
+        unused);
 }
 
 TEST(FullDecodeOracleRuns, RunTableEndsAtControlFlowOrMappedCode)

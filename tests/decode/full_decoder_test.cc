@@ -32,6 +32,18 @@ struct Recorder : cpu::TraceSink
     }
 };
 
+/** The walk of a whole-buffer cold start on bytes that stand alone
+ *  at their stream's origin; only the walk is charged. */
+decode::FullDecodeResult
+walkWhole(const Program &program, std::span<const uint8_t> bytes,
+          cpu::CycleAccount *account = nullptr)
+{
+    decode::TraceCursor cursor;
+    return decode::decodeInstructionFlow(
+        program, cursor.decode(trace::StreamView{bytes}, SIZE_MAX),
+        account);
+}
+
 TEST(FullDecoder, ReconstructsExactBranchSequence)
 {
     ModuleBuilder mod("m", ModuleKind::Executable);
@@ -62,7 +74,7 @@ TEST(FullDecoder, ReconstructsExactBranchSequence)
     encoder.flushTnt();
 
     auto result =
-        decode::decodeInstructionFlow(prog, topa.snapshot());
+        walkWhole(prog, topa.snapshot());
     ASSERT_TRUE(result.ok()) << result.error;
 
     // The first event is subsumed by the PGE; everything after must
@@ -89,7 +101,7 @@ TEST(FullDecoder, NoSyncOnEmptyBuffer)
         return Loader().addExecutable(mod.build()).link();
     }();
     std::vector<uint8_t> empty;
-    auto result = decode::decodeInstructionFlow(prog, empty);
+    auto result = walkWhole(prog, empty);
     EXPECT_EQ(result.status,
               decode::FullDecodeResult::Status::NoSync);
 }
@@ -117,7 +129,7 @@ TEST(FullDecoder, DesyncOnCorruptedTipTarget)
     // ...then a TIP where f's conditional requires a TNT bit.
     trace::appendTipClass(bytes, trace::opcode::tip,
                           prog.funcAddr("m", "f"), last_ip);
-    auto result = decode::decodeInstructionFlow(prog, bytes);
+    auto result = walkWhole(prog, bytes);
     EXPECT_EQ(result.status,
               decode::FullDecodeResult::Status::Desync);
 }
@@ -141,7 +153,7 @@ TEST(FullDecoder, ChargesPerInstructionAndBranch)
     encoder.flushTnt();
 
     cpu::CycleAccount account;
-    auto result = decode::decodeInstructionFlow(prog, topa.snapshot(),
+    auto result = walkWhole(prog, topa.snapshot(),
                                                 &account);
     ASSERT_TRUE(result.ok());
     EXPECT_GT(account.decode,
@@ -189,7 +201,7 @@ TEST(FullDecoder, ReanchorsAfterOvfGap)
     trace::appendTipClass(bytes, trace::opcode::tip_pge,
                           prog.funcAddr("m", "g"), last_ip);
 
-    auto result = decode::decodeInstructionFlow(prog, bytes);
+    auto result = walkWhole(prog, bytes);
     ASSERT_TRUE(result.ok()) << result.error;
     EXPECT_EQ(result.overflows, 1u);
     EXPECT_TRUE(result.lossDetected());
@@ -214,7 +226,7 @@ TEST(FullDecoder, GapAtEndOfTraceStillOk)
                           prog.funcAddr("m", "f"), last_ip);
     trace::appendOvf(bytes);    // trace ends inside the gap
 
-    auto result = decode::decodeInstructionFlow(prog, bytes);
+    auto result = walkWhole(prog, bytes);
     ASSERT_TRUE(result.ok()) << result.error;
     ASSERT_EQ(result.branches.size(), 1u);
     // index == branches.size(): the gap was never closed.
@@ -242,7 +254,7 @@ TEST(FullDecoder, ResyncsPastGarbageToNextPsb)
     trace::appendTipClass(bytes, trace::opcode::tip_pge,
                           prog.funcAddr("m", "g"), last_ip);
 
-    auto result = decode::decodeInstructionFlow(prog, bytes);
+    auto result = walkWhole(prog, bytes);
     ASSERT_TRUE(result.ok()) << result.error;
     EXPECT_EQ(result.resyncs, 1u);
     EXPECT_EQ(result.bytesSkipped, 3u);
@@ -281,7 +293,7 @@ TEST(FullDecoder, SurvivesRealEncoderOverflow)
     encoder.flushTnt();
     ASSERT_GT(topa.overflowEpisodes(), 0u);
 
-    auto result = decode::decodeInstructionFlow(prog, topa.snapshot());
+    auto result = walkWhole(prog, topa.snapshot());
     ASSERT_TRUE(result.ok()) << result.error;
     EXPECT_TRUE(result.lossDetected());
     EXPECT_FALSE(result.branches.empty());
@@ -342,7 +354,7 @@ TEST_P(FullDecodeProperty, DecodedFlowMatchesRetiredFlow)
     encoder.flushTnt();
 
     auto result =
-        decode::decodeInstructionFlow(app.program, topa.snapshot());
+        walkWhole(app.program, topa.snapshot());
     ASSERT_TRUE(result.ok()) << result.error;
     ASSERT_EQ(result.branches.size() + 1, recorder.events.size());
     for (size_t i = 0; i < result.branches.size(); ++i) {

@@ -2,11 +2,11 @@
  * @file
  * Differential oracle for the tail-anchored PSB search.
  *
- * `ref::decodeRecentTips` below is the forward-scan decoder the fast
- * path used before: find every PSB in the buffer with
- * trace::findPsbOffsets, count TIPs segment by segment from the last
- * one backwards by decoding them whole, then decode the suffix from
- * the chosen sync point. It is kept here, test-only, as the
+ * `ref::decodeRecentTips` (tests/ref/forward_decoder.hh) is the
+ * forward-scan decoder the fast path used before: find every PSB in
+ * the buffer with trace::findPsbOffsets, count TIPs segment by segment
+ * from the last one backwards by decoding them whole, then decode the
+ * suffix from the chosen sync point. It is kept test-only as the
  * specification: the backward search must pick the same anchor and
  * produce the same steps, outcomes, loss counters and bytesScanned
  * (so the same modeled decode charge) on every input.
@@ -15,7 +15,7 @@
  * on the storm server's live rings, through wraps, overflow episodes,
  * PMI checks that cut a packet, clears and a switch of rings, and
  * windows that widen and narrow, each window the cursor returns must
- * equal a fresh decodeRecentTipsInto of the same view, and the
+ * equal a fresh cursor's cold start on the same view, and the
  * transitions it kept must equal those folded from that decode. Beside
  * it, the slow path's cursor at 100 TIPs asks every few checks, and a
  * FastPathChecker kept across checks must give what a fresh checker of
@@ -23,9 +23,9 @@
  * while the graph changes between checks (learned credit, revocation,
  * a cleared overlay, unload and reload, a rebase, a restored copy).
  *
- * The walk oracle holds the slow path's kept walk (FlowWalk) to a
- * fresh decodeInstructionFlowInto of a fresh decode of each view, in
- * every field, and a slow checker kept across checks to a fresh
+ * The walk oracle holds the slow path's kept walk (FlowWalk) to the
+ * by-value decodeInstructionFlow of a fresh cursor's cold start on each
+ * view, in every field, and a slow checker kept across checks to a fresh
  * checker of the same bytes, on benign rings and on rings that carry a
  * ROP or SROP hijack.
  *
@@ -54,6 +54,7 @@
 #include "trace/ipt.hh"
 #include "trace/ipt_packets.hh"
 #include "workloads/apps.hh"
+#include "ref/forward_decoder.hh"
 #include "storm_ring.hh"
 
 namespace {
@@ -63,179 +64,9 @@ using namespace flowguard::decode;
 using test::RingSampler;
 using test::stormSpec;
 using trace::Packet;
-using trace::PacketKind;
 using trace::PacketParser;
 
-// --- the reference: the forward-scan decoder, verbatim in behaviour ----
-
-namespace ref {
-
-struct Step
-{
-    StepKind kind = StepKind::Tip;
-    bool ipSuppressed = false;
-    uint64_t ip = 0;
-    std::vector<uint8_t> tntBefore;
-    bool lossBefore = false;
-};
-
-struct Result
-{
-    std::vector<Step> steps;
-    std::vector<uint8_t> trailingTnt;
-    uint64_t bytesScanned = 0;
-    uint64_t packetCount = 0;
-    bool malformed = false;
-    /** Steps decoded before the first PSB. */
-    uint64_t unsyncedSteps = 0;
-    uint64_t startOffset = 0;
-    uint64_t overflows = 0;
-    uint64_t resyncs = 0;
-    uint64_t bytesSkipped = 0;
-};
-
-Result
-decodeFrom(const uint8_t *data, size_t size, size_t start,
-           size_t end = SIZE_MAX)
-{
-    Result result;
-    const size_t limit = std::min(size, end);
-    PacketParser parser(data, limit);
-    parser.seek(start);
-
-    std::vector<uint8_t> pending_tnt;
-    bool loss_pending = false;
-    bool synced = false;
-    Packet pkt;
-    while (true) {
-        if (!parser.next(pkt)) {
-            if (!parser.bad())
-                break;
-            result.malformed = true;
-            const size_t bad_at = static_cast<size_t>(parser.offset());
-            const size_t psb =
-                trace::findNextPsb(data, limit, bad_at + 1);
-            if (psb == SIZE_MAX) {
-                result.bytesSkipped += limit - bad_at;
-                parser.seek(limit);
-                break;
-            }
-            result.bytesSkipped += psb - bad_at;
-            ++result.resyncs;
-            parser.seek(psb);
-            pending_tnt.clear();
-            loss_pending = true;
-            continue;
-        }
-        ++result.packetCount;
-        switch (pkt.kind) {
-          case PacketKind::Pad:
-          case PacketKind::PsbEnd:
-            break;
-          case PacketKind::Psb:
-            synced = true;
-            break;
-          case PacketKind::Ovf:
-            ++result.overflows;
-            pending_tnt.clear();
-            loss_pending = true;
-            break;
-          case PacketKind::Tnt:
-            for (int i = 0; i < pkt.tntCount; ++i)
-                pending_tnt.push_back((pkt.tntBits >> i) & 1);
-            break;
-          case PacketKind::Tip:
-          case PacketKind::TipPge:
-          case PacketKind::TipPgd:
-          case PacketKind::Fup: {
-            Step step;
-            step.kind = pkt.kind == PacketKind::Tip ? StepKind::Tip
-                : pkt.kind == PacketKind::TipPge ? StepKind::Pge
-                : pkt.kind == PacketKind::TipPgd ? StepKind::Pgd
-                : StepKind::Fup;
-            step.ipSuppressed = pkt.ipSuppressed;
-            step.ip = pkt.ip;
-            step.tntBefore = std::move(pending_tnt);
-            pending_tnt.clear();
-            step.lossBefore = loss_pending;
-            loss_pending = false;
-            result.unsyncedSteps += !synced;
-            result.steps.push_back(std::move(step));
-            break;
-          }
-        }
-    }
-    result.trailingTnt = std::move(pending_tnt);
-    result.bytesScanned = parser.offset() - start;
-    result.startOffset = start;
-    return result;
-}
-
-Result
-decodeRecentTips(const std::vector<uint8_t> &bytes, size_t min_tips)
-{
-    const uint8_t *data = bytes.data();
-    const size_t size = bytes.size();
-    std::vector<uint64_t> syncs = trace::findPsbOffsets(data, size);
-    // A bare buffer is taken to start its stream.
-    if (syncs.empty())
-        return decodeFrom(data, size, 0);
-
-    uint64_t scanned = 0;
-    size_t cutoff = syncs.size() - 1;
-    size_t tips = 0;
-    for (size_t i = syncs.size(); i-- > 0;) {
-        const size_t seg_end = i + 1 < syncs.size()
-            ? static_cast<size_t>(syncs[i + 1]) : size;
-        Result segment = decodeFrom(
-            data, size, static_cast<size_t>(syncs[i]), seg_end);
-        scanned += segment.bytesScanned;
-        for (const auto &step : segment.steps)
-            tips += step.kind == StepKind::Tip ? 1 : 0;
-        cutoff = i;
-        if (tips >= min_tips)
-            break;
-    }
-
-    Result result =
-        decodeFrom(data, size, static_cast<size_t>(syncs[cutoff]));
-    scanned += result.bytesScanned;
-    result.bytesScanned = scanned;
-
-    const size_t anchor = static_cast<size_t>(syncs[cutoff]);
-    if (anchor >= 2 && data[anchor - 2] == 0x02 &&
-        data[anchor - 1] == 0xF3) {
-        ++result.overflows;
-        if (!result.steps.empty())
-            result.steps.front().lossBefore = true;
-    }
-    return result;
-}
-
-/** The transition fold the fast path runs over a reference result. */
-std::vector<TipTransition>
-transitions(const Result &flow)
-{
-    std::vector<TipTransition> out;
-    uint64_t prev = 0;
-    std::vector<uint8_t> tnt;
-    for (const auto &step : flow.steps) {
-        if (step.lossBefore) {
-            prev = 0;
-            tnt.clear();
-        }
-        tnt.insert(tnt.end(), step.tntBefore.begin(),
-                   step.tntBefore.end());
-        if (step.kind != StepKind::Tip || step.ipSuppressed)
-            continue;
-        out.push_back({prev, step.ip, std::move(tnt)});
-        tnt.clear();
-        prev = step.ip;
-    }
-    return out;
-}
-
-} // namespace ref
+namespace ref = test::ref;
 
 std::vector<uint8_t>
 bitsOf(std::span<const uint8_t> bits)
@@ -243,7 +74,8 @@ bitsOf(std::span<const uint8_t> bits)
     return {bits.begin(), bits.end()};
 }
 
-/** Asserts the new decoder reproduces the reference on `bytes`. */
+/** Asserts a cold start on `bytes`, standing alone, reproduces the
+ *  reference. */
 void
 expectSameDecode(const std::vector<uint8_t> &bytes, size_t min_tips)
 {
@@ -251,8 +83,9 @@ expectSameDecode(const std::vector<uint8_t> &bytes, size_t min_tips)
                  std::to_string(bytes.size()) + " bytes");
     const ref::Result want = ref::decodeRecentTips(bytes, min_tips);
     cpu::CycleAccount account;
-    const FastDecodeResult got =
-        decodeRecentTips(bytes, min_tips, &account);
+    TraceCursor cursor;
+    const FastDecodeResult &got =
+        cursor.decode(trace::StreamView{bytes}, min_tips, &account);
 
     EXPECT_EQ(got.startOffset, want.startOffset);
     EXPECT_EQ(got.bytesScanned, want.bytesScanned);
@@ -495,6 +328,16 @@ TEST(SyncOracle, WrappedRingsMatchForwardScan)
 
 // --- the cursor --------------------------------------------------------
 
+/** `cold`'s cold start on `view`'s bytes, standing alone at its
+ *  offset: the decode a fresh cursor makes of the view. */
+const FastDecodeResult &
+coldStart(TraceCursor &cold, const trace::StreamView &view,
+          size_t min_tips)
+{
+    return cold.decode(trace::StreamView{view.bytes, view.offset},
+                       min_tips);
+}
+
 /**
  * Asserts the cursor's window of `view` equals a fresh anchored decode
  * of it, and that it is charged for what it read. Returns true when it
@@ -507,9 +350,8 @@ expectCursorMatchesFresh(TraceCursor &cursor, const trace::StreamView &view,
     SCOPED_TRACE("min_tips " + std::to_string(min_tips) + ", view [" +
                  std::to_string(view.offset) + ", +" +
                  std::to_string(view.bytes.size()) + ")");
-    FastDecodeResult fresh;
-    decodeRecentTipsInto(fresh, view.bytes, min_tips, nullptr, nullptr, 0,
-                         view.offset);
+    TraceCursor cold;
+    const FastDecodeResult &fresh = coldStart(cold, view, min_tips);
     cpu::CycleAccount account;
     const FastDecodeResult &got = cursor.decode(view, min_tips, &account);
 
@@ -855,9 +697,8 @@ runCursorOracle(const CursorRun &run)
     std::vector<TransitionView> window;
     const auto check = [&](const trace::Topa &ring, size_t min_tips) {
         const trace::StreamView view = ring.streamView();
-        FastDecodeResult fresh;
-        decodeRecentTipsInto(fresh, view.bytes, min_tips, nullptr,
-                             nullptr, 0, view.offset);
+        TraceCursor cold;
+        const FastDecodeResult &fresh = coldStart(cold, view, min_tips);
         ++tally.checks;
         tally.overflowWindows += fresh.overflows > 0 ? 1 : 0;
         tally.cutWindows += endsInsidePacket(view, fresh) ? 1 : 0;
@@ -1152,11 +993,9 @@ runWalkOracle(const CursorRun &run)
 
         cpu::CycleAccount got_cycles, want_cycles;
         const FullDecodeResult &got = walk.walk(program, cursor, &got_cycles);
-        FastDecodeResult window;
-        decodeRecentTipsInto(window, view.bytes, 100, nullptr, nullptr, 0,
-                             view.offset);
-        FullDecodeResult want;
-        decodeInstructionFlowInto(want, program, window, &want_cycles);
+        TraceCursor cold;
+        const FullDecodeResult want = decodeInstructionFlow(
+            program, coldStart(cold, view, 100), &want_cycles);
         expectSameWalk(got, want);
         EXPECT_DOUBLE_EQ(got_cycles.decode, want_cycles.decode);
         tally.lossWalks += want.lossBranchIndices.empty() ? 0 : 1;

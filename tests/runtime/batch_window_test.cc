@@ -60,9 +60,9 @@ benign(size_t requests, uint64_t seed)
 size_t
 ringTips(std::span<const uint8_t> packets)
 {
-    return decode::extractTipTransitions(
-               decode::decodeRecentTips(packets, SIZE_MAX))
-        .size();
+    decode::TraceCursor cursor;
+    cursor.decode(trace::StreamView{packets}, SIZE_MAX);
+    return cursor.views().size();
 }
 
 /** The TIPs a fast check `pkt_count` wide examines over `packets`. */

@@ -20,6 +20,7 @@
 #include "analysis/typearmor.hh"
 #include "cpu/basic_kernel.hh"
 #include "cpu/cpu.hh"
+#include "decode/fast_decoder.hh"
 #include "runtime/monitor.hh"
 #include "trace/ipt.hh"
 #include "trace/ipt_packets.hh"
@@ -143,9 +144,9 @@ TEST(CachePolicy, OnlyTheWalkedWindowEarnsCredit)
     // before the anchor was never checked and must earn no credit,
     // while every edge of the walked window earns it.
     TraceFixture fixture({1 << 20}, /*pmi_latency=*/0, /*requests=*/30);
-    const auto edgesOf = [&](const decode::FastDecodeResult &flow) {
+    const auto edgesOf = [&](const decode::TraceCursor &cursor) {
         std::vector<int64_t> edges;
-        for (const auto &transition : decode::extractTipTransitions(flow)) {
+        for (const auto &transition : cursor.views()) {
             const int64_t edge =
                 fixture.itc.findEdge(transition.from, transition.to);
             if (transition.from != 0 && edge >= 0)
@@ -156,13 +157,15 @@ TEST(CachePolicy, OnlyTheWalkedWindowEarnsCredit)
         edges.erase(first, last);
         return edges;
     };
-    const auto window = decode::decodeRecentTips(fixture.packets, 100);
-    ASSERT_GT(window.startOffset, 0u);
+    const trace::StreamView ring{fixture.packets};
+    decode::TraceCursor window;
+    ASSERT_GT(window.decode(ring, 100).startOffset, 0u);
     const std::vector<int64_t> walked = edgesOf(window);
+    decode::TraceCursor whole;
+    whole.decode(ring, SIZE_MAX);
     std::vector<int64_t> unwalked;
-    std::ranges::set_difference(
-        edgesOf(decode::decodePacketLayer(fixture.packets)), walked,
-        std::back_inserter(unwalked));
+    std::ranges::set_difference(edgesOf(whole), walked,
+                                std::back_inserter(unwalked));
     ASSERT_FALSE(walked.empty());
     ASSERT_FALSE(unwalked.empty());
 

@@ -40,9 +40,11 @@ expectItcInvariant(const SyntheticApp &app,
     analysis::Cfg cfg = analysis::buildCfg(app.program);
     analysis::ItcCfg itc = analysis::ItcCfg::build(cfg);
 
-    auto flow = decode::decodePacketLayer(topa.snapshot());
-    ASSERT_FALSE(flow.malformed) << app.name;
-    auto transitions = decode::extractTipTransitions(flow);
+    decode::TraceCursor cursor;
+    ASSERT_FALSE(
+        cursor.decode(trace::StreamView{topa.view()}, SIZE_MAX).malformed)
+        << app.name;
+    const auto transitions = cursor.views();
     ASSERT_GT(transitions.size(), 3u) << app.name;
     size_t checked = 0;
     for (const auto &t : transitions) {
