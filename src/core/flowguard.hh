@@ -118,7 +118,12 @@ class FlowGuard
     void train(uint64_t budget,
                std::vector<fuzz::Input> seeds = {{0}});
 
-    /** Labels credits from an existing corpus (no fuzzing). */
+    /**
+     * Labels credits from an existing corpus (no fuzzing). Inputs are
+     * replayed in parallel lanes once one replay outweighs starting a
+     * thread, and labeled in corpus order (fuzz::trainItcCfg), so the
+     * trained state is that of replaying one input at a time.
+     */
     void trainWithCorpus(const std::vector<fuzz::Input> &corpus);
 
     /** The runner used for fuzzing/training: executes the program

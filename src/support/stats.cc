@@ -219,7 +219,9 @@ JsonWriter::key(const std::string &name)
     if (_needComma.back())
         raw(",");
     _needComma.back() = true;
-    raw("\"" + jsonEscape(name) + "\":");
+    raw("\"");
+    raw(jsonEscape(name));
+    raw("\":");
     _haveKey = true;
     return *this;
 }
@@ -271,7 +273,9 @@ JsonWriter &
 JsonWriter::value(const std::string &text)
 {
     beforeValue();
-    raw("\"" + jsonEscape(text) + "\"");
+    raw("\"");
+    raw(jsonEscape(text));
+    raw("\"");
     return *this;
 }
 

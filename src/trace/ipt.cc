@@ -34,7 +34,7 @@ Topa::Topa(std::vector<size_t> region_sizes)
         _regionEnds.push_back(total);
     }
     _capacity = total;
-    _storage.assign(total, 0);
+    _storage = std::make_unique_for_overwrite<uint8_t[]>(2 * total);
     _stream = newStream();
 }
 
@@ -52,9 +52,9 @@ Topa::write(const uint8_t *data, size_t len)
         // Copy up to the end of the last region, into the primary
         // half and, once wrapped, its mirror.
         const size_t chunk = std::min(len - done, _capacity - _cursor);
-        std::memcpy(_storage.data() + _cursor, data + done, chunk);
+        std::memcpy(_storage.get() + _cursor, data + done, chunk);
         if (_wrapped)
-            std::memcpy(_storage.data() + _capacity + _cursor,
+            std::memcpy(_storage.get() + _capacity + _cursor,
                         data + done, chunk);
         _cursor += chunk;
         _totalWritten += chunk;
@@ -64,8 +64,6 @@ Topa::write(const uint8_t *data, size_t len)
         // Last region filled: wrap to the head and raise the PMI.
         // From here on view() ends in the mirror half.
         _cursor = 0;
-        if (!_wrapped)
-            _storage.resize(2 * _capacity);
         _wrapped = true;
         if (_pmiLatencyBytes == 0) {
             // Instant service: the handler runs inside the wrap.
@@ -80,7 +78,7 @@ Topa::write(const uint8_t *data, size_t len)
             _overflowing = true;
             _latencyRemaining = _pmiLatencyBytes;
             const size_t torn = done < len ? done : 0;
-            std::memset(_storage.data() + _capacity - torn, 0x00, torn);
+            std::memset(_storage.get() + _capacity - torn, 0x00, torn);
             _droppedBytes += torn;
             absorbDropped(len - done);
             return;
@@ -112,28 +110,19 @@ Topa::snapshot() const
 {
     // Assembled from the primary half alone, so a mirror that fell
     // behind would show as a view() != snapshot() mismatch.
+    const uint8_t *base = _storage.get();
+    if (!_wrapped)
+        return {base, base + _cursor};
     std::vector<uint8_t> out;
-    if (!_wrapped) {
-        out.assign(_storage.begin(),
-                   _storage.begin() + static_cast<int64_t>(_cursor));
-        return out;
-    }
     out.reserve(_capacity);
-    out.insert(out.end(),
-               _storage.begin() + static_cast<int64_t>(_cursor),
-               _storage.begin() + static_cast<int64_t>(_capacity));
-    out.insert(out.end(), _storage.begin(),
-               _storage.begin() + static_cast<int64_t>(_cursor));
+    out.insert(out.end(), base + _cursor, base + _capacity);
+    out.insert(out.end(), base, base + _cursor);
     return out;
 }
 
 void
 Topa::clear()
 {
-    if (_wrapped)
-        std::fill(_storage.begin(), _storage.end(), 0);
-    else
-        std::fill_n(_storage.begin(), _cursor, 0);
     _cursor = 0;
     _wrapped = false;
     _totalWritten = 0;

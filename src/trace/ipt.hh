@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -70,13 +71,14 @@ struct IptConfig
  * (the handler finally sees the buffer) and the encoder is told to
  * emit an OVF + PSB resync before the next packet.
  *
- * Once the ring has wrapped, its backing store doubles and every byte
- * written at offset `i` of the current lap is also written at
- * `i + capacity()`. The buffer in age order, [cursor, capacity) from
- * the previous lap then [0, cursor) from this one, is thus always one
- * contiguous range (view()), and a synchronous check reads it where it
- * lies instead of copying it out. A ring that never wraps (the
- * trainer's) never pays for the mirror.
+ * Once the ring has wrapped, every byte written at offset `i` of the
+ * current lap is also written at `i + capacity()` (the mirror half).
+ * The buffer in age order, [cursor, capacity) from the previous lap
+ * then [0, cursor) from this one, is thus always one contiguous range
+ * (view()), and a synchronous check reads it where it lies instead of
+ * copying it out. Both halves are reserved up front and never
+ * zero-filled: a ring that never wraps (the trainer's) never touches
+ * the mirror, and an unwritten page costs no memory.
  */
 class Topa
 {
@@ -116,8 +118,8 @@ class Topa
     std::span<const uint8_t> view() const
     {
         if (!_wrapped)
-            return {_storage.data(), _cursor};
-        return {_storage.data() + _cursor, _capacity};
+            return {_storage.get(), _cursor};
+        return {_storage.get() + _cursor, _capacity};
     }
 
     /** An owned copy of view(), for callers that keep the bytes. */
@@ -168,10 +170,9 @@ class Topa
     }
 
     /**
-     * Empties the ring and starts a new stream (a new identity). A
-     * ring that never wrapped is zero past its cursor (writes only
-     * advance it, and a torn packet is zeroed only at a wrap), so only
-     * [0, cursor) is zeroed; a wrapped ring is zeroed whole.
+     * Empties the ring and starts a new stream (a new identity). No
+     * byte is zeroed: view() and snapshot() expose only bytes written
+     * since, so the old contents are never read.
      */
     void clear();
 
@@ -180,9 +181,10 @@ class Topa
      *  latency budget is exhausted. */
     void absorbDropped(size_t len);
 
-    /** Regions are contiguous here. Once wrapped, the store doubles
-     *  and [capacity, capacity + cursor) mirrors [0, cursor). */
-    std::vector<uint8_t> _storage;
+    /** Regions are contiguous in the first half; once wrapped,
+     *  [capacity, capacity + cursor) mirrors [0, cursor). Left
+     *  uninitialized, so a page costs memory only once written. */
+    std::unique_ptr<uint8_t[]> _storage;
     std::vector<size_t> _regionEnds;  ///< cumulative region boundaries
     size_t _capacity = 0;
     size_t _cursor = 0;
