@@ -119,10 +119,11 @@ class FlowGuard
                std::vector<fuzz::Input> seeds = {{0}});
 
     /**
-     * Labels credits from an existing corpus (no fuzzing). Inputs are
-     * replayed in parallel lanes once one replay outweighs starting a
-     * thread, and labeled in corpus order (fuzz::trainItcCfg), so the
-     * trained state is that of replaying one input at a time.
+     * Labels credits from an existing corpus (no fuzzing). Once one
+     * replay outweighs starting a thread, inputs are replayed as a
+     * queue of futures, one lane each, and labeled in corpus order
+     * (fuzz::trainItcCfg), so the trained state is that of replaying
+     * one input at a time.
      */
     void trainWithCorpus(const std::vector<fuzz::Input> &corpus);
 

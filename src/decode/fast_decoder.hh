@@ -368,8 +368,8 @@ class TraceCursor
  * markers (syscalls, context switches) are transparent: they do not
  * break TIP adjacency, and TNT bits accumulate across them.
  *
- * This form owns its outcomes: it is what the verdict cache stages,
- * the journal persists and warm restarts replay.
+ * This form owns its outcomes, for windows built apart from a decode
+ * (FastPathChecker::checkTransitions).
  */
 struct TipTransition
 {

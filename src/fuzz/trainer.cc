@@ -1,16 +1,11 @@
 #include "fuzz/trainer.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
-#include <deque>
-#include <exception>
-#include <functional>
-#include <mutex>
-#include <optional>
-#include <system_error>
+#include <future>
+#include <queue>
 #include <thread>
+#include <vector>
 
 #include "decode/fast_decoder.hh"
 #include "trace/ipt.hh"
@@ -26,23 +21,24 @@ using Clock = std::chrono::steady_clock;
 constexpr size_t ring_bytes = size_t{1} << 22;
 
 /**
- * Lanes at most, the caller's included. Replaying is ~95% of training
- * and labeling ~5%, so one labeler could keep ~20 lanes busy; the cap
- * bounds the threads and rings one call holds instead. Training
- * serve's four servers (60 inputs each) on a shared 4-core x86-64 host
- * took 1.38-2.00 s in one lane, 0.82-1.16 s in 2, 0.94-1.07 s in 3 and
- * 0.70-0.80 s in 4 (5 runs each); a larger cap is unmeasured.
+ * Replays in flight at most, each in its own lane, the caller's
+ * included. Replaying is ~95% of training and labeling ~5%, so one
+ * labeler could keep ~20 lanes busy; the cap bounds the threads and
+ * rings one call holds instead.
+ * Training serve's four servers (60 inputs each) on a shared 4-core
+ * x86-64 host took 1.38-2.00 s in one lane, 0.82-1.16 s in 2,
+ * 0.94-1.07 s in 3 and 0.70-0.80 s in 4 (5 runs each); a larger cap
+ * is unmeasured.
  */
 constexpr size_t max_lanes = 4;
 
 /**
- * Helpers start only once one input's replay has cost more than this.
- * Starting a thread and hearing back from it took 20-28 µs (p50-p90)
- * on that host, and each helper also wakes once per input and faults
- * in its ring; at 10x a start those costs stay within ~10% of the
- * replays a helper takes over. storm's inputs (~1.3 k instructions,
- * 21-43 µs a replay) stay on the caller; serve's (0.6-1 M
- * instructions, 4-10 ms) go to lanes.
+ * Lanes start only once one input's replay has cost more than this.
+ * A replay in a lane other than the caller's starts a thread:
+ * launching a std::async task and getting its result took 10-14 µs
+ * (p50-p90) on that host, under ~7% of a replay past the threshold.
+ * storm's inputs (~1.3 k instructions, 21-43 µs a replay) stay on the
+ * caller; serve's (0.6-1 M instructions, 4-10 ms) go to lanes.
  */
 constexpr Clock::duration helper_threshold =
     std::chrono::microseconds(200);
@@ -71,124 +67,6 @@ struct Lane
         // 0 unless the ring wrapped), read in place.
         cursor.decode(trace::StreamView{topa.view()}, SIZE_MAX);
     }
-};
-
-/**
- * Helper lanes replaying ahead of the labeler. Each helper claims the
- * next input from one counter, replays and decodes it in its own lane,
- * publishes it, and claims another only once the labeler has released
- * it. The caller claims an input itself when no helper has yet, so the
- * claimed inputs are always a prefix of the corpus, and every input a
- * helper claimed is published.
- */
-class Helpers
-{
-  public:
-    Helpers(const RunTarget &target, const std::vector<Input> &corpus,
-            size_t first, size_t count)
-        : _target(target), _corpus(corpus), _slots(corpus.size()),
-          _next(first), _lanes(count)
-    {
-        _threads.reserve(count);   // so only a thread start can throw
-        for (Lane &lane : _lanes) {
-            try {
-                _threads.emplace_back(&Helpers::work, this,
-                                      std::ref(lane));
-            } catch (const std::system_error &) {
-                // Fewer helpers: the caller replays what they would.
-                break;
-            }
-        }
-    }
-
-    ~Helpers()
-    {
-        {
-            std::lock_guard<std::mutex> lock(_mutex);
-            _stopping = true;
-        }
-        _next.store(_corpus.size());
-        _released.notify_all();
-        for (std::thread &thread : _threads)
-            thread.join();
-    }
-
-    Helpers(const Helpers &) = delete;
-    Helpers &operator=(const Helpers &) = delete;
-
-    /** Takes input `i` for the caller if no helper has claimed it. */
-    bool claim(size_t i)
-    {
-        size_t expected = i;
-        return _next.compare_exchange_strong(expected, i + 1);
-    }
-
-    /** The lane holding helper-claimed input `i`, once decoded; a
-     *  failure of its replay is rethrown here, in corpus order. */
-    const Lane &await(size_t i)
-    {
-        std::unique_lock<std::mutex> lock(_mutex);
-        _published.wait(lock, [&] { return _slots[i].state != Pending; });
-        if (_slots[i].error)
-            std::rethrow_exception(_slots[i].error);
-        return *_slots[i].lane;
-    }
-
-    /** Hands input `i`'s lane back to its helper. */
-    void release(size_t i)
-    {
-        {
-            std::lock_guard<std::mutex> lock(_mutex);
-            _slots[i].state = Released;
-        }
-        _released.notify_all();
-    }
-
-  private:
-    enum State { Pending, Published, Released };
-
-    struct Slot
-    {
-        State state = Pending;
-        const Lane *lane = nullptr;
-        std::exception_ptr error;
-    };
-
-    void work(Lane &lane)
-    {
-        for (;;) {
-            const size_t i = _next.fetch_add(1);
-            if (i >= _corpus.size())
-                return;
-            std::exception_ptr error;
-            try {
-                lane.replay(_target, _corpus[i]);
-            } catch (...) {
-                error = std::current_exception();
-            }
-            std::unique_lock<std::mutex> lock(_mutex);
-            _slots[i] = {Published, &lane, error};
-            _published.notify_one();
-            _released.wait(lock, [&] {
-                return _slots[i].state == Released || _stopping;
-            });
-            if (_stopping)
-                return;
-        }
-    }
-
-    const RunTarget &_target;
-    const std::vector<Input> &_corpus;
-
-    std::mutex _mutex;
-    std::condition_variable _published;  ///< a slot left Pending
-    std::condition_variable _released;   ///< a slot Released, or stop
-    std::vector<Slot> _slots;            ///< one per corpus input
-    bool _stopping = false;
-
-    std::atomic<size_t> _next;           ///< the first unclaimed input
-    std::deque<Lane> _lanes;
-    std::vector<std::thread> _threads;   ///< last: they use the above
 };
 
 } // namespace
@@ -228,27 +106,53 @@ trainItcCfg(analysis::ItcCfg &itc, const RunTarget &target,
         }
     };
 
-    const size_t lanes = std::clamp<size_t>(
+    // On one core, or while replays cost less than starting a thread,
+    // the caller replays and labels alone, in a lane of its own.
+    const size_t most = std::clamp<size_t>(
         std::thread::hardware_concurrency(), 1, max_lanes);
-    Lane own;
-    std::optional<Helpers> helpers;
-    for (size_t i = 0; i < corpus.size(); ++i) {
-        if (helpers && !helpers->claim(i)) {
-            label(helpers->await(i));
-            helpers->release(i);
-            continue;
+    size_t next = 0;
+    {
+        Lane own;
+        bool cheap = true;
+        while (next < corpus.size() && (cheap || most == 1)) {
+            const Clock::time_point start = Clock::now();
+            own.replay(target, corpus[next++]);
+            cheap = Clock::now() - start <= helper_threshold;
+            label(own);
         }
-        const Clock::time_point start = Clock::now();
-        own.replay(target, corpus[i]);
-        // Helpers pay off once a replay outweighs helper_threshold. On
-        // one core, or with one input left, the caller replays alone.
-        const size_t left = corpus.size() - i - 1;
-        const size_t wanted =
-            lanes > 1 && left > 1 ? std::min(lanes, left) - 1 : 0;
-        if (!helpers && wanted > 0 &&
-            Clock::now() - start > helper_threshold)
-            helpers.emplace(target, corpus, i + 1, wanted);
-        label(own);
+    }
+    if (next == corpus.size())
+        return stats;
+
+    // Then each of `most` new lanes replays its next input as a future,
+    // and the caller labels them in corpus order. The first lane's
+    // futures are deferred, so the caller replays its inputs at get()
+    // and the others each start a thread. On serve (perfbench, seed
+    // 201, same host), a thread in its place raised peak RSS ~1 MB, and
+    // keeping the caller's lane as the first, beside lanes made one at
+    // a time, ~1.3 MB. A future's get() rethrows a failed replay; one
+    // that could not start a thread runs there too. Declared after the
+    // lanes: destroying a future joins its thread.
+    std::vector<Lane> lanes(most);
+    std::queue<std::future<Lane *>> in_flight;
+    const auto launch = [&](Lane &lane) {
+        const std::launch policy = &lane == &lanes[0]
+            ? std::launch::deferred
+            : std::launch::async | std::launch::deferred;
+        in_flight.push(std::async(
+            policy, [&target, &lane, &input = corpus[next++]] {
+                lane.replay(target, input);
+                return &lane;
+            }));
+    };
+    for (size_t k = 0; k < most && next < corpus.size(); ++k)
+        launch(lanes[k]);
+    while (!in_flight.empty()) {
+        Lane &lane = *in_flight.front().get();
+        in_flight.pop();
+        label(lane);
+        if (next < corpus.size())
+            launch(lane);
     }
     return stats;
 }

@@ -11,16 +11,19 @@
  * whatever runtime credit the graph already holds.
  *
  * Replays run in lanes: each owns a ring, a fresh encoder per input
- * and a decode cursor. Once one input's replay has cost more than
- * starting a thread, up to three helper threads (four lanes with the
- * caller's, no more than the cores) replay and decode the inputs
- * ahead, while the calling thread labels every input in corpus order
- * and replays one itself when no helper has claimed it yet. So the
- * graph, the n-gram set and the stats are those of replaying one input
- * at a time, and `target` may be called from several threads at once:
- * each call must own its machine state (the program it runs is only
- * read). The threads are joined before trainItcCfg returns; a failure
- * of `target` is rethrown once the inputs before it are labeled.
+ * and a decode cursor. The calling thread replays and labels alone
+ * until one input's replay has cost more than starting a thread. Then
+ * up to four lanes (no more than the cores) each replay the next input
+ * as a std::async future, and the calling thread takes the oldest
+ * future, labels its lane and relaunches the lane on the next input.
+ * The first lane's futures are deferred: the calling thread replays
+ * them when it takes them, and the other lanes start a thread each.
+ * So the graph, the n-gram set and the stats are those of replaying
+ * one input at a time, and `target` may be called from several
+ * threads at once: each call must own its machine state (the program
+ * it runs is only read). Every thread is joined before trainItcCfg
+ * returns; a failure of `target` is rethrown once the inputs before it
+ * are labeled.
  */
 
 #ifndef FLOWGUARD_FUZZ_TRAINER_HH

@@ -18,8 +18,8 @@ encodePayload(ByteWriter &out, const JournalRecord &record)
     out.u64(record.cr3);
     switch (record.type) {
       case RecordType::CreditCommit:
-        out.u64(record.transitions.size());
-        encodeTransitions(out, record.transitions);
+        out.u64(record.creditCount);
+        out.bytes(record.credits.data(), record.credits.size());
         encodeHashes(out, record.paths);
         break;
       case RecordType::VerdictCommitted:
@@ -53,14 +53,13 @@ decodePayload(const uint8_t *data, size_t size, JournalRecord &out)
     out.cr3 = in.u64();
     switch (out.type) {
       case RecordType::CreditCommit: {
-        std::vector<decode::TransitionView> views;
-        if (!decodeTransitions(in, in.u64(), &views) ||
-            !decodeHashes(in, out.paths))
+        out.creditCount = in.u64();
+        const size_t credits = in.offset;
+        if (!decodeTransitions(in, out.creditCount, nullptr))
             return false;
-        out.transitions.reserve(views.size());
-        for (const auto &view : views)
-            out.transitions.push_back(
-                {view.from, view.to, {view.tnt.begin(), view.tnt.end()}});
+        out.credits.assign(in.data + credits, in.data + in.offset);
+        if (!decodeHashes(in, out.paths))
+            return false;
         break;
       }
       case RecordType::VerdictCommitted:
@@ -102,7 +101,7 @@ recordTypeName(RecordType type)
 
 void
 encodeTransitions(ByteWriter &out,
-                  const std::vector<decode::TipTransition> &transitions)
+                  std::span<const decode::TransitionView> transitions)
 {
     for (const auto &transition : transitions) {
         out.u64(transition.from);

@@ -32,6 +32,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -68,8 +69,10 @@ struct JournalRecord
     RecordType type = RecordType::EndpointSeq;
     uint64_t cr3 = 0;
 
-    /** CreditCommit: the new (edge, TNT) pairs, as transitions. */
-    std::vector<decode::TipTransition> transitions;
+    /** CreditCommit: the new (edge, TNT) pairs, `creditCount`
+     *  transitions in wire form (encodeTransitions). */
+    std::vector<uint8_t> credits;
+    uint64_t creditCount = 0;
     /** CreditCommit: the new n-gram hashes. */
     std::vector<uint64_t> paths;
 
@@ -156,7 +159,7 @@ JournalReadResult readJournal(const std::vector<uint8_t> &bytes);
  *  count, then the hashes. A committed verdict after its cr3 is seq,
  *  kind, syscall, from, to, u64 reason length, reason. */
 void encodeTransitions(ByteWriter &out,
-                       const std::vector<decode::TipTransition> &transitions);
+                       std::span<const decode::TransitionView> transitions);
 bool decodeTransitions(ByteReader &in, uint64_t count,
                        std::vector<decode::TransitionView> *out);
 void encodeHashes(ByteWriter &out, const std::vector<uint64_t> &hashes);

@@ -20,9 +20,9 @@ RecoveredState::apply(const JournalRecord &record)
     switch (record.type) {
       case RecordType::CreditCommit: {
         ProcessSnapshot &proc = processes[record.cr3];
-        ByteWriter out(proc.credits);
-        encodeTransitions(out, record.transitions);
-        proc.creditCount += record.transitions.size();
+        proc.credits.insert(proc.credits.end(), record.credits.begin(),
+                            record.credits.end());
+        proc.creditCount += record.creditCount;
         proc.paths.insert(proc.paths.end(), record.paths.begin(),
                           record.paths.end());
         break;

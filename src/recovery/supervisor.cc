@@ -49,11 +49,11 @@ RecoverySupervisor::addProcess(uint64_t cr3,
             JournalRecord record;
             record.type = RecordType::CreditCommit;
             record.cr3 = cr3;
-            record.transitions.reserve(delta.pairs.size());
-            for (const auto &pair : delta.pairs)
-                record.transitions.push_back(
-                    {pair.from, pair.to,
-                     {pair.tnt.begin(), pair.tnt.end()}});
+            {
+                ByteWriter out(record.credits);
+                encodeTransitions(out, delta.pairs);
+            }
+            record.creditCount = delta.pairs.size();
             record.paths.assign(delta.paths.begin(), delta.paths.end());
             journalAppend(record);
         });

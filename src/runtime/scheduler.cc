@@ -58,7 +58,6 @@ CheckScheduler::CheckScheduler(SchedulerConfig config, Executor execute,
       _cache(std::move(cache)), _deliver(std::move(deliver))
 {
     fg_assert(_config.queueCapacity > 0, "queue capacity must be > 0");
-    fg_assert(_config.maxBatchFactor >= 1, "batch factor floor is 1");
 }
 
 uint64_t
@@ -316,9 +315,8 @@ CheckScheduler::updateBackpressure(uint64_t now)
         _queue.size() > _config.depthHighWatermark ||
         oldestAge(now) > age_high_watermark_cycles;
     if (pressured) {
-        if (_batchFactor < _config.maxBatchFactor) {
-            _batchFactor =
-                std::min(_config.maxBatchFactor, _batchFactor * 2);
+        if (_batchFactor < max_batch_factor) {
+            _batchFactor = std::min(max_batch_factor, _batchFactor * 2);
             ++_stats.batchRaises;
         }
         // Audit work is the first ballast overboard.

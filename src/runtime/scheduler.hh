@@ -118,9 +118,10 @@ struct SchedulerConfig
     uint64_t deadlineCycles = 2'000'000;
     /** Queue depth above which batching rises and audit work sheds. */
     size_t depthHighWatermark = 8;
-    /** Upper bound on the adaptive batch factor. */
-    size_t maxBatchFactor = 8;
 };
+
+/** Upper bound on the adaptive batch factor. */
+inline constexpr size_t max_batch_factor = 8;
 
 struct SchedulerStats
 {

@@ -134,8 +134,7 @@ ProtectionService::attachOne(ProcessRecord &proc)
 {
     if (proc.attached)
         return true;
-    const uint32_t max_attempts = _config.retry.maxAttempts;
-    for (uint32_t attempt = 0; attempt < max_attempts; ++attempt) {
+    for (uint32_t attempt = 0; attempt < max_attach_attempts; ++attempt) {
         ++proc.attachAttempts;
         ++_stats.attachAttempts;
         // Two fallible steps in order: the syscall-table
@@ -147,7 +146,7 @@ ProtectionService::attachOne(ProcessRecord &proc)
             proc.attached = true;
             return true;
         }
-        if (attempt + 1 < max_attempts) {
+        if (attempt + 1 < max_attach_attempts) {
             ++_stats.attachRetries;
             // Exponential backoff, capped, plus seeded jitter so a
             // fleet of retries never thunders in lockstep.

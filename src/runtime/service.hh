@@ -67,17 +67,13 @@ enum class QuarantineAction : uint8_t {
 
 const char *quarantineActionName(QuarantineAction action);
 
-/** Attach / trace-start retries, with exponential backoff and
- *  jitter between them. */
-struct RetryConfig
-{
-    uint32_t maxAttempts = 6;
-};
+/** Attach / trace-start tries per process, with exponential backoff
+ *  and jitter between them. */
+inline constexpr uint32_t max_attach_attempts = 6;
 
 struct ServiceConfig
 {
     SchedulerConfig scheduler;
-    RetryConfig retry;
     /** Consecutive deadline misses before the breaker trips. */
     uint32_t breakerThreshold = 4;
     QuarantineAction quarantineAction = QuarantineAction::Suspend;

@@ -3,13 +3,19 @@
  * Tests for the training-phase edge labeling: replayed corpus inputs
  * raise exactly the exercised ITC edges to high credit and attach
  * their TNT sequences; replays run in lanes and leave what the
- * one-input-at-a-time reference (tests/ref/serial_trainer.hh) leaves.
+ * one-input-at-a-time reference (tests/ref/serial_trainer.hh) leaves,
+ * never more lanes at once than the cap, and none while replays are
+ * cheap.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 
 #include "analysis/cfg_builder.hh"
 #include "analysis/itc_cfg.hh"
@@ -314,6 +320,66 @@ TEST(Trainer, FailedReplayIsRethrownAfterTheInputsBeforeIt)
                  std::runtime_error);
     EXPECT_GT(lanes.itc().highCreditCount(), 0u);
     expectSameTraining(lanes, serial);
+}
+
+TEST(Trainer, NeverReplaysMoreInputsThanLanesAtOnce)
+{
+    const workloads::ServerSpec spec = workloads::serverSuite()[0];
+    const workloads::SyntheticApp app = workloads::buildServerApp(spec);
+    const std::vector<fuzz::Input> corpus = suiteCorpus(spec, 24);
+    std::atomic<size_t> in_flight{0};
+    std::atomic<size_t> most{0};
+    const auto counted = [&](const fuzz::RunTarget &run) {
+        return [&, run](const fuzz::Input &input, cpu::TraceSink *sink) {
+            const size_t now = ++in_flight;
+            size_t seen = most.load();
+            while (seen < now && !most.compare_exchange_weak(seen, now)) {
+            }
+            // Every replay outlasts the cost that starts lanes.
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            run(input, sink);
+            --in_flight;
+        };
+    };
+
+    FlowGuard lanes = suiteGuard(app.program, true);
+    FlowGuard serial = suiteGuard(app.program, true);
+    const fuzz::TrainingStats got = fuzz::trainItcCfg(
+        lanes.itc(), counted(lanes.defaultRunner()), corpus,
+        lanes.mutablePaths());
+    const fuzz::TrainingStats want = test::ref::trainItcCfgSerially(
+        serial.itc(), serial.defaultRunner(), corpus,
+        serial.mutablePaths());
+    // Each lane holds a ring and a decode (~1 MB resident), so the lane
+    // count bounds what training holds at once.
+    const size_t cap = std::min<size_t>(
+        std::max(std::thread::hardware_concurrency(), 1u), 4);
+    EXPECT_LE(most.load(), cap);
+    EXPECT_EQ(in_flight.load(), 0u);
+    EXPECT_EQ(got.inputsReplayed, corpus.size());
+    expectSameStats(got, want);
+    expectSameTraining(lanes, serial);
+}
+
+TEST(Trainer, CheapReplaysStayOnTheCallingThread)
+{
+    Program prog = dispatchProgram();
+    analysis::ItcCfg itc =
+        analysis::ItcCfg::build(analysis::buildCfg(prog));
+    const std::thread::id caller = std::this_thread::get_id();
+    std::atomic<size_t> calls{0};
+    std::atomic<size_t> elsewhere{0};
+    const fuzz::RunTarget cheap = [&](const fuzz::Input &,
+                                      cpu::TraceSink *) {
+        ++calls;
+        if (std::this_thread::get_id() != caller)
+            ++elsewhere;
+    };
+    const std::vector<fuzz::Input> corpus(50, fuzz::Input{0});
+    const fuzz::TrainingStats stats = fuzz::trainItcCfg(itc, cheap, corpus);
+    EXPECT_EQ(stats.inputsReplayed, 50u);
+    EXPECT_EQ(calls.load(), 50u);
+    EXPECT_EQ(elsewhere.load(), 0u);
 }
 
 TEST(Trainer, CountsInputsThatOutgrowTheRing)

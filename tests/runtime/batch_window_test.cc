@@ -223,7 +223,7 @@ TEST(BatchWindow, BarrierAndPmiWindowsExamineTheWholeRing)
     ASSERT_GT(proc->topa->totalWritten(), ring.size());
     const size_t tips = ringTips(ring);
     // Wider than any endpoint window the default batch cap allows.
-    ASSERT_GT(tips, pkt_count * SchedulerConfig{}.maxBatchFactor);
+    ASSERT_GT(tips, pkt_count * max_batch_factor);
 
     // The code barrier judges everything in the ring.
     const uint64_t before = proc->monitor->stats().tipsChecked;

@@ -273,7 +273,6 @@ TEST(Scheduler, BackpressureRaisesThenDecaysBatchFactor)
     config.deadlineCycles = 10;
     config.queueCapacity = 16;
     config.depthHighWatermark = 1;
-    config.maxBatchFactor = 4;
     Probe probe;
     auto sched =
         makeScheduler(config, probe, CheckVerdict::Pass, 1'000);
@@ -284,6 +283,10 @@ TEST(Scheduler, BackpressureRaisesThenDecaysBatchFactor)
     sched.submit(request(3), 0);
     EXPECT_GT(sched.batchFactor(), 1u);
     EXPECT_GE(sched.stats().batchRaises, 1u);
+    // Sustained pressure doubles it up to its cap, and no further.
+    for (uint64_t cr3 = 4; cr3 < 10; ++cr3)
+        sched.submit(request(cr3), 0);
+    EXPECT_EQ(sched.batchFactor(), max_batch_factor);
 
     sched.drain(/*now=*/100'000);
     EXPECT_EQ(sched.depth(), 0u);
